@@ -14,8 +14,9 @@ from __future__ import annotations
 from enum import Enum
 from itertools import product
 
-from .formula import And, Atom, Bel, Box, Cond, Formula, Iff, Implies, Not
-from .model import Frame, Model, Witness, truth_set
+from .formula import And, Atom, Bel, Box, Cond, Formula, Implies, Not
+from .model import Frame, Model, Witness
+from .model import truth_set  # noqa: F401  unused; perfbench's tracer patches it by name
 from .properties import PropertyId
 
 
@@ -32,7 +33,6 @@ class AxiomId(Enum):
 
 
 RULE_IDS = frozenset({AxiomId.RULE_K5A, AxiomId.RULE_K6})
-SCHEMA_IDS = tuple(k for k in AxiomId if k not in RULE_IDS)
 
 LETTERS = ("p", "q", "r")
 
@@ -169,20 +169,49 @@ class SchemaEvaluator:
         """None if ``k`` is valid on the frame, else the lexicographically
         least falsifying assignment with its lowest falsified state."""
         if k in RULE_IDS:
-            raise ValueError(f"{k.value} is a rule of inference; use rule_valid_on_frame")
+            raise ValueError(f"{k.value} is a rule of inference; use check_rule")
         schema = getattr(self, "_" + k.value.lower())
         full = self.full
-        nletters = _LETTER_COUNT[k]
-        for assignment in product(range(full + 1), repeat=nletters):
+        for assignment in product(range(full + 1), repeat=_LETTER_COUNT[k]):
             mask = schema(*assignment)
             if mask != full:
-                state = ((mask ^ full) & -(mask ^ full)).bit_length() - 1
-                return Witness(
-                    kind=k.value,
-                    states={"s": state},
-                    events=dict(zip(LETTERS, assignment)),
-                )
+                return _witness(k, mask, full, assignment)
         return None
+
+    def check_rule(self, k: AxiomId) -> Witness | None:
+        """None if the rule ``k`` holds on the frame, else the first
+        falsifying assignment in ``product`` order with its lowest
+        falsified state.
+
+        RuleK5a: with an impossible antecedent (the event-level image of an
+        inconsistent formula), ``B(p > q)`` holds at every state whatever
+        the consequent event q; that is row 0 of ``bel_cond``.  RuleK6: two
+        antecedents with the same event yield the same believed
+        conditionals, so ``B(p > r) <-> B(q > r)`` holds under p = q = a
+        for every consequent event r = c.  The tests cross ``bel_cond``
+        against ``truth_set`` of ``B(p > r)`` on concrete models.
+        """
+        full, bc = self.full, self.bel_cond
+        if k is AxiomId.RULE_K5A:
+            for b in range(full + 1):
+                mask = bc[0][b]
+                if mask != full:
+                    return _witness(k, mask, full, (0, b))
+            return None
+        if k is AxiomId.RULE_K6:
+            for a, c in product(range(full + 1), repeat=2):
+                mask = full ^ (bc[a][c] ^ bc[a][c])
+                if mask != full:
+                    return _witness(k, mask, full, (a, a, c))
+            return None
+        raise ValueError(f"{k.value} is a schema; use check_axiom")
+
+
+def _witness(k: AxiomId, mask: int, full: int, assignment: tuple[int, ...]) -> Witness:
+    """Witness for ``assignment``, reporting the lowest state outside ``mask``."""
+    failed = mask ^ full
+    state = (failed & -failed).bit_length() - 1
+    return Witness(kind=k.value, states={"s": state}, events=dict(zip(LETTERS, assignment)))
 
 
 def schema_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:
@@ -191,38 +220,8 @@ def schema_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:
 
 
 def rule_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:
-    """Check a rule of inference at the event level, through the model semantics.
-
-    RuleK5a: with an impossible antecedent (the event-level image of an
-    inconsistent formula), the believed conditional holds at every state,
-    whatever the consequent event.  RuleK6: two antecedents with the same
-    event yield the same believed conditionals, whatever the consequent
-    event.  Both are evaluated on concrete models with fresh atoms.
-    """
-    full = frame.full
-    if k is AxiomId.RULE_K5A:
-        template = Bel(Cond(_P, _Q))
-        for b in range(full + 1):
-            mask = truth_set(Model(frame, {"p": 0, "q": b}), template)
-            if mask != full:
-                state = ((mask ^ full) & -(mask ^ full)).bit_length() - 1
-                return Witness("RuleK5a", {"s": state}, {"p": 0, "q": b})
-        return None
-    if k is AxiomId.RULE_K6:
-        template = Iff(Bel(Cond(_P, _R)), Bel(Cond(_Q, _R)))
-        for a in range(full + 1):
-            for c in range(full + 1):
-                mask = truth_set(Model(frame, {"p": a, "q": a, "r": c}), template)
-                if mask != full:
-                    state = ((mask ^ full) & -(mask ^ full)).bit_length() - 1
-                    return Witness("RuleK6", {"s": state}, {"p": a, "q": a, "r": c})
-        return None
-    raise ValueError(f"{k.value} is a schema; use schema_valid_on_frame")
-
-
-def assignment_model(frame: Frame, assignment: dict[str, int]) -> Model:
-    """Concrete model realizing a letter assignment with fresh atoms."""
-    return Model(frame, dict(assignment))
+    """Check one rule of inference on a frame at the event level."""
+    return SchemaEvaluator(frame).check_rule(k)
 
 
 PAIRED_PROPERTY = {
@@ -235,15 +234,14 @@ PAIRED_PROPERTY = {
 }
 
 
-def countermodel_from_witness(
-    frame: Frame, k: AxiomId, w: Witness
-) -> tuple[Model, int, Formula]:
-    """Model, state and axiom instance falsified there, built from a
-    property-violation witness of the paired frame property.
+def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple[int, ...], int]:
+    """Letter assignment (in ``LETTERS`` order) and state of the canonical
+    countermodel to ``k`` built from a violation witness of the paired
+    frame property.
 
-    The valuations are the canonical refutation recipes: the violated
-    event becomes the truth set of p, and q and r take the derived events
-    that make the axiom's antecedent true while its consequent fails.
+    These are the canonical refutation recipes: the violated event becomes
+    p, and q and r take the derived events that make the axiom's
+    antecedent true while its consequent fails.
     """
     paired = PAIRED_PROPERTY.get(k)
     if paired is None or w.kind != paired.value:
@@ -253,15 +251,26 @@ def countermodel_from_witness(
     s = w.states["s"]
     e = w.events["E"]
     if k is AxiomId.A2:
-        valuation = {"p": e}
+        assignment: tuple[int, ...] = (e,)
     elif k is AxiomId.A3:
-        valuation = {"p": e, "q": frame.union[s][e]}
+        assignment = (e, frame.union[s][e])
     elif k is AxiomId.A4:
-        valuation = {"p": e, "q": frame.belief[s] & e}
+        assignment = (e, frame.belief[s] & e)
     elif k is AxiomId.A5:
-        valuation = {"p": e, "q": 0}
+        assignment = (e, 0)
     elif k is AxiomId.A7:
-        valuation = {"p": e, "q": w.events["F"], "r": w.events["G"]}
+        assignment = (e, w.events["F"], w.events["G"])
     else:  # A8
-        valuation = {"p": e, "q": w.events["F"], "r": frame.union[s][e]}
-    return Model(frame, valuation), s, _INSTANCES[k]
+        assignment = (e, w.events["F"], frame.union[s][e])
+    return assignment, s
+
+
+def countermodel_from_witness(
+    frame: Frame, k: AxiomId, w: Witness
+) -> tuple[Model, int, Formula]:
+    """Model, state and axiom instance falsified there, built from a
+    property-violation witness of the paired frame property: the
+    assignment of :func:`countermodel_assignment` as a valuation of the
+    atoms p, q, r."""
+    assignment, s = countermodel_assignment(frame, k, w)
+    return Model(frame, dict(zip(LETTERS, assignment))), s, _INSTANCES[k]

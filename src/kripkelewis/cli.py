@@ -7,6 +7,7 @@ Exit status: 0 when the command succeeded and every requested check holds,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -276,7 +277,9 @@ def cmd_sweep(args) -> int:
     return 1 if report.discrepancies else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     top = argparse.ArgumentParser(
         prog="kripkelewis",
         description="Belief-revision workbench over finite Kripke-Lewis frames.",

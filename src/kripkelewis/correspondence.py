@@ -11,6 +11,7 @@ replays its canonical countermodel, which must falsify the paired axiom.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
@@ -18,13 +19,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .axioms import (
-    AxiomId,
-    SchemaEvaluator,
-    countermodel_from_witness,
-    rule_valid_on_frame,
-)
-from .model import Frame, truth
+from .axioms import AxiomId, SchemaEvaluator, countermodel_assignment
+from .model import Frame
+
+# Unused here; perfbench's tracer patches these names on this module.
+from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
+from .model import truth  # noqa: F401
 from .properties import PropertyId, check_property
 from .revision import AgmPostulateId, agm_event_check
 
@@ -170,8 +170,8 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
         )
     always_valid = {
         "A1": evaluator.check_axiom(AxiomId.A1) is None,
-        "RuleK5a": rule_valid_on_frame(frame, AxiomId.RULE_K5A) is None,
-        "RuleK6": rule_valid_on_frame(frame, AxiomId.RULE_K6) is None,
+        "RuleK5a": evaluator.check_rule(AxiomId.RULE_K5A) is None,
+        "RuleK6": evaluator.check_rule(AxiomId.RULE_K6) is None,
     }
     for name, pid in (("K1", AgmPostulateId.K1), ("K5a", AgmPostulateId.K5A),
                       ("K6", AgmPostulateId.K6)):
@@ -206,8 +206,8 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
         w = witnesses[k]
         if w is None:
             continue
-        model, s, instance = countermodel_from_witness(frame, _AXIOM[k], w)
-        falsified = not truth(model, s, instance)
+        assignment, s = countermodel_assignment(frame, _AXIOM[k], w)
+        falsified = not evaluator.holds_mask(_AXIOM[k], assignment) >> s & 1
         replays.append((k, falsified))
         if not falsified:
             discrepancies.append(
@@ -401,11 +401,13 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     """Fold triple_check over the configured frame stream.
 
     With ``workers > 1`` the stream is partitioned across a process pool
-    and the partial reports merged; a worker failure aborts the sweep with
-    a SweepError carrying the report for whatever completed.
+    of at most ``os.cpu_count()`` processes and the partial reports merged;
+    a worker failure aborts the sweep with a SweepError carrying the report
+    for whatever completed.
     """
     cfg.validate()
     started = time.perf_counter()
+    workers = min(workers, os.cpu_count() or 1)
     payloads = _make_payloads(cfg, workers)
     partials: list[Report] = []
     if workers <= 1 or len(payloads) == 1:

@@ -313,6 +313,8 @@ def revised_support(frame: Frame, s: int, event: int) -> int:
 
 def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
     """Build a frame from its JSON form, or report every violation found."""
+    if not isinstance(data, Mapping):
+        return None, [FrameIssue("bad_structure", "a frame must be a JSON object")]
     issues: list[FrameIssue] = []
     raw_states = data.get("states")
     if not isinstance(raw_states, (list, tuple)) or not raw_states:
@@ -320,15 +322,26 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
     states = tuple(str(s) for s in raw_states)
     if len(set(states)) != len(states):
         return None, [FrameIssue("bad_structure", "duplicate state names")]
+    raw_belief = data.get("belief", {})
+    if not isinstance(raw_belief, Mapping):
+        return None, [FrameIssue("bad_structure", "'belief' must be an object")]
+    raw_selection = data.get("selection", [])
+    if not isinstance(raw_selection, (list, tuple)) or not all(
+        isinstance(entry, Mapping) for entry in raw_selection
+    ):
+        return None, [FrameIssue("bad_structure", "'selection' must be a list of objects")]
     n = len(states)
     index = {name: i for i, name in enumerate(states)}
     full = (1 << n) - 1
 
-    def mask_of(names: Iterable, where: str) -> int | None:
+    def mask_of(names, where: str) -> int | None:
+        if not isinstance(names, (list, tuple)):
+            issues.append(FrameIssue("bad_structure", f"{where} must be a list of state names"))
+            return None
         mask = 0
         ok = True
         for name in names:
-            i = index.get(name)
+            i = index.get(name) if isinstance(name, str) else None
             if i is None:
                 issues.append(FrameIssue("unknown_state", f"{name!r} in {where}"))
                 ok = False
@@ -337,7 +350,6 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
         return mask if ok else None
 
     belief = [0] * n
-    raw_belief = data.get("belief", {})
     for name, members in raw_belief.items():
         i = index.get(name)
         if i is None:
@@ -351,9 +363,9 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
             issues.append(FrameIssue("non_serial", f"belief set of {states[i]} is empty"))
 
     selection = [[None] * (full + 1) for _ in range(n)]
-    for entry in data.get("selection", []):
+    for entry in raw_selection:
         name = entry.get("state")
-        i = index.get(name)
+        i = index.get(name) if isinstance(name, str) else None
         if i is None:
             issues.append(FrameIssue("unknown_state", f"{name!r} in selection"))
             continue
@@ -403,9 +415,17 @@ def load_model(data: Mapping) -> Model:
     frame, issues = validate_frame(data)
     valuation: dict[str, int] = {}
     if frame is not None:
-        for atom, members in (data.get("valuation") or {}).items():
+        raw_valuation = data.get("valuation") or {}
+        if not isinstance(raw_valuation, Mapping):
+            issues.append(FrameIssue("bad_structure", "'valuation' must be an object"))
+            raw_valuation = {}
+        for atom, members in raw_valuation.items():
             if not _ATOM_NAME_RE.match(str(atom)):
                 issues.append(FrameIssue("invalid_atom", f"{atom!r} is not an atom name"))
+                continue
+            if not isinstance(members, (list, tuple)):
+                issues.append(FrameIssue(
+                    "bad_structure", f"valuation of {atom!r} must be a list of state names"))
                 continue
             try:
                 valuation[atom] = frame.event_mask(members)

@@ -17,6 +17,9 @@ Unicode aliases are accepted on input but never printed: ¬ for ~, ∨ for |,
 ``(B p) > q`` and is then rejected because a conditional operand must be
 Boolean; write ``B(p > q)``.  Chained ``>`` must be parenthesized, and is
 then rejected by the layering rules anyway.
+
+Nesting is bounded: more than ``MAX_NESTING`` operators and parentheses
+on the way down to one atom is a ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -108,11 +111,17 @@ _BINOPS = {
 }
 _UNARY_LEVEL = 6
 
+# Deepest nesting the parser accepts, counting every operator and pair of
+# parentheses on the way down to an atom.  Kept well under the interpreter's
+# recursion limit so that no recursive pass over a parsed formula overflows.
+MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # operators and parentheses whose operand is being parsed
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -123,23 +132,40 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        node, _ = self.parse_level(1)
+        node, _, _ = self.parse_level(1)
         kind, text, offset = self.peek()
         if kind is not _END:
             raise ParseError(offset, "end of input", repr(text))
         return node
 
-    def parse_level(self, min_level: int) -> tuple[Formula, int]:
-        node, start = self.parse_unary()
+    def _check_nesting(self, depth: int, offset: int, text: str) -> None:
+        if depth > MAX_NESTING:
+            raise ParseError(offset, f"at most {MAX_NESTING} levels of nesting", repr(text))
+
+    def _descend(self, offset: int, text: str) -> None:
+        """Enter the operand of the operator at ``offset``; refusing here
+        keeps the recursion shallow even before any node is built."""
+        self.nesting += 1
+        self._check_nesting(self.nesting, offset, text)
+
+    # Each parse method returns the node, the offset where it starts, and
+    # its nesting depth (operators and parentheses down to its deepest atom).
+
+    def parse_level(self, min_level: int) -> tuple[Formula, int, int]:
+        node, start, depth = self.parse_unary()
         while True:
             kind, text, offset = self.peek()
             info = _BINOPS.get(kind)
             if info is None or info[0] < min_level:
-                return node, start
+                return node, start, depth
             level, right, ctor = info
             self.advance()
+            self._descend(offset, text)
+            rhs, rhs_start, rhs_depth = self.parse_level(level if right else level + 1)
+            self.nesting -= 1
+            depth = max(depth, rhs_depth) + 1
+            self._check_nesting(depth, offset, text)
             if kind == "cond":
-                rhs, rhs_start = self.parse_level(level + 1)
                 node = self._make_cond(node, start, rhs, rhs_start)
                 nxt = self.peek()
                 if nxt[0] == "cond":
@@ -148,34 +174,32 @@ class _Parser:
                         "no further '>' ('>' is non-associative; parenthesize)",
                         repr(nxt[1]),
                     )
-            elif right:
-                rhs, _ = self.parse_level(level)
-                node = ctor(node, rhs)
             else:
-                rhs, _ = self.parse_level(level + 1)
                 node = ctor(node, rhs)
 
-    def parse_unary(self) -> tuple[Formula, int]:
+    def parse_unary(self) -> tuple[Formula, int, int]:
         kind, text, offset = self.advance()
         if kind == "atom":
-            return Atom(text), offset
-        if kind == "not":
-            body, _ = self.parse_unary()
-            return Not(body), offset
-        if kind == "bel":
-            body, body_start = self.parse_unary()
-            return self._make_bel(body, body_start, offset), offset
-        if kind == "box":
-            body, body_start = self.parse_unary()
-            return self._make_box(body, body_start, offset), offset
+            return Atom(text), offset, 0
+        if kind not in ("not", "bel", "box", "lp"):
+            found = repr(text) if kind is not _END else text
+            raise ParseError(offset, "a formula", found)
+        self._descend(offset, text)
         if kind == "lp":
-            node, _ = self.parse_level(1)
+            node, _, depth = self.parse_level(1)
             k, t, o = self.advance()
             if k != "rp":
                 raise ParseError(o, "')'", repr(t) if k is not _END else t)
-            return node, offset
-        found = repr(text) if kind is not _END else text
-        raise ParseError(offset, "a formula", found)
+        else:
+            body, body_start, depth = self.parse_unary()
+            if kind == "not":
+                node = Not(body)
+            elif kind == "bel":
+                node = self._make_bel(body, body_start, offset)
+            else:
+                node = self._make_box(body, body_start, offset)
+        self.nesting -= 1
+        return node, offset, depth + 1
 
     def _make_cond(self, lhs: Formula, lhs_start: int, rhs: Formula, rhs_start: int) -> Formula:
         if classify(lhs) is not SyntacticClass.PHI0:

@@ -3,8 +3,9 @@
 The oracles here deliberately re-derive results through different
 representations than the library uses: classification by top-down
 membership predicates, frame properties over frozensets instead of
-bitmasks.  Expected values frozen into the golden tests were computed
-with these.
+bitmasks, rules of inference through concrete models instead of the
+schema evaluator's tables.  Expected values frozen into the golden tests
+were computed with these.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import chain, combinations
 from kripkelewis import (
     And,
     Atom,
+    AxiomId,
     Bel,
     Box,
     Cond,
@@ -25,7 +27,9 @@ from kripkelewis import (
     Not,
     Or,
     SyntacticClass,
+    Witness,
     sample_frames,
+    truth_set,
 )
 
 ATOM_NAMES = ("p", "q", "r", "a", "b")
@@ -252,6 +256,43 @@ def oracle_property_holds(frame: Frame, kind: str) -> bool:
                         return False
         return True
     raise ValueError(kind)
+
+
+# --- rule-of-inference oracle over concrete models ------------------------
+
+P, Q, R = Atom("p"), Atom("q"), Atom("r")
+RULE_K5A_TEMPLATE = Bel(Cond(P, Q))
+RULE_K6_TEMPLATE = Iff(Bel(Cond(P, R)), Bel(Cond(Q, R)))
+
+
+def _first_false_state(mask: int, full: int) -> int:
+    return ((mask ^ full) & -(mask ^ full)).bit_length() - 1
+
+
+def oracle_rule_valid(frame: Frame, k: AxiomId) -> Witness | None:
+    """A rule of inference checked through the model semantics: one model
+    with fresh atoms per assignment, evaluated by ``truth_set``.
+
+    RuleK5a: an impossible antecedent (p empty) makes B(p > q) hold at every
+    state, whatever q.  RuleK6: antecedents with the same event (p = q)
+    make B(p > r) and B(q > r) agree, whatever r.
+    """
+    full = frame.full
+    if k is AxiomId.RULE_K5A:
+        for b in range(full + 1):
+            mask = truth_set(Model(frame, {"p": 0, "q": b}), RULE_K5A_TEMPLATE)
+            if mask != full:
+                return Witness("RuleK5a", {"s": _first_false_state(mask, full)}, {"p": 0, "q": b})
+        return None
+    if k is AxiomId.RULE_K6:
+        for a in range(full + 1):
+            for c in range(full + 1):
+                valuation = {"p": a, "q": a, "r": c}
+                mask = truth_set(Model(frame, valuation), RULE_K6_TEMPLATE)
+                if mask != full:
+                    return Witness("RuleK6", {"s": _first_false_state(mask, full)}, valuation)
+        return None
+    raise ValueError(f"{k.value} is a schema")
 
 
 # --- hand-built fixture frames --------------------------------------------

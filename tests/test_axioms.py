@@ -26,6 +26,7 @@ from kripkelewis import (
     truth,
     truth_set,
 )
+from kripkelewis.axioms import countermodel_assignment
 
 import helpers
 
@@ -234,3 +235,58 @@ def test_witness_prefers_lexicographically_least_assignment():
                     break
                 assert mask == frame.full, (axiom, assignment, found)
     assert seen > 100
+
+
+def _assert_rules_match_model_route(frame):
+    evaluator = SchemaEvaluator(frame)
+    for rule in RULES:
+        assert evaluator.check_rule(rule) == helpers.oracle_rule_valid(frame, rule), (
+            frame_digest(frame), rule)
+    # the table both rules read: bel_cond[a][c] is the truth set of B(p > r)
+    # under p = a, r = c
+    template = Bel(Cond(Atom("p"), Atom("r")))
+    for a, c in product(range(frame.full + 1), repeat=2):
+        expected = truth_set(Model(frame, {"p": a, "r": c}), template)
+        assert evaluator.bel_cond[a][c] == expected, (frame_digest(frame), a, c)
+
+
+def test_check_rule_equals_model_route_all_two_state_frames():
+    for frame in enumerate_frames(2):
+        _assert_rules_match_model_route(frame)
+
+
+def test_check_rule_equals_model_route_sampled_frames():
+    frames = [helpers.m0_frame(), helpers.fx2_frame(), helpers.empty_selection_frame()]
+    frames += list(sample_frames(1, 10, seed=130))
+    frames += list(sample_frames(3, 300, seed=131))
+    for frame in frames:
+        _assert_rules_match_model_route(frame)
+
+
+def test_check_rule_witness_is_first_falsifying_assignment(fx2):
+    # corrupt the table so that each rule fails, and read off the witness
+    evaluator = SchemaEvaluator(fx2)
+    evaluator.bel_cond = [row[:] for row in evaluator.bel_cond]
+    evaluator.bel_cond[0][2] = 0b10
+    w = evaluator.check_rule(AxiomId.RULE_K5A)
+    assert (w.kind, w.states, w.events) == ("RuleK5a", {"s": 0}, {"p": 0, "q": 2})
+    with pytest.raises(ValueError):
+        evaluator.check_rule(AxiomId.A2)
+
+
+def test_replay_through_evaluator_equals_pointwise_truth_all_two_state_frames():
+    replays = 0
+    for frame in enumerate_frames(2):
+        evaluator = SchemaEvaluator(frame)
+        for axiom, prop in PAIRED_PROPERTY.items():
+            w = check_property(frame, prop)
+            if w is None:
+                continue
+            assignment, s = countermodel_assignment(frame, axiom, w)
+            model, model_state, instance = countermodel_from_witness(frame, axiom, w)
+            assert model_state == s
+            assert model.valuation == dict(zip(("p", "q", "r"), assignment))
+            falsified = not evaluator.holds_mask(axiom, assignment) >> s & 1
+            assert falsified == (not truth(model, s, instance)), (frame_digest(frame), axiom)
+            replays += 1
+    assert replays > 36864

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from kripkelewis import load_model, parse, truth
-from kripkelewis.cli import main
+from kripkelewis.cli import build_parser, main
+from kripkelewis.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -191,3 +192,92 @@ def test_invalid_frame_reports_issues(capsys, tmp_path):
     assert code == 2
     assert "non_serial" in err
     assert "missing_selection_entry" in err
+
+
+def test_parser_built_once(capsys, m0_path):
+    assert build_parser() is build_parser()
+    first = run(capsys, "axiom-check", "--frame", m0_path, "--axiom", "RuleK5a")
+    assert run(capsys, "axiom-check", "--frame", m0_path, "--axiom", "RuleK5a") == first
+    assert first[0] == 0
+
+
+def _good_frame() -> dict:
+    return {
+        "states": ["a", "b"],
+        "belief": {"a": ["b"], "b": ["b"]},
+        "selection": [
+            {"state": s, "event": e, "selected": e}
+            for s in ("a", "b") for e in (["a"], ["b"], ["a", "b"])
+        ],
+        "valuation": {"p": ["a"]},
+    }
+
+
+def _run_on(capsys, tmp_path, data, command="frame-check"):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "eval":
+        return run(capsys, "eval", "--model", str(path), "--state", "a", "--formula", "p")
+    return run(capsys, command, "--frame", str(path))
+
+
+def test_good_frame_is_accepted(capsys, tmp_path):
+    code, out, _ = _run_on(capsys, tmp_path, _good_frame(), "eval")
+    assert code == 0
+    assert out.strip() == "true"
+
+
+def test_top_level_array_is_bad_structure(capsys, tmp_path):
+    code, _, err = _run_on(capsys, tmp_path, [_good_frame()])
+    assert code == 2
+    assert "error: bad_structure:" in err
+
+
+def test_belief_as_list_is_bad_structure(capsys, tmp_path):
+    data = _good_frame()
+    data["belief"] = [["b"], ["b"]]
+    code, _, err = _run_on(capsys, tmp_path, data, "agm-check")
+    assert code == 2
+    assert "error: bad_structure: 'belief' must be an object" in err
+
+
+def test_selection_entry_not_an_object_is_bad_structure(capsys, tmp_path):
+    data = _good_frame()
+    data["selection"][0] = ["a", ["a"], ["a"]]
+    code, _, err = _run_on(capsys, tmp_path, data)
+    assert code == 2
+    assert "error: bad_structure: 'selection' must be a list of objects" in err
+
+
+def test_string_event_is_bad_structure(capsys, tmp_path):
+    data = _good_frame()
+    data["selection"][0]["event"] = "a"
+    code, _, err = _run_on(capsys, tmp_path, data)
+    assert code == 2
+    assert "error: bad_structure: selection event for a must be a list of state names" in err
+
+
+def test_string_belief_members_are_bad_structure(capsys, tmp_path):
+    data = _good_frame()
+    data["belief"]["a"] = "b"
+    code, _, err = _run_on(capsys, tmp_path, data)
+    assert code == 2
+    assert "error: bad_structure: belief[a] must be a list of state names" in err
+
+
+def test_string_valuation_members_are_bad_structure(capsys, tmp_path):
+    data = _good_frame()
+    data["valuation"]["p"] = "a"
+    code, _, err = _run_on(capsys, tmp_path, data, "eval")
+    assert code == 2
+    assert "error: bad_structure: valuation of 'p' must be a list of state names" in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, out, _ = run(capsys, "parse", "~" * MAX_NESTING + "p")
+    assert code == 0
+    assert out.startswith("formula: ")
+    for text in ("~" * 5000 + "p", "(" * 5000 + "p" + ")" * 5000, " & ".join(["p"] * 5000)):
+        code, _, err = run(capsys, "parse", text)
+        assert code == 2
+        assert f"expected at most {MAX_NESTING} levels of nesting" in err

@@ -1,16 +1,19 @@
 import json
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from kripkelewis import (
+    AxiomId,
     PropertyId,
     Report,
     SweepConfig,
     SweepError,
     check_property,
+    countermodel_from_witness,
     enumerate_frames,
     frame_code,
     frame_count,
@@ -21,6 +24,7 @@ from kripkelewis import (
     sample_frames,
     sweep,
     triple_check,
+    truth,
 )
 import kripkelewis.correspondence as sweep_module
 
@@ -146,6 +150,22 @@ def test_triple_check_restricted_to_one_pair():
     assert record.discrepancies == []
 
 
+def test_triple_check_replays_equal_pointwise_truth():
+    # the evaluator replay in triple_check against the model route it replaced
+    frames = list(sample_frames(2, 150, seed=14)) + list(sample_frames(3, 150, seed=15))
+    replays = 0
+    for frame in frames:
+        expected = []
+        for k in (2, 3, 4, 5, 7, 8):
+            w = check_property(frame, PropertyId(f"P{k}"))
+            if w is not None:
+                model, s, instance = countermodel_from_witness(frame, AxiomId(f"A{k}"), w)
+                expected.append((k, not truth(model, s, instance)))
+        assert triple_check(frame).replays == expected, frame_digest(frame)
+        replays += len(expected)
+    assert replays > 300
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(size=0).validate()
@@ -189,6 +209,42 @@ def test_sweep_parallel_matches_serial():
     serial.pop("duration_ms")
     parallel.pop("duration_ms")
     assert serial == parallel
+
+
+def test_sweep_workers_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: runs each partition in this
+        process and records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
+    pooled = sweep(cfg, workers=64).to_json()
+    assert sizes == [3]
+    serial = sweep(cfg, workers=1).to_json()
+    pooled.pop("duration_ms")
+    serial.pop("duration_ms")
+    assert pooled == serial
+
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)
+    sweep(cfg, workers=8)
+    assert sizes == [3]  # an unknown core count means one process, no pool
 
 
 def test_sweep_exhaustive_parallel_partition():
