@@ -27,7 +27,7 @@ from .model import (
     model_to_json,
     truth,
 )
-from .parser import ParseError, format_formula, parse
+from .parser import format_formula, parse
 from .properties import PropertyId, check_property
 from .revision import AgmPostulateId, agm_event_check, revise_membership
 from .correspondence import SweepConfig, SweepError, sweep
@@ -249,10 +249,6 @@ def cmd_sweep(args) -> int:
         ks=_ks_arg(args.ks),
         allow_large=args.allow_large,
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
     report = sweep(cfg, workers=args.workers)
     payload = report.to_json()
     if args.out:
@@ -339,17 +335,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FrameValidationError as exc:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)
         return 2
-    except (_InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SweepError as exc:
+    except (_InputError, ValueError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

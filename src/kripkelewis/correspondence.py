@@ -17,7 +17,7 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .axioms import AxiomId, SchemaEvaluator, countermodel_assignment
 from .model import Frame
@@ -126,16 +126,24 @@ def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:
         raise ValueError("need at least one state")
     if count < 1:
         raise ValueError("count must be positive")
+    for code in _sample_codes(n, count, seed):
+        yield frame_from_code(n, code)
+
+
+def _sample_codes(n: int, count: int, seed: int) -> Iterator[int]:
+    """Codes of the frames :func:`sample_frames` yields: per frame, each
+    state's belief set, then each state's selection row in event order,
+    folded into :func:`frame_code` digits as drawn."""
     rng = random.Random(seed)
     full = (1 << n) - 1
-    names = _state_names(n)
+    base = full + 1
     for _ in range(count):
-        belief = tuple(rng.randrange(1, full + 1) for _ in range(n))
-        selection = tuple(
-            (0,) + tuple(rng.randrange(0, full + 1) for _ in range(full))
-            for _ in range(n)
-        )
-        yield Frame(names, belief, selection)
+        code = 0
+        for _ in range(n):
+            code = code * full + rng.randrange(1, base) - 1
+        for _ in range(n * full):
+            code = code * base + rng.randrange(0, base)
+        yield code
 
 
 @dataclass
@@ -327,13 +335,7 @@ def merge_reports(parts: list[Report]) -> Report:
         raise ValueError("nothing to merge")
     if any(p.config != parts[0].config for p in parts):
         raise ValueError("cannot merge reports with different configs")
-    merged = Report(
-        config=parts[0].config,
-        totals={key: 0 for key in parts[0].totals},
-        per_axiom={name: _empty_counts() for name in parts[0].per_axiom},
-        per_agm={name: _empty_counts() for name in parts[0].per_agm},
-        always_valid={name: 0 for name in parts[0].always_valid},
-    )
+    merged = Report.empty(parts[0].config, tuple(parts[0].config["ks"]))
     for p in parts:
         for key, v in p.totals.items():
             merged.totals[key] += v
@@ -355,46 +357,28 @@ def merge_reports(parts: list[Report]) -> Report:
     return merged
 
 
-def _run_partition(payload: dict) -> Report:
-    report = Report.empty(payload["config"], tuple(payload["ks"]))
-    n = payload["size"]
-    ks = tuple(payload["ks"])
-    if payload["kind"] == "range":
-        frames: Iterator[Frame] = (
-            frame_from_code(n, code) for code in range(payload["start"], payload["stop"])
-        )
-    else:
-        frames = (
-            Frame(_state_names(n), belief, selection)
-            for belief, selection in payload["frames"]
-        )
-    for frame in frames:
-        report.add_record(triple_check(frame, ks))
+def _run_partition(config: dict, codes: Sequence[int]) -> Report:
+    n, ks = config["size"], tuple(config["ks"])
+    report = Report.empty(config, ks)
+    for code in codes:
+        report.add_record(triple_check(frame_from_code(n, code), ks))
     return report
 
 
-def _make_payloads(cfg: SweepConfig, workers: int) -> list[dict]:
-    base = {"config": cfg.echo(), "size": cfg.size, "ks": list(cfg.ks)}
+def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, Sequence[int]]]:
+    """Split the configured frame codes into at most ``workers`` contiguous,
+    nonempty ``(config, codes)`` partitions."""
     if cfg.mode == "exhaustive":
         total = frame_count(cfg.size)
-        chunks = max(1, min(workers, total))
-        bounds = [total * i // chunks for i in range(chunks + 1)]
-        return [
-            dict(base, kind="range", start=bounds[i], stop=bounds[i + 1])
-            for i in range(chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-    assert cfg.count is not None and cfg.seed is not None
-    parts = [
-        (fr.belief, fr.selection) for fr in sample_frames(cfg.size, cfg.count, cfg.seed)
-    ]
-    chunks = max(1, min(workers, len(parts)))
-    bounds = [len(parts) * i // chunks for i in range(chunks + 1)]
-    return [
-        dict(base, kind="frames", frames=parts[bounds[i] : bounds[i + 1]])
-        for i in range(chunks)
-        if bounds[i] < bounds[i + 1]
-    ]
+        codes: Sequence[int] = range(total)
+    else:
+        assert cfg.count is not None and cfg.seed is not None
+        total = cfg.count
+        codes = list(_sample_codes(cfg.size, total, cfg.seed))
+    chunks = max(1, min(workers, total))
+    bounds = [total * i // chunks for i in range(chunks + 1)]
+    config = cfg.echo()
+    return [(config, codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
@@ -410,32 +394,26 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     workers = min(workers, os.cpu_count() or 1)
     payloads = _make_payloads(cfg, workers)
     partials: list[Report] = []
-    if workers <= 1 or len(payloads) == 1:
-        for payload in payloads:
-            try:
-                partials.append(_run_partition(payload))
-            except Exception as exc:
-                partial = merge_reports(partials) if partials else Report.empty(
-                    cfg.echo(), cfg.ks
-                )
-                raise SweepError(f"sweep aborted: {exc}", partial) from exc
+    failure: BaseException | None = None
+    if len(payloads) == 1:
+        try:
+            partials.append(_run_partition(*payloads[0]))
+        except Exception as exc:
+            failure = exc
     else:
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            futures = [pool.submit(_run_partition, p) for p in payloads]
+            futures = [pool.submit(_run_partition, *p) for p in payloads]
             wait(futures, return_when=FIRST_EXCEPTION)
-            failure = None
             for fut in futures:
-                if fut.done() and fut.exception() is None:
-                    partials.append(fut.result())
-                elif fut.done():
-                    failure = fut.exception()
-                else:
+                if not fut.done():
                     fut.cancel()
-            if failure is not None:
-                partial = merge_reports(partials) if partials else Report.empty(
-                    cfg.echo(), cfg.ks
-                )
-                raise SweepError(f"sweep aborted: {failure}", partial) from failure
+                elif fut.exception() is None:
+                    partials.append(fut.result())
+                else:
+                    failure = fut.exception()
+    if failure is not None:
+        partial = merge_reports(partials) if partials else Report.empty(cfg.echo(), cfg.ks)
+        raise SweepError(f"sweep aborted: {failure}", partial) from failure
     report = merge_reports(partials)
     report.duration_ms = int((time.perf_counter() - started) * 1000)
     return report

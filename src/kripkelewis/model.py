@@ -33,6 +33,10 @@ from .formula import (
 
 _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
+# Beyond this many surely missing selection entries, validate_frame reports
+# one summary issue instead of allocating the table and naming each entry.
+MAX_MISSING_SELECTION_ENTRIES = 1024
+
 
 class EmptyEventError(ValueError):
     """Raised when an operation requires a nonempty event."""
@@ -172,22 +176,13 @@ class Witness:
     kind: str
     states: dict[str, int] = field(default_factory=dict)
     events: dict[str, int] = field(default_factory=dict)
-    valuation: dict[str, int] | None = None
-    formula: Formula | None = None
 
     def to_json(self, frame: Frame) -> dict:
-        from .parser import format_formula
-
-        out: dict = {
+        return {
             "kind": self.kind,
             "states": {role: frame.states[i] for role, i in self.states.items()},
             "events": {role: frame.event_names(m) for role, m in self.events.items()},
         }
-        if self.valuation is not None:
-            out["valuation"] = {a: frame.event_names(m) for a, m in sorted(self.valuation.items())}
-        if self.formula is not None:
-            out["formula"] = format_formula(self.formula)
-        return out
 
 
 def _reject_illformed(f: Formula) -> None:
@@ -319,7 +314,9 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
     raw_states = data.get("states")
     if not isinstance(raw_states, (list, tuple)) or not raw_states:
         return None, [FrameIssue("bad_structure", "'states' must be a nonempty list")]
-    states = tuple(str(s) for s in raw_states)
+    if not all(isinstance(s, str) for s in raw_states):
+        return None, [FrameIssue("bad_structure", "state names must be strings")]
+    states = tuple(raw_states)
     if len(set(states)) != len(states):
         return None, [FrameIssue("bad_structure", "duplicate state names")]
     raw_belief = data.get("belief", {})
@@ -362,6 +359,12 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
         if mask == 0:
             issues.append(FrameIssue("non_serial", f"belief set of {states[i]} is empty"))
 
+    needed = n * full
+    if needed - len(raw_selection) > MAX_MISSING_SELECTION_ENTRIES:
+        issues.append(FrameIssue(
+            "missing_selection_entry",
+            f"{len(raw_selection)} selection entries given, {n} states need {needed}"))
+        return None, issues
     selection = [[None] * (full + 1) for _ in range(n)]
     for entry in raw_selection:
         name = entry.get("state")

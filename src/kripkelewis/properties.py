@@ -5,12 +5,11 @@ a pass or a Witness carrying the failing instantiation.  Scans run over
 states in index order and events in (size, value) order, so a returned
 witness is the minimal one in that order.
 
-P7 and P8 have two implementations: the literal quantifier forms, and
-faster reformulations through the union-of-selections table (for P7 the
-innermost universally quantified event is eliminated by instantiating it
-with the strongest candidate; for P8 the existential antecedent collapses
-to a nonempty-intersection test).  The literal forms are kept as the
-testing oracle behind the ``literal`` flag.
+P7 and P8 are checked through reformulations over the union-of-selections
+table: for P7 the innermost universally quantified event is eliminated by
+instantiating it with the strongest candidate; for P8 the existential
+antecedent collapses to a nonempty-intersection test.  The literal
+quantifier forms live in the test suite as the oracle for both.
 """
 
 from __future__ import annotations
@@ -29,12 +28,8 @@ class PropertyId(Enum):
     P8 = "P8"
 
 
-def check_property(frame: Frame, k: PropertyId, literal: bool = False) -> Witness | None:
-    """None if the frame satisfies property ``k``, else a minimal witness.
-
-    ``literal=True`` switches P7/P8 to the verbatim quantifier forms; the
-    other properties have a single (already literal) implementation.
-    """
+def check_property(frame: Frame, k: PropertyId) -> Witness | None:
+    """None if the frame satisfies property ``k``, else a minimal witness."""
     if k is PropertyId.P2:
         return _check_p2(frame)
     if k is PropertyId.P3:
@@ -44,9 +39,9 @@ def check_property(frame: Frame, k: PropertyId, literal: bool = False) -> Witnes
     if k is PropertyId.P5:
         return _check_p5(frame)
     if k is PropertyId.P7:
-        return _check_p7_literal(frame) if literal else _check_p7(frame)
+        return _check_p7(frame)
     if k is PropertyId.P8:
-        return _check_p8_literal(frame) if literal else _check_p8(frame)
+        return _check_p8(frame)
     raise ValueError(f"unknown property {k!r}")
 
 
@@ -116,25 +111,6 @@ def _check_p7(frame: Frame) -> Witness | None:
     return None
 
 
-def _check_p7_literal(frame: Frame) -> Witness | None:
-    sel = frame.selection
-    events = canonical_events(frame.n)
-    all_events = canonical_events(frame.n, include_empty=True)
-    for s in range(frame.n):
-        members = frame.believed[s]
-        for e in events:
-            for f in events:
-                ef = e & f
-                if ef == 0:
-                    continue
-                for g in all_events:
-                    if any(sel[sp][ef] & ~g for sp in members):
-                        continue
-                    if any(sel[sp][e] & f & ~g for sp in members):
-                        return Witness("P7", {"s": s}, {"E": e, "F": f, "G": g})
-    return None
-
-
 def _check_p8(frame: Frame) -> Witness | None:
     """If some believed selection for E meets F, selections for E&F stay inside the met part."""
     sel = frame.selection
@@ -151,32 +127,6 @@ def _check_p8(frame: Frame) -> Witness | None:
                 for st in members:
                     if sel[st][ef] & ~(bound & f):
                         s_hat = next(sp for sp in members if sel[sp][e] & f)
-                        return Witness(
-                            "P8",
-                            {"s": s, "s_hat": s_hat, "s_tilde": st},
-                            {"E": e, "F": f},
-                        )
-    return None
-
-
-def _check_p8_literal(frame: Frame) -> Witness | None:
-    sel = frame.selection
-    events = canonical_events(frame.n)
-    for s in range(frame.n):
-        members = frame.believed[s]
-        for e in events:
-            for f in events:
-                ef = e & f
-                if ef == 0:
-                    continue
-                s_hat = next((sp for sp in members if sel[sp][e] & f), None)
-                if s_hat is None:
-                    continue
-                bound = 0
-                for x in members:
-                    bound |= sel[x][e] & f
-                for st in members:
-                    if sel[st][ef] & ~bound:
                         return Witness(
                             "P8",
                             {"s": s, "s_hat": s_hat, "s_tilde": st},

@@ -4,8 +4,9 @@ The oracles here deliberately re-derive results through different
 representations than the library uses: classification by top-down
 membership predicates, frame properties over frozensets instead of
 bitmasks, rules of inference through concrete models instead of the
-schema evaluator's tables.  Expected values frozen into the golden tests
-were computed with these.
+schema evaluator's tables, P7 and P8 through their literal quantifier
+forms, sampled frames as drawn tuples instead of frame codes.  Expected
+values frozen into the golden tests were computed with these.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from kripkelewis import (
     Model,
     Not,
     Or,
+    PropertyId,
     SyntacticClass,
     Witness,
+    canonical_events,
     sample_frames,
     truth_set,
 )
@@ -256,6 +259,78 @@ def oracle_property_holds(frame: Frame, kind: str) -> bool:
                         return False
         return True
     raise ValueError(kind)
+
+
+# --- literal quantifier forms of P7 and P8 --------------------------------
+
+def check_p7_literal(frame: Frame) -> Witness | None:
+    """P7 with every quantifier verbatim, the innermost event G included;
+    the witness is minimal in the library's scan order."""
+    sel = frame.selection
+    events = canonical_events(frame.n)
+    all_events = canonical_events(frame.n, include_empty=True)
+    for s in range(frame.n):
+        members = frame.believed[s]
+        for e in events:
+            for f in events:
+                ef = e & f
+                if ef == 0:
+                    continue
+                for g in all_events:
+                    if any(sel[sp][ef] & ~g for sp in members):
+                        continue
+                    if any(sel[sp][e] & f & ~g for sp in members):
+                        return Witness("P7", {"s": s}, {"E": e, "F": f, "G": g})
+    return None
+
+
+def check_p8_literal(frame: Frame) -> Witness | None:
+    """P8 with its existential antecedent searched state by state."""
+    sel = frame.selection
+    events = canonical_events(frame.n)
+    for s in range(frame.n):
+        members = frame.believed[s]
+        for e in events:
+            for f in events:
+                ef = e & f
+                if ef == 0:
+                    continue
+                s_hat = next((sp for sp in members if sel[sp][e] & f), None)
+                if s_hat is None:
+                    continue
+                bound = 0
+                for x in members:
+                    bound |= sel[x][e] & f
+                for st in members:
+                    if sel[st][ef] & ~bound:
+                        return Witness(
+                            "P8",
+                            {"s": s, "s_hat": s_hat, "s_tilde": st},
+                            {"E": e, "F": f},
+                        )
+    return None
+
+
+LITERAL_FORMS = {PropertyId.P7: check_p7_literal, PropertyId.P8: check_p8_literal}
+
+
+# --- frame sampling oracle -------------------------------------------------
+
+def oracle_sample_tuples(n: int, count: int, seed: int) -> list[tuple[tuple, tuple]]:
+    """``(belief, selection)`` tuples drawn as the sampler did before it
+    drew frame codes: per frame, n belief sets, then each state's
+    selection row in event order, with the placeholder 0 in front."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    out = []
+    for _ in range(count):
+        belief = tuple(rng.randrange(1, full + 1) for _ in range(n))
+        selection = tuple(
+            (0,) + tuple(rng.randrange(0, full + 1) for _ in range(full))
+            for _ in range(n)
+        )
+        out.append((belief, selection))
+    return out
 
 
 # --- rule-of-inference oracle over concrete models ------------------------

@@ -218,13 +218,13 @@ def test_criterion_8_quantifier_form_agreement():
     for frame in enumerate_frames(2):
         for prop in (PropertyId.P7, PropertyId.P8):
             fast = check_property(frame, prop) is None
-            literal = check_property(frame, prop, literal=True) is None
+            literal = helpers.LITERAL_FORMS[prop](frame) is None
             assert fast == literal, (frame_digest(frame), prop)
             checked += 1
     for frame in sample_frames(3, RANDOM3_COUNT, seed=RANDOM3_SEED + 1):
         for prop in (PropertyId.P7, PropertyId.P8):
             fast = check_property(frame, prop) is None
-            literal = check_property(frame, prop, literal=True) is None
+            literal = helpers.LITERAL_FORMS[prop](frame) is None
             assert fast == literal, (frame_digest(frame), prop)
             checked += 1
     _line(8, "P7/P8 reformulations agree with literal forms", True, f"{checked} comparisons")

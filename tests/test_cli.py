@@ -273,6 +273,32 @@ def test_string_valuation_members_are_bad_structure(capsys, tmp_path):
     assert "error: bad_structure: valuation of 'p' must be a list of state names" in err
 
 
+def test_non_string_state_name_is_bad_structure(capsys, tmp_path):
+    data = {
+        "states": [None],
+        "belief": {"None": ["None"]},
+        "selection": [{"state": "None", "event": ["None"], "selected": ["None"]}],
+    }
+    code, _, err = _run_on(capsys, tmp_path, data)
+    assert code == 2
+    assert err == "error: bad_structure: state names must be strings\n"
+
+
+def test_many_states_with_short_selection_is_one_issue(capsys, tmp_path):
+    names = [f"s{i}" for i in range(64)]
+    data = {
+        "states": names,
+        "belief": {name: [name] for name in names},
+        "selection": [{"state": "s0", "event": ["s0"], "selected": ["s0"]}],
+    }
+    code, _, err = _run_on(capsys, tmp_path, data)
+    assert code == 2
+    assert err == (
+        "error: missing_selection_entry: 1 selection entries given, "
+        f"64 states need {64 * (2**64 - 1)}\n"
+    )
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     code, out, _ = run(capsys, "parse", "~" * MAX_NESTING + "p")
     assert code == 0

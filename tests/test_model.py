@@ -9,6 +9,7 @@ from kripkelewis import (
     Box,
     Cond,
     EmptyEventError,
+    Frame,
     Model,
     Not,
     Or,
@@ -22,6 +23,8 @@ from kripkelewis import (
     truth_set,
     validate_frame,
 )
+
+from kripkelewis.model import MAX_MISSING_SELECTION_ENTRIES
 
 import helpers
 
@@ -90,6 +93,23 @@ def test_validate_collects_multiple_issues():
     kinds = {i.kind for i in issues}
     assert "non_serial" in kinds and "missing_selection_entry" in kinds
     assert len(issues) >= 3  # s0 and s1 non-serial plus missing entries
+
+
+def test_validate_names_each_missing_entry_up_to_the_bound():
+    names = [f"s{i}" for i in range(8)]
+    raw = frame_to_json(Frame(names, [1] * 8, [[0] * 256] * 8))
+    needed = len(raw["selection"])  # 8 * 255
+    raw["selection"] = raw["selection"][: needed - MAX_MISSING_SELECTION_ENTRIES]
+    frame, issues = validate_frame(raw)
+    assert frame is None
+    assert [i.kind for i in issues] == ["missing_selection_entry"] * MAX_MISSING_SELECTION_ENTRIES
+    raw["selection"].pop()
+    frame, issues = validate_frame(raw)
+    assert frame is None
+    assert [str(i) for i in issues] == [
+        f"missing_selection_entry: {needed - MAX_MISSING_SELECTION_ENTRIES - 1} selection "
+        f"entries given, 8 states need {needed}"
+    ]
 
 
 def test_validate_rejects_empty_event_and_duplicates():

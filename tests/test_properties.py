@@ -20,7 +20,8 @@ ALL_PROPS = list(PropertyId)
 def test_m0_satisfies_every_property(m0):
     for prop in ALL_PROPS:
         assert check_property(m0, prop) is None
-        assert check_property(m0, prop, literal=True) is None
+    for literal in helpers.LITERAL_FORMS.values():
+        assert literal(m0) is None
 
 
 def test_fx2_p2_witness_golden(fx2):
@@ -50,7 +51,7 @@ def test_p8_violation_frame_witness_golden():
     assert w is not None
     assert w.states == {"s": 0, "s_hat": 0, "s_tilde": 0}
     assert w.events == {"E": 0b11, "F": 0b01}
-    assert check_property(frame, PropertyId.P8, literal=True).events == w.events
+    assert helpers.check_p8_literal(frame).events == w.events
 
 
 def test_checkers_match_set_oracle_on_fixtures():
@@ -96,7 +97,7 @@ def test_literal_and_fast_forms_agree():
     for frame in frames:
         for prop in (PropertyId.P7, PropertyId.P8):
             fast = check_property(frame, prop)
-            literal = check_property(frame, prop, literal=True)
+            literal = helpers.LITERAL_FORMS[prop](frame)
             assert (fast is None) == (literal is None), (frame_digest(frame), prop)
             if fast is not None:
                 # both forms emit replayable witnesses
@@ -117,7 +118,7 @@ def test_p7_allows_empty_innermost_event():
     )
     w = check_property(frame, PropertyId.P7)
     assert w is not None
-    lit = check_property(frame, PropertyId.P7, literal=True)
+    lit = helpers.check_p7_literal(frame)
     assert lit is not None
     assert lit.events["G"] == 0
     assert replay_witness(frame, lit)

@@ -8,6 +8,7 @@ import pytest
 
 from kripkelewis import (
     AxiomId,
+    Frame,
     PropertyId,
     Report,
     SweepConfig,
@@ -85,6 +86,17 @@ def test_sample_frames_deterministic_and_valid():
 
     for frame in sample_frames(3, 25, seed=8):
         assert load_frame(frame_to_json(frame)) == frame  # seriality and totality hold
+
+
+def test_sample_codes_equal_tuple_drawing_oracle():
+    for n, count in ((1, 50), (2, 500), (3, 300), (4, 40)):
+        for seed in (1, 5, 11, 42, 43):
+            drawn = helpers.oracle_sample_tuples(n, count, seed)
+            frames = [Frame(tuple(f"s{i}" for i in range(n)), b, sel) for b, sel in drawn]
+            assert list(sweep_module._sample_codes(n, count, seed)) == [
+                frame_code(frame) for frame in frames
+            ], (n, seed)
+            assert list(sample_frames(n, count, seed)) == frames, (n, seed)
 
 
 def analytic_p2_rate(n: int) -> Fraction:
@@ -259,12 +271,10 @@ def test_sweep_exhaustive_parallel_partition():
 
 def test_merge_reports_is_order_insensitive():
     cfg = SweepConfig(size=2, mode="random", count=90, seed=12)
-    payload_base = {"config": cfg.echo(), "size": 2, "ks": list(cfg.ks)}
-    frames = [(f.belief, f.selection) for f in sample_frames(2, 90, seed=12)]
+    codes = [frame_code(f) for f in sample_frames(2, 90, seed=12)]
     parts = []
     for lo, hi in ((0, 30), (30, 60), (60, 90)):
-        payload = dict(payload_base, kind="frames", frames=frames[lo:hi])
-        parts.append(sweep_module._run_partition(payload))
+        parts.append(sweep_module._run_partition(cfg.echo(), codes[lo:hi]))
     forward = merge_reports(parts).to_json()
     backward = merge_reports(list(reversed(parts))).to_json()
     nested = merge_reports([merge_reports(parts[:2]), parts[2]]).to_json()
@@ -303,5 +313,5 @@ def test_sweep_aborts_with_partial_report(monkeypatch):
     payloads = sweep_module._make_payloads(cfg, 4)
     partials = []
     for payload in payloads[:1]:
-        partials.append(sweep_module._run_partition(payload))
+        partials.append(sweep_module._run_partition(*payload))
     assert partials[0].totals["frames"] == 50
