@@ -7,6 +7,11 @@ postulate column must agree with the property for every k except 4, and
 for k = 4 the property must imply the postulate (the reverse direction is
 recorded as data, never as a failure).  Every property violation also
 replays its canonical countermodel, which must falsify the paired axiom.
+
+A sweep partition holding at least as many frames as there are local
+profiles ``(belief[s], union[s])`` folds each frame from memoised
+per-profile verdicts instead of checking it whole; see
+:func:`_fold_profiles`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .axioms import AxiomId, SchemaEvaluator, countermodel_assignment
-from .model import Frame
+from .model import Frame, bit_indices
 
 # Unused here; perfbench's tracer patches these names on this module.
 from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
@@ -187,44 +192,46 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
             agm_event_check(frame, s, pid) is None for s in range(frame.n)
         )
 
-    discrepancies: list[dict] = []
-    for k in ks:
-        if property_pass[k] != axiom_valid[k]:
-            discrepancies.append(
-                {"digest": digest, "kind": "property_vs_axiom", "k": k,
-                 "property": property_pass[k], "axiom": axiom_valid[k]}
-            )
-        if k != 4 and property_pass[k] != agm_all[k]:
-            discrepancies.append(
-                {"digest": digest, "kind": "property_vs_agm", "k": k,
-                 "property": property_pass[k], "agm": agm_all[k]}
-            )
-        if k == 4 and property_pass[k] and not agm_all[k]:
-            discrepancies.append(
-                {"digest": digest, "kind": "p4_without_k4", "k": k}
-            )
-    for name, ok in always_valid.items():
-        if not ok:
-            discrepancies.append(
-                {"digest": digest, "kind": "always_valid", "which": name}
-            )
-
     replays: list[tuple[int, bool]] = []
     for k in ks:
         w = witnesses[k]
         if w is None:
             continue
         assignment, s = countermodel_assignment(frame, _AXIOM[k], w)
-        falsified = not evaluator.holds_mask(_AXIOM[k], assignment) >> s & 1
-        replays.append((k, falsified))
-        if not falsified:
-            discrepancies.append(
-                {"digest": digest, "kind": "countermodel_replay", "k": k}
-            )
-    return FrameRecord(
-        digest, property_pass, axiom_valid, agm_all, always_valid, replays,
-        discrepancies,
+        replays.append((k, not evaluator.holds_mask(_AXIOM[k], assignment) >> s & 1))
+    record = FrameRecord(
+        digest, property_pass, axiom_valid, agm_all, always_valid, replays, []
     )
+    record.discrepancies = _discrepancies(record)
+    return record
+
+
+def _discrepancies(record: FrameRecord) -> list[dict]:
+    """Every disagreement on one frame that the correspondence asserts
+    cannot happen, in a fixed order."""
+    digest = record.digest
+    found: list[dict] = []
+    for k, prop in record.property_pass.items():
+        axiom, agm = record.axiom_valid[k], record.agm_all_states[k]
+        if prop != axiom:
+            found.append(
+                {"digest": digest, "kind": "property_vs_axiom", "k": k,
+                 "property": prop, "axiom": axiom}
+            )
+        if k != 4 and prop != agm:
+            found.append(
+                {"digest": digest, "kind": "property_vs_agm", "k": k,
+                 "property": prop, "agm": agm}
+            )
+        if k == 4 and prop and not agm:
+            found.append({"digest": digest, "kind": "p4_without_k4", "k": k})
+    for name, ok in record.always_valid.items():
+        if not ok:
+            found.append({"digest": digest, "kind": "always_valid", "which": name})
+    for k, falsified in record.replays:
+        if not falsified:
+            found.append({"digest": digest, "kind": "countermodel_replay", "k": k})
+    return found
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,12 @@ class SweepConfig:
                 raise ValueError("random mode requires count >= 1")
             if self.seed is None:
                 raise ValueError("random mode requires a seed")
+            if self.size >= 5 and not self.allow_large:
+                raise ValueError(
+                    "random mode for size >= 5 requires allow_large (one frame's "
+                    f"check scans {(1 << self.size) ** 3} assignments per "
+                    "three-letter axiom)"
+                )
         elif self.size >= 3 and not self.allow_large:
             raise ValueError(
                 "exhaustive mode for size >= 3 requires allow_large "
@@ -294,22 +307,24 @@ class Report:
             always_valid={name: 0 for name in ALWAYS_VALID_NAMES},
         )
 
-    def add_record(self, record: FrameRecord) -> None:
-        self.totals["frames"] += 1
+    def add_record(self, record: FrameRecord, frames: int = 1) -> None:
+        """Count ``frames`` frames with ``record``'s verdicts and keep its
+        discrepancies."""
+        self.totals["frames"] += frames
         for k, prop in record.property_pass.items():
             axiom = record.axiom_valid[k]
             cell = ("p" if prop else "f") + ("p" if axiom else "f")
-            self.per_axiom[_PROP[k].value][cell] += 1
+            self.per_axiom[_PROP[k].value][cell] += frames
             agm = record.agm_all_states[k]
             cell = ("p" if prop else "f") + ("p" if agm else "f")
-            self.per_agm[_AGM_NAME[k]][cell] += 1
+            self.per_agm[_AGM_NAME[k]][cell] += frames
             if not prop:
-                self.totals["property_violations"] += 1
+                self.totals["property_violations"] += frames
         for name, ok in record.always_valid.items():
-            self.always_valid[name] += ok
+            self.always_valid[name] += ok * frames
         for _, falsified in record.replays:
-            self.replay["attempted"] += 1
-            self.replay["falsified"] += falsified
+            self.replay["attempted"] += frames
+            self.replay["falsified"] += falsified * frames
         self.discrepancies.extend(record.discrepancies)
 
     def to_json(self) -> dict:
@@ -357,11 +372,126 @@ def merge_reports(parts: list[Report]) -> Report:
     return merged
 
 
+def _profile_count(n: int) -> int:
+    """Number of distinct local profiles ``(belief[s], union[s])`` on n
+    states: every nonempty belief set with every union-of-selections row."""
+    full = (1 << n) - 1
+    return full << (n * full)
+
+
 def _run_partition(config: dict, codes: Sequence[int]) -> Report:
+    """Report on the frames with these codes.  A partition with at least as
+    many frames as there are local profiles folds memoised profile verdicts;
+    a smaller one checks each frame."""
+    if len(codes) >= _profile_count(config["size"]):
+        return _fold_profiles(config, codes)
+    return _check_frames(config, codes)
+
+
+def _check_frames(config: dict, codes: Sequence[int]) -> Report:
     n, ks = config["size"], tuple(config["ks"])
     report = Report.empty(config, ks)
     for code in codes:
         report.add_record(triple_check(frame_from_code(n, code), ks))
+    return report
+
+
+# A frame's verdicts packed into two ints, with ``ks`` indexed by position
+# i and m = len(ks).  ``ok``: bit i is Pk, bit m + i is Ak, bit 2m + i is Kk
+# at every state, then one bit per ALWAYS_VALID_NAMES entry.  ``falsified``:
+# bit i says the replay for a violated Pk falsified Ak.
+
+
+def _pack_verdicts(record: FrameRecord, ks: tuple[int, ...]) -> tuple[int, int]:
+    m = len(ks)
+    ok = falsified = 0
+    for i, k in enumerate(ks):
+        ok |= (record.property_pass[k] << i | record.axiom_valid[k] << (m + i)
+               | record.agm_all_states[k] << (2 * m + i))
+    for j, name in enumerate(ALWAYS_VALID_NAMES):
+        ok |= record.always_valid[name] << (3 * m + j)
+    for k, hit in record.replays:
+        falsified |= hit << ks.index(k)
+    return ok, falsified
+
+
+def _unpack_verdicts(
+    verdicts: tuple[int, int], ks: tuple[int, ...], digest: str
+) -> FrameRecord:
+    """The record of a frame with these packed verdicts; its discrepancies
+    are left for :func:`_discrepancies`."""
+    ok, falsified = verdicts
+    m = len(ks)
+    property_pass = {k: bool(ok >> i & 1) for i, k in enumerate(ks)}
+    return FrameRecord(
+        digest,
+        property_pass,
+        {k: bool(ok >> (m + i) & 1) for i, k in enumerate(ks)},
+        {k: bool(ok >> (2 * m + i) & 1) for i, k in enumerate(ks)},
+        {name: bool(ok >> (3 * m + j) & 1) for j, name in enumerate(ALWAYS_VALID_NAMES)},
+        [(k, bool(falsified >> i & 1)) for i, k in enumerate(ks) if not property_pass[k]],
+        [],
+    )
+
+
+def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
+    """Fold each frame's verdicts from its states' local profiles.
+
+    Every verdict of :func:`triple_check` is a conjunction over states of a
+    condition on the state's profile ``(belief[s], union[s])``, and a
+    profile's verdicts are those of its uniform frame, where every state
+    believes ``belief[s]`` and selects the row ``union[s]``.  A frame's
+    replay for a violated Pk is its lowest violating state's, because the
+    property checkers scan states first.  Profile verdicts are memoised for
+    this partition only, and frames are tallied by their packed verdicts.
+
+    A frame code is the belief digits followed by n selection rows of
+    ``width`` bits each (one n-bit digit per event), so the union of the
+    believed rows is the OR of their bit fields.
+    """
+    n, ks = config["size"], tuple(config["ks"])
+    full = (1 << n) - 1
+    width = n * full
+    row_mask = (1 << width) - 1
+    shifts = [(n - 1 - s) * width for s in range(n)]  # of row s
+    members = [tuple(bit_indices(d + 1)) for d in range(full)]  # of belief digit d
+    # The uniform frame of profile (d + 1, row) has code
+    # uniform_beliefs[d] | row * uniform_rows.
+    uniform_beliefs = [sum(d * full**s for s in range(n)) << (n * width) for d in range(full)]
+    uniform_rows = sum(1 << shift for shift in shifts)
+
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    tally: dict[tuple[int, int], int] = {}
+    flagged: set[tuple[int, int]] = set()
+    report = Report.empty(config, ks)
+    for code in codes:
+        rows = [code >> shift & row_mask for shift in shifts]
+        beliefs = code >> (n * width)
+        ok, falsified = -1, 0
+        # From state n - 1 down, so the lowest violating state's replay wins.
+        for s in range(n - 1, -1, -1):
+            beliefs, d = divmod(beliefs, full)
+            union = 0
+            for x in members[d]:
+                union |= rows[x]
+            verdicts = memo.get((d, union))
+            if verdicts is None:
+                uniform = frame_from_code(n, uniform_beliefs[d] | union * uniform_rows)
+                verdicts = memo[d, union] = _pack_verdicts(triple_check(uniform, ks), ks)
+            ok &= verdicts[0]
+            falsified = falsified & verdicts[0] | verdicts[1]
+        outcome = ok, falsified
+        if outcome in tally:
+            tally[outcome] += 1
+        else:
+            tally[outcome] = 1
+            if _discrepancies(_unpack_verdicts(outcome, ks, "")):
+                flagged.add(outcome)
+        if outcome in flagged:
+            record = _unpack_verdicts(outcome, ks, f"{n}:{code}")
+            report.discrepancies.extend(_discrepancies(record))
+    for outcome, frames in tally.items():
+        report.add_record(_unpack_verdicts(outcome, ks, ""), frames)
     return report
 
 
@@ -395,6 +525,7 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     payloads = _make_payloads(cfg, workers)
     partials: list[Report] = []
     failure: BaseException | None = None
+    failed_at = 0
     if len(payloads) == 1:
         try:
             partials.append(_run_partition(*payloads[0]))
@@ -404,16 +535,21 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             futures = [pool.submit(_run_partition, *p) for p in payloads]
             wait(futures, return_when=FIRST_EXCEPTION)
-            for fut in futures:
+            for i, fut in enumerate(futures):
                 if not fut.done():
                     fut.cancel()
                 elif fut.exception() is None:
                     partials.append(fut.result())
-                else:
-                    failure = fut.exception()
+                elif failure is None:
+                    failure, failed_at = fut.exception(), i
     if failure is not None:
         partial = merge_reports(partials) if partials else Report.empty(cfg.echo(), cfg.ks)
-        raise SweepError(f"sweep aborted: {failure}", partial) from failure
+        lo = sum(len(codes) for _, codes in payloads[:failed_at])
+        hi = lo + len(payloads[failed_at][1])
+        seed = f" (seed {cfg.seed})" if cfg.mode == "random" else ""
+        raise SweepError(
+            f"sweep aborted: partition codes[{lo}:{hi}]{seed} failed: {failure}", partial
+        ) from failure
     report = merge_reports(partials)
     report.duration_ms = int((time.perf_counter() - started) * 1000)
     return report

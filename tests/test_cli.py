@@ -156,6 +156,23 @@ def test_sweep_command_refuses_large_exhaustive(capsys):
     assert "allow_large" in err
 
 
+def test_sweep_command_refuses_five_state_random_mode(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--size", "5", "--mode", "random", "--count", "1", "--seed", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: random mode for size >= 5 requires allow_large")
+    assert "Traceback" not in err
+
+    code, out, _ = run(
+        capsys, "sweep", "--size", "5", "--mode", "random", "--count", "1", "--seed", "0",
+        "--ks", "2", "--allow-large",
+    )
+    assert code == 0
+    assert "frames: 1" in out
+
+
 def test_json_outputs_are_byte_stable(capsys, fx2_path):
     outputs = []
     for _ in range(2):

@@ -315,3 +315,184 @@ def test_sweep_aborts_with_partial_report(monkeypatch):
     for payload in payloads[:1]:
         partials.append(sweep_module._run_partition(*payload))
     assert partials[0].totals["frames"] == 50
+
+
+def test_random_mode_refuses_five_states_without_override():
+    with pytest.raises(ValueError, match="allow_large"):
+        SweepConfig(size=5, mode="random", count=1, seed=0).validate()
+    with pytest.raises(ValueError, match="allow_large"):
+        SweepConfig(size=12, mode="random", count=1, seed=0).validate()
+    SweepConfig(size=4, mode="random", count=1, seed=0).validate()
+    SweepConfig(size=5, mode="random", count=1, seed=0, allow_large=True).validate()
+
+
+def test_sweep_error_names_serial_partition(monkeypatch):
+    def failing(frame, ks):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(sweep_module, "triple_check", failing)
+    cfg = SweepConfig(size=2, mode="random", count=200, seed=13, ks=(2,))
+    with pytest.raises(SweepError) as exc:
+        sweep(cfg, workers=1)
+    assert str(exc.value) == "sweep aborted: partition codes[0:200] (seed 13) failed: injected"
+
+    with pytest.raises(SweepError) as exc:
+        sweep(SweepConfig(size=1, mode="exhaustive"), workers=1)
+    assert str(exc.value) == "sweep aborted: partition codes[0:2] failed: injected"
+
+
+class InlineFailingPool:
+    """Stands in for ProcessPoolExecutor: runs each partition in this
+    process and hands back its result or its exception in a future."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+def test_sweep_error_names_pool_partition(monkeypatch):
+    calls = {"n": 0}
+    real = sweep_module.triple_check
+
+    def flaky(frame, ks):
+        calls["n"] += 1
+        if calls["n"] > 50:
+            raise RuntimeError("injected")
+        return real(frame, ks)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlineFailingPool)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweep_module, "triple_check", flaky)
+    # three partitions of 40 frames each: the second fails at its tenth frame
+    cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
+    with pytest.raises(SweepError) as exc:
+        sweep(cfg, workers=3)
+    assert str(exc.value) == "sweep aborted: partition codes[40:80] (seed 16) failed: injected"
+    assert exc.value.partial_report.totals["frames"] == 40
+
+    def fails_on_last_code(frame, ks):
+        if frame_digest(frame) == "1:1":
+            raise RuntimeError("injected")
+        return real(frame, ks)
+
+    monkeypatch.setattr(sweep_module, "triple_check", fails_on_last_code)
+    with pytest.raises(SweepError) as exc:
+        sweep(SweepConfig(size=1, mode="exhaustive"), workers=2)
+    assert str(exc.value) == "sweep aborted: partition codes[1:2] failed: injected"
+    assert exc.value.partial_report.totals["frames"] == 1
+
+
+def _both_routes(config: dict, codes) -> tuple[dict, dict]:
+    profiles = sweep_module._fold_profiles(config, codes).to_json()
+    frames = sweep_module._check_frames(config, codes).to_json()
+    return profiles, frames
+
+
+def test_profile_count_goldens():
+    assert [sweep_module._profile_count(n) for n in (1, 2, 3)] == [2, 192, 14_680_064]
+    profiles = set()
+    for code in range(frame_count(2)):
+        frame = frame_from_code(2, code)
+        profiles.update(zip(frame.belief, frame.union))
+    assert len(profiles) == 192
+
+
+def test_profile_route_equals_frame_route_all_two_state_frames():
+    config = SweepConfig(size=2).echo()
+    profiles, frames = _both_routes(config, range(frame_count(2)))
+    assert profiles == frames
+    assert profiles["replay"]["attempted"] > 0
+
+
+def test_profile_route_equals_frame_route_random_partitions():
+    for n, count, ks in ((1, 40, (2, 3, 4, 5, 7, 8)), (2, 500, (2, 3, 4, 5, 7, 8)),
+                         (2, 300, (8, 2, 5)), (1, 3, (4,))):
+        for seed in (3, 42):
+            config = SweepConfig(size=n, mode="random", count=count, seed=seed, ks=ks).echo()
+            codes = list(sweep_module._sample_codes(n, count, seed))
+            profiles, frames = _both_routes(config, codes)
+            assert profiles == frames, (n, count, ks, seed)
+
+
+def test_profile_route_equals_frame_route_three_state_codes():
+    config = SweepConfig(size=3, mode="random", count=250, seed=17).echo()
+    codes = list(sweep_module._sample_codes(3, 250, 17))
+    profiles, frames = _both_routes(config, codes)
+    assert profiles == frames
+    assert profiles["replay"]["attempted"] > 0
+
+
+def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
+    real_agm = sweep_module.agm_event_check
+    real_assignment = sweep_module.countermodel_assignment
+
+    def broken_k2(frame, s, k):
+        if k is sweep_module.AgmPostulateId.K2 and frame.union[s][3] == 0:
+            return "broken"
+        return real_agm(frame, s, k)
+
+    def broken_a2_recipe(frame, k, w):
+        assignment, s = real_assignment(frame, k, w)
+        if k is AxiomId.A2 and frame.belief[s] == 3:
+            return (0,), s  # the empty event cannot falsify A2
+        return assignment, s
+
+    monkeypatch.setattr(sweep_module, "agm_event_check", broken_k2)
+    monkeypatch.setattr(sweep_module, "countermodel_assignment", broken_a2_recipe)
+    for n, count, seed in ((2, 900, 18), (3, 120, 19)):
+        config = SweepConfig(size=n, mode="random", count=count, seed=seed).echo()
+        codes = list(sweep_module._sample_codes(n, count, seed))
+        bounds = (0, count // 3, count)
+        routes = []
+        for route in (sweep_module._fold_profiles, sweep_module._check_frames):
+            parts = [route(config, codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            routes.append([p.to_json() for p in parts] + [merge_reports(parts).to_json()])
+        assert routes[0] == routes[1], (n, seed)
+        merged = routes[0][-1]
+        kinds = {d["kind"] for d in merged["discrepancies"]}
+        # P2 holds on too few random three-state frames to meet broken K2
+        assert kinds == {"property_vs_agm", "countermodel_replay"} if n == 2 else {
+            "countermodel_replay"}, kinds
+        assert merged["replay"]["falsified"] < merged["replay"]["attempted"]
+
+
+def _count_triple_checks(monkeypatch) -> dict:
+    calls = {"n": 0}
+    real = sweep_module.triple_check
+
+    def spy(frame, ks):
+        calls["n"] += 1
+        return real(frame, ks)
+
+    monkeypatch.setattr(sweep_module, "triple_check", spy)
+    return calls
+
+
+def test_route_choice_and_memo_lifetime(monkeypatch):
+    calls = _count_triple_checks(monkeypatch)
+    first = sweep(SweepConfig(size=2, mode="exhaustive")).to_json()
+    once = calls["n"]
+    assert 0 < once <= 192
+    calls["n"] = 0
+    second = sweep(SweepConfig(size=2, mode="exhaustive")).to_json()
+    assert calls["n"] == once  # the memo lives for one partition only
+    first.pop("duration_ms")
+    second.pop("duration_ms")
+    assert first == second
+
+    calls["n"] = 0
+    sweep(SweepConfig(size=3, mode="random", count=1000, seed=42))
+    assert calls["n"] == 1000
