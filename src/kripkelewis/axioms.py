@@ -100,83 +100,134 @@ class SchemaEvaluator:
         self.frame = frame
         full = frame.full
         self.full = full
-        n = frame.n
-        belief = frame.belief
         union = frame.union
-        self.bel = [0] * (full + 1)
-        for x in range(full + 1):
-            mask = 0
-            for s in range(n):
-                if belief[s] & ~x == 0:
-                    mask |= 1 << s
-            self.bel[x] = mask
+        self.bel = _superset_masks(frame.belief, full)
         bel_cond = [[full] * (full + 1)]  # empty antecedent: vacuously believed
         for a in range(1, full + 1):
-            row = []
-            for b in range(full + 1):
-                mask = 0
-                for s in range(n):
-                    if union[s][a] & ~b == 0:
-                        mask |= 1 << s
-                row.append(mask)
-            bel_cond.append(row)
+            bel_cond.append(_superset_masks([row[a] for row in union], full))
         self.bel_cond = bel_cond
 
-    # Each schema returns the mask of states where it holds under the
-    # given letter events; the axiom is valid iff every mask is full.
+    # One scan per schema over the given letter ranges.  Each returns the
+    # mask of states where the instance fails under the first assignment
+    # (in ``product`` order) that falsifies it, with that assignment, or
+    # None.  A block of assignments is skipped only where a conjunct of
+    # the antecedent bound by the outer letters is empty, so the instance
+    # holds there by its own formula.
 
-    def _a1(self, a: int, b: int, c: int) -> int:
+    def _scan_a1(self, ra, rb, rc):
+        # B(p > q) & B(p > (q -> r)) -> B(p > r)
         full, bc = self.full, self.bel_cond
-        ante = bc[a][b] & bc[a][(full ^ b) | c]
-        return (full ^ ante) | bc[a][c]
+        for a in ra:
+            row = bc[a]
+            for b in rb:
+                ante = row[b]
+                if not ante:
+                    continue
+                nb = full ^ b
+                for c in rc:
+                    bad = ante & row[nb | c] & ~row[c]
+                    if bad:
+                        return bad, (a, b, c)
+        return None
 
-    def _a2(self, a: int) -> int:
-        return self.bel_cond[a][a]
-
-    def _a3(self, a: int, b: int) -> int:
-        full = self.full
-        possible = full if a else 0
-        ante = possible & self.bel_cond[a][b]
-        return (full ^ ante) | self.bel[(full ^ a) | b]
-
-    def _a4(self, a: int, b: int) -> int:
-        full = self.full
-        ante = (full ^ self.bel[full ^ a]) & self.bel[(full ^ a) | b]
-        return (full ^ ante) | self.bel_cond[a][b]
-
-    def _a5(self, a: int, b: int) -> int:
-        full = self.full
-        possible = full if a else 0
-        ante = possible & self.bel_cond[a][b]
-        return (full ^ ante) | (full ^ self.bel_cond[a][full ^ b])
-
-    def _a7(self, a: int, b: int, c: int) -> int:
+    def _scan_a2(self, ra):
+        # B(p > p)
         full, bc = self.full, self.bel_cond
-        ab = a & b
-        ante = (full if ab else 0) & bc[ab][c]
-        return (full ^ ante) | bc[a][(full ^ b) | c]
+        for a in ra:
+            bad = full ^ bc[a][a]
+            if bad:
+                return bad, (a,)
+        return None
 
-    def _a8(self, a: int, b: int, c: int) -> int:
+    def _scan_a3(self, ra, rb):
+        # ~[]~p & B(p > q) -> B(p -> q)
+        full, bel, bc = self.full, self.bel, self.bel_cond
+        for a in ra:
+            if not a:  # ~[]~p fails everywhere
+                continue
+            row = bc[a]
+            na = full ^ a
+            for b in rb:
+                bad = row[b] & ~bel[na | b]
+                if bad:
+                    return bad, (a, b)
+        return None
+
+    def _scan_a4(self, ra, rb):
+        # ~B~p & B(p -> q) -> B(p > q)
+        full, bel, bc = self.full, self.bel, self.bel_cond
+        for a in ra:
+            na = full ^ a
+            ante = full ^ bel[na]
+            if not ante:
+                continue
+            row = bc[a]
+            for b in rb:
+                bad = ante & bel[na | b] & ~row[b]
+                if bad:
+                    return bad, (a, b)
+        return None
+
+    def _scan_a5(self, ra, rb):
+        # ~[]~p & B(p > q) -> ~B(p > ~q)
         full, bc = self.full, self.bel_cond
-        ante = (full ^ bc[a][full ^ b]) & bc[a][(full ^ b) | c]
-        return (full ^ ante) | bc[a & b][b & c]
+        for a in ra:
+            if not a:  # ~[]~p fails everywhere
+                continue
+            row = bc[a]
+            for b in rb:
+                bad = row[b] & row[full ^ b]
+                if bad:
+                    return bad, (a, b)
+        return None
+
+    def _scan_a7(self, ra, rb, rc):
+        # ~[]~(p & q) & B(p & q > r) -> B(p > (q -> r))
+        full, bc = self.full, self.bel_cond
+        for a in ra:
+            row = bc[a]
+            for b in rb:
+                ab = a & b
+                if not ab:  # ~[]~(p & q) fails everywhere
+                    continue
+                ab_row = bc[ab]
+                nb = full ^ b
+                for c in rc:
+                    bad = ab_row[c] & ~row[nb | c]
+                    if bad:
+                        return bad, (a, b, c)
+        return None
+
+    def _scan_a8(self, ra, rb, rc):
+        # ~B(p > ~q) & B(p > (q -> r)) -> B(p & q > q & r)
+        full, bc = self.full, self.bel_cond
+        for a in ra:
+            row = bc[a]
+            for b in rb:
+                nb = full ^ b
+                ante = full ^ row[nb]
+                if not ante:
+                    continue
+                ab_row = bc[a & b]
+                for c in rc:
+                    bad = ante & row[nb | c] & ~ab_row[b & c]
+                    if bad:
+                        return bad, (a, b, c)
+        return None
 
     def holds_mask(self, k: AxiomId, assignment: tuple[int, ...]) -> int:
         """Mask of states where the instance of ``k`` under ``assignment`` holds."""
-        return getattr(self, "_" + k.value.lower())(*assignment)
+        hit = _SCANS[k](self, *[(x,) for x in assignment])
+        return self.full if hit is None else self.full ^ hit[0]
 
     def check_axiom(self, k: AxiomId) -> Witness | None:
         """None if ``k`` is valid on the frame, else the lexicographically
         least falsifying assignment with its lowest falsified state."""
         if k in RULE_IDS:
             raise ValueError(f"{k.value} is a rule of inference; use check_rule")
-        schema = getattr(self, "_" + k.value.lower())
-        full = self.full
-        for assignment in product(range(full + 1), repeat=_LETTER_COUNT[k]):
-            mask = schema(*assignment)
-            if mask != full:
-                return _witness(k, mask, full, assignment)
-        return None
+        letters = range(self.full + 1)
+        hit = _SCANS[k](self, *[letters] * _LETTER_COUNT[k])
+        return None if hit is None else _witness(k, *hit)
 
     def check_rule(self, k: AxiomId) -> Witness | None:
         """None if the rule ``k`` holds on the frame, else the first
@@ -194,22 +245,49 @@ class SchemaEvaluator:
         full, bc = self.full, self.bel_cond
         if k is AxiomId.RULE_K5A:
             for b in range(full + 1):
-                mask = bc[0][b]
-                if mask != full:
-                    return _witness(k, mask, full, (0, b))
+                bad = full ^ bc[0][b]
+                if bad:
+                    return _witness(k, bad, (0, b))
             return None
         if k is AxiomId.RULE_K6:
             for a, c in product(range(full + 1), repeat=2):
-                mask = full ^ (bc[a][c] ^ bc[a][c])
-                if mask != full:
-                    return _witness(k, mask, full, (a, a, c))
+                bad = bc[a][c] ^ bc[a][c]
+                if bad:
+                    return _witness(k, bad, (a, a, c))
             return None
         raise ValueError(f"{k.value} is a schema; use check_axiom")
 
 
-def _witness(k: AxiomId, mask: int, full: int, assignment: tuple[int, ...]) -> Witness:
-    """Witness for ``assignment``, reporting the lowest state outside ``mask``."""
-    failed = mask ^ full
+_SCANS = {
+    AxiomId.A1: SchemaEvaluator._scan_a1,
+    AxiomId.A2: SchemaEvaluator._scan_a2,
+    AxiomId.A3: SchemaEvaluator._scan_a3,
+    AxiomId.A4: SchemaEvaluator._scan_a4,
+    AxiomId.A5: SchemaEvaluator._scan_a5,
+    AxiomId.A7: SchemaEvaluator._scan_a7,
+    AxiomId.A8: SchemaEvaluator._scan_a8,
+}
+
+
+def _superset_masks(events, full: int) -> list[int]:
+    """Masks indexed by event x: bit s is set iff ``events[s]`` lies inside x.
+
+    Marks each state on the supersets of its event, walked in ascending
+    order by ``x = (x + 1) | u``.
+    """
+    masks = [0] * (full + 1)
+    for s, u in enumerate(events):
+        bit = 1 << s
+        x = u
+        while x != full:
+            masks[x] |= bit
+            x = (x + 1) | u
+        masks[full] |= bit
+    return masks
+
+
+def _witness(k: AxiomId, failed: int, assignment: tuple[int, ...]) -> Witness:
+    """Witness for ``assignment``, reporting the lowest state in ``failed``."""
     state = (failed & -failed).bit_length() - 1
     return Witness(kind=k.value, states={"s": state}, events=dict(zip(LETTERS, assignment)))
 

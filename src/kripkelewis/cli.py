@@ -21,6 +21,7 @@ from .axioms import (
 )
 from .formula import classify
 from .model import (
+    FrameIssue,
     FrameValidationError,
     load_frame,
     load_model,
@@ -30,7 +31,14 @@ from .model import (
 from .parser import format_formula, parse
 from .properties import PropertyId, check_property
 from .revision import AgmPostulateId, agm_event_check, revise_membership
-from .correspondence import SweepConfig, SweepError, sweep
+from .correspondence import (
+    MAX_RANDOM_SIZE,
+    SweepConfig,
+    SweepError,
+    frame_count,
+    frame_from_code,
+    sweep,
+)
 
 
 class _InputError(Exception):
@@ -47,12 +55,34 @@ def _read_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FrameValidationError(
+            [FrameIssue("bad_structure", f"{path} nests JSON too deeply to read")]
+        ) from None
 
 
 def _frame_arg(args):
+    if args.code is not None:
+        return _code_frame(args.code)
     return load_frame(_read_json(args.frame))
+
+
+def _code_frame(text: str):
+    """The frame of a digest ``n:code`` as sweep reports print it, with
+    states s0 ... s{n-1}."""
+    n_text, _, code_text = text.partition(":")
+    if not (n_text.isascii() and n_text.isdigit() and code_text.isascii() and code_text.isdigit()):
+        raise _InputError(f"bad --code value {text!r} (expected n:code, two decimal integers)")
+    n = int(n_text)
+    if not 1 <= n <= MAX_RANDOM_SIZE:
+        raise _InputError(f"--code {text!r}: state count must be 1 to {MAX_RANDOM_SIZE}")
+    # every valid code has fewer digits than int()'s default limit on a string
+    count = frame_count(n)
+    if len(code_text) > len(str(count)) or not int(code_text) < count:
+        raise _InputError(f"--code {text!r}: code must be below {count} for {n} states")
+    return frame_from_code(n, int(code_text))
 
 
 def _model_arg(args):
@@ -288,6 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def add_frame_source(p):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--frame", help="frame JSON file")
+        source.add_argument(
+            "--code",
+            metavar="N:CODE",
+            help=f"frame digest as a sweep report prints it (N from 1 to {MAX_RANDOM_SIZE})",
+        )
+
     p = add("parse", cmd_parse, help="parse a formula and report its class")
     p.add_argument("formula")
 
@@ -297,15 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
 
     p = add("frame-check", cmd_frame_check, help="check frame properties")
-    p.add_argument("--frame", required=True)
+    add_frame_source(p)
     p.add_argument("--props", help="comma-separated subset of P2,P3,P4,P5,P7,P8")
 
     p = add("axiom-check", cmd_axiom_check, help="check an axiom schema or rule on a frame")
-    p.add_argument("--frame", required=True)
+    add_frame_source(p)
     p.add_argument("--axiom", required=True)
 
     p = add("agm-check", cmd_agm_check, help="check the revision postulates at each state")
-    p.add_argument("--frame", required=True)
+    add_frame_source(p)
     p.add_argument("--state")
 
     p = add("revise", cmd_revise, help="membership of a query in a revised belief set")
@@ -315,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
 
     p = add("countermodel", cmd_countermodel, help="build the canonical countermodel for an axiom")
-    p.add_argument("--frame", required=True)
+    add_frame_source(p)
     p.add_argument("--axiom", required=True)
 
     p = add("sweep", cmd_sweep, help="run the correspondence sweep over many frames")

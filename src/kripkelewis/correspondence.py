@@ -59,6 +59,10 @@ def _state_names(n: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(n))
 
 
+# Largest state count random mode takes without ``allow_large``.
+MAX_RANDOM_SIZE = 4
+
+
 def frame_count(n: int) -> int:
     """Number of distinct frames on n states: every serial belief relation
     combined with every total selection table."""
@@ -255,10 +259,10 @@ class SweepConfig:
                 raise ValueError("random mode requires count >= 1")
             if self.seed is None:
                 raise ValueError("random mode requires a seed")
-            if self.size >= 5 and not self.allow_large:
+            if self.size > MAX_RANDOM_SIZE and not self.allow_large:
                 raise ValueError(
-                    "random mode for size >= 5 requires allow_large (one frame's "
-                    f"check scans {(1 << self.size) ** 3} assignments per "
+                    f"random mode for size >= {MAX_RANDOM_SIZE + 1} requires allow_large "
+                    f"(one frame's check scans {(1 << self.size) ** 3} assignments per "
                     "three-letter axiom)"
                 )
         elif self.size >= 3 and not self.allow_large:

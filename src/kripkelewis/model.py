@@ -418,7 +418,7 @@ def load_model(data: Mapping) -> Model:
     frame, issues = validate_frame(data)
     valuation: dict[str, int] = {}
     if frame is not None:
-        raw_valuation = data.get("valuation") or {}
+        raw_valuation = data.get("valuation", {})
         if not isinstance(raw_valuation, Mapping):
             issues.append(FrameIssue("bad_structure", "'valuation' must be an object"))
             raw_valuation = {}

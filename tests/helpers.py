@@ -5,14 +5,17 @@ representations than the library uses: classification by top-down
 membership predicates, frame properties over frozensets instead of
 bitmasks, rules of inference through concrete models instead of the
 schema evaluator's tables, P7 and P8 through their literal quantifier
-forms, sampled frames as drawn tuples instead of frame codes.  Expected
-values frozen into the golden tests were computed with these.
+forms, sampled frames as drawn tuples instead of frame codes, the
+evaluator's tables by per-entry subset tests and its schema scans as one
+mask formula per schema under ``product``.  Expected values frozen into
+the golden tests were computed with these.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations
+from functools import partial
+from itertools import chain, combinations, product
 
 from kripkelewis import (
     And,
@@ -31,9 +34,12 @@ from kripkelewis import (
     SyntacticClass,
     Witness,
     canonical_events,
+    is_wellformed,
     sample_frames,
-    truth_set,
 )
+from kripkelewis.axioms import LETTERS
+from kripkelewis.model import _truth as truth_unchecked
+from kripkelewis.model import _truth_set as truth_set_unchecked
 
 ATOM_NAMES = ("p", "q", "r", "a", "b")
 BINARY = (Or, And, Implies, Iff)
@@ -333,11 +339,22 @@ def oracle_sample_tuples(n: int, count: int, seed: int) -> list[tuple[tuple, tup
     return out
 
 
+# --- model semantics without the per-call well-formedness check -----------
+
+def wellformed(f):
+    """``f`` after one well-formedness check.  Oracles that evaluate one
+    formula on many models check it once here and then call
+    ``truth_unchecked``/``truth_set_unchecked``, the recursions behind the
+    public ``truth``/``truth_set``, which re-check it at every call."""
+    assert is_wellformed(f), f
+    return f
+
+
 # --- rule-of-inference oracle over concrete models ------------------------
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
-RULE_K5A_TEMPLATE = Bel(Cond(P, Q))
-RULE_K6_TEMPLATE = Iff(Bel(Cond(P, R)), Bel(Cond(Q, R)))
+RULE_K5A_TEMPLATE = wellformed(Bel(Cond(P, Q)))
+RULE_K6_TEMPLATE = wellformed(Iff(Bel(Cond(P, R)), Bel(Cond(Q, R))))
 
 
 def _first_false_state(mask: int, full: int) -> int:
@@ -346,7 +363,7 @@ def _first_false_state(mask: int, full: int) -> int:
 
 def oracle_rule_valid(frame: Frame, k: AxiomId) -> Witness | None:
     """A rule of inference checked through the model semantics: one model
-    with fresh atoms per assignment, evaluated by ``truth_set``.
+    with fresh atoms per assignment, evaluated by ``truth_set``'s recursion.
 
     RuleK5a: an impossible antecedent (p empty) makes B(p > q) hold at every
     state, whatever q.  RuleK6: antecedents with the same event (p = q)
@@ -355,7 +372,7 @@ def oracle_rule_valid(frame: Frame, k: AxiomId) -> Witness | None:
     full = frame.full
     if k is AxiomId.RULE_K5A:
         for b in range(full + 1):
-            mask = truth_set(Model(frame, {"p": 0, "q": b}), RULE_K5A_TEMPLATE)
+            mask = truth_set_unchecked(Model(frame, {"p": 0, "q": b}), RULE_K5A_TEMPLATE)
             if mask != full:
                 return Witness("RuleK5a", {"s": _first_false_state(mask, full)}, {"p": 0, "q": b})
         return None
@@ -363,11 +380,129 @@ def oracle_rule_valid(frame: Frame, k: AxiomId) -> Witness | None:
         for a in range(full + 1):
             for c in range(full + 1):
                 valuation = {"p": a, "q": a, "r": c}
-                mask = truth_set(Model(frame, valuation), RULE_K6_TEMPLATE)
+                mask = truth_set_unchecked(Model(frame, valuation), RULE_K6_TEMPLATE)
                 if mask != full:
                     return Witness("RuleK6", {"s": _first_false_state(mask, full)}, valuation)
         return None
     raise ValueError(f"{k.value} is a schema")
+
+
+# --- schema-scan oracle: subset-test tables and one formula per schema ----
+
+def oracle_tables(frame: Frame) -> tuple[list[int], list[list[int]]]:
+    """``(bel, bel_cond)`` of ``SchemaEvaluator`` by one subset test per
+    state and entry: ``bel[x]`` holds the states whose belief set lies
+    inside x, ``bel_cond[a][b]`` those whose union of believed selections
+    for a lies inside b (every state when a is empty)."""
+    full, n = frame.full, frame.n
+    bel = [0] * (full + 1)
+    for x in range(full + 1):
+        for s in range(n):
+            if frame.belief[s] & ~x == 0:
+                bel[x] |= 1 << s
+    bel_cond = [[full] * (full + 1)]
+    for a in range(1, full + 1):
+        row = [0] * (full + 1)
+        for b in range(full + 1):
+            for s in range(n):
+                if frame.union[s][a] & ~b == 0:
+                    row[b] |= 1 << s
+        bel_cond.append(row)
+    return bel, bel_cond
+
+
+# Mask of states where each schema's instance holds under letter events
+# (a, b, c), read off the tables with the connectives as mask operations.
+
+def _a1(full, bel, bc, a, b, c):
+    ante = bc[a][b] & bc[a][(full ^ b) | c]
+    return (full ^ ante) | bc[a][c]
+
+
+def _a2(full, bel, bc, a):
+    return bc[a][a]
+
+
+def _a3(full, bel, bc, a, b):
+    ante = (full if a else 0) & bc[a][b]
+    return (full ^ ante) | bel[(full ^ a) | b]
+
+
+def _a4(full, bel, bc, a, b):
+    ante = (full ^ bel[full ^ a]) & bel[(full ^ a) | b]
+    return (full ^ ante) | bc[a][b]
+
+
+def _a5(full, bel, bc, a, b):
+    ante = (full if a else 0) & bc[a][b]
+    return (full ^ ante) | (full ^ bc[a][full ^ b])
+
+
+def _a7(full, bel, bc, a, b, c):
+    ab = a & b
+    ante = (full if ab else 0) & bc[ab][c]
+    return (full ^ ante) | bc[a][(full ^ b) | c]
+
+
+def _a8(full, bel, bc, a, b, c):
+    ante = (full ^ bc[a][full ^ b]) & bc[a][(full ^ b) | c]
+    return (full ^ ante) | bc[a & b][b & c]
+
+
+ORACLE_SCHEMAS = {
+    AxiomId.A1: (_a1, 3),
+    AxiomId.A2: (_a2, 1),
+    AxiomId.A3: (_a3, 2),
+    AxiomId.A4: (_a4, 2),
+    AxiomId.A5: (_a5, 2),
+    AxiomId.A7: (_a7, 3),
+    AxiomId.A8: (_a8, 3),
+}
+
+
+def oracle_holds_mask(frame: Frame, tables, k: AxiomId, assignment: tuple[int, ...]) -> int:
+    """Mask of states where the instance of ``k`` under ``assignment``
+    holds, from ``tables = oracle_tables(frame)``."""
+    schema, _ = ORACLE_SCHEMAS[k]
+    return schema(frame.full, *tables, *assignment)
+
+
+def oracle_check_axiom(frame: Frame, k: AxiomId, tables=None) -> Witness | None:
+    """Every assignment in ``product`` order; the first falsifying one
+    with its lowest falsified state, or None."""
+    schema, letters = ORACLE_SCHEMAS[k]
+    full = frame.full
+    holds = partial(schema, full, *(tables or oracle_tables(frame)))
+    for assignment in product(range(full + 1), repeat=letters):
+        mask = holds(*assignment)
+        if mask != full:
+            state = _first_false_state(mask, full)
+            return Witness(k.value, {"s": state}, dict(zip(LETTERS, assignment)))
+    return None
+
+
+def ranked_frame(rng: random.Random, n: int) -> Frame:
+    """A frame on which every schema is valid, so every scan runs to the end.
+
+    All states believe one nonempty event B; each believed state selects
+    from an event its members of least rank, B being the bottom rank, and
+    the rows of the other states are drawn at random (no property reads
+    them).
+    """
+    full = (1 << n) - 1
+    believed = rng.randrange(1, full + 1)
+    rank = [0 if believed >> i & 1 else rng.randrange(1, n + 1) for i in range(n)]
+    selection = []
+    for x in range(n):
+        row = [0]
+        for e in range(1, full + 1):
+            if believed >> x & 1:
+                low = min(rank[i] for i in range(n) if e >> i & 1)
+                row.append(sum(1 << i for i in range(n) if e >> i & 1 and rank[i] == low))
+            else:
+                row.append(rng.randrange(full + 1))
+        selection.append(row)
+    return Frame([f"s{i}" for i in range(n)], [believed] * n, selection)
 
 
 # --- hand-built fixture frames --------------------------------------------

@@ -36,6 +36,9 @@ LETTER_COUNT = {
     AxiomId.A1: 3, AxiomId.A2: 1, AxiomId.A3: 2, AxiomId.A4: 2,
     AxiomId.A5: 2, AxiomId.A7: 3, AxiomId.A8: 3,
 }
+# Each instance checked well-formed once, then evaluated unchecked.
+INSTANCES = {axiom: helpers.wellformed(axiom_instance(axiom)) for axiom in SCHEMAS}
+BEL_P_R = helpers.wellformed(Bel(Cond(Atom("p"), Atom("r"))))
 
 
 def test_every_axiom_valid_on_m0(m0):
@@ -95,12 +98,12 @@ def test_id_kind_separation(m0):
 
 def _assert_schema_matches_models(frame, axiom, assignments):
     evaluator = SchemaEvaluator(frame)
-    instance = axiom_instance(axiom)
+    instance = INSTANCES[axiom]
     letters = ("p", "q", "r")[: LETTER_COUNT[axiom]]
     for assignment in assignments:
         event_mask = evaluator.holds_mask(axiom, assignment)
         model = Model(frame, dict(zip(letters, assignment)))
-        assert event_mask == truth_set(model, instance), (
+        assert event_mask == helpers.truth_set_unchecked(model, instance), (
             frame_digest(frame),
             axiom,
             assignment,
@@ -244,9 +247,8 @@ def _assert_rules_match_model_route(frame):
             frame_digest(frame), rule)
     # the table both rules read: bel_cond[a][c] is the truth set of B(p > r)
     # under p = a, r = c
-    template = Bel(Cond(Atom("p"), Atom("r")))
     for a, c in product(range(frame.full + 1), repeat=2):
-        expected = truth_set(Model(frame, {"p": a, "r": c}), template)
+        expected = helpers.truth_set_unchecked(Model(frame, {"p": a, "r": c}), BEL_P_R)
         assert evaluator.bel_cond[a][c] == expected, (frame_digest(frame), a, c)
 
 
@@ -286,7 +288,51 @@ def test_replay_through_evaluator_equals_pointwise_truth_all_two_state_frames():
             model, model_state, instance = countermodel_from_witness(frame, axiom, w)
             assert model_state == s
             assert model.valuation == dict(zip(("p", "q", "r"), assignment))
+            assert instance is INSTANCES[axiom]
             falsified = not evaluator.holds_mask(axiom, assignment) >> s & 1
-            assert falsified == (not truth(model, s, instance)), (frame_digest(frame), axiom)
+            holds = helpers.truth_unchecked(model, s, instance)
+            assert falsified == (not holds), (frame_digest(frame), axiom)
             replays += 1
     assert replays > 36864
+
+
+def _assert_scans_match_oracle(frame):
+    evaluator = SchemaEvaluator(frame)
+    tables = helpers.oracle_tables(frame)
+    assert (evaluator.bel, evaluator.bel_cond) == tables, frame_digest(frame)
+    for axiom in SCHEMAS:
+        expected = helpers.oracle_check_axiom(frame, axiom, tables)
+        assert evaluator.check_axiom(axiom) == expected, (frame_digest(frame), axiom)
+
+
+def test_scans_and_tables_equal_oracle_all_two_state_frames():
+    for frame in enumerate_frames(2):
+        _assert_scans_match_oracle(frame)
+
+
+def test_scans_and_tables_equal_oracle_sampled_three_state_frames():
+    for frame in sample_frames(3, 1000, seed=42):
+        _assert_scans_match_oracle(frame)
+
+
+def test_scans_and_tables_equal_oracle_on_frames_where_every_schema_is_valid():
+    # every scan runs to its end, so every skipped block is exercised
+    rng = random.Random(132)
+    frames = [helpers.ranked_frame(rng, n) for n in (1, 2, 3, 3, 4, 4, 4)]
+    for frame in frames:
+        for axiom in SCHEMAS:
+            assert helpers.oracle_check_axiom(frame, axiom) is None, (frame_digest(frame), axiom)
+        _assert_scans_match_oracle(frame)
+
+
+def test_holds_mask_equals_oracle_every_assignment_sampled_three_state():
+    frames = list(sample_frames(3, 20, seed=133))
+    frames += [helpers.ranked_frame(random.Random(134), 3)]
+    for frame in frames:
+        evaluator = SchemaEvaluator(frame)
+        tables = helpers.oracle_tables(frame)
+        for axiom in SCHEMAS:
+            for assignment in product(range(frame.full + 1), repeat=LETTER_COUNT[axiom]):
+                expected = helpers.oracle_holds_mask(frame, tables, axiom, assignment)
+                assert evaluator.holds_mask(axiom, assignment) == expected, (
+                    frame_digest(frame), axiom, assignment)

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from kripkelewis import load_model, parse, truth
+from kripkelewis import (
+    frame_digest,
+    frame_to_json,
+    load_frame,
+    load_model,
+    parse,
+    sample_frames,
+    truth,
+)
 from kripkelewis.cli import build_parser, main
 from kripkelewis.parser import MAX_NESTING
 
@@ -324,3 +332,76 @@ def test_deep_nesting_is_a_parse_error(capsys):
         code, _, err = run(capsys, "parse", text)
         assert code == 2
         assert f"expected at most {MAX_NESTING} levels of nesting" in err
+
+
+FRAME_COMMANDS = [
+    ("frame-check",),
+    ("frame-check", "--json", "--props", "P4,P8"),
+    ("agm-check",),
+    ("agm-check", "--json", "--state", "s1"),
+    *[("axiom-check", "--axiom", k) for k in ("A1", "A2", "A3", "A4", "A5", "A7", "A8", "RuleK6")],
+    ("axiom-check", "--json", "--axiom", "A8"),
+    *[("countermodel", "--axiom", k) for k in ("A2", "A3", "A4", "A5", "A7", "A8")],
+    ("countermodel", "--json", "--axiom", "A8"),
+]
+
+
+def test_code_source_equals_frame_file(capsys, tmp_path, fx2_path):
+    with open(fx2_path, encoding="utf-8") as handle:
+        fixture_digest = frame_digest(load_frame(json.load(handle)))
+    frame = next(sample_frames(3, 1, seed=42))
+    sampled = frame_digest(frame)
+    sampled_path = tmp_path / "sampled.json"
+    sampled_path.write_text(json.dumps(frame_to_json(frame)))
+    for digest, path in ((fixture_digest, fx2_path), (sampled, str(sampled_path))):
+        for argv in FRAME_COMMANDS:
+            by_code = run(capsys, *argv, "--code", digest)
+            assert by_code == run(capsys, *argv, "--frame", path), (digest, argv)
+            assert by_code[0] in (0, 1)
+
+
+@pytest.mark.parametrize("value", [
+    "2", "x:1", "2:abc", "2:-1", "-2:1", "2:+1", "2: 1", "2:1_0", "2:1:3", ":5", "2:",
+    "0:0", "5:0", "99999:0", "2:36864", "4:" + "9" * 5000, "\uff12:1",
+])
+def test_bad_code_is_one_error_line(capsys, value):
+    code, out, err = run(capsys, "axiom-check", "--axiom", "A1", f"--code={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_frame_and_code_are_exclusive(capsys, m0_path):
+    for argv in (["--frame", m0_path, "--code", "1:0"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["frame-check", *argv])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_bad_structure(capsys, tmp_path):
+    for text in ("[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for argv in (["frame-check", "--frame", str(path)],
+                     ["eval", "--model", str(path), "--state", "s0", "--formula", "p"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err == f"error: bad_structure: {path} nests JSON too deeply to read\n"
+
+
+def test_undecodable_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "frame-check", "--frame", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("valuation", [None, [], 0, "", False])
+def test_falsy_non_object_valuation_is_bad_structure(capsys, tmp_path, valuation):
+    data = _good_frame()
+    data["valuation"] = valuation
+    code, _, err = _run_on(capsys, tmp_path, data, "eval")
+    assert code == 2
+    assert err == "error: bad_structure: 'valuation' must be an object\n"
