@@ -12,7 +12,7 @@ semantics on instances built from fresh atoms p, q, r.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from functools import lru_cache
 
 from .formula import And, Atom, Bel, Box, Cond, Formula, Implies, Not
 from .model import Frame, Model, Witness
@@ -36,7 +36,8 @@ RULE_IDS = frozenset({AxiomId.RULE_K5A, AxiomId.RULE_K6})
 
 LETTERS = ("p", "q", "r")
 
-# Letters each schema quantifies over.
+# Letter ranges each scan takes: the letters a schema quantifies over;
+# RuleK5a fixes p to the empty event and RuleK6 sets q = p.
 _LETTER_COUNT = {
     AxiomId.A1: 3,
     AxiomId.A2: 1,
@@ -45,6 +46,8 @@ _LETTER_COUNT = {
     AxiomId.A5: 2,
     AxiomId.A7: 3,
     AxiomId.A8: 3,
+    AxiomId.RULE_K5A: 1,
+    AxiomId.RULE_K6: 2,
 }
 
 _P = Atom("p")
@@ -85,63 +88,103 @@ class MismatchedWitnessError(ValueError):
 
 
 class SchemaEvaluator:
-    """Event-level evaluator for the axiom schemas on one frame.
+    """Event-level evaluator for the axiom schemas on one or more frames
+    on the same n states.
 
-    Precomputes, for every pair of events (a, b), the set of states where
+    Frame i occupies lane i: bit ``i*n + s`` of every state mask stands for
+    state s of frame i, so each scan below runs once for all the frames.
+    Precomputes, for every pair of events (a, b), the mask of states where
     the believed conditional with antecedent event a and consequent event
     b holds: everything if a is empty, else the states whose union of
-    believed selections for a lies inside b.  Likewise the set of states
+    believed selections for a lies inside b.  Likewise the mask of states
     whose belief set lies inside each event.
+
+    ``full`` is the event universe 2^n - 1 (also lane 0's states);
+    ``states`` is every state of every lane.
     """
 
-    __slots__ = ("frame", "full", "bel", "bel_cond")
+    __slots__ = ("n", "full", "states", "low", "bel", "bel_cond")
 
-    def __init__(self, frame: Frame):
-        self.frame = frame
-        full = frame.full
+    def __init__(self, *frames: Frame):
+        if not frames:
+            raise ValueError("need at least one frame")
+        n = frames[0].n
+        for frame in frames:
+            if frame.n != n:
+                raise ValueError("frames in one evaluator must have the same number of states")
+        full = (1 << n) - 1
+        self.n = n
         self.full = full
-        union = frame.union
-        self.bel = _superset_masks(frame.belief, full)
-        bel_cond = [[full] * (full + 1)]  # empty antecedent: vacuously believed
-        for a in range(1, full + 1):
-            bel_cond.append(_superset_masks([row[a] for row in union], full))
+        self.states = (1 << n * len(frames)) - 1
+        self.low = self.states // full  # bit 0 of each lane
+        bits = _lane_bits(len(frames) * n)
+        # Column a: union[s][a] of every (lane, state) in bit order.
+        columns = zip(*[row for frame in frames for row in frame.union])
+        next(columns)  # placeholder column of the empty event
+        bel_cond = [[self.states] * (full + 1)]  # empty antecedent: vacuously believed
+        for column in columns:
+            bel_cond.append(_superset_masks(column, bits, full))
         self.bel_cond = bel_cond
+        self.bel = _superset_masks([b for frame in frames for b in frame.belief], bits, full)
 
-    # One scan per schema over the given letter ranges.  Each returns the
-    # mask of states where the instance fails under the first assignment
-    # (in ``product`` order) that falsifies it, with that assignment, or
-    # None.  A block of assignments is skipped only where a conjunct of
-    # the antecedent bound by the outer letters is empty, so the instance
-    # holds there by its own formula.
+    def _drop(self, live: int, bad: int) -> int:
+        """``live`` without the whole lane of every state in ``bad``."""
+        spread = bad
+        for shift in range(1, self.n):
+            spread |= bad >> shift
+        return live & ~((spread & self.low) * self.full)
 
-    def _scan_a1(self, ra, rb, rc):
+    # One scan per schema or rule over the given letter ranges, restricted
+    # to the lanes in ``live``.  Each walks assignments in ``product``
+    # order; at an assignment falsifying the instance at some live state it
+    # adds those states to ``failed`` and drops their lanes from ``live``.
+    # It returns ``(failed, assignment)`` once no lane is live, else
+    # ``(failed, None)`` at the end, so with one live lane the assignment
+    # is the first falsifying one.  A block of assignments is skipped only
+    # where a conjunct of the antecedent bound by the outer letters is
+    # empty in every live lane, so the instance holds there by its own
+    # formula.  ``live`` is folded into that conjunct; a scan with none
+    # masks a hit to the live lanes once it happens, so no inner loop
+    # gains an operation.
+
+    def _scan_a1(self, live, ra, rb, rc):
         # B(p > q) & B(p > (q -> r)) -> B(p > r)
         full, bc = self.full, self.bel_cond
+        failed = 0
         for a in ra:
             row = bc[a]
             for b in rb:
-                ante = row[b]
+                ante = row[b] & live
                 if not ante:
                     continue
                 nb = full ^ b
                 for c in rc:
                     bad = ante & row[nb | c] & ~row[c]
                     if bad:
-                        return bad, (a, b, c)
-        return None
+                        failed |= bad
+                        live = self._drop(live, bad)
+                        if not live:
+                            return failed, (a, b, c)
+                        ante &= live
+        return failed, None
 
-    def _scan_a2(self, ra):
+    def _scan_a2(self, live, ra):
         # B(p > p)
-        full, bc = self.full, self.bel_cond
+        bc = self.bel_cond
+        failed = 0
         for a in ra:
-            bad = full ^ bc[a][a]
+            bad = live & ~bc[a][a]
             if bad:
-                return bad, (a,)
-        return None
+                failed |= bad
+                live = self._drop(live, bad)
+                if not live:
+                    return failed, (a,)
+        return failed, None
 
-    def _scan_a3(self, ra, rb):
+    def _scan_a3(self, live, ra, rb):
         # ~[]~p & B(p > q) -> B(p -> q)
         full, bel, bc = self.full, self.bel, self.bel_cond
+        failed = 0
         for a in ra:
             if not a:  # ~[]~p fails everywhere
                 continue
@@ -150,27 +193,38 @@ class SchemaEvaluator:
             for b in rb:
                 bad = row[b] & ~bel[na | b]
                 if bad:
-                    return bad, (a, b)
-        return None
+                    bad &= live
+                    if bad:
+                        failed |= bad
+                        live = self._drop(live, bad)
+                        if not live:
+                            return failed, (a, b)
+        return failed, None
 
-    def _scan_a4(self, ra, rb):
+    def _scan_a4(self, live, ra, rb):
         # ~B~p & B(p -> q) -> B(p > q)
         full, bel, bc = self.full, self.bel, self.bel_cond
+        failed = 0
         for a in ra:
             na = full ^ a
-            ante = full ^ bel[na]
+            ante = live & ~bel[na]
             if not ante:
                 continue
             row = bc[a]
             for b in rb:
                 bad = ante & bel[na | b] & ~row[b]
                 if bad:
-                    return bad, (a, b)
-        return None
+                    failed |= bad
+                    live = self._drop(live, bad)
+                    if not live:
+                        return failed, (a, b)
+                    ante &= live
+        return failed, None
 
-    def _scan_a5(self, ra, rb):
+    def _scan_a5(self, live, ra, rb):
         # ~[]~p & B(p > q) -> ~B(p > ~q)
         full, bc = self.full, self.bel_cond
+        failed = 0
         for a in ra:
             if not a:  # ~[]~p fails everywhere
                 continue
@@ -178,12 +232,18 @@ class SchemaEvaluator:
             for b in rb:
                 bad = row[b] & row[full ^ b]
                 if bad:
-                    return bad, (a, b)
-        return None
+                    bad &= live
+                    if bad:
+                        failed |= bad
+                        live = self._drop(live, bad)
+                        if not live:
+                            return failed, (a, b)
+        return failed, None
 
-    def _scan_a7(self, ra, rb, rc):
+    def _scan_a7(self, live, ra, rb, rc):
         # ~[]~(p & q) & B(p & q > r) -> B(p > (q -> r))
         full, bc = self.full, self.bel_cond
+        failed = 0
         for a in ra:
             row = bc[a]
             for b in rb:
@@ -195,67 +255,106 @@ class SchemaEvaluator:
                 for c in rc:
                     bad = ab_row[c] & ~row[nb | c]
                     if bad:
-                        return bad, (a, b, c)
-        return None
+                        bad &= live
+                        if bad:
+                            failed |= bad
+                            live = self._drop(live, bad)
+                            if not live:
+                                return failed, (a, b, c)
+        return failed, None
 
-    def _scan_a8(self, ra, rb, rc):
+    def _scan_a8(self, live, ra, rb, rc):
         # ~B(p > ~q) & B(p > (q -> r)) -> B(p & q > q & r)
         full, bc = self.full, self.bel_cond
+        failed = 0
         for a in ra:
             row = bc[a]
             for b in rb:
                 nb = full ^ b
-                ante = full ^ row[nb]
+                ante = live & ~row[nb]
                 if not ante:
                     continue
                 ab_row = bc[a & b]
                 for c in rc:
                     bad = ante & row[nb | c] & ~ab_row[b & c]
                     if bad:
-                        return bad, (a, b, c)
-        return None
+                        failed |= bad
+                        live = self._drop(live, bad)
+                        if not live:
+                            return failed, (a, b, c)
+                        ante &= live
+        return failed, None
+
+    def _scan_rule_k5a(self, live, rb):
+        # RuleK5a: with an impossible antecedent (the event-level image of an
+        # inconsistent formula), B(p > q) holds at every state whatever the
+        # consequent event q; that is row 0 of ``bel_cond``.
+        bc0 = self.bel_cond[0]
+        failed = 0
+        for b in rb:
+            bad = live & ~bc0[b]
+            if bad:
+                failed |= bad
+                live = self._drop(live, bad)
+                if not live:
+                    return failed, (0, b)
+        return failed, None
+
+    def _scan_rule_k6(self, live, ra, rc):
+        # RuleK6: two antecedents with the same event yield the same believed
+        # conditionals, so B(p > r) <-> B(q > r) holds under p = q = a for
+        # every consequent event r = c.
+        bc = self.bel_cond
+        failed = 0
+        for a in ra:
+            row = bc[a]
+            for c in rc:
+                bad = row[c] ^ row[c]
+                if bad:
+                    bad &= live
+                    if bad:
+                        failed |= bad
+                        live = self._drop(live, bad)
+                        if not live:
+                            return failed, (a, a, c)
+        return failed, None
 
     def holds_mask(self, k: AxiomId, assignment: tuple[int, ...]) -> int:
-        """Mask of states where the instance of ``k`` under ``assignment`` holds."""
-        hit = _SCANS[k](self, *[(x,) for x in assignment])
-        return self.full if hit is None else self.full ^ hit[0]
+        """Mask of states, in every lane, where the instance of ``k`` under
+        ``assignment`` holds."""
+        failed, _ = _SCANS[k](self, self.states, *[(x,) for x in assignment])
+        return self.states ^ failed
+
+    def lane_failures(self, k: AxiomId) -> int:
+        """State mask, over every lane, whose lane i is nonempty iff the
+        schema or rule ``k`` fails on frame i."""
+        letters = range(self.full + 1)
+        return _SCANS[k](self, self.states, *[letters] * _LETTER_COUNT[k])[0]
+
+    def _first_witness(self, k: AxiomId) -> Witness | None:
+        """None if ``k`` holds on the first frame, else its first falsifying
+        assignment in ``product`` order with its lowest falsified state."""
+        letters = range(self.full + 1)
+        failed, assignment = _SCANS[k](self, self.full, *[letters] * _LETTER_COUNT[k])
+        return None if assignment is None else _witness(k, failed, assignment)
 
     def check_axiom(self, k: AxiomId) -> Witness | None:
-        """None if ``k`` is valid on the frame, else the lexicographically
-        least falsifying assignment with its lowest falsified state."""
+        """None if ``k`` is valid on the (first) frame, else the
+        lexicographically least falsifying assignment with its lowest
+        falsified state."""
         if k in RULE_IDS:
             raise ValueError(f"{k.value} is a rule of inference; use check_rule")
-        letters = range(self.full + 1)
-        hit = _SCANS[k](self, *[letters] * _LETTER_COUNT[k])
-        return None if hit is None else _witness(k, *hit)
+        return self._first_witness(k)
 
     def check_rule(self, k: AxiomId) -> Witness | None:
-        """None if the rule ``k`` holds on the frame, else the first
-        falsifying assignment in ``product`` order with its lowest
-        falsified state.
-
-        RuleK5a: with an impossible antecedent (the event-level image of an
-        inconsistent formula), ``B(p > q)`` holds at every state whatever
-        the consequent event q; that is row 0 of ``bel_cond``.  RuleK6: two
-        antecedents with the same event yield the same believed
-        conditionals, so ``B(p > r) <-> B(q > r)`` holds under p = q = a
-        for every consequent event r = c.  The tests cross ``bel_cond``
-        against ``truth_set`` of ``B(p > r)`` on concrete models.
-        """
-        full, bc = self.full, self.bel_cond
-        if k is AxiomId.RULE_K5A:
-            for b in range(full + 1):
-                bad = full ^ bc[0][b]
-                if bad:
-                    return _witness(k, bad, (0, b))
-            return None
-        if k is AxiomId.RULE_K6:
-            for a, c in product(range(full + 1), repeat=2):
-                bad = bc[a][c] ^ bc[a][c]
-                if bad:
-                    return _witness(k, bad, (a, a, c))
-            return None
-        raise ValueError(f"{k.value} is a schema; use check_axiom")
+        """None if the rule ``k`` holds on the (first) frame, else the first
+        falsifying assignment in ``product`` order (RuleK5a: (0, q);
+        RuleK6: (a, a, r)) with its lowest falsified state.  The tests
+        cross ``bel_cond`` against ``truth_set`` of ``B(p > r)`` on
+        concrete models."""
+        if k not in RULE_IDS:
+            raise ValueError(f"{k.value} is a schema; use check_axiom")
+        return self._first_witness(k)
 
 
 _SCANS = {
@@ -266,18 +365,34 @@ _SCANS = {
     AxiomId.A5: SchemaEvaluator._scan_a5,
     AxiomId.A7: SchemaEvaluator._scan_a7,
     AxiomId.A8: SchemaEvaluator._scan_a8,
+    AxiomId.RULE_K5A: SchemaEvaluator._scan_rule_k5a,
+    AxiomId.RULE_K6: SchemaEvaluator._scan_rule_k6,
 }
 
 
-def _superset_masks(events, full: int) -> list[int]:
-    """Masks indexed by event x: bit s is set iff ``events[s]`` lies inside x.
+@lru_cache(maxsize=None)
+def _lane_bits(count: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(count))
 
-    Marks each state on the supersets of its event, walked in ascending
-    order by ``x = (x + 1) | u``.
+
+def _superset_masks(events, bits, full: int) -> list[int]:
+    """Masks indexed by event x: bit ``bits[i]`` is set iff ``events[i]``
+    lies inside x.
+
+    Groups the bits by event, then marks each distinct event once on its
+    supersets, walked in ascending order by ``x = (x + 1) | u``.
     """
+    grouped = [0] * (full + 1)
+    distinct = []
+    for u, bit in zip(events, bits):
+        if grouped[u]:
+            grouped[u] |= bit
+        else:
+            grouped[u] = bit
+            distinct.append(u)
     masks = [0] * (full + 1)
-    for s, u in enumerate(events):
-        bit = 1 << s
+    for u in distinct:
+        bit = grouped[u]
         x = u
         while x != full:
             masks[x] |= bit

@@ -8,9 +8,11 @@ for k = 4 the property must imply the postulate (the reverse direction is
 recorded as data, never as a failure).  Every property violation also
 replays its canonical countermodel, which must falsify the paired axiom.
 
-A sweep partition holding at least as many frames as there are local
-profiles ``(belief[s], union[s])`` folds each frame from memoised
-per-profile verdicts instead of checking it whole; see
+Sweeps check frames in batches: one lane-batched ``SchemaEvaluator``
+scans each schema and rule once for a whole batch (see
+:func:`_batch_verdicts`).  A sweep partition holding at least as many
+frames as there are local profiles ``(belief[s], union[s])`` folds each
+frame from memoised per-profile verdicts instead of checking it whole; see
 :func:`_fold_profiles`.
 """
 
@@ -22,7 +24,7 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .axioms import AxiomId, SchemaEvaluator, countermodel_assignment
 from .model import Frame, bit_indices
@@ -171,43 +173,81 @@ class FrameRecord:
 def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
     """Run property, axiom and postulate checks on one frame and flag any
     disagreement the correspondence asserts cannot happen."""
-    digest = frame_digest(frame)
-    evaluator = SchemaEvaluator(frame)
-    property_pass: dict[int, bool] = {}
-    axiom_valid: dict[int, bool] = {}
-    agm_all: dict[int, bool] = {}
-    witnesses = {}
-    for k in ks:
-        w = check_property(frame, _PROP[k])
-        witnesses[k] = w
-        property_pass[k] = w is None
-        axiom_valid[k] = evaluator.check_axiom(_AXIOM[k]) is None
-        agm_all[k] = all(
-            agm_event_check(frame, s, _AGM[k]) is None for s in range(frame.n)
-        )
-    always_valid = {
-        "A1": evaluator.check_axiom(AxiomId.A1) is None,
-        "RuleK5a": evaluator.check_rule(AxiomId.RULE_K5A) is None,
-        "RuleK6": evaluator.check_rule(AxiomId.RULE_K6) is None,
-    }
-    for name, pid in (("K1", AgmPostulateId.K1), ("K5a", AgmPostulateId.K5A),
-                      ("K6", AgmPostulateId.K6)):
-        always_valid[name] = all(
-            agm_event_check(frame, s, pid) is None for s in range(frame.n)
-        )
-
-    replays: list[tuple[int, bool]] = []
-    for k in ks:
-        w = witnesses[k]
-        if w is None:
-            continue
-        assignment, s = countermodel_assignment(frame, _AXIOM[k], w)
-        replays.append((k, not evaluator.holds_mask(_AXIOM[k], assignment) >> s & 1))
-    record = FrameRecord(
-        digest, property_pass, axiom_valid, agm_all, always_valid, replays, []
-    )
+    (verdicts,) = _batch_verdicts([frame], ks)
+    record = _unpack_verdicts(verdicts, ks, frame_digest(frame))
     record.discrepancies = _discrepancies(record)
     return record
+
+
+# Frames one lane-batched SchemaEvaluator checks together in a sweep.  The
+# time per frame was flat from 250 to 1,000 frames at three and four
+# states; a larger batch only holds more frames at once.
+BATCH_FRAMES = 250
+
+# In ALWAYS_VALID_NAMES order.
+_ALWAYS_VALID_AXIOMS = (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6)
+_ALWAYS_VALID_AGM = (AgmPostulateId.K1, AgmPostulateId.K5A, AgmPostulateId.K6)
+
+# A frame's verdicts packed into two ints, with ``ks`` indexed by position
+# i and m = len(ks).  ``ok``: bit i is Pk, bit m + i is Ak, bit 2m + i is Kk
+# at every state, then one bit per ALWAYS_VALID_NAMES entry.  ``falsified``:
+# bit i says the replay for a violated Pk falsified Ak.
+
+
+def _batch_verdicts(frames: Sequence[Frame], ks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Packed verdicts of each of these frames on the same states.  One
+    evaluator holds frame i in lane i, so each schema and rule is scanned
+    once for all of them; properties, postulates and replays are checked
+    per frame."""
+    evaluator = SchemaEvaluator(*frames)
+    m = len(ks)
+    axioms = [_AXIOM[k] for k in ks]
+    failures = [(evaluator.lane_failures(ax), m + i) for i, ax in enumerate(axioms)]
+    failures += [(evaluator.lane_failures(ax), 3 * m + j)
+                 for j, ax in enumerate(_ALWAYS_VALID_AXIOMS)]
+    postulates = [(_AGM[k], 2 * m + i) for i, k in enumerate(ks)]
+    postulates += [(pid, 3 * m + j)
+                   for j, pid in enumerate(_ALWAYS_VALID_AGM, start=len(_ALWAYS_VALID_AXIOMS))]
+    n, full = evaluator.n, evaluator.full
+    out = []
+    for lane, frame in enumerate(frames):
+        shift = lane * n
+        ok = falsified = 0
+        for i, k in enumerate(ks):
+            w = check_property(frame, _PROP[k])
+            if w is None:
+                ok |= 1 << i
+                continue
+            assignment, s = countermodel_assignment(frame, axioms[i], w)
+            if not evaluator.holds_mask(axioms[i], assignment) >> (shift + s) & 1:
+                falsified |= 1 << i
+        for lane_failures, bit in failures:
+            if not lane_failures >> shift & full:
+                ok |= 1 << bit
+        for pid, bit in postulates:
+            if all(agm_event_check(frame, s, pid) is None for s in range(n)):
+                ok |= 1 << bit
+        out.append((ok, falsified))
+    return out
+
+
+def _unpack_verdicts(
+    verdicts: tuple[int, int], ks: tuple[int, ...], digest: str
+) -> FrameRecord:
+    """The record of a frame with these packed verdicts; its discrepancies
+    are left for :func:`_discrepancies`."""
+    ok, falsified = verdicts
+    m = len(ks)
+    property_pass = {k: bool(ok >> i & 1) for i, k in enumerate(ks)}
+    return FrameRecord(
+        digest,
+        property_pass,
+        {k: bool(ok >> (m + i) & 1) for i, k in enumerate(ks)},
+        {k: bool(ok >> (2 * m + i) & 1) for i, k in enumerate(ks)},
+        {name: bool(ok >> (3 * m + j) & 1) for j, name in enumerate(ALWAYS_VALID_NAMES)},
+        [(k, bool(falsified >> i & 1)) for i, k in enumerate(ks) if not property_pass[k]],
+        [],
+    )
 
 
 def _discrepancies(record: FrameRecord) -> list[dict]:
@@ -393,98 +433,29 @@ def _run_partition(config: dict, codes: Sequence[int]) -> Report:
 
 
 def _check_frames(config: dict, codes: Sequence[int]) -> Report:
+    """Check the frames batch by batch (see :func:`_batch_verdicts`)."""
     n, ks = config["size"], tuple(config["ks"])
-    report = Report.empty(config, ks)
-    for code in codes:
-        report.add_record(triple_check(frame_from_code(n, code), ks))
-    return report
+
+    def outcomes() -> Iterator[tuple[int, tuple[int, int]]]:
+        for lo in range(0, len(codes), BATCH_FRAMES):
+            batch = codes[lo : lo + BATCH_FRAMES]
+            frames = [frame_from_code(n, code) for code in batch]
+            yield from zip(batch, _batch_verdicts(frames, ks))
+
+    return _tally(config, ks, outcomes())
 
 
-# A frame's verdicts packed into two ints, with ``ks`` indexed by position
-# i and m = len(ks).  ``ok``: bit i is Pk, bit m + i is Ak, bit 2m + i is Kk
-# at every state, then one bit per ALWAYS_VALID_NAMES entry.  ``falsified``:
-# bit i says the replay for a violated Pk falsified Ak.
-
-
-def _pack_verdicts(record: FrameRecord, ks: tuple[int, ...]) -> tuple[int, int]:
-    m = len(ks)
-    ok = falsified = 0
-    for i, k in enumerate(ks):
-        ok |= (record.property_pass[k] << i | record.axiom_valid[k] << (m + i)
-               | record.agm_all_states[k] << (2 * m + i))
-    for j, name in enumerate(ALWAYS_VALID_NAMES):
-        ok |= record.always_valid[name] << (3 * m + j)
-    for k, hit in record.replays:
-        falsified |= hit << ks.index(k)
-    return ok, falsified
-
-
-def _unpack_verdicts(
-    verdicts: tuple[int, int], ks: tuple[int, ...], digest: str
-) -> FrameRecord:
-    """The record of a frame with these packed verdicts; its discrepancies
-    are left for :func:`_discrepancies`."""
-    ok, falsified = verdicts
-    m = len(ks)
-    property_pass = {k: bool(ok >> i & 1) for i, k in enumerate(ks)}
-    return FrameRecord(
-        digest,
-        property_pass,
-        {k: bool(ok >> (m + i) & 1) for i, k in enumerate(ks)},
-        {k: bool(ok >> (2 * m + i) & 1) for i, k in enumerate(ks)},
-        {name: bool(ok >> (3 * m + j) & 1) for j, name in enumerate(ALWAYS_VALID_NAMES)},
-        [(k, bool(falsified >> i & 1)) for i, k in enumerate(ks) if not property_pass[k]],
-        [],
-    )
-
-
-def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
-    """Fold each frame's verdicts from its states' local profiles.
-
-    Every verdict of :func:`triple_check` is a conjunction over states of a
-    condition on the state's profile ``(belief[s], union[s])``, and a
-    profile's verdicts are those of its uniform frame, where every state
-    believes ``belief[s]`` and selects the row ``union[s]``.  A frame's
-    replay for a violated Pk is its lowest violating state's, because the
-    property checkers scan states first.  Profile verdicts are memoised for
-    this partition only, and frames are tallied by their packed verdicts.
-
-    A frame code is the belief digits followed by n selection rows of
-    ``width`` bits each (one n-bit digit per event), so the union of the
-    believed rows is the OR of their bit fields.
-    """
-    n, ks = config["size"], tuple(config["ks"])
-    full = (1 << n) - 1
-    width = n * full
-    row_mask = (1 << width) - 1
-    shifts = [(n - 1 - s) * width for s in range(n)]  # of row s
-    members = [tuple(bit_indices(d + 1)) for d in range(full)]  # of belief digit d
-    # The uniform frame of profile (d + 1, row) has code
-    # uniform_beliefs[d] | row * uniform_rows.
-    uniform_beliefs = [sum(d * full**s for s in range(n)) << (n * width) for d in range(full)]
-    uniform_rows = sum(1 << shift for shift in shifts)
-
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
+def _tally(
+    config: dict, ks: tuple[int, ...], outcomes: Iterable[tuple[int, tuple[int, int]]]
+) -> Report:
+    """Report on frames given as ``(code, packed verdicts)`` in frame order.
+    Frames are counted by outcome, and each frame whose outcome the
+    correspondence flags gets its discrepancies under its own digest."""
+    n = config["size"]
     tally: dict[tuple[int, int], int] = {}
     flagged: set[tuple[int, int]] = set()
     report = Report.empty(config, ks)
-    for code in codes:
-        rows = [code >> shift & row_mask for shift in shifts]
-        beliefs = code >> (n * width)
-        ok, falsified = -1, 0
-        # From state n - 1 down, so the lowest violating state's replay wins.
-        for s in range(n - 1, -1, -1):
-            beliefs, d = divmod(beliefs, full)
-            union = 0
-            for x in members[d]:
-                union |= rows[x]
-            verdicts = memo.get((d, union))
-            if verdicts is None:
-                uniform = frame_from_code(n, uniform_beliefs[d] | union * uniform_rows)
-                verdicts = memo[d, union] = _pack_verdicts(triple_check(uniform, ks), ks)
-            ok &= verdicts[0]
-            falsified = falsified & verdicts[0] | verdicts[1]
-        outcome = ok, falsified
+    for code, outcome in outcomes:
         if outcome in tally:
             tally[outcome] += 1
         else:
@@ -497,6 +468,70 @@ def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
     for outcome, frames in tally.items():
         report.add_record(_unpack_verdicts(outcome, ks, ""), frames)
     return report
+
+
+def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
+    """Fold each frame's verdicts from its states' local profiles.
+
+    Every verdict of :func:`triple_check` is a conjunction over states of a
+    condition on the state's profile ``(belief[s], union[s])``, and a
+    profile's verdicts are those of its uniform frame, where every state
+    believes ``belief[s]`` and selects the row ``union[s]``.  A frame's
+    replay for a violated Pk is its lowest violating state's, because the
+    property checkers scan states first.  Profile verdicts are memoised for
+    this partition only: per batch of frames, the uniform frames of the
+    profiles not yet seen are checked together by :func:`_batch_verdicts`.
+
+    A frame code is the belief digits followed by n selection rows of
+    ``width`` bits each (one n-bit digit per event), so the union of the
+    believed rows is the OR of their bit fields.
+    """
+    n, ks = config["size"], tuple(config["ks"])
+    full = (1 << n) - 1
+    width = n * full
+    row_mask = (1 << width) - 1
+    shifts = [(n - 1 - s) * width for s in range(n)]  # of row s
+    members = [tuple(bit_indices(d + 1)) for d in range(full)]  # of belief digit d
+    # Profile (d + 1, row) is keyed d << width | row; its uniform frame has
+    # code uniform_beliefs[d] | row * uniform_rows.
+    uniform_beliefs = [sum(d * full**s for s in range(n)) << (n * width) for d in range(full)]
+    uniform_rows = sum(1 << shift for shift in shifts)
+    memo: dict[int, tuple[int, int]] = {}
+
+    def outcomes() -> Iterator[tuple[int, tuple[int, int]]]:
+        for lo in range(0, len(codes), BATCH_FRAMES):
+            batch = codes[lo : lo + BATCH_FRAMES]
+            keys = []  # n per frame, from state n - 1 down
+            for code in batch:
+                rows = [code >> shift & row_mask for shift in shifts]
+                beliefs = code >> (n * width)
+                for _ in range(n):
+                    beliefs, d = divmod(beliefs, full)
+                    union = 0
+                    for x in members[d]:
+                        union |= rows[x]
+                    keys.append(d << width | union)
+            unseen = list(set(keys).difference(memo))
+            for i in range(0, len(unseen), BATCH_FRAMES):
+                profiles = unseen[i : i + BATCH_FRAMES]
+                uniform = [
+                    frame_from_code(
+                        n, uniform_beliefs[key >> width] | (key & row_mask) * uniform_rows)
+                    for key in profiles
+                ]
+                memo.update(zip(profiles, _batch_verdicts(uniform, ks)))
+            verdicts = map(memo.__getitem__, keys)
+            folded = []
+            for states in zip(*[verdicts] * n):
+                # The lowest violating state's replay wins, so it comes last.
+                ok, falsified = -1, 0
+                for state_ok, state_falsified in states:
+                    ok &= state_ok
+                    falsified = falsified & state_ok | state_falsified
+                folded.append((ok, falsified))
+            yield from zip(batch, folded)
+
+    return _tally(config, ks, outcomes())
 
 
 def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, Sequence[int]]]:
@@ -516,7 +551,7 @@ def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, Sequence[
 
 
 def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
-    """Fold triple_check over the configured frame stream.
+    """Check every frame of the configured frame stream (see :func:`_run_partition`).
 
     With ``workers > 1`` the stream is partitioned across a process pool
     of at most ``os.cpu_count()`` processes and the partial reports merged;

@@ -85,9 +85,14 @@ def _check_p4(frame: Frame) -> Witness | None:
 def _check_p5(frame: Frame) -> Witness | None:
     """Some believed state selects a nonempty set for every event."""
     sel = frame.selection
+    events = canonical_events(frame.n)
     for s in range(frame.n):
-        for e in canonical_events(frame.n):
-            if all(sel[sp][e] == 0 for sp in frame.believed[s]):
+        members = frame.believed[s]
+        for e in events:
+            for sp in members:
+                if sel[sp][e]:
+                    break
+            else:
                 return Witness("P5", {"s": s}, {"E": e})
     return None
 

@@ -33,8 +33,9 @@ class AgmPostulateId(Enum):
 
 
 # Postulates with no frame condition: K1 and K6 hold on every frame, and
-# K5a holds through the empty-input convention.
-UNCONDITIONAL = frozenset({AgmPostulateId.K1, AgmPostulateId.K5A, AgmPostulateId.K6})
+# K5a holds through the empty-input convention.  A tuple, because testing
+# membership in it compares identities without calling the enum's hash.
+UNCONDITIONAL = (AgmPostulateId.K1, AgmPostulateId.K5A, AgmPostulateId.K6)
 
 
 def in_belief_set(m: Model, s: int, f: Formula) -> bool:
@@ -71,11 +72,11 @@ def agm_event_check(frame: Frame, s: int, k: AgmPostulateId) -> Witness | None:
     vacuous when E and F do not overlap, since selection is undefined on
     the empty event).  Returns None when the postulate holds.
     """
+    if k in UNCONDITIONAL:
+        return None
     union = frame.union[s]
     belief = frame.belief[s]
     events = canonical_events(frame.n)
-    if k in UNCONDITIONAL:
-        return None
     if k is AgmPostulateId.K2:
         for e in events:
             if union[e] & ~e:

@@ -240,21 +240,46 @@ def test_witness_prefers_lexicographically_least_assignment():
     assert seen > 100
 
 
-def _assert_rules_match_model_route(frame):
+def _assert_rules_match_model_route(frame) -> dict:
+    """Checks both rules and the table they read on one frame; returns the
+    oracle's verdict per rule."""
     evaluator = SchemaEvaluator(frame)
+    valid = {}
     for rule in RULES:
-        assert evaluator.check_rule(rule) == helpers.oracle_rule_valid(frame, rule), (
-            frame_digest(frame), rule)
+        expected = helpers.oracle_rule_valid(frame, rule)
+        assert evaluator.check_rule(rule) == expected, (frame_digest(frame), rule)
+        valid[rule] = expected is None
     # the table both rules read: bel_cond[a][c] is the truth set of B(p > r)
     # under p = a, r = c
     for a, c in product(range(frame.full + 1), repeat=2):
         expected = helpers.truth_set_unchecked(Model(frame, {"p": a, "r": c}), BEL_P_R)
         assert evaluator.bel_cond[a][c] == expected, (frame_digest(frame), a, c)
+    return valid
+
+
+def _lane_valid(evaluator, k, count: int) -> list[bool]:
+    """Validity of ``k`` on each of the evaluator's ``count`` frames, read
+    off its lane of ``lane_failures``."""
+    failures = evaluator.lane_failures(k)
+    return [not failures >> (i * evaluator.n) & evaluator.full for i in range(count)]
+
+
+def _assert_lanes_match(frames, batch: int, one_frame_check, ids) -> None:
+    """Runs ``one_frame_check`` (which returns the oracle's verdict per id)
+    on each frame, then checks every id's per-lane validity on evaluators
+    holding ``batch`` frames at a time against those verdicts."""
+    for lo in range(0, len(frames), batch):
+        part = frames[lo : lo + batch]
+        expected = [one_frame_check(frame) for frame in part]
+        evaluator = SchemaEvaluator(*part)
+        for k in ids:
+            assert _lane_valid(evaluator, k, len(part)) == [e[k] for e in expected], (
+                frame_digest(part[0]), len(part), k)
 
 
 def test_check_rule_equals_model_route_all_two_state_frames():
-    for frame in enumerate_frames(2):
-        _assert_rules_match_model_route(frame)
+    # per-lane rule validity on 250-frame batches against the same oracle
+    _assert_lanes_match(list(enumerate_frames(2)), 250, _assert_rules_match_model_route, RULES)
 
 
 def test_check_rule_equals_model_route_sampled_frames():
@@ -296,23 +321,28 @@ def test_replay_through_evaluator_equals_pointwise_truth_all_two_state_frames():
     assert replays > 36864
 
 
-def _assert_scans_match_oracle(frame):
+def _assert_scans_match_oracle(frame) -> dict:
+    """Checks the one-frame tables and witnesses; returns the oracle's
+    verdict per schema."""
     evaluator = SchemaEvaluator(frame)
     tables = helpers.oracle_tables(frame)
     assert (evaluator.bel, evaluator.bel_cond) == tables, frame_digest(frame)
+    valid = {}
     for axiom in SCHEMAS:
         expected = helpers.oracle_check_axiom(frame, axiom, tables)
         assert evaluator.check_axiom(axiom) == expected, (frame_digest(frame), axiom)
+        valid[axiom] = expected is None
+    return valid
 
 
 def test_scans_and_tables_equal_oracle_all_two_state_frames():
-    for frame in enumerate_frames(2):
-        _assert_scans_match_oracle(frame)
+    # per-lane schema validity on 250-frame batches against the same oracle
+    _assert_lanes_match(list(enumerate_frames(2)), 250, _assert_scans_match_oracle, SCHEMAS)
 
 
 def test_scans_and_tables_equal_oracle_sampled_three_state_frames():
-    for frame in sample_frames(3, 1000, seed=42):
-        _assert_scans_match_oracle(frame)
+    frames = list(sample_frames(3, 1000, seed=42))
+    _assert_lanes_match(frames, 250, _assert_scans_match_oracle, SCHEMAS)
 
 
 def test_scans_and_tables_equal_oracle_on_frames_where_every_schema_is_valid():
@@ -325,10 +355,58 @@ def test_scans_and_tables_equal_oracle_on_frames_where_every_schema_is_valid():
         _assert_scans_match_oracle(frame)
 
 
+def _ranked_among_failing(n: int, count: int, seed: int) -> list:
+    """Ranked frames (every schema and rule valid) alternating with sampled
+    frames, most of which fail some schema at an early assignment."""
+    rng = random.Random(seed)
+    sampled = list(sample_frames(n, count, seed=seed))
+    frames = []
+    for frame in sampled:
+        frames += [helpers.ranked_frame(rng, n), frame]
+    return frames
+
+
+def _one_frame_verdicts(frame) -> dict:
+    valid = _assert_scans_match_oracle(frame)
+    valid.update((rule, helpers.oracle_rule_valid(frame, rule) is None) for rule in RULES)
+    return valid
+
+
+def test_lane_verdicts_equal_oracle_valid_lanes_next_to_failing_lanes():
+    for n, count in ((1, 6), (2, 12), (3, 12), (4, 3)):
+        frames = _ranked_among_failing(n, count, seed=135 + n)
+        assert not all(_one_frame_verdicts(frames[1])[k] for k in SCHEMAS) or n == 1
+        for batch in (1, 3, len(frames)):
+            _assert_lanes_match(frames, batch, _one_frame_verdicts, SCHEMAS + RULES)
+        evaluator = SchemaEvaluator(*frames)
+        for k in SCHEMAS + RULES:
+            assert _lane_valid(evaluator, k, len(frames))[::2] == [True] * count, (n, k)
+        # one-frame witnesses come from the first frame's lane
+        for k in SCHEMAS:
+            assert evaluator.check_axiom(k) == SchemaEvaluator(frames[0]).check_axiom(k)
+        shifted = SchemaEvaluator(*frames[1:])
+        for k in SCHEMAS:
+            assert shifted.check_axiom(k) == SchemaEvaluator(frames[1]).check_axiom(k)
+        for k in RULES:
+            assert shifted.check_rule(k) is None
+
+
+def test_evaluator_refuses_no_frames_and_mixed_state_counts():
+    with pytest.raises(ValueError):
+        SchemaEvaluator()
+    for sizes in ((2, 3), (3, 2), (1, 2, 1)):
+        frames = [next(iter(sample_frames(n, 1, seed=136))) for n in sizes]
+        with pytest.raises(ValueError, match="same number of states"):
+            SchemaEvaluator(*frames)
+
+
 def test_holds_mask_equals_oracle_every_assignment_sampled_three_state():
+    # on one evaluator per frame, and read per lane off one evaluator
+    # holding every frame
     frames = list(sample_frames(3, 20, seed=133))
     frames += [helpers.ranked_frame(random.Random(134), 3)]
-    for frame in frames:
+    batched = SchemaEvaluator(*frames)
+    for lane, frame in enumerate(frames):
         evaluator = SchemaEvaluator(frame)
         tables = helpers.oracle_tables(frame)
         for axiom in SCHEMAS:
@@ -336,3 +414,5 @@ def test_holds_mask_equals_oracle_every_assignment_sampled_three_state():
                 expected = helpers.oracle_holds_mask(frame, tables, axiom, assignment)
                 assert evaluator.holds_mask(axiom, assignment) == expected, (
                     frame_digest(frame), axiom, assignment)
+                lane_mask = batched.holds_mask(axiom, assignment) >> (3 * lane) & frame.full
+                assert lane_mask == expected, (frame_digest(frame), axiom, assignment, lane)

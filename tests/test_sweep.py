@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 from concurrent.futures import Future
 from fractions import Fraction
 from math import comb
@@ -292,23 +294,23 @@ def test_merge_reports_rejects_mismatched_configs():
 
 
 def test_sweep_aborts_with_partial_report(monkeypatch):
+    # both routes decode every frame they check with frame_from_code
     calls = {"n": 0}
-    real = sweep_module.triple_check
+    real = sweep_module.frame_from_code
 
-    def flaky(frame, ks):
+    def flaky(n, code):
         calls["n"] += 1
         if calls["n"] > 50:
             raise RuntimeError("injected")
-        return real(frame, ks)
+        return real(n, code)
 
-    monkeypatch.setattr(sweep_module, "triple_check", flaky)
+    monkeypatch.setattr(sweep_module, "frame_from_code", flaky)
     cfg = SweepConfig(size=2, mode="random", count=200, seed=13, ks=(2,))
     with pytest.raises(SweepError) as exc:
         sweep(cfg, workers=1)
     assert exc.value.partial_report.totals["frames"] == 0  # single partition failed
 
     calls["n"] = 0
-    monkeypatch.setattr(sweep_module, "triple_check", flaky)
     # with several partitions the completed ones survive in the partial report
     payloads = sweep_module._make_payloads(cfg, 4)
     partials = []
@@ -327,10 +329,10 @@ def test_random_mode_refuses_five_states_without_override():
 
 
 def test_sweep_error_names_serial_partition(monkeypatch):
-    def failing(frame, ks):
+    def failing(n, code):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(sweep_module, "triple_check", failing)
+    monkeypatch.setattr(sweep_module, "frame_from_code", failing)
     cfg = SweepConfig(size=2, mode="random", count=200, seed=13, ks=(2,))
     with pytest.raises(SweepError) as exc:
         sweep(cfg, workers=1)
@@ -365,30 +367,30 @@ class InlineFailingPool:
 
 def test_sweep_error_names_pool_partition(monkeypatch):
     calls = {"n": 0}
-    real = sweep_module.triple_check
+    real = sweep_module.frame_from_code
 
-    def flaky(frame, ks):
+    def flaky(n, code):
         calls["n"] += 1
         if calls["n"] > 50:
             raise RuntimeError("injected")
-        return real(frame, ks)
+        return real(n, code)
 
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlineFailingPool)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(sweep_module, "triple_check", flaky)
-    # three partitions of 40 frames each: the second fails at its tenth frame
+    monkeypatch.setattr(sweep_module, "frame_from_code", flaky)
+    # three partitions of 40 frames each: the second fails at its eleventh frame
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
     with pytest.raises(SweepError) as exc:
         sweep(cfg, workers=3)
     assert str(exc.value) == "sweep aborted: partition codes[40:80] (seed 16) failed: injected"
     assert exc.value.partial_report.totals["frames"] == 40
 
-    def fails_on_last_code(frame, ks):
-        if frame_digest(frame) == "1:1":
+    def fails_on_last_code(n, code):
+        if (n, code) == (1, 1):
             raise RuntimeError("injected")
-        return real(frame, ks)
+        return real(n, code)
 
-    monkeypatch.setattr(sweep_module, "triple_check", fails_on_last_code)
+    monkeypatch.setattr(sweep_module, "frame_from_code", fails_on_last_code)
     with pytest.raises(SweepError) as exc:
         sweep(SweepConfig(size=1, mode="exhaustive"), workers=2)
     assert str(exc.value) == "sweep aborted: partition codes[1:2] failed: injected"
@@ -469,20 +471,23 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
         assert merged["replay"]["falsified"] < merged["replay"]["attempted"]
 
 
-def _count_triple_checks(monkeypatch) -> dict:
+def _count_checked_frames(monkeypatch) -> dict:
+    """Counts the frames (or profiles' uniform frames) that go through the
+    per-frame step, and checks that no batch exceeds BATCH_FRAMES."""
     calls = {"n": 0}
-    real = sweep_module.triple_check
+    real = sweep_module._batch_verdicts
 
-    def spy(frame, ks):
-        calls["n"] += 1
-        return real(frame, ks)
+    def spy(frames, ks):
+        assert 0 < len(frames) <= sweep_module.BATCH_FRAMES
+        calls["n"] += len(frames)
+        return real(frames, ks)
 
-    monkeypatch.setattr(sweep_module, "triple_check", spy)
+    monkeypatch.setattr(sweep_module, "_batch_verdicts", spy)
     return calls
 
 
 def test_route_choice_and_memo_lifetime(monkeypatch):
-    calls = _count_triple_checks(monkeypatch)
+    calls = _count_checked_frames(monkeypatch)
     first = sweep(SweepConfig(size=2, mode="exhaustive")).to_json()
     once = calls["n"]
     assert 0 < once <= 192
@@ -496,3 +501,54 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
     calls["n"] = 0
     sweep(SweepConfig(size=3, mode="random", count=1000, seed=42))
     assert calls["n"] == 1000
+
+
+# sha256 of the sorted-key JSON report without duration_ms: the byte-stable
+# report contract, recorded before sweeps were lane-batched.
+REPORT_DIGESTS = {
+    "exhaustive2": "058453b7bc09785f13f3d5ba24112eaeca0aeaed0aa91631c2dc0247a78e4dba",
+    "random3_1000_seed42": "acd118acf93ddf6bfc33be4a3bf6eb879f5803fe5758d14ee6dba98c87382c52",
+}
+
+
+def _report_digest(report: Report) -> str:
+    body = report.to_json()
+    body.pop("duration_ms")
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def test_report_digests_golden():
+    assert _report_digest(sweep(SweepConfig(size=2))) == REPORT_DIGESTS["exhaustive2"]
+    cfg = SweepConfig(size=3, mode="random", count=1000, seed=42)
+    for workers in (1, 2):
+        assert _report_digest(sweep(cfg, workers=workers)) == REPORT_DIGESTS[
+            "random3_1000_seed42"], workers
+
+
+def _per_frame_report(config: dict, codes) -> dict:
+    """The frame route as one triple_check (one lane) per frame."""
+    n, ks = config["size"], tuple(config["ks"])
+    report = Report.empty(config, ks)
+    for code in codes:
+        report.add_record(triple_check(frame_from_code(n, code), ks))
+    return report.to_json()
+
+
+def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
+    # ranked frames (every schema valid, so their lanes stay live to the end
+    # of each scan) interleaved with sampled ones; partition lengths are not
+    # multiples of the batch sizes
+    rng = random.Random(137)
+    every_k = sweep_module.DEFAULT_KS
+    for n, count, ks in ((1, 5, every_k), (2, 61, every_k), (3, 131, (8, 2, 5)), (4, 13, every_k)):
+        codes = []
+        for code in sweep_module._sample_codes(n, count, 138 + n):
+            codes += [code, frame_code(helpers.ranked_frame(rng, n))]
+        config = SweepConfig(size=n, mode="random", count=len(codes), seed=0, ks=ks).echo()
+        expected = _per_frame_report(config, codes)
+        assert expected["replay"]["attempted"] > 0 or n == 1
+        for batch in (1, 7, sweep_module.BATCH_FRAMES):
+            monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
+            assert sweep_module._check_frames(config, codes).to_json() == expected, (n, batch)
+            if n <= 2:
+                assert sweep_module._fold_profiles(config, codes).to_json() == expected, (n, batch)
