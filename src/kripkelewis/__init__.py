@@ -50,6 +50,7 @@ from .axioms import (
 )
 from .revision import (
     AgmPostulateId,
+    PostulateEvaluator,
     agm_event_check,
     expand_membership,
     in_belief_set,
@@ -85,8 +86,8 @@ __all__ = [
     "AxiomId", "MismatchedWitnessError", "PAIRED_PROPERTY", "SchemaEvaluator",
     "axiom_instance", "countermodel_from_witness", "rule_valid_on_frame",
     "schema_valid_on_frame",
-    "AgmPostulateId", "agm_event_check", "expand_membership", "in_belief_set",
-    "revise_membership",
+    "AgmPostulateId", "PostulateEvaluator", "agm_event_check", "expand_membership",
+    "in_belief_set", "revise_membership",
     "FrameRecord", "Report", "SweepConfig", "SweepError", "enumerate_frames",
     "frame_code", "frame_count", "frame_digest", "frame_from_code",
     "merge_reports", "sample_frames", "sweep", "triple_check",

@@ -36,20 +36,6 @@ RULE_IDS = frozenset({AxiomId.RULE_K5A, AxiomId.RULE_K6})
 
 LETTERS = ("p", "q", "r")
 
-# Letter ranges each scan takes: the letters a schema quantifies over;
-# RuleK5a fixes p to the empty event and RuleK6 sets q = p.
-_LETTER_COUNT = {
-    AxiomId.A1: 3,
-    AxiomId.A2: 1,
-    AxiomId.A3: 2,
-    AxiomId.A4: 2,
-    AxiomId.A5: 2,
-    AxiomId.A7: 3,
-    AxiomId.A8: 3,
-    AxiomId.RULE_K5A: 1,
-    AxiomId.RULE_K6: 2,
-}
-
 _P = Atom("p")
 _Q = Atom("q")
 _R = Atom("r")
@@ -322,20 +308,21 @@ class SchemaEvaluator:
     def holds_mask(self, k: AxiomId, assignment: tuple[int, ...]) -> int:
         """Mask of states, in every lane, where the instance of ``k`` under
         ``assignment`` holds."""
-        failed, _ = _SCANS[k](self, self.states, *[(x,) for x in assignment])
+        _, scan, _ = _SCANS[_SCAN_IDS.index(k)]
+        failed, _ = scan(self, self.states, *[(x,) for x in assignment])
         return self.states ^ failed
 
     def lane_failures(self, k: AxiomId) -> int:
         """State mask, over every lane, whose lane i is nonempty iff the
         schema or rule ``k`` fails on frame i."""
-        letters = range(self.full + 1)
-        return _SCANS[k](self, self.states, *[letters] * _LETTER_COUNT[k])[0]
+        _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
+        return scan(self, self.states, *[range(self.full + 1)] * letters)[0]
 
     def _first_witness(self, k: AxiomId) -> Witness | None:
         """None if ``k`` holds on the first frame, else its first falsifying
         assignment in ``product`` order with its lowest falsified state."""
-        letters = range(self.full + 1)
-        failed, assignment = _SCANS[k](self, self.full, *[letters] * _LETTER_COUNT[k])
+        _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
+        failed, assignment = scan(self, self.full, *[range(self.full + 1)] * letters)
         return None if assignment is None else _witness(k, failed, assignment)
 
     def check_axiom(self, k: AxiomId) -> Witness | None:
@@ -357,17 +344,23 @@ class SchemaEvaluator:
         return self._first_witness(k)
 
 
-_SCANS = {
-    AxiomId.A1: SchemaEvaluator._scan_a1,
-    AxiomId.A2: SchemaEvaluator._scan_a2,
-    AxiomId.A3: SchemaEvaluator._scan_a3,
-    AxiomId.A4: SchemaEvaluator._scan_a4,
-    AxiomId.A5: SchemaEvaluator._scan_a5,
-    AxiomId.A7: SchemaEvaluator._scan_a7,
-    AxiomId.A8: SchemaEvaluator._scan_a8,
-    AxiomId.RULE_K5A: SchemaEvaluator._scan_rule_k5a,
-    AxiomId.RULE_K6: SchemaEvaluator._scan_rule_k6,
-}
+# Each schema or rule with its scan and the letter ranges the scan takes:
+# the letters a schema quantifies over; RuleK5a fixes p to the empty event
+# and RuleK6 sets q = p.  Looked up by position in ``_SCAN_IDS``:
+# ``tuple.index`` compares identities, where a dict lookup would call the
+# enum's Python-level hash.
+_SCANS = (
+    (AxiomId.A1, SchemaEvaluator._scan_a1, 3),
+    (AxiomId.A2, SchemaEvaluator._scan_a2, 1),
+    (AxiomId.A3, SchemaEvaluator._scan_a3, 2),
+    (AxiomId.A4, SchemaEvaluator._scan_a4, 2),
+    (AxiomId.A5, SchemaEvaluator._scan_a5, 2),
+    (AxiomId.A7, SchemaEvaluator._scan_a7, 3),
+    (AxiomId.A8, SchemaEvaluator._scan_a8, 3),
+    (AxiomId.RULE_K5A, SchemaEvaluator._scan_rule_k5a, 1),
+    (AxiomId.RULE_K6, SchemaEvaluator._scan_rule_k6, 2),
+)
+_SCAN_IDS = tuple(k for k, _, _ in _SCANS)
 
 
 @lru_cache(maxsize=None)
@@ -427,6 +420,11 @@ PAIRED_PROPERTY = {
 }
 
 
+# PAIRED_PROPERTY as two tuples, read by position like ``_SCANS``.
+_PAIRED_AXIOMS = tuple(PAIRED_PROPERTY)
+_PAIRED_KINDS = tuple(prop.value for prop in PAIRED_PROPERTY.values())
+
+
 def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple[int, ...], int]:
     """Letter assignment (in ``LETTERS`` order) and state of the canonical
     countermodel to ``k`` built from a violation witness of the paired
@@ -436,8 +434,8 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
     p, and q and r take the derived events that make the axiom's
     antecedent true while its consequent fails.
     """
-    paired = PAIRED_PROPERTY.get(k)
-    if paired is None or w.kind != paired.value:
+    if k not in _PAIRED_AXIOMS or w.kind != _PAIRED_KINDS[_PAIRED_AXIOMS.index(k)]:
+        paired = PAIRED_PROPERTY.get(k)
         raise MismatchedWitnessError(
             f"witness for {w.kind!r} cannot refute {k.value} (needs {paired.value if paired else 'n/a'})"
         )

@@ -30,7 +30,8 @@ from .model import (
 )
 from .parser import format_formula, parse
 from .properties import PropertyId, check_property
-from .revision import AgmPostulateId, agm_event_check, revise_membership
+from .revision import AgmPostulateId, PostulateEvaluator, revise_membership
+from .revision import agm_event_check  # noqa: F401  unused; perfbench's tracer patches it by name
 from .correspondence import (
     MAX_RANDOM_SIZE,
     SweepConfig,
@@ -185,17 +186,20 @@ def cmd_agm_check(args) -> int:
     states = range(frame.n)
     if args.state is not None:
         states = [_state_arg(frame, args.state)]
+    evaluator = PostulateEvaluator(frame)
+    live = sum(1 << s for s in states)
+    witnesses = [(p.value, evaluator.witnesses(p, live)) for p in AgmPostulateId]
     results = {}
     failed = False
     for s in states:
         per_state = {}
-        for postulate in AgmPostulateId:
-            w = agm_event_check(frame, s, postulate)
+        for name, found in witnesses:
+            w = found[s]
             if w is None:
-                per_state[postulate.value] = {"holds": True}
+                per_state[name] = {"holds": True}
             else:
                 failed = True
-                per_state[postulate.value] = {"holds": False, "witness": w.to_json(frame)}
+                per_state[name] = {"holds": False, "witness": w.to_json(frame)}
         results[frame.states[s]] = per_state
     if args.json:
         print(_dump({"results": results}))

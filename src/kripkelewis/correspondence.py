@@ -8,8 +8,9 @@ for k = 4 the property must imply the postulate (the reverse direction is
 recorded as data, never as a failure).  Every property violation also
 replays its canonical countermodel, which must falsify the paired axiom.
 
-Sweeps check frames in batches: one lane-batched ``SchemaEvaluator``
-scans each schema and rule once for a whole batch (see
+Sweeps check frames in batches: a lane-batched ``SchemaEvaluator`` and
+``PostulateEvaluator`` scan each schema, rule and postulate once for a
+whole batch, and each distinct countermodel is replayed once (see
 :func:`_batch_verdicts`).  A sweep partition holding at least as many
 frames as there are local profiles ``(belief[s], union[s])`` folds each
 frame from memoised per-profile verdicts instead of checking it whole; see
@@ -32,8 +33,9 @@ from .model import Frame, bit_indices
 # Unused here; perfbench's tracer patches these names on this module.
 from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
 from .model import truth  # noqa: F401
+from .revision import agm_event_check  # noqa: F401
 from .properties import PropertyId, check_property
-from .revision import AgmPostulateId, agm_event_check
+from .revision import AgmPostulateId, PostulateEvaluator
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
 
@@ -196,39 +198,48 @@ _ALWAYS_VALID_AGM = (AgmPostulateId.K1, AgmPostulateId.K5A, AgmPostulateId.K6)
 
 def _batch_verdicts(frames: Sequence[Frame], ks: tuple[int, ...]) -> list[tuple[int, int]]:
     """Packed verdicts of each of these frames on the same states.  One
-    evaluator holds frame i in lane i, so each schema and rule is scanned
-    once for all of them; properties, postulates and replays are checked
-    per frame."""
-    evaluator = SchemaEvaluator(*frames)
+    schema and one postulate evaluator hold frame i in lane i, so each
+    schema, rule and postulate is scanned once for all of them; properties
+    are checked per frame.  Property violations are grouped by countermodel
+    (the axiom and its letter assignment), and each group is replayed once,
+    every violation reading its own state off the shared mask."""
+    schemas = SchemaEvaluator(*frames)
+    postulates = PostulateEvaluator(*frames)
     m = len(ks)
     axioms = [_AXIOM[k] for k in ks]
-    failures = [(evaluator.lane_failures(ax), m + i) for i, ax in enumerate(axioms)]
-    failures += [(evaluator.lane_failures(ax), 3 * m + j)
+    failures = [(schemas.lane_failures(ax), m + i) for i, ax in enumerate(axioms)]
+    failures += [(postulates.lane_failures(_AGM[k]), 2 * m + i) for i, k in enumerate(ks)]
+    failures += [(schemas.lane_failures(ax), 3 * m + j)
                  for j, ax in enumerate(_ALWAYS_VALID_AXIOMS)]
-    postulates = [(_AGM[k], 2 * m + i) for i, k in enumerate(ks)]
-    postulates += [(pid, 3 * m + j)
-                   for j, pid in enumerate(_ALWAYS_VALID_AGM, start=len(_ALWAYS_VALID_AXIOMS))]
-    n, full = evaluator.n, evaluator.full
-    out = []
+    failures += [(postulates.lane_failures(pid), 3 * m + j)
+                 for j, pid in enumerate(_ALWAYS_VALID_AGM, start=len(_ALWAYS_VALID_AXIOMS))]
+    n, full = schemas.n, schemas.full
+    # replays[i]: countermodel assignment -> (lane, state bit) of each
+    # violation of the property at position i of ks
+    replays: list[dict[tuple[int, ...], list[tuple[int, int]]]] = [{} for _ in ks]
+    ok_bits = []
     for lane, frame in enumerate(frames):
         shift = lane * n
-        ok = falsified = 0
+        ok = 0
         for i, k in enumerate(ks):
             w = check_property(frame, _PROP[k])
             if w is None:
                 ok |= 1 << i
                 continue
             assignment, s = countermodel_assignment(frame, axioms[i], w)
-            if not evaluator.holds_mask(axioms[i], assignment) >> (shift + s) & 1:
-                falsified |= 1 << i
+            replays[i].setdefault(assignment, []).append((lane, shift + s))
         for lane_failures, bit in failures:
             if not lane_failures >> shift & full:
                 ok |= 1 << bit
-        for pid, bit in postulates:
-            if all(agm_event_check(frame, s, pid) is None for s in range(n)):
-                ok |= 1 << bit
-        out.append((ok, falsified))
-    return out
+        ok_bits.append(ok)
+    falsified = [0] * len(frames)
+    for i, groups in enumerate(replays):
+        for assignment, violations in groups.items():
+            holds = schemas.holds_mask(axioms[i], assignment)
+            for lane, bit in violations:
+                if not holds >> bit & 1:
+                    falsified[lane] |= 1 << i
+    return list(zip(ok_bits, falsified))
 
 
 def _unpack_verdicts(
@@ -311,8 +322,9 @@ class SweepConfig:
                 f"({frame_count(self.size)} frames)"
             )
         bad = [k for k in self.ks if k not in DEFAULT_KS]
-        if bad or not self.ks:
-            raise ValueError(f"ks must be a nonempty subset of {DEFAULT_KS}, got {self.ks}")
+        if bad or not self.ks or len(set(self.ks)) != len(self.ks):
+            raise ValueError(
+                f"ks must be a nonempty subset of {DEFAULT_KS} without repeats, got {self.ks}")
 
     def echo(self) -> dict:
         return {
@@ -556,8 +568,10 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     With ``workers > 1`` the stream is partitioned across a process pool
     of at most ``os.cpu_count()`` processes and the partial reports merged;
     a worker failure aborts the sweep with a SweepError carrying the report
-    for whatever completed.
+    for whatever completed.  Refuses ``workers < 1``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cfg.validate()
     started = time.perf_counter()
     workers = min(workers, os.cpu_count() or 1)

@@ -15,9 +15,11 @@ event is some formula's truth set under some valuation.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 
 from .formula import Formula, require_boolean
-from .model import Frame, Model, Witness, canonical_events, truth_set
+from .model import Frame, Model, Witness, bit_indices, canonical_events, truth_set
 
 
 class AgmPostulateId(Enum):
@@ -70,45 +72,171 @@ def agm_event_check(frame: Frame, s: int, k: AgmPostulateId) -> Witness | None:
 
     Inputs range over nonempty events E (and F for K7/K8; those two are
     vacuous when E and F do not overlap, since selection is undefined on
-    the empty event).  Returns None when the postulate holds.
+    the empty event).  Returns None when the postulate holds, else the
+    first failing E (or (E, F)) in canonical order.
     """
-    if k in UNCONDITIONAL:
-        return None
-    union = frame.union[s]
-    belief = frame.belief[s]
-    events = canonical_events(frame.n)
-    if k is AgmPostulateId.K2:
-        for e in events:
-            if union[e] & ~e:
-                return Witness("K2", {"s": s}, {"E": e})
-        return None
-    if k is AgmPostulateId.K3:
-        for e in events:
-            if belief & e & ~union[e]:
-                return Witness("K3", {"s": s}, {"E": e})
-        return None
-    if k is AgmPostulateId.K4:
-        for e in events:
-            if belief & e and union[e] & ~belief:
-                return Witness("K4", {"s": s}, {"E": e})
-        return None
-    if k is AgmPostulateId.K5B:
-        for e in events:
-            if union[e] == 0:
-                return Witness("K5b", {"s": s}, {"E": e})
-        return None
-    if k is AgmPostulateId.K7:
+    return PostulateEvaluator(frame).witnesses(k, 1 << s)[s]
+
+
+class PostulateEvaluator:
+    """Event-level checker of the revision postulates at every state of
+    one or more frames on the same n states.
+
+    Frame i occupies lane i, as in ``SchemaEvaluator``: bit ``i*n + s`` of
+    a state mask stands for state s of frame i.  The tables hold n such
+    masks in one int, a block of ``width`` bits per state x: block x of
+    ``union[e]`` holds the states whose union of believed selections for
+    event e contains x, block x of ``belief`` those whose belief set
+    contains x, and ``inside[e]`` is every block x with x in e.  They are
+    read off ``frame.union`` and ``frame.belief`` alone, so the postulates
+    are checked independently of the schema evaluator's tables.
+    """
+
+    __slots__ = ("n", "width", "states", "inside", "belief", "union")
+
+    def __init__(self, *frames: Frame):
+        if not frames:
+            raise ValueError("need at least one frame")
+        n = frames[0].n
+        for frame in frames:
+            if frame.n != n:
+                raise ValueError("frames in one evaluator must have the same number of states")
+        self.n = n
+        self.width = n * len(frames)
+        self.states = (1 << self.width) - 1
+        self.inside = _inside(n, self.width)
+        self.union = _blocks([row for frame in frames for row in frame.union], n)
+        (self.belief,) = _blocks([(b,) for frame in frames for b in frame.belief], n)
+
+    def _fold(self, blocks: int) -> int:
+        """Mask of the states set in any block."""
+        mask = 0
+        while blocks:
+            mask |= blocks & self.states
+            blocks >>= self.width
+        return mask
+
+    # One scan per postulate: each walks the inputs E (or E, then F) in
+    # canonical order and yields the mask of states where the postulate
+    # fails on them, with the input.
+
+    def _scan_k2(self):
+        # union[E] inside E
+        full = len(self.inside) - 1
+        for e in canonical_events(self.n):
+            yield self._fold(self.union[e] & self.inside[full ^ e]), (e,)
+
+    def _scan_k3(self):
+        # belief & E inside union[E]
+        for e in canonical_events(self.n):
+            yield self._fold(self.belief & self.inside[e] & ~self.union[e]), (e,)
+
+    def _scan_k4(self):
+        # union[E] inside belief wherever belief meets E
+        belief = self.belief
+        for e in canonical_events(self.n):
+            out = self.union[e] & ~belief
+            if out:
+                yield self._fold(out) & self._fold(belief & self.inside[e]), (e,)
+
+    def _scan_k5b(self):
+        # union[E] nonempty
+        for e in canonical_events(self.n):
+            yield self.states & ~self._fold(self.union[e]), (e,)
+
+    def _scan_k7(self):
+        # union[E] & F inside union[E & F] when E and F overlap
+        union, inside = self.union, self.inside
+        events = canonical_events(self.n)
         for e in events:
             ue = union[e]
             for f in events:
-                if e & f and ue & f & ~union[e & f]:
-                    return Witness("K7", {"s": s}, {"E": e, "F": f})
-        return None
-    if k is AgmPostulateId.K8:
+                ef = e & f
+                if ef:
+                    out = ue & inside[f] & ~union[ef]
+                    if out:
+                        yield self._fold(out), (e, f)
+
+    def _scan_k8(self):
+        # union[E & F] inside union[E] & F when union[E] meets F
+        union, inside = self.union, self.inside
+        events = canonical_events(self.n)
         for e in events:
             ue = union[e]
             for f in events:
-                if e & f and ue & f and union[e & f] & ~(ue & f):
-                    return Witness("K8", {"s": s}, {"E": e, "F": f})
-        return None
-    raise ValueError(f"unknown postulate {k!r}")
+                ef = e & f
+                if ef:
+                    met = ue & inside[f]
+                    out = union[ef] & ~met
+                    if met and out:
+                        yield self._fold(out) & self._fold(met), (e, f)
+
+    def _hits(self, k: AgmPostulateId, live: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The scan of ``k`` on the states in ``live``: each input at which
+        some of them fail first, with those states, until none is left."""
+        if k in UNCONDITIONAL:
+            return []
+        hits = []
+        for bad, events in _SCANS[_SCANNED.index(k)](self):
+            bad &= live
+            if bad:
+                hits.append((bad, events))
+                live ^= bad
+                if not live:
+                    break
+        return hits
+
+    def lane_failures(self, k: AgmPostulateId) -> int:
+        """State mask, over every lane, of the states where ``k`` fails."""
+        failed = 0
+        for bad, _ in self._hits(k, self.states):
+            failed |= bad
+        return failed
+
+    def witnesses(self, k: AgmPostulateId, live: int | None = None) -> list[Witness | None]:
+        """Per state of the first frame: None where ``k`` holds or the state
+        is not in ``live`` (default: every state), else its first failing
+        input in canonical order."""
+        found: list[Witness | None] = [None] * self.n
+        full = (1 << self.n) - 1
+        for bad, events in self._hits(k, full if live is None else live & full):
+            for s in bit_indices(bad):
+                found[s] = Witness(k.value, {"s": s}, dict(zip(("E", "F"), events)))
+        return found
+
+
+# The postulates with a frame condition and their scans, looked up by
+# position like the schema scans in ``axioms``.
+_SCANNED = (AgmPostulateId.K2, AgmPostulateId.K3, AgmPostulateId.K4,
+            AgmPostulateId.K5B, AgmPostulateId.K7, AgmPostulateId.K8)
+_SCANS = (PostulateEvaluator._scan_k2, PostulateEvaluator._scan_k3, PostulateEvaluator._scan_k4,
+          PostulateEvaluator._scan_k5b, PostulateEvaluator._scan_k7, PostulateEvaluator._scan_k8)
+
+# _DIGITS[x][u] is the ASCII digit of bit x of the byte u.
+_DIGITS = [(b"0" * (1 << x) + b"1" * (1 << x)) * (128 >> x) for x in range(8)]
+
+
+def _blocks(rows, n: int) -> list[int]:
+    """Per column e of the equally long ``rows`` of events on n states:
+    block x has bit i set iff state x is in ``rows[i][e]``.
+
+    Spells each column as binary digits, highest bit first, and reads them
+    with ``int``: the rows are flattened into bytes (eight states at a
+    time), ``bytes.translate`` turns each byte into the digit of state x,
+    and a slice stepping back over the rows picks column e.
+    """
+    step = len(rows[0])
+    last = (len(rows) - 1) * step
+    digits = []
+    for low in range(0, n, 8):
+        values = chain.from_iterable(rows)
+        data = bytes(values) if n <= 8 else bytes(u >> low & 255 for u in values)
+        digits += [data.translate(_DIGITS[x]) for x in range(min(8, n - low))]
+    digits.reverse()  # highest state first
+    return [int(b"".join([d[last + e :: -step] for d in digits]), 2) for e in range(step)]
+
+
+@lru_cache(maxsize=None)
+def _inside(n: int, width: int) -> tuple[int, ...]:
+    """Indexed by event e: every bit of block x for each state x in e."""
+    return tuple(_blocks([range(1 << n)] * width, n))

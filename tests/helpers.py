@@ -7,7 +7,8 @@ bitmasks, rules of inference through concrete models instead of the
 schema evaluator's tables, P7 and P8 through their literal quantifier
 forms, sampled frames as drawn tuples instead of frame codes, the
 evaluator's tables by per-entry subset tests and its schema scans as one
-mask formula per schema under ``product``.  Expected values frozen into
+mask formula per schema under ``product``, and the postulates by loops
+over one state's union table.  Expected values frozen into
 the golden tests were computed with these.
 """
 
@@ -18,6 +19,7 @@ from functools import partial
 from itertools import chain, combinations, product
 
 from kripkelewis import (
+    AgmPostulateId,
     And,
     Atom,
     AxiomId,
@@ -503,6 +505,54 @@ def ranked_frame(rng: random.Random, n: int) -> Frame:
                 row.append(rng.randrange(full + 1))
         selection.append(row)
     return Frame([f"s{i}" for i in range(n)], [believed] * n, selection)
+
+
+# --- postulate oracle: one state at a time over the union table ----------
+
+def oracle_agm_event_check(frame: Frame, s: int, k: AgmPostulateId) -> Witness | None:
+    """One postulate at one state by direct loops over ``frame.union[s]``:
+    None if it holds, else the first failing E (or (E, F)) in canonical
+    order."""
+    if k in (AgmPostulateId.K1, AgmPostulateId.K5A, AgmPostulateId.K6):
+        return None
+    union = frame.union[s]
+    belief = frame.belief[s]
+    events = canonical_events(frame.n)
+    if k is AgmPostulateId.K2:
+        for e in events:
+            if union[e] & ~e:
+                return Witness("K2", {"s": s}, {"E": e})
+        return None
+    if k is AgmPostulateId.K3:
+        for e in events:
+            if belief & e & ~union[e]:
+                return Witness("K3", {"s": s}, {"E": e})
+        return None
+    if k is AgmPostulateId.K4:
+        for e in events:
+            if belief & e and union[e] & ~belief:
+                return Witness("K4", {"s": s}, {"E": e})
+        return None
+    if k is AgmPostulateId.K5B:
+        for e in events:
+            if union[e] == 0:
+                return Witness("K5b", {"s": s}, {"E": e})
+        return None
+    if k is AgmPostulateId.K7:
+        for e in events:
+            ue = union[e]
+            for f in events:
+                if e & f and ue & f & ~union[e & f]:
+                    return Witness("K7", {"s": s}, {"E": e, "F": f})
+        return None
+    if k is AgmPostulateId.K8:
+        for e in events:
+            ue = union[e]
+            for f in events:
+                if e & f and ue & f and union[e & f] & ~(ue & f):
+                    return Witness("K8", {"s": s}, {"E": e, "F": f})
+        return None
+    raise ValueError(f"unknown postulate {k!r}")
 
 
 # --- hand-built fixture frames --------------------------------------------

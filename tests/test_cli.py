@@ -181,6 +181,26 @@ def test_sweep_command_refuses_five_state_random_mode(capsys):
     assert "frames: 1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--ks", "2,2"), ("--ks", "5,2,5"), ("--workers", "0"), ("--workers", "-3"),
+])
+def test_sweep_command_refuses_repeated_ks_and_no_workers(capsys, argv):
+    code, out, err = run(capsys, "sweep", "--size", "2", "--json", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_agm_check_restricted_state_equals_full_run(capsys, fx2_path):
+    # --state prints the same lines for that state as a run over every state
+    _, full, _ = run(capsys, "agm-check", "--frame", fx2_path)
+    for state in ("s0", "s1"):
+        code, out, _ = run(capsys, "agm-check", "--frame", fx2_path, "--state", state)
+        assert code == 1
+        assert out.splitlines() == [line for line in full.splitlines()
+                                    if line.startswith(state + " ")]
+
+
 def test_json_outputs_are_byte_stable(capsys, fx2_path):
     outputs = []
     for _ in range(2):

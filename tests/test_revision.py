@@ -11,13 +11,16 @@ from kripkelewis import (
     Model,
     Not,
     Or,
+    PostulateEvaluator,
     PropertyId,
     agm_event_check,
     check_property,
+    enumerate_frames,
     expand_membership,
     frame_digest,
     in_belief_set,
     revise_membership,
+    sample_frames,
     truth,
 )
 
@@ -180,3 +183,104 @@ def test_p4_implies_k4_everywhere():
             reverse_gap_seen = True
     assert implications > 20
     assert reverse_gap_seen
+
+
+# --- the lane-packed postulate evaluator against the per-state oracle -----
+
+def _assert_postulates_match_oracle(frames, batch: int = 250) -> None:
+    """Per-state verdicts of every postulate, read off ``lane_failures`` on
+    evaluators holding ``batch`` frames, and each frame's witnesses from a
+    one-frame evaluator, against ``helpers.oracle_agm_event_check``."""
+    for lo in range(0, len(frames), batch):
+        part = frames[lo : lo + batch]
+        evaluator = PostulateEvaluator(*part)
+        expected = [
+            {k: [helpers.oracle_agm_event_check(frame, s, k) for s in range(frame.n)]
+             for k in AgmPostulateId}
+            for frame in part
+        ]
+        for k in AgmPostulateId:
+            failures = evaluator.lane_failures(k)
+            n = part[0].n
+            for lane, frame in enumerate(part):
+                failed = [bool(failures >> (lane * n + s) & 1) for s in range(n)]
+                assert failed == [w is not None for w in expected[lane][k]], (
+                    frame_digest(frame), k, lo)
+        for frame, per_k in zip(part, expected):
+            one = PostulateEvaluator(frame)
+            for k, witnesses in per_k.items():
+                assert one.witnesses(k) == witnesses, (frame_digest(frame), k)
+
+
+def test_postulate_evaluator_equals_oracle_all_two_state_frames():
+    _assert_postulates_match_oracle(list(enumerate_frames(2)))
+
+
+def test_postulate_evaluator_equals_oracle_sampled_three_state_frames():
+    frames = list(sample_frames(3, 1000, seed=42))
+    _assert_postulates_match_oracle(frames)
+    for frame in frames[:200]:
+        for k in AgmPostulateId:
+            for s in range(frame.n):
+                assert agm_event_check(frame, s, k) == helpers.oracle_agm_event_check(
+                    frame, s, k), (frame_digest(frame), s, k)
+
+
+def test_postulate_evaluator_on_ranked_frames_one_to_five_states():
+    # every postulate holds on a ranked frame, so every scan runs to its end
+    rng = random.Random(139)
+    for n in (1, 2, 3, 4, 5):
+        frames = [helpers.ranked_frame(rng, n) for _ in range(4)]
+        for frame in frames:
+            for k in AgmPostulateId:
+                for s in range(n):
+                    assert helpers.oracle_agm_event_check(frame, s, k) is None
+        _assert_postulates_match_oracle(frames, batch=len(frames))
+        _assert_postulates_match_oracle(frames, batch=1)
+
+
+def test_postulate_lanes_valid_next_to_failing():
+    # 250-lane evaluators: ranked frames (every postulate holds) alternating
+    # with sampled frames, most of which fail some postulate
+    rng = random.Random(140)
+    for n, count in ((1, 125), (2, 125), (3, 125), (4, 20)):
+        frames = []
+        for frame in sample_frames(n, count, seed=141 + n):
+            frames += [helpers.ranked_frame(rng, n), frame]
+        assert any(
+            helpers.oracle_agm_event_check(frame, s, k)
+            for frame in frames[1::2] for k in AgmPostulateId for s in range(n)
+        ) or n == 1
+        _assert_postulates_match_oracle(frames)
+        _assert_postulates_match_oracle(frames, batch=3)
+        evaluator = PostulateEvaluator(*frames)
+        for k in AgmPostulateId:
+            # witnesses come from the first frame's lane
+            shifted = PostulateEvaluator(*frames[1:])
+            assert shifted.witnesses(k) == PostulateEvaluator(frames[1]).witnesses(k), (n, k)
+            assert evaluator.witnesses(k) == [None] * n, (n, k)
+
+
+def test_postulate_evaluator_beyond_eight_states():
+    # events on more than eight states are read eight states at a time
+    frame = next(sample_frames(9, 1, seed=142))
+    _assert_postulates_match_oracle([frame, frame])
+
+
+def test_witnesses_restricted_to_live_states():
+    for frame in sample_frames(3, 50, seed=143):
+        evaluator = PostulateEvaluator(frame)
+        for k in AgmPostulateId:
+            every = evaluator.witnesses(k)
+            for live in range(8):
+                assert evaluator.witnesses(k, live) == [
+                    w if live >> s & 1 else None for s, w in enumerate(every)
+                ], (frame_digest(frame), k, live)
+
+
+def test_postulate_evaluator_refuses_no_frames_and_mixed_state_counts():
+    with pytest.raises(ValueError):
+        PostulateEvaluator()
+    frames = [next(sample_frames(n, 1, seed=144)) for n in (2, 3)]
+    with pytest.raises(ValueError, match="same number of states"):
+        PostulateEvaluator(*frames)

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from kripkelewis import (
     Frame,
     PropertyId,
     Report,
+    SchemaEvaluator,
     SweepConfig,
     SweepError,
     check_property,
@@ -30,6 +32,7 @@ from kripkelewis import (
     truth,
 )
 import kripkelewis.correspondence as sweep_module
+from kripkelewis.axioms import countermodel_assignment
 
 import helpers
 
@@ -438,13 +441,22 @@ def test_profile_route_equals_frame_route_three_state_codes():
 
 
 def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
-    real_agm = sweep_module.agm_event_check
     real_assignment = sweep_module.countermodel_assignment
 
-    def broken_k2(frame, s, k):
-        if k is sweep_module.AgmPostulateId.K2 and frame.union[s][3] == 0:
-            return "broken"
-        return real_agm(frame, s, k)
+    class BrokenK2(sweep_module.PostulateEvaluator):
+        # K2 also fails at every state whose union for the event {s0, s1} is empty
+        def __init__(self, *frames):
+            super().__init__(*frames)
+            self.broken = sum(
+                1 << (lane * frame.n + s)
+                for lane, frame in enumerate(frames)
+                for s in range(frame.n)
+                if frame.union[s][3] == 0
+            )
+
+        def lane_failures(self, k):
+            failed = super().lane_failures(k)
+            return failed | self.broken if k is sweep_module.AgmPostulateId.K2 else failed
 
     def broken_a2_recipe(frame, k, w):
         assignment, s = real_assignment(frame, k, w)
@@ -452,7 +464,7 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
             return (0,), s  # the empty event cannot falsify A2
         return assignment, s
 
-    monkeypatch.setattr(sweep_module, "agm_event_check", broken_k2)
+    monkeypatch.setattr(sweep_module, "PostulateEvaluator", BrokenK2)
     monkeypatch.setattr(sweep_module, "countermodel_assignment", broken_a2_recipe)
     for n, count, seed in ((2, 900, 18), (3, 120, 19)):
         config = SweepConfig(size=n, mode="random", count=count, seed=seed).echo()
@@ -552,3 +564,107 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
             assert sweep_module._check_frames(config, codes).to_json() == expected, (n, batch)
             if n <= 2:
                 assert sweep_module._fold_profiles(config, codes).to_json() == expected, (n, batch)
+
+
+def test_sweep_config_refuses_repeated_ks():
+    for ks in ((2, 2), (2, 5, 2), (8, 8, 8)):
+        with pytest.raises(ValueError, match="without repeats"):
+            SweepConfig(size=2, ks=ks).validate()
+        with pytest.raises(ValueError, match="without repeats"):
+            sweep(SweepConfig(size=2, ks=ks))
+
+
+def test_sweep_refuses_fewer_than_one_worker():
+    cfg = SweepConfig(size=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            sweep(cfg, workers=workers)
+
+
+# --- grouped countermodel replays against one replay per violation ---------
+
+def _per_violation_falsified(frame, ks) -> int:
+    """Bit i set iff the countermodel of the violated property at position i
+    of ks falsifies its axiom, replayed alone on a one-frame evaluator."""
+    evaluator = SchemaEvaluator(frame)
+    falsified = 0
+    for i, k in enumerate(ks):
+        w = check_property(frame, PropertyId(f"P{k}"))
+        if w is None:
+            continue
+        axiom = AxiomId(f"A{k}")
+        assignment, s = countermodel_assignment(frame, axiom, w)
+        if not evaluator.holds_mask(axiom, assignment) >> s & 1:
+            falsified |= 1 << i
+    return falsified
+
+
+def _assert_grouped_replays_match(frames, ks=sweep_module.DEFAULT_KS, batch=250) -> int:
+    """Checks the ``falsified`` verdicts of ``_batch_verdicts`` on batches of
+    ``batch`` frames; returns how many property violations were replayed."""
+    replays = 0
+    for lo in range(0, len(frames), batch):
+        part = frames[lo : lo + batch]
+        for frame, (ok, falsified) in zip(part, sweep_module._batch_verdicts(part, ks)):
+            assert falsified == _per_violation_falsified(frame, ks), (frame_digest(frame), ks)
+            replays += sum(not ok >> i & 1 for i in range(len(ks)))
+    return replays
+
+
+def test_grouped_replays_equal_per_violation_replays_all_two_state_frames():
+    assert _assert_grouped_replays_match(list(enumerate_frames(2))) > 36864
+
+
+def test_grouped_replays_equal_per_violation_replays_sampled_three_state_frames():
+    frames = list(sample_frames(3, 1000, seed=42))
+    assert _assert_grouped_replays_match(frames) == 5587
+    # positions of ks, not k itself, tell the replays apart
+    _assert_grouped_replays_match(frames[:250], ks=(3, 5, 3, 4))
+
+
+def test_grouped_replays_equal_per_violation_replays_ranked_among_sampled():
+    # ranked frames (every property holds) on 1 to 5 states next to sampled
+    # ones, in batches that mix them
+    rng = random.Random(145)
+    for n, count in ((1, 20), (2, 125), (3, 125), (4, 30), (5, 3)):
+        frames = []
+        for frame in sample_frames(n, count, seed=146 + n):
+            frames += [helpers.ranked_frame(rng, n), frame]
+        for batch in (1, 7, 250):
+            replays = _assert_grouped_replays_match(frames, batch=batch)
+            assert replays > 0 or n == 1
+
+
+def test_batch_replays_once_per_distinct_countermodel(monkeypatch):
+    # the 1,000 seed-42 frames in batches of 250: 5,587 violations share
+    # 526 distinct (axiom, assignment) countermodels within their batches
+    frames = list(sample_frames(3, 1000, seed=42))
+    replayed = []
+    real = SchemaEvaluator.holds_mask
+
+    def spy(self, k, assignment):
+        replayed.append((lo, k, assignment))
+        return real(self, k, assignment)
+
+    monkeypatch.setattr(SchemaEvaluator, "holds_mask", spy)
+    for lo in range(0, 1000, 250):
+        sweep_module._batch_verdicts(frames[lo : lo + 250], sweep_module.DEFAULT_KS)
+    assert len(replayed) == len(set(replayed)) == 526
+
+
+def test_partition_hashes_no_enum_per_frame(monkeypatch):
+    # dispatch on axiom, property and postulate ids compares identities;
+    # only per-batch lookups may hash an id
+    hashes = [0]
+    real = enum.Enum.__hash__
+
+    def counting(self):
+        hashes[0] += 1
+        return real(self)
+
+    config = SweepConfig(size=3, mode="random", count=1000, seed=42).echo()
+    codes = list(sweep_module._sample_codes(3, 1000, 42))
+    monkeypatch.setattr(enum.Enum, "__hash__", counting)
+    sweep_module._run_partition(config, codes)
+    monkeypatch.undo()
+    assert hashes[0] <= 100
