@@ -286,8 +286,11 @@ def cmd_sweep(args) -> int:
     report = sweep(cfg, workers=args.workers)
     payload = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(_dump(payload) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(_dump(payload) + "\n")
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.out}: {exc}") from exc
     if args.json:
         print(_dump(payload))
     else:

@@ -90,12 +90,9 @@ def frame_code(frame: Frame) -> int:
 
 def frame_from_code(n: int, code: int) -> Frame:
     full = (1 << n) - 1
-    base = full + 1
-    digits = []
-    for _ in range(n * full):
-        code, d = divmod(code, base)
-        digits.append(d)
-    digits.reverse()
+    # the selection digits are base 2^n, so each is an n-bit field
+    digits = [code >> n * i & full for i in reversed(range(n * full))]
+    code >>= n * n * full
     belief = []
     for _ in range(n):
         code, d = divmod(code, full)
@@ -103,11 +100,7 @@ def frame_from_code(n: int, code: int) -> Frame:
     belief.reverse()
     if code:
         raise ValueError("code out of range for this state count")
-    selection = []
-    i = 0
-    for _ in range(n):
-        selection.append([0] + digits[i : i + full])
-        i += full
+    selection = [[0, *digits[i : i + full]] for i in range(0, n * full, full)]
     return Frame(_state_names(n), belief, selection)
 
 

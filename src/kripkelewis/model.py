@@ -13,9 +13,10 @@ nothing, or be empty.  The property checkers ask for more only when asked.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from operator import or_
 
 from .formula import (
     Atom,
@@ -86,7 +87,8 @@ class Frame:
     ``selection[s][e]`` is the selected event for state s and nonempty event
     e; index 0 of each row is a placeholder that is never consulted.
     ``union[s][e]`` caches the union of ``selection[x][e]`` over believed
-    ``x``, the event supporting revised beliefs at s.
+    ``x``, the event supporting revised beliefs at s; states with the same
+    belief set share one row, the OR of their believed states' rows.
     """
 
     __slots__ = ("states", "n", "full", "belief", "selection", "union", "believed")
@@ -103,16 +105,16 @@ class Frame:
         self.belief = tuple(belief)
         self.selection = tuple(tuple(row) for row in selection)
         self.believed = tuple(tuple(bit_indices(b)) for b in self.belief)
-        union = []
-        for s in range(self.n):
-            row = [0] * (self.full + 1)
-            for e in range(1, self.full + 1):
-                u = 0
-                for x in self.believed[s]:
-                    u |= self.selection[x][e]
-                row[e] = u
-            union.append(tuple(row))
-        self.union = tuple(union)
+        union = {}
+        for b, believed in zip(self.belief, self.believed):
+            if b not in union:
+                row = (0,) * (self.full + 1)
+                for x in believed:
+                    row = map(or_, row, self.selection[x])
+                row = list(row)
+                row[0] = 0
+                union[b] = tuple(row)
+        self.union = tuple([union[b] for b in self.belief])
 
     def state_index(self, name: str) -> int:
         try:
@@ -323,57 +325,62 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
     if not isinstance(raw_belief, Mapping):
         return None, [FrameIssue("bad_structure", "'belief' must be an object")]
     raw_selection = data.get("selection", [])
-    if not isinstance(raw_selection, (list, tuple)) or not all(
-        isinstance(entry, Mapping) for entry in raw_selection
-    ):
-        return None, [FrameIssue("bad_structure", "'selection' must be a list of objects")]
+    bad_selection = FrameIssue("bad_structure", "'selection' must be a list of objects")
+    if not isinstance(raw_selection, (list, tuple)):
+        return None, [bad_selection]
     n = len(states)
-    index = {name: i for i, name in enumerate(states)}
+    bits = {name: 1 << i for i, name in enumerate(states)}
     full = (1 << n) - 1
 
-    def mask_of(names, where: str) -> int | None:
+    def mask_of(names, where: str, name: str) -> int | None:
+        # where.format(name) names the field; formatted only into an issue
         if not isinstance(names, (list, tuple)):
-            issues.append(FrameIssue("bad_structure", f"{where} must be a list of state names"))
+            issues.append(FrameIssue(
+                "bad_structure", f"{where.format(name)} must be a list of state names"))
             return None
         mask = 0
         ok = True
-        for name in names:
-            i = index.get(name) if isinstance(name, str) else None
-            if i is None:
-                issues.append(FrameIssue("unknown_state", f"{name!r} in {where}"))
+        for x in names:
+            try:
+                mask |= bits[x]
+            except (KeyError, TypeError):
+                issues.append(FrameIssue("unknown_state", f"{x!r} in {where.format(name)}"))
                 ok = False
-            else:
-                mask |= 1 << i
         return mask if ok else None
 
-    belief = [0] * n
+    belief = dict.fromkeys(states, 0)
     for name, members in raw_belief.items():
-        i = index.get(name)
-        if i is None:
+        if name not in belief:
             issues.append(FrameIssue("unknown_state", f"{name!r} in belief"))
             continue
-        mask = mask_of(members, f"belief[{name}]")
+        mask = mask_of(members, "belief[{}]", name)
         if mask is not None:
-            belief[i] = mask
-    for i, mask in enumerate(belief):
+            belief[name] = mask
+    for name, mask in belief.items():
         if mask == 0:
-            issues.append(FrameIssue("non_serial", f"belief set of {states[i]} is empty"))
+            issues.append(FrameIssue("non_serial", f"belief set of {name} is empty"))
 
     needed = n * full
     if needed - len(raw_selection) > MAX_MISSING_SELECTION_ENTRIES:
+        if not all(isinstance(entry, Mapping) for entry in raw_selection):
+            return None, [bad_selection]
         issues.append(FrameIssue(
             "missing_selection_entry",
             f"{len(raw_selection)} selection entries given, {n} states need {needed}"))
         return None, issues
-    selection = [[None] * (full + 1) for _ in range(n)]
+    selection = [[0] + [None] * full for _ in range(n)]
+    rows = dict(zip(states, selection))
     for entry in raw_selection:
+        # dict first: its check is in C, the Mapping ABC's runs Python code
+        if not isinstance(entry, (dict, Mapping)):
+            return None, [bad_selection]
         name = entry.get("state")
-        i = index.get(name) if isinstance(name, str) else None
-        if i is None:
+        row = rows.get(name) if isinstance(name, str) else None
+        if row is None:
             issues.append(FrameIssue("unknown_state", f"{name!r} in selection"))
             continue
-        event = mask_of(entry.get("event", []), f"selection event for {name}")
-        selected = mask_of(entry.get("selected", []), f"selection value for {name}")
+        event = mask_of(entry.get("event", []), "selection event for {}", name)
+        selected = mask_of(entry.get("selected", []), "selection value for {}", name)
         if event is None or selected is None:
             continue
         if event == 0:
@@ -381,7 +388,7 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
                 FrameIssue("empty_event", f"selection entry for {name} has an empty event")
             )
             continue
-        if selection[i][event] is not None:
+        if row[event] is not None:
             issues.append(
                 FrameIssue(
                     "duplicate_selection_entry",
@@ -389,22 +396,18 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
                 )
             )
             continue
-        selection[i][event] = selected
-    for i in range(n):
-        for e in range(1, full + 1):
-            if selection[i][e] is None:
+        row[event] = selected
+    for name, row in zip(states, selection):
+        for e, value in enumerate(row):
+            if value is None:
                 names = ", ".join(states[j] for j in bit_indices(e))
                 issues.append(
-                    FrameIssue(
-                        "missing_selection_entry",
-                        f"no entry for ({states[i]}, {{{names}}})",
-                    )
+                    FrameIssue("missing_selection_entry", f"no entry for ({name}, {{{names}}})")
                 )
 
     if issues:
         return None, issues
-    rows = [[0] + [row[e] for e in range(1, full + 1)] for row in selection]
-    return Frame(states, belief, rows), []
+    return Frame(states, belief.values(), selection), []
 
 
 def load_frame(data: Mapping) -> Frame:
@@ -441,18 +444,16 @@ def load_model(data: Mapping) -> Model:
 
 
 def frame_to_json(frame: Frame) -> dict:
+    names = [frame.event_names(e) for e in range(frame.full + 1)]
+    # each entry gets copies, so no two entries share a list
     selection = [
-        {
-            "state": frame.states[s],
-            "event": frame.event_names(e),
-            "selected": frame.event_names(frame.selection[s][e]),
-        }
-        for s in range(frame.n)
+        {"state": frame.states[s], "event": [*names[e]], "selected": [*names[row[e]]]}
+        for s, row in enumerate(frame.selection)
         for e in canonical_events(frame.n)
     ]
     return {
         "states": list(frame.states),
-        "belief": {frame.states[s]: frame.event_names(frame.belief[s]) for s in range(frame.n)},
+        "belief": {frame.states[s]: [*names[b]] for s, b in enumerate(frame.belief)},
         "selection": selection,
     }
 

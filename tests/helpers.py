@@ -7,14 +7,16 @@ bitmasks, rules of inference through concrete models instead of the
 schema evaluator's tables, P7 and P8 through their literal quantifier
 forms, sampled frames as drawn tuples instead of frame codes, the
 evaluator's tables by per-entry subset tests and its schema scans as one
-mask formula per schema under ``product``, and the postulates by loops
-over one state's union table.  Expected values frozen into
-the golden tests were computed with these.
+mask formula per schema under ``product``, the postulates by loops
+over one state's union table, and the frame loader, union table, code
+decoder and JSON writer by the per-entry loops they replaced.  Expected
+values frozen into the golden tests were computed with these.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from functools import partial
 from itertools import chain, combinations, product
 
@@ -27,6 +29,7 @@ from kripkelewis import (
     Box,
     Cond,
     Frame,
+    FrameIssue,
     Iff,
     Implies,
     Model,
@@ -40,6 +43,7 @@ from kripkelewis import (
     sample_frames,
 )
 from kripkelewis.axioms import LETTERS
+from kripkelewis.model import MAX_MISSING_SELECTION_ENTRIES, bit_indices
 from kripkelewis.model import _truth as truth_unchecked
 from kripkelewis.model import _truth_set as truth_set_unchecked
 
@@ -553,6 +557,167 @@ def oracle_agm_event_check(frame: Frame, s: int, k: AgmPostulateId) -> Witness |
                     return Witness("K8", {"s": s}, {"E": e, "F": f})
         return None
     raise ValueError(f"unknown postulate {k!r}")
+
+
+# --- loader oracles: the per-entry loops the table operations replaced ----
+
+def oracle_validate_frame(data):
+    """The loader's validation as two passes over the selection entries with
+    per-entry ``where`` strings: ``((states, belief, selection), [])`` with
+    the tables as tuples, or ``(None, issues)``."""
+    if not isinstance(data, Mapping):
+        return None, [FrameIssue("bad_structure", "a frame must be a JSON object")]
+    issues = []
+    raw_states = data.get("states")
+    if not isinstance(raw_states, (list, tuple)) or not raw_states:
+        return None, [FrameIssue("bad_structure", "'states' must be a nonempty list")]
+    if not all(isinstance(s, str) for s in raw_states):
+        return None, [FrameIssue("bad_structure", "state names must be strings")]
+    states = tuple(raw_states)
+    if len(set(states)) != len(states):
+        return None, [FrameIssue("bad_structure", "duplicate state names")]
+    raw_belief = data.get("belief", {})
+    if not isinstance(raw_belief, Mapping):
+        return None, [FrameIssue("bad_structure", "'belief' must be an object")]
+    raw_selection = data.get("selection", [])
+    if not isinstance(raw_selection, (list, tuple)) or not all(
+        isinstance(entry, Mapping) for entry in raw_selection
+    ):
+        return None, [FrameIssue("bad_structure", "'selection' must be a list of objects")]
+    n = len(states)
+    index = {name: i for i, name in enumerate(states)}
+    full = (1 << n) - 1
+
+    def mask_of(names, where: str) -> int | None:
+        if not isinstance(names, (list, tuple)):
+            issues.append(FrameIssue("bad_structure", f"{where} must be a list of state names"))
+            return None
+        mask = 0
+        ok = True
+        for name in names:
+            i = index.get(name) if isinstance(name, str) else None
+            if i is None:
+                issues.append(FrameIssue("unknown_state", f"{name!r} in {where}"))
+                ok = False
+            else:
+                mask |= 1 << i
+        return mask if ok else None
+
+    belief = [0] * n
+    for name, members in raw_belief.items():
+        i = index.get(name)
+        if i is None:
+            issues.append(FrameIssue("unknown_state", f"{name!r} in belief"))
+            continue
+        mask = mask_of(members, f"belief[{name}]")
+        if mask is not None:
+            belief[i] = mask
+    for i, mask in enumerate(belief):
+        if mask == 0:
+            issues.append(FrameIssue("non_serial", f"belief set of {states[i]} is empty"))
+
+    needed = n * full
+    if needed - len(raw_selection) > MAX_MISSING_SELECTION_ENTRIES:
+        issues.append(FrameIssue(
+            "missing_selection_entry",
+            f"{len(raw_selection)} selection entries given, {n} states need {needed}"))
+        return None, issues
+    selection = [[None] * (full + 1) for _ in range(n)]
+    for entry in raw_selection:
+        name = entry.get("state")
+        i = index.get(name) if isinstance(name, str) else None
+        if i is None:
+            issues.append(FrameIssue("unknown_state", f"{name!r} in selection"))
+            continue
+        event = mask_of(entry.get("event", []), f"selection event for {name}")
+        selected = mask_of(entry.get("selected", []), f"selection value for {name}")
+        if event is None or selected is None:
+            continue
+        if event == 0:
+            issues.append(
+                FrameIssue("empty_event", f"selection entry for {name} has an empty event")
+            )
+            continue
+        if selection[i][event] is not None:
+            issues.append(
+                FrameIssue(
+                    "duplicate_selection_entry",
+                    f"({name}, {{{', '.join(sorted(set(entry.get('event', []))))}}}) appears twice",
+                )
+            )
+            continue
+        selection[i][event] = selected
+    for i in range(n):
+        for e in range(1, full + 1):
+            if selection[i][e] is None:
+                names = ", ".join(states[j] for j in bit_indices(e))
+                issues.append(
+                    FrameIssue(
+                        "missing_selection_entry",
+                        f"no entry for ({states[i]}, {{{names}}})",
+                    )
+                )
+
+    if issues:
+        return None, issues
+    rows = tuple(tuple([0] + [row[e] for e in range(1, full + 1)]) for row in selection)
+    return (states, tuple(belief), rows), []
+
+
+def oracle_union(frame: Frame) -> tuple[tuple[int, ...], ...]:
+    """``frame.union`` by the triple loop over states, events and believed
+    states."""
+    union = []
+    for s in range(frame.n):
+        row = [0] * (frame.full + 1)
+        for e in range(1, frame.full + 1):
+            u = 0
+            for x in bit_indices(frame.belief[s]):
+                u |= frame.selection[x][e]
+            row[e] = u
+        union.append(tuple(row))
+    return tuple(union)
+
+
+def oracle_frame_from_code(n: int, code: int) -> Frame:
+    """Decode a frame code one ``divmod`` digit at a time."""
+    full = (1 << n) - 1
+    base = full + 1
+    digits = []
+    for _ in range(n * full):
+        code, d = divmod(code, base)
+        digits.append(d)
+    digits.reverse()
+    belief = []
+    for _ in range(n):
+        code, d = divmod(code, full)
+        belief.append(d + 1)
+    belief.reverse()
+    if code:
+        raise ValueError("code out of range for this state count")
+    selection = [[0] + digits[s * full:(s + 1) * full] for s in range(n)]
+    return Frame([f"s{i}" for i in range(n)], belief, selection)
+
+
+def oracle_model_to_json(m: Model) -> dict:
+    """``model_to_json`` with ``event_names`` called per entry."""
+    frame = m.frame
+    return {
+        "states": list(frame.states),
+        "belief": {frame.states[s]: frame.event_names(frame.belief[s]) for s in range(frame.n)},
+        "selection": [
+            {
+                "state": frame.states[s],
+                "event": frame.event_names(e),
+                "selected": frame.event_names(frame.selection[s][e]),
+            }
+            for s in range(frame.n)
+            for e in canonical_events(frame.n)
+        ],
+        "valuation": {
+            atom: frame.event_names(mask) for atom, mask in sorted(m.valuation.items())
+        },
+    }
 
 
 # --- hand-built fixture frames --------------------------------------------

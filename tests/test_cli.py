@@ -152,6 +152,19 @@ def test_sweep_command(capsys, tmp_path):
     assert set(written["per_axiom"]) == {"P2", "P5"}
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_sweep_out_that_cannot_be_written_is_one_error_line(capsys, tmp_path, target):
+    path = tmp_path / target
+    for extra in ([], ["--json"]):
+        code, out, err = run(
+            capsys, "sweep", "--size", "1", "--out", str(path), *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_sweep_command_requires_seed_in_random_mode(capsys):
     code, _, err = run(capsys, "sweep", "--size", "2", "--mode", "random", "--count", "10")
     assert code == 2

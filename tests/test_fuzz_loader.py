@@ -13,7 +13,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from kripkelewis import validate_frame  # noqa: E402
 from kripkelewis.cli import main  # noqa: E402
+
+import helpers  # noqa: E402
 
 NAMES = st.sampled_from(["s0", "s1", "s2", "", "p"])
 
@@ -117,3 +120,15 @@ def test_frame_loader_never_crashes(input_path, data):
 def test_model_loader_never_crashes(input_path, data):
     argv = ["eval", "--model", str(input_path), "--state", "s0", "--formula", "B(p > q)"]
     _assert_clean_exit(input_path, data, argv)
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=JSON_VALUES | near_frames())
+def test_validate_frame_equals_two_pass_oracle(data):
+    frame, issues = validate_frame(data)
+    tables, expected = helpers.oracle_validate_frame(data)
+    assert issues == expected
+    if frame is None:
+        assert tables is None
+    else:
+        assert (frame.states, frame.belief, frame.selection) == tables

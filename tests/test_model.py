@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -13,12 +14,14 @@ from kripkelewis import (
     Model,
     Not,
     Or,
+    enumerate_frames,
     frame_to_json,
     load_frame,
     load_model,
     model_to_json,
     parse,
     revised_support,
+    sample_frames,
     truth,
     truth_set,
     validate_frame,
@@ -262,3 +265,34 @@ def test_model_json_round_trip():
         loaded = load_model(model_to_json(model))
         assert loaded.frame == model.frame
         assert loaded.valuation == model.valuation
+
+
+@functools.cache
+def _table_frames() -> tuple:
+    """Every two-state frame, the 1,000 seed-42 three-state frames, ranked
+    frames on one to five states, a row with nonzero placeholders and an
+    empty belief set (the constructor does not check seriality)."""
+    rng = random.Random(115)
+    return (
+        *enumerate_frames(2),
+        *sample_frames(3, 1000, seed=42),
+        *(helpers.ranked_frame(rng, n) for n in range(1, 6) for _ in range(20)),
+        Frame(("a", "b"), (0b11, 0b01), ((3, 1, 2, 3), (2, 0, 1, 2))),
+        Frame(("a", "b"), (0, 0b10), ((0, 1, 2, 3), (0, 2, 0, 1))),
+    )
+
+
+def test_union_rows_equal_triple_loop_oracle():
+    for frame in _table_frames():
+        assert frame.union == helpers.oracle_union(frame), frame
+
+
+def test_json_writers_equal_per_entry_oracle():
+    rng = random.Random(116)
+    for frame in _table_frames():
+        valuation = {atom: rng.randrange(frame.full + 1) for atom in ("p", "q")}
+        model = Model(frame, valuation)
+        expected = helpers.oracle_model_to_json(model)
+        assert model_to_json(model) == expected
+        del expected["valuation"]
+        assert frame_to_json(frame) == expected

@@ -77,6 +77,22 @@ def test_code_round_trip():
         frame_from_code(2, frame_count(2))
 
 
+def test_frame_from_code_equals_divmod_oracle():
+    rng = random.Random(117)
+    cases = [(n, code) for n in (1, 2) for code in range(frame_count(n))]
+    cases += [(n, rng.randrange(frame_count(n))) for n in (3, 4, 5) for _ in range(300)]
+    for n, code in cases:
+        assert frame_from_code(n, code) == helpers.oracle_frame_from_code(n, code), (n, code)
+    for n in (1, 2, 3, 4):
+        count = frame_count(n)
+        for code in (count, count + 1, 2 * count, -1, -count):
+            with pytest.raises(ValueError) as got:
+                frame_from_code(n, code)
+            with pytest.raises(ValueError) as expected:
+                helpers.oracle_frame_from_code(n, code)
+            assert str(got.value) == str(expected.value)
+
+
 def test_enumeration_is_deterministic():
     first = [frame_digest(f) for _, f in zip(range(100), enumerate_frames(2))]
     second = [frame_digest(f) for _, f in zip(range(100), enumerate_frames(2))]
