@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .formula import And, Atom, Bel, Box, Cond, Formula, Implies, Not
-from .model import Frame, Model, Witness
+from .model import Frame, Model, Witness, shared_size
 from .model import truth_set  # noqa: F401  unused; perfbench's tracer patches it by name
 from .properties import PropertyId
 
@@ -92,12 +92,7 @@ class SchemaEvaluator:
     __slots__ = ("n", "full", "states", "low", "bel", "bel_cond")
 
     def __init__(self, *frames: Frame):
-        if not frames:
-            raise ValueError("need at least one frame")
-        n = frames[0].n
-        for frame in frames:
-            if frame.n != n:
-                raise ValueError("frames in one evaluator must have the same number of states")
+        n = shared_size(frames)
         full = (1 << n) - 1
         self.n = n
         self.full = full

@@ -33,6 +33,7 @@ from .properties import PropertyId, check_property
 from .revision import AgmPostulateId, PostulateEvaluator, revise_membership
 from .revision import agm_event_check  # noqa: F401  unused; perfbench's tracer patches it by name
 from .correspondence import (
+    DEFAULT_KS,
     MAX_RANDOM_SIZE,
     SweepConfig,
     SweepError,
@@ -87,7 +88,9 @@ def _code_frame(text: str):
 
 
 def _model_arg(args):
-    return load_model(_read_json(args.model))
+    """The model of ``--model`` and the index of ``--state`` in it."""
+    model = load_model(_read_json(args.model))
+    return model, _state_arg(model.frame, args.state)
 
 
 def _state_arg(container, name: str) -> int:
@@ -97,88 +100,71 @@ def _state_arg(container, name: str) -> int:
         raise _InputError(str(exc)) from exc
 
 
+def _emit(args, payload, lines) -> None:
+    """Print ``payload()`` as JSON under ``--json``, else each of ``lines()``;
+    both are thunks, so only the printed side is built."""
+    if args.json:
+        print(_dump(payload()))
+    else:
+        for line in lines():
+            print(line)
+
+
+def _outcome(key: str, w, frame) -> dict:
+    """``{key: True}`` when the check found no witness ``w``, else
+    ``{key: False, "witness": ...}``."""
+    return {key: True} if w is None else {key: False, "witness": w.to_json(frame)}
+
+
+def _verdict(label: str, key: str, outcome: dict) -> str:
+    """The text line of an ``_outcome``: ``label: key`` when it holds."""
+    if outcome[key]:
+        return f"{label}: {key}"
+    return f"{label}: FAIL {json.dumps(outcome['witness'], sort_keys=True)}"
+
+
+def _id_arg(kind, what: str, text: str):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise _InputError(f"unknown {what} {text!r}") from exc
+
+
 def cmd_parse(args) -> int:
     f = parse(args.formula)
-    if args.json:
-        print(_dump({"ast": repr(f), "class": classify(f).value, "formula": format_formula(f)}))
-    else:
-        print(f"formula: {format_formula(f)}")
-        print(f"class: {classify(f).value}")
-        print(f"ast: {f!r}")
+    _emit(args, lambda: {"ast": repr(f), "class": classify(f).value, "formula": format_formula(f)},
+          lambda: (f"formula: {format_formula(f)}", f"class: {classify(f).value}", f"ast: {f!r}"))
     return 0
 
 
 def cmd_eval(args) -> int:
-    model = _model_arg(args)
-    s = _state_arg(model.frame, args.state)
+    model, s = _model_arg(args)
     f = parse(args.formula)
     value = truth(model, s, f)
-    if args.json:
-        print(_dump({"formula": format_formula(f), "state": args.state, "value": value}))
-    else:
-        print("true" if value else "false")
+    _emit(args, lambda: {"formula": format_formula(f), "state": args.state, "value": value},
+          lambda: ("true" if value else "false",))
     return 0
-
-
-def _props_arg(text: str | None) -> list[PropertyId]:
-    if not text:
-        return list(PropertyId)
-    out = []
-    for piece in text.split(","):
-        try:
-            out.append(PropertyId(piece.strip()))
-        except ValueError as exc:
-            raise _InputError(f"unknown property {piece.strip()!r}") from exc
-    return out
 
 
 def cmd_frame_check(args) -> int:
     frame = _frame_arg(args)
-    results = {}
-    failed = False
-    for prop in _props_arg(args.props):
-        w = check_property(frame, prop)
-        if w is None:
-            results[prop.value] = {"pass": True}
-        else:
-            failed = True
-            results[prop.value] = {"pass": False, "witness": w.to_json(frame)}
-    if args.json:
-        print(_dump({"results": results}))
-    else:
-        for name, res in results.items():
-            if res["pass"]:
-                print(f"{name}: pass")
-            else:
-                print(f"{name}: FAIL {json.dumps(res['witness'], sort_keys=True)}")
-    return 1 if failed else 0
-
-
-def _axiom_arg(text: str) -> AxiomId:
-    try:
-        return AxiomId(text)
-    except ValueError as exc:
-        raise _InputError(f"unknown axiom {text!r}") from exc
+    props = list(PropertyId)
+    if args.props:
+        props = [_id_arg(PropertyId, "property", piece.strip()) for piece in args.props.split(",")]
+    results = {p.value: _outcome("pass", check_property(frame, p), frame) for p in props}
+    _emit(args, lambda: {"results": results},
+          lambda: (_verdict(name, "pass", res) for name, res in results.items()))
+    return 0 if all(res["pass"] for res in results.values()) else 1
 
 
 def cmd_axiom_check(args) -> int:
     frame = _frame_arg(args)
-    axiom = _axiom_arg(args.axiom)
-    if axiom in RULE_IDS:
-        w = rule_valid_on_frame(frame, axiom)
-    else:
-        w = schema_valid_on_frame(frame, axiom)
-    if args.json:
-        payload = {"axiom": axiom.value, "valid": w is None}
-        if w is not None:
-            payload["witness"] = w.to_json(frame)
-        print(_dump(payload))
-    else:
-        if w is None:
-            print(f"{axiom.value}: valid")
-        else:
-            print(f"{axiom.value}: FAIL {json.dumps(w.to_json(frame), sort_keys=True)}")
-    return 0 if w is None else 1
+    axiom = _id_arg(AxiomId, "axiom", args.axiom)
+    check = rule_valid_on_frame if axiom in RULE_IDS else schema_valid_on_frame
+    outcome = _outcome("valid", check(frame, axiom), frame)
+    _emit(args, lambda: {"axiom": axiom.value, **outcome},
+          lambda: (_verdict(axiom.value, "valid", outcome),))
+    return 0 if outcome["valid"] else 1
 
 
 def cmd_agm_check(args) -> int:
@@ -189,67 +175,37 @@ def cmd_agm_check(args) -> int:
     evaluator = PostulateEvaluator(frame)
     live = sum(1 << s for s in states)
     witnesses = [(p.value, evaluator.witnesses(p, live)) for p in AgmPostulateId]
-    results = {}
-    failed = False
-    for s in states:
-        per_state = {}
-        for name, found in witnesses:
-            w = found[s]
-            if w is None:
-                per_state[name] = {"holds": True}
-            else:
-                failed = True
-                per_state[name] = {"holds": False, "witness": w.to_json(frame)}
-        results[frame.states[s]] = per_state
-    if args.json:
-        print(_dump({"results": results}))
-    else:
-        for state_name, per_state in results.items():
-            for name, res in per_state.items():
-                if res["holds"]:
-                    print(f"{state_name} {name}: holds")
-                else:
-                    print(
-                        f"{state_name} {name}: FAIL "
-                        f"{json.dumps(res['witness'], sort_keys=True)}"
-                    )
-    return 1 if failed else 0
+    results = {
+        frame.states[s]: {name: _outcome("holds", found[s], frame) for name, found in witnesses}
+        for s in states
+    }
+    _emit(args, lambda: {"results": results},
+          lambda: (_verdict(f"{state} {name}", "holds", res)
+                   for state, per_state in results.items() for name, res in per_state.items()))
+    return 0 if all(found[s] is None for _, found in witnesses for s in states) else 1
 
 
 def cmd_revise(args) -> int:
-    model = _model_arg(args)
-    s = _state_arg(model.frame, args.state)
+    model, s = _model_arg(args)
     input_f = parse(args.input)
     query = parse(args.query)
     member = revise_membership(model, s, input_f, query)
-    if args.json:
-        print(
-            _dump(
-                {
-                    "input": format_formula(input_f),
-                    "member": member,
-                    "query": format_formula(query),
-                    "state": args.state,
-                }
-            )
-        )
-    else:
-        print("true" if member else "false")
+    _emit(args, lambda: {"input": format_formula(input_f), "member": member,
+                         "query": format_formula(query), "state": args.state},
+          lambda: ("true" if member else "false",))
     return 0
 
 
 def cmd_countermodel(args) -> int:
     frame = _frame_arg(args)
-    axiom = _axiom_arg(args.axiom)
+    axiom = _id_arg(AxiomId, "axiom", args.axiom)
     paired = PAIRED_PROPERTY.get(axiom)
     if paired is None:
         raise _InputError(f"{axiom.value} is valid on every frame; no countermodel exists")
     w = check_property(frame, paired)
     if w is None:
-        if args.json:
-            print(_dump({"axiom": axiom.value, "valid": True}))
-        else:
-            print(f"{axiom.value}: valid on this frame; no countermodel")
+        _emit(args, lambda: {"axiom": axiom.value, "valid": True},
+              lambda: (f"{axiom.value}: valid on this frame; no countermodel",))
         return 0
     model, s, instance = countermodel_from_witness(frame, axiom, w)
     payload = {
@@ -267,11 +223,24 @@ def cmd_countermodel(args) -> int:
 
 def _ks_arg(text: str | None) -> tuple[int, ...]:
     if not text:
-        return (2, 3, 4, 5, 7, 8)
+        return DEFAULT_KS
     try:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
         raise _InputError(f"bad --ks value {text!r}") from exc
+
+
+def _sweep_lines(report):
+    """The text report of a sweep, one line at a time."""
+    yield f"frames: {report.totals['frames']}"
+    yield f"discrepancies: {len(report.discrepancies)}"
+    yield f"replay: {report.replay['falsified']}/{report.replay['attempted']} falsified"
+    yield "always_valid: " + " ".join(f"{k}={v}" for k, v in report.always_valid.items())
+    for name, cells in report.per_axiom.items():
+        yield f"{name}: " + " ".join(f"{cell}={v}" for cell, v in cells.items())
+    for entry in report.discrepancies:
+        yield f"discrepancy: {json.dumps(entry, sort_keys=True)}"
+    yield f"duration_ms: {report.duration_ms}"
 
 
 def cmd_sweep(args) -> int:
@@ -291,23 +260,45 @@ def cmd_sweep(args) -> int:
                 handle.write(_dump(payload) + "\n")
         except OSError as exc:
             raise _InputError(f"cannot write {args.out}: {exc}") from exc
-    if args.json:
-        print(_dump(payload))
-    else:
-        print(f"frames: {report.totals['frames']}")
-        print(f"discrepancies: {len(report.discrepancies)}")
-        print(f"replay: {report.replay['falsified']}/{report.replay['attempted']} falsified")
-        always = " ".join(f"{k}={v}" for k, v in report.always_valid.items())
-        print(f"always_valid: {always}")
-        for name, cells in report.per_axiom.items():
-            print(
-                f"{name}: pp={cells['pp']} pf={cells['pf']} "
-                f"fp={cells['fp']} ff={cells['ff']}"
-            )
-        for entry in report.discrepancies:
-            print(f"discrepancy: {json.dumps(entry, sort_keys=True)}")
-        print(f"duration_ms: {report.duration_ms}")
+    _emit(args, lambda: payload, lambda: _sweep_lines(report))
     return 1 if report.discrepancies else 0
+
+
+def _subset_help(ids) -> str:
+    return "comma-separated subset of " + ",".join(map(str, ids))
+
+
+_REQUIRED = {"required": True}
+
+# Each subcommand: name, handler, help, whether it reads a frame from
+# --frame or --code, and its other arguments with their add_argument
+# keywords.  Every subcommand also takes --json.
+_COMMANDS = (
+    ("parse", cmd_parse, "parse a formula and report its class", False, (("formula", {}),)),
+    ("eval", cmd_eval, "evaluate a formula at a state of a model", False,
+     (("--model", _REQUIRED), ("--state", _REQUIRED), ("--formula", _REQUIRED))),
+    ("frame-check", cmd_frame_check, "check frame properties", True,
+     (("--props", {"help": _subset_help(p.value for p in PropertyId)}),)),
+    ("axiom-check", cmd_axiom_check, "check an axiom schema or rule on a frame", True,
+     (("--axiom", _REQUIRED),)),
+    ("agm-check", cmd_agm_check, "check the revision postulates at each state", True,
+     (("--state", {}),)),
+    ("revise", cmd_revise, "membership of a query in a revised belief set", False,
+     (("--model", _REQUIRED), ("--state", _REQUIRED), ("--input", _REQUIRED),
+      ("--query", _REQUIRED))),
+    ("countermodel", cmd_countermodel, "build the canonical countermodel for an axiom", True,
+     (("--axiom", _REQUIRED),)),
+    ("sweep", cmd_sweep, "run the correspondence sweep over many frames", False, (
+        ("--size", {"type": int, "required": True}),
+        ("--mode", {"choices": ("exhaustive", "random"), "default": "exhaustive"}),
+        ("--count", {"type": int}),
+        ("--seed", {"type": int}),
+        ("--ks", {"help": _subset_help(DEFAULT_KS)}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--out", {"help": "write the JSON report to this path"}),
+        ("--allow-large", {"action": "store_true"}),
+    )),
+)
 
 
 @functools.cache
@@ -318,62 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Belief-revision workbench over finite Kripke-Lewis frames.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, func, help_text, reads_frame, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(func=func)
-        return p
-
-    def add_frame_source(p):
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--frame", help="frame JSON file")
-        source.add_argument(
-            "--code",
-            metavar="N:CODE",
-            help=f"frame digest as a sweep report prints it (N from 1 to {MAX_RANDOM_SIZE})",
-        )
-
-    p = add("parse", cmd_parse, help="parse a formula and report its class")
-    p.add_argument("formula")
-
-    p = add("eval", cmd_eval, help="evaluate a formula at a state of a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--formula", required=True)
-
-    p = add("frame-check", cmd_frame_check, help="check frame properties")
-    add_frame_source(p)
-    p.add_argument("--props", help="comma-separated subset of P2,P3,P4,P5,P7,P8")
-
-    p = add("axiom-check", cmd_axiom_check, help="check an axiom schema or rule on a frame")
-    add_frame_source(p)
-    p.add_argument("--axiom", required=True)
-
-    p = add("agm-check", cmd_agm_check, help="check the revision postulates at each state")
-    add_frame_source(p)
-    p.add_argument("--state")
-
-    p = add("revise", cmd_revise, help="membership of a query in a revised belief set")
-    p.add_argument("--model", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--query", required=True)
-
-    p = add("countermodel", cmd_countermodel, help="build the canonical countermodel for an axiom")
-    add_frame_source(p)
-    p.add_argument("--axiom", required=True)
-
-    p = add("sweep", cmd_sweep, help="run the correspondence sweep over many frames")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ks", help="comma-separated subset of 2,3,4,5,7,8")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--allow-large", action="store_true")
-
+        if reads_frame:
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--frame", help="frame JSON file")
+            source.add_argument(
+                "--code",
+                metavar="N:CODE",
+                help=f"frame digest as a sweep report prints it (N from 1 to {MAX_RANDOM_SIZE})",
+            )
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return top
 
 

@@ -23,31 +23,32 @@ import os
 import random
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .axioms import AxiomId, SchemaEvaluator, countermodel_assignment
+from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, countermodel_assignment
 from .model import Frame, bit_indices
 
 # Unused here; perfbench's tracer patches these names on this module.
 from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
 from .model import truth  # noqa: F401
 from .revision import agm_event_check  # noqa: F401
-from .properties import PropertyId, check_property
-from .revision import AgmPostulateId, PostulateEvaluator
+from .properties import check_property
+from .revision import UNCONDITIONAL, AgmPostulateId, PostulateEvaluator
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
 
-_PROP = {2: PropertyId.P2, 3: PropertyId.P3, 4: PropertyId.P4,
-         5: PropertyId.P5, 7: PropertyId.P7, 8: PropertyId.P8}
-_AXIOM = {2: AxiomId.A2, 3: AxiomId.A3, 4: AxiomId.A4,
-          5: AxiomId.A5, 7: AxiomId.A7, 8: AxiomId.A8}
+# k -> Ak and k -> Pk, read off the axiom-property pairing.
+_AXIOM = {int(axiom.value[1:]): axiom for axiom in PAIRED_PROPERTY}
+_PROP = {k: PAIRED_PROPERTY[axiom] for k, axiom in _AXIOM.items()}
 _AGM = {2: AgmPostulateId.K2, 3: AgmPostulateId.K3, 4: AgmPostulateId.K4,
         5: AgmPostulateId.K5B, 7: AgmPostulateId.K7, 8: AgmPostulateId.K8}
 _AGM_NAME = {k: _AGM[k].value for k in DEFAULT_KS}
 
-ALWAYS_VALID_NAMES = ("A1", "RuleK5a", "RuleK6", "K1", "K5a", "K6")
+# A1, the two rules and the unconditional postulates hold on every frame.
+_ALWAYS_VALID_AXIOMS = (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6)
+ALWAYS_VALID_NAMES = tuple(x.value for x in _ALWAYS_VALID_AXIOMS + UNCONDITIONAL)
 
 
 class SweepError(RuntimeError):
@@ -179,10 +180,6 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
 # states; a larger batch only holds more frames at once.
 BATCH_FRAMES = 250
 
-# In ALWAYS_VALID_NAMES order.
-_ALWAYS_VALID_AXIOMS = (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6)
-_ALWAYS_VALID_AGM = (AgmPostulateId.K1, AgmPostulateId.K5A, AgmPostulateId.K6)
-
 # A frame's verdicts packed into two ints, with ``ks`` indexed by position
 # i and m = len(ks).  ``ok``: bit i is Pk, bit m + i is Ak, bit 2m + i is Kk
 # at every state, then one bit per ALWAYS_VALID_NAMES entry.  ``falsified``:
@@ -205,7 +202,7 @@ def _batch_verdicts(frames: Sequence[Frame], ks: tuple[int, ...]) -> list[tuple[
     failures += [(schemas.lane_failures(ax), 3 * m + j)
                  for j, ax in enumerate(_ALWAYS_VALID_AXIOMS)]
     failures += [(postulates.lane_failures(pid), 3 * m + j)
-                 for j, pid in enumerate(_ALWAYS_VALID_AGM, start=len(_ALWAYS_VALID_AXIOMS))]
+                 for j, pid in enumerate(UNCONDITIONAL, start=len(_ALWAYS_VALID_AXIOMS))]
     n, full = schemas.n, schemas.full
     # replays[i]: countermodel assignment -> (lane, state bit) of each
     # violation of the property at position i of ks
@@ -309,6 +306,8 @@ class SweepConfig:
                     f"(one frame's check scans {(1 << self.size) ** 3} assignments per "
                     "three-letter axiom)"
                 )
+        elif self.count is not None or self.seed is not None:
+            raise ValueError("exhaustive mode takes no count or seed")
         elif self.size >= 3 and not self.allow_large:
             raise ValueError(
                 "exhaustive mode for size >= 3 requires allow_large "
@@ -377,16 +376,7 @@ class Report:
         self.discrepancies.extend(record.discrepancies)
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "totals": self.totals,
-            "per_axiom": self.per_axiom,
-            "per_agm": self.per_agm,
-            "always_valid": self.always_valid,
-            "replay": self.replay,
-            "discrepancies": self.discrepancies,
-            "duration_ms": self.duration_ms,
-        }
+        return asdict(self)
 
 
 def merge_reports(parts: list[Report]) -> Report:

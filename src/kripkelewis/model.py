@@ -146,6 +146,17 @@ class Frame:
         return f"Frame(n={self.n}, belief={self.belief}, selection={self.selection})"
 
 
+def shared_size(frames: tuple[Frame, ...]) -> int:
+    """The state count shared by the frames that one evaluator checks in lanes."""
+    if not frames:
+        raise ValueError("need at least one frame")
+    n = frames[0].n
+    for frame in frames:
+        if frame.n != n:
+            raise ValueError("frames in one evaluator must have the same number of states")
+    return n
+
+
 class Model:
     """A frame plus a valuation; atoms absent from the valuation denote the empty event."""
 

@@ -195,9 +195,9 @@ class _Parser:
             if kind == "not":
                 node = Not(body)
             elif kind == "bel":
-                node = self._make_bel(body, body_start, offset)
+                node = self._make_bel(body, body_start)
             else:
-                node = self._make_box(body, body_start, offset)
+                node = self._make_box(body, body_start)
         self.nesting -= 1
         return node, offset, depth + 1
 
@@ -212,7 +212,7 @@ class _Parser:
             )
         return Cond(lhs, rhs)
 
-    def _make_bel(self, body: Formula, body_start: int, op_offset: int) -> Formula:
+    def _make_bel(self, body: Formula, body_start: int) -> Formula:
         if classify(body) not in PHI1_CLASSES:
             raise StratificationError(
                 body_start,
@@ -221,7 +221,7 @@ class _Parser:
             )
         return Bel(body)
 
-    def _make_box(self, body: Formula, body_start: int, op_offset: int) -> Formula:
+    def _make_box(self, body: Formula, body_start: int) -> Formula:
         if classify(body) is not SyntacticClass.PHI0:
             raise StratificationError(
                 body_start, "'[]' must apply to a Boolean formula", format_formula(body)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .formula import Formula, require_boolean
-from .model import Frame, Model, Witness, bit_indices, canonical_events, truth_set
+from .model import Frame, Model, Witness, bit_indices, canonical_events, shared_size, truth_set
 
 
 class AgmPostulateId(Enum):
@@ -95,12 +95,7 @@ class PostulateEvaluator:
     __slots__ = ("n", "width", "states", "inside", "belief", "union")
 
     def __init__(self, *frames: Frame):
-        if not frames:
-            raise ValueError("need at least one frame")
-        n = frames[0].n
-        for frame in frames:
-            if frame.n != n:
-                raise ValueError("frames in one evaluator must have the same number of states")
+        n = shared_size(frames)
         self.n = n
         self.width = n * len(frames)
         self.states = (1 << self.width) - 1

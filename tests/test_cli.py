@@ -171,6 +171,15 @@ def test_sweep_command_requires_seed_in_random_mode(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("argv", [("--seed", "3"), ("--count", "-3"), ("--count", "5")])
+def test_sweep_command_refuses_seed_and_count_in_exhaustive_mode(capsys, argv):
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "sweep", "--size", "1", *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: exhaustive mode takes no count or seed\n"
+
+
 def test_sweep_command_refuses_large_exhaustive(capsys):
     code, _, err = run(capsys, "sweep", "--size", "3")
     assert code == 2
@@ -438,3 +447,60 @@ def test_falsy_non_object_valuation_is_bad_structure(capsys, tmp_path, valuation
     code, _, err = _run_on(capsys, tmp_path, data, "eval")
     assert code == 2
     assert err == "error: bad_structure: 'valuation' must be an object\n"
+
+
+_FRAME = {"frame": "f.json", "code": None}
+_NO_FRAME = {"frame": None, "code": None}
+_SWEEP = {"size": 2, "mode": "exhaustive", "count": None, "seed": None, "ks": None,
+          "workers": 1, "out": None, "allow_large": False}
+
+PARSED = [
+    (["parse", "p"], "cmd_parse", {"formula": "p"}),
+    (["parse", "--json", "B(p > q)"], "cmd_parse", {"json": True, "formula": "B(p > q)"}),
+    (["eval", "--model", "m.json", "--state", "s0", "--formula", "p"], "cmd_eval",
+     {"model": "m.json", "state": "s0", "formula": "p"}),
+    (["frame-check", "--frame", "f.json"], "cmd_frame_check", {**_FRAME, "props": None}),
+    (["frame-check", "--code", "2:5", "--props", "P2,P7", "--json"], "cmd_frame_check",
+     {**_NO_FRAME, "code": "2:5", "props": "P2,P7", "json": True}),
+    (["axiom-check", "--frame", "f.json", "--axiom", "A1"], "cmd_axiom_check",
+     {**_FRAME, "axiom": "A1"}),
+    (["agm-check", "--code", "1:0"], "cmd_agm_check",
+     {**_NO_FRAME, "code": "1:0", "state": None}),
+    (["agm-check", "--code", "1:0", "--state", "s0"], "cmd_agm_check",
+     {**_NO_FRAME, "code": "1:0", "state": "s0"}),
+    (["revise", "--model", "m.json", "--state", "s0", "--input", "p", "--query", "q", "--json"],
+     "cmd_revise", {"model": "m.json", "state": "s0", "input": "p", "query": "q", "json": True}),
+    (["countermodel", "--frame", "f.json", "--axiom", "A4"], "cmd_countermodel",
+     {**_FRAME, "axiom": "A4"}),
+    (["sweep", "--size", "2"], "cmd_sweep", _SWEEP),
+    (["sweep", "--size", "3", "--mode", "random", "--count", "10", "--seed", "7", "--ks", "2,4",
+      "--workers", "2", "--out", "r.json", "--allow-large", "--json"], "cmd_sweep",
+     {"size": 3, "mode": "random", "count": 10, "seed": 7, "ks": "2,4", "workers": 2,
+      "out": "r.json", "allow_large": True, "json": True}),
+]
+
+
+@pytest.mark.parametrize("argv, func, expected", PARSED, ids=[" ".join(row[0]) for row in PARSED])
+def test_parser_fills_every_dest(argv, func, expected):
+    # Pins dests, defaults and types without the --help text, whose bytes
+    # differ between Python versions.
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func").__name__ == func
+    assert parsed == {"command": argv[0], "json": False, **expected}
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["eval", "--model", "m.json", "--state", "s0"],
+    ["frame-check", "--frame", "f.json", "--code", "1:0"],
+    ["sweep", "--size", "x"],
+    ["sweep", "--size", "2", "--mode", "z"],
+    ["check", "--frame", "f.json"],
+])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kripkelewis")

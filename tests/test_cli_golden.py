@@ -5,8 +5,9 @@ digits of the sha256 of its stdout and of its stderr.  The rows cover every
 command on ``fixtures/fx2.json`` and ``fixtures/m0.json``, ``--code`` frames
 on one to four states (uniform draws, which fail early, and ranked frames,
 on which every check scans to the end), text and ``--json`` output, and a
-malformed file per ``FrameIssue`` kind.  ``sweep`` appears only with input
-errors, because its report carries a wall time.
+malformed file per ``FrameIssue`` kind.  ``sweep`` appears there only with
+input errors, because its report carries a wall time; ``SWEEP_GOLDEN`` digests
+sweep reports, text and ``--json``, with the ``duration_ms`` line removed.
 
 An argument starting with ``@`` names a file: ``@fx2`` and ``@m0`` are the
 fixtures, any other is a ``MALFORMED`` entry written to a temporary
@@ -383,6 +384,17 @@ GOLDEN = {
     "sweep --size 2 --ks 2,x": (2, "e3b0c44298fc1c14", "522f7074724d341c"),
 }
 
+SWEEP_GOLDEN = {
+    "sweep --size 1": (0, "9c76ebbdcc275cb7", "e3b0c44298fc1c14"),
+    "sweep --json --size 1": (0, "c5aaeeb7e161a1fc", "e3b0c44298fc1c14"),
+    "sweep --size 2 --ks 4,2": (0, "8b902e226dc8211f", "e3b0c44298fc1c14"),
+    "sweep --json --size 2 --ks 4,2": (0, "c6494c4e3da4d4dd", "e3b0c44298fc1c14"),
+    "sweep --size 2 --mode random --count 300 --seed 9 --ks 4":
+        (0, "27d62ceb2324d9ca", "e3b0c44298fc1c14"),
+    "sweep --json --size 2 --mode random --count 300 --seed 9 --ks 4":
+        (0, "a95e270869667fb7", "e3b0c44298fc1c14"),
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -410,6 +422,20 @@ def test_cli_output_matches_golden(capsys, paths):
     mismatches = {}
     for key, expected in GOLDEN.items():
         got = _outcome(capsys, paths, shlex.split(key))
+        if got != expected:
+            mismatches[key] = got
+    assert not mismatches, mismatches
+
+
+def test_sweep_output_matches_golden(capsys):
+    mismatches = {}
+    for key, expected in SWEEP_GOLDEN.items():
+        code = main(shlex.split(key))
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines(keepends=True)
+        assert sum("duration_ms" in line for line in lines) == 1, key
+        out = "".join(line for line in lines if "duration_ms" not in line)
+        got = (code, _digest(out), _digest(captured.err))
         if got != expected:
             mismatches[key] = got
     assert not mismatches, mismatches

@@ -216,6 +216,16 @@ def test_sweep_config_validation():
     SweepConfig(size=3, mode="random", count=5, seed=0).validate()
 
 
+@pytest.mark.parametrize("extra", [{"seed": 3}, {"count": -3}, {"count": 5, "seed": 0}])
+def test_exhaustive_mode_refuses_seed_and_count(extra):
+    # Exhaustive mode enumerates every frame, so a seed or count would be
+    # ignored and only echoed into the report's config.
+    with pytest.raises(ValueError, match="exhaustive mode takes no count or seed"):
+        SweepConfig(size=1, **extra).validate()
+    with pytest.raises(ValueError, match="exhaustive mode takes no count or seed"):
+        sweep(SweepConfig(size=1, mode="exhaustive", **extra))
+
+
 def test_sweep_random_mode_deterministic():
     cfg = SweepConfig(size=2, mode="random", count=400, seed=9, ks=(2, 5))
     one = sweep(cfg).to_json()
