@@ -32,7 +32,10 @@ class AxiomId(Enum):
     RULE_K6 = "RuleK6"
 
 
-RULE_IDS = frozenset({AxiomId.RULE_K5A, AxiomId.RULE_K6})
+# The rules of inference.  The module tests membership in the tuple, which
+# compares identities where the frozenset would call the enum's hash.
+_RULES = (AxiomId.RULE_K5A, AxiomId.RULE_K6)
+RULE_IDS = frozenset(_RULES)
 
 LETTERS = ("p", "q", "r")
 
@@ -64,7 +67,7 @@ _INSTANCES = {
 
 def axiom_instance(k: AxiomId) -> Formula:
     """The schema instantiated with atoms p, q, r standing for its letters."""
-    if k in RULE_IDS:
+    if k in _RULES:
         raise ValueError(f"{k.value} is a rule of inference, not a schema")
     return _INSTANCES[k]
 
@@ -108,64 +111,40 @@ class SchemaEvaluator:
         self.bel_cond = bel_cond
         self.bel = _superset_masks([b for frame in frames for b in frame.belief], bits, full)
 
-    def _drop(self, live: int, bad: int) -> int:
-        """``live`` without the whole lane of every state in ``bad``."""
-        spread = bad
-        for shift in range(1, self.n):
-            spread |= bad >> shift
-        return live & ~((spread & self.low) * self.full)
+    # One scan per schema or rule over the given letter ranges.  Each is a
+    # generator walking the assignments in ``product`` order and yielding
+    # ``(bad, assignment)`` for each assignment whose instance fails at
+    # some state of some lane, ``bad`` being those states.  A block of
+    # assignments is skipped only where a conjunct of the antecedent bound
+    # by the outer letters is empty in every lane, so the instance holds
+    # there by its own formula.  ``_failures`` keeps track of the lanes.
 
-    # One scan per schema or rule over the given letter ranges, restricted
-    # to the lanes in ``live``.  Each walks assignments in ``product``
-    # order; at an assignment falsifying the instance at some live state it
-    # adds those states to ``failed`` and drops their lanes from ``live``.
-    # It returns ``(failed, assignment)`` once no lane is live, else
-    # ``(failed, None)`` at the end, so with one live lane the assignment
-    # is the first falsifying one.  A block of assignments is skipped only
-    # where a conjunct of the antecedent bound by the outer letters is
-    # empty in every live lane, so the instance holds there by its own
-    # formula.  ``live`` is folded into that conjunct; a scan with none
-    # masks a hit to the live lanes once it happens, so no inner loop
-    # gains an operation.
-
-    def _scan_a1(self, live, ra, rb, rc):
+    def _scan_a1(self, ra, rb, rc):
         # B(p > q) & B(p > (q -> r)) -> B(p > r)
         full, bc = self.full, self.bel_cond
-        failed = 0
         for a in ra:
             row = bc[a]
             for b in rb:
-                ante = row[b] & live
+                ante = row[b]
                 if not ante:
                     continue
                 nb = full ^ b
                 for c in rc:
                     bad = ante & row[nb | c] & ~row[c]
                     if bad:
-                        failed |= bad
-                        live = self._drop(live, bad)
-                        if not live:
-                            return failed, (a, b, c)
-                        ante &= live
-        return failed, None
+                        yield bad, (a, b, c)
 
-    def _scan_a2(self, live, ra):
+    def _scan_a2(self, ra):
         # B(p > p)
-        bc = self.bel_cond
-        failed = 0
+        bc, states = self.bel_cond, self.states
         for a in ra:
-            bad = live & ~bc[a][a]
+            bad = states & ~bc[a][a]
             if bad:
-                failed |= bad
-                live = self._drop(live, bad)
-                if not live:
-                    return failed, (a,)
-        return failed, None
+                yield bad, (a,)
 
-    def _scan_a3(self, live, ra, rb):
+    def _scan_a3(self, ra, rb):
         # ~[]~p & B(p > q) -> B(p -> q)
         full, bel, bc = self.full, self.bel, self.bel_cond
-        failed = 0
         for a in ra:
             if not a:  # ~[]~p fails everywhere
                 continue
@@ -174,38 +153,25 @@ class SchemaEvaluator:
             for b in rb:
                 bad = row[b] & ~bel[na | b]
                 if bad:
-                    bad &= live
-                    if bad:
-                        failed |= bad
-                        live = self._drop(live, bad)
-                        if not live:
-                            return failed, (a, b)
-        return failed, None
+                    yield bad, (a, b)
 
-    def _scan_a4(self, live, ra, rb):
+    def _scan_a4(self, ra, rb):
         # ~B~p & B(p -> q) -> B(p > q)
-        full, bel, bc = self.full, self.bel, self.bel_cond
-        failed = 0
+        full, bel, bc, states = self.full, self.bel, self.bel_cond, self.states
         for a in ra:
             na = full ^ a
-            ante = live & ~bel[na]
+            ante = states & ~bel[na]
             if not ante:
                 continue
             row = bc[a]
             for b in rb:
                 bad = ante & bel[na | b] & ~row[b]
                 if bad:
-                    failed |= bad
-                    live = self._drop(live, bad)
-                    if not live:
-                        return failed, (a, b)
-                    ante &= live
-        return failed, None
+                    yield bad, (a, b)
 
-    def _scan_a5(self, live, ra, rb):
+    def _scan_a5(self, ra, rb):
         # ~[]~p & B(p > q) -> ~B(p > ~q)
         full, bc = self.full, self.bel_cond
-        failed = 0
         for a in ra:
             if not a:  # ~[]~p fails everywhere
                 continue
@@ -213,18 +179,11 @@ class SchemaEvaluator:
             for b in rb:
                 bad = row[b] & row[full ^ b]
                 if bad:
-                    bad &= live
-                    if bad:
-                        failed |= bad
-                        live = self._drop(live, bad)
-                        if not live:
-                            return failed, (a, b)
-        return failed, None
+                    yield bad, (a, b)
 
-    def _scan_a7(self, live, ra, rb, rc):
+    def _scan_a7(self, ra, rb, rc):
         # ~[]~(p & q) & B(p & q > r) -> B(p > (q -> r))
         full, bc = self.full, self.bel_cond
-        failed = 0
         for a in ra:
             row = bc[a]
             for b in rb:
@@ -236,95 +195,100 @@ class SchemaEvaluator:
                 for c in rc:
                     bad = ab_row[c] & ~row[nb | c]
                     if bad:
-                        bad &= live
-                        if bad:
-                            failed |= bad
-                            live = self._drop(live, bad)
-                            if not live:
-                                return failed, (a, b, c)
-        return failed, None
+                        yield bad, (a, b, c)
 
-    def _scan_a8(self, live, ra, rb, rc):
+    def _scan_a8(self, ra, rb, rc):
         # ~B(p > ~q) & B(p > (q -> r)) -> B(p & q > q & r)
-        full, bc = self.full, self.bel_cond
-        failed = 0
+        full, bc, states = self.full, self.bel_cond, self.states
         for a in ra:
             row = bc[a]
             for b in rb:
                 nb = full ^ b
-                ante = live & ~row[nb]
+                ante = states & ~row[nb]
                 if not ante:
                     continue
                 ab_row = bc[a & b]
                 for c in rc:
                     bad = ante & row[nb | c] & ~ab_row[b & c]
                     if bad:
-                        failed |= bad
-                        live = self._drop(live, bad)
-                        if not live:
-                            return failed, (a, b, c)
-                        ante &= live
-        return failed, None
+                        yield bad, (a, b, c)
 
-    def _scan_rule_k5a(self, live, rb):
+    def _scan_rule_k5a(self, rb):
         # RuleK5a: with an impossible antecedent (the event-level image of an
         # inconsistent formula), B(p > q) holds at every state whatever the
         # consequent event q; that is row 0 of ``bel_cond``.
-        bc0 = self.bel_cond[0]
-        failed = 0
+        bc0, states = self.bel_cond[0], self.states
         for b in rb:
-            bad = live & ~bc0[b]
+            bad = states & ~bc0[b]
             if bad:
-                failed |= bad
-                live = self._drop(live, bad)
-                if not live:
-                    return failed, (0, b)
-        return failed, None
+                yield bad, (0, b)
 
-    def _scan_rule_k6(self, live, ra, rc):
+    def _scan_rule_k6(self, ra, rc):
         # RuleK6: two antecedents with the same event yield the same believed
         # conditionals, so B(p > r) <-> B(q > r) holds under p = q = a for
         # every consequent event r = c.
         bc = self.bel_cond
-        failed = 0
         for a in ra:
             row = bc[a]
             for c in rc:
                 bad = row[c] ^ row[c]
                 if bad:
-                    bad &= live
-                    if bad:
-                        failed |= bad
-                        live = self._drop(live, bad)
-                        if not live:
-                            return failed, (a, a, c)
+                    yield bad, (a, a, c)
+
+    def _failures(self, scan, live: int, ranges) -> tuple[int, tuple[int, ...] | None]:
+        """Runs ``scan`` over ``ranges`` on the lanes in ``live``: each hit,
+        masked to the live lanes, is added to ``failed``, and every lane it
+        touches is dropped.  Returns ``(failed, assignment)`` once no lane
+        is live, else ``(failed, None)``, so with one live lane the
+        assignment is the first falsifying one."""
+        n, low, full = self.n, self.low, self.full
+        failed = 0
+        for bad, assignment in scan(self, *ranges):
+            bad &= live
+            if bad:
+                failed |= bad
+                spread = bad
+                for shift in range(1, n):
+                    spread |= bad >> shift
+                live &= ~((spread & low) * full)
+                if not live:
+                    return failed, assignment
         return failed, None
 
     def holds_mask(self, k: AxiomId, assignment: tuple[int, ...]) -> int:
         """Mask of states, in every lane, where the instance of ``k`` under
-        ``assignment`` holds."""
-        _, scan, _ = _SCANS[_SCAN_IDS.index(k)]
-        failed, _ = scan(self, self.states, *[(x,) for x in assignment])
-        return self.states ^ failed
+        ``assignment`` (one event per letter, in ``LETTERS`` order) holds."""
+        _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
+        if k in _RULES:
+            raise ValueError(f"{k.value} is a rule of inference, not a schema")
+        if len(assignment) != letters:
+            raise ValueError(
+                f"{k.value} takes one event for each of {', '.join(LETTERS[:letters])}; "
+                f"got {len(assignment)}")
+        return self.states ^ self._failures(scan, self.states, [(x,) for x in assignment])[0]
 
     def lane_failures(self, k: AxiomId) -> int:
         """State mask, over every lane, whose lane i is nonempty iff the
-        schema or rule ``k`` fails on frame i."""
+        schema or rule ``k`` fails on frame i: it holds the states where
+        frame i's first falsifying assignment fails."""
         _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
-        return scan(self, self.states, *[range(self.full + 1)] * letters)[0]
+        return self._failures(scan, self.states, [range(self.full + 1)] * letters)[0]
 
     def _first_witness(self, k: AxiomId) -> Witness | None:
         """None if ``k`` holds on the first frame, else its first falsifying
         assignment in ``product`` order with its lowest falsified state."""
         _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
-        failed, assignment = scan(self, self.full, *[range(self.full + 1)] * letters)
-        return None if assignment is None else _witness(k, failed, assignment)
+        failed, assignment = self._failures(scan, self.full, [range(self.full + 1)] * letters)
+        if assignment is None:
+            return None
+        state = (failed & -failed).bit_length() - 1
+        return Witness(kind=k.value, states={"s": state}, events=dict(zip(LETTERS, assignment)))
 
     def check_axiom(self, k: AxiomId) -> Witness | None:
         """None if ``k`` is valid on the (first) frame, else the
         lexicographically least falsifying assignment with its lowest
         falsified state."""
-        if k in RULE_IDS:
+        if k in _RULES:
             raise ValueError(f"{k.value} is a rule of inference; use check_rule")
         return self._first_witness(k)
 
@@ -334,7 +298,7 @@ class SchemaEvaluator:
         RuleK6: (a, a, r)) with its lowest falsified state.  The tests
         cross ``bel_cond`` against ``truth_set`` of ``B(p > r)`` on
         concrete models."""
-        if k not in RULE_IDS:
+        if k not in _RULES:
             raise ValueError(f"{k.value} is a schema; use check_axiom")
         return self._first_witness(k)
 
@@ -387,12 +351,6 @@ def _superset_masks(events, bits, full: int) -> list[int]:
             x = (x + 1) | u
         masks[full] |= bit
     return masks
-
-
-def _witness(k: AxiomId, failed: int, assignment: tuple[int, ...]) -> Witness:
-    """Witness for ``assignment``, reporting the lowest state in ``failed``."""
-    state = (failed & -failed).bit_length() - 1
-    return Witness(kind=k.value, states={"s": state}, events=dict(zip(LETTERS, assignment)))
 
 
 def schema_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:

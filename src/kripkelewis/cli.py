@@ -35,6 +35,7 @@ from .revision import agm_event_check  # noqa: F401  unused; perfbench's tracer 
 from .correspondence import (
     DEFAULT_KS,
     MAX_RANDOM_SIZE,
+    MODES,
     SweepConfig,
     SweepError,
     frame_count,
@@ -290,7 +291,7 @@ _COMMANDS = (
      (("--axiom", _REQUIRED),)),
     ("sweep", cmd_sweep, "run the correspondence sweep over many frames", False, (
         ("--size", {"type": int, "required": True}),
-        ("--mode", {"choices": ("exhaustive", "random"), "default": "exhaustive"}),
+        ("--mode", {"choices": MODES, "default": "exhaustive"}),
         ("--count", {"type": int}),
         ("--seed", {"type": int}),
         ("--ks", {"help": _subset_help(DEFAULT_KS)}),

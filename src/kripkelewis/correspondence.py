@@ -35,15 +35,16 @@ from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
 from .model import truth  # noqa: F401
 from .revision import agm_event_check  # noqa: F401
 from .properties import check_property
-from .revision import UNCONDITIONAL, AgmPostulateId, PostulateEvaluator
+from .revision import CONDITIONED, UNCONDITIONAL, AgmPostulateId, PostulateEvaluator
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
+MODES = ("exhaustive", "random")
 
-# k -> Ak and k -> Pk, read off the axiom-property pairing.
+# k -> Ak and k -> Pk, read off the axiom-property pairing, and k -> Kk
+# off the postulates with a frame condition (K5b for k = 5).
 _AXIOM = {int(axiom.value[1:]): axiom for axiom in PAIRED_PROPERTY}
 _PROP = {k: PAIRED_PROPERTY[axiom] for k, axiom in _AXIOM.items()}
-_AGM = {2: AgmPostulateId.K2, 3: AgmPostulateId.K3, 4: AgmPostulateId.K4,
-        5: AgmPostulateId.K5B, 7: AgmPostulateId.K7, 8: AgmPostulateId.K8}
+_AGM: dict[int, AgmPostulateId] = {int(pid.value[1]): pid for pid in CONDITIONED}
 _AGM_NAME = {k: _AGM[k].value for k in DEFAULT_KS}
 
 # A1, the two rules and the unconditional postulates hold on every frame.
@@ -284,7 +285,7 @@ class SweepConfig:
     """What to sweep: state count, frame source, and which k to check."""
 
     size: int
-    mode: str = "exhaustive"  # "exhaustive" | "random"
+    mode: str = "exhaustive"  # one of MODES
     count: int | None = None
     seed: int | None = None
     ks: tuple[int, ...] = DEFAULT_KS
@@ -293,7 +294,7 @@ class SweepConfig:
     def validate(self) -> None:
         if self.size < 1:
             raise ValueError("size must be at least 1")
-        if self.mode not in ("exhaustive", "random"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "random":
             if self.count is None or self.count < 1:

@@ -38,6 +38,8 @@ class AgmPostulateId(Enum):
 # K5a holds through the empty-input convention.  A tuple, because testing
 # membership in it compares identities without calling the enum's hash.
 UNCONDITIONAL = (AgmPostulateId.K1, AgmPostulateId.K5A, AgmPostulateId.K6)
+# The others, in declaration order, each with a scan below.
+CONDITIONED = tuple(k for k in AgmPostulateId if k not in UNCONDITIONAL)
 
 
 def in_belief_set(m: Model, s: int, f: Formula) -> bool:
@@ -172,7 +174,7 @@ class PostulateEvaluator:
         if k in UNCONDITIONAL:
             return []
         hits = []
-        for bad, events in _SCANS[_SCANNED.index(k)](self):
+        for bad, events in _SCANS[CONDITIONED.index(k)](self):
             bad &= live
             if bad:
                 hits.append((bad, events))
@@ -200,10 +202,8 @@ class PostulateEvaluator:
         return found
 
 
-# The postulates with a frame condition and their scans, looked up by
-# position like the schema scans in ``axioms``.
-_SCANNED = (AgmPostulateId.K2, AgmPostulateId.K3, AgmPostulateId.K4,
-            AgmPostulateId.K5B, AgmPostulateId.K7, AgmPostulateId.K8)
+# The scan of each postulate in ``CONDITIONED``, looked up by position like
+# the schema scans in ``axioms``.
 _SCANS = (PostulateEvaluator._scan_k2, PostulateEvaluator._scan_k3, PostulateEvaluator._scan_k4,
           PostulateEvaluator._scan_k5b, PostulateEvaluator._scan_k7, PostulateEvaluator._scan_k8)
 

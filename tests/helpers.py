@@ -6,11 +6,11 @@ membership predicates, frame properties over frozensets instead of
 bitmasks, rules of inference through concrete models instead of the
 schema evaluator's tables, P7 and P8 through their literal quantifier
 forms, sampled frames as drawn tuples instead of frame codes, the
-evaluator's tables by per-entry subset tests and its schema scans as one
-mask formula per schema under ``product``, the postulates by loops
-over one state's union table, and the frame loader, union table, code
-decoder and JSON writer by the per-entry loops they replaced.  Expected
-values frozen into the golden tests were computed with these.
+evaluator's tables by per-entry subset tests and its schema and rule
+scans as one mask formula each under ``product``, the postulates by
+loops over one state's union table, and the frame loader, union table,
+code decoder and JSON writer by the per-entry loops they replaced.
+Expected values frozen into the golden tests were computed with these.
 """
 
 from __future__ import annotations
@@ -464,6 +464,42 @@ ORACLE_SCHEMAS = {
     AxiomId.A7: (_a7, 3),
     AxiomId.A8: (_a8, 3),
 }
+
+
+# The same for each rule, under its assignment in ``LETTERS`` order.
+
+def _rule_k5a(full, bel, bc, a, b):
+    return bc[a][b]  # B(p > q), with p the empty event
+
+
+def _rule_k6(full, bel, bc, a, b, c):
+    return full ^ bc[a][c] ^ bc[b][c]  # B(p > r) <-> B(q > r), with q = p
+
+
+def oracle_scan_hits(frames, tables, k: AxiomId) -> list[tuple[int, tuple[int, ...]]]:
+    """What the scan of ``k`` over every event for each letter yields on an
+    evaluator holding ``frames`` (frame i in lane i), from ``tables[i] =
+    oracle_tables(frames[i])``: each assignment in ``product`` order
+    (RuleK5a: (0, q); RuleK6: (a, a, r)) whose instance fails somewhere,
+    with the mask of those states, bit ``i*n + s``."""
+    full, n = frames[0].full, frames[0].n
+    events = range(full + 1)
+    if k is AxiomId.RULE_K5A:
+        holds, assignments = _rule_k5a, [(0, b) for b in events]
+    elif k is AxiomId.RULE_K6:
+        holds, assignments = _rule_k6, [(a, a, c) for a, c in product(events, repeat=2)]
+    else:
+        holds, letters = ORACLE_SCHEMAS[k]
+        assignments = product(events, repeat=letters)
+    lanes = [(partial(holds, full, *t), i * n) for i, t in enumerate(tables)]
+    hits = []
+    for assignment in assignments:
+        bad = 0
+        for check, shift in lanes:
+            bad |= (full ^ check(*assignment)) << shift
+        if bad:
+            hits.append((bad, assignment))
+    return hits
 
 
 def oracle_holds_mask(frame: Frame, tables, k: AxiomId, assignment: tuple[int, ...]) -> int:

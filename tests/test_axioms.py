@@ -26,7 +26,7 @@ from kripkelewis import (
     truth,
     truth_set,
 )
-from kripkelewis.axioms import countermodel_assignment
+from kripkelewis.axioms import _SCANS, countermodel_assignment
 
 import helpers
 
@@ -416,3 +416,55 @@ def test_holds_mask_equals_oracle_every_assignment_sampled_three_state():
                     frame_digest(frame), axiom, assignment)
                 lane_mask = batched.holds_mask(axiom, assignment) >> (3 * lane) & frame.full
                 assert lane_mask == expected, (frame_digest(frame), axiom, assignment, lane)
+
+
+def test_holds_mask_refuses_rules_and_wrong_letter_counts():
+    evaluator = SchemaEvaluator(helpers.fx2_frame())
+    for rule in RULES:
+        with pytest.raises(ValueError, match="rule of inference"):
+            evaluator.holds_mask(rule, (0, 1))
+    with pytest.raises(ValueError, match="A3 takes one event for each of p, q; got 1"):
+        evaluator.holds_mask(AxiomId.A3, (1,))
+    with pytest.raises(ValueError, match="A2 takes one event for each of p; got 3"):
+        evaluator.holds_mask(AxiomId.A2, (1, 2, 3))
+    with pytest.raises(ValueError, match="A8 takes one event for each of p, q, r; got 0"):
+        evaluator.holds_mask(AxiomId.A8, ())
+
+
+def _assert_scans_yield_oracle_hits(frames) -> int:
+    """Every scan over full letter ranges, on one evaluator holding
+    ``frames``, yields exactly the oracle's hits in ``product`` order, and
+    lane i of ``lane_failures`` is the states where frame i's first hit
+    fails.  Returns the number of hits."""
+    evaluator = SchemaEvaluator(*frames)
+    n, full = evaluator.n, evaluator.full
+    tables = [helpers.oracle_tables(frame) for frame in frames]
+    count = 0
+    for k, scan, letters in _SCANS:
+        expected = helpers.oracle_scan_hits(frames, tables, k)
+        hits = list(scan(evaluator, *[range(full + 1)] * letters))
+        assert hits == expected, (frame_digest(frames[0]), len(frames), k)
+        first = 0
+        for shift in range(0, n * len(frames), n):
+            lane = (bad >> shift & full for bad, _ in expected)
+            first |= next((bad for bad in lane if bad), 0) << shift
+        assert evaluator.lane_failures(k) == first, (frame_digest(frames[0]), len(frames), k)
+        count += len(hits)
+    return count
+
+
+def test_scans_yield_oracle_hits_all_two_state_frames():
+    frames = list(enumerate_frames(2))
+    for lo in range(0, len(frames), 250):
+        assert _assert_scans_yield_oracle_hits(frames[lo : lo + 250])
+
+
+def test_scans_yield_oracle_hits_sampled_three_state_frames():
+    assert sum(_assert_scans_yield_oracle_hits([frame])
+               for frame in sample_frames(3, 1000, seed=42))
+
+
+def test_scans_yield_oracle_hits_valid_lanes_next_to_failing_lanes():
+    frames = _ranked_among_failing(3, 12, seed=137)
+    assert _assert_scans_yield_oracle_hits(frames)
+    assert _assert_scans_yield_oracle_hits(frames[1:6])
