@@ -373,9 +373,19 @@ PAIRED_PROPERTY = {
 }
 
 
-# PAIRED_PROPERTY as two tuples, read by position like ``_SCANS``.
+# PAIRED_PROPERTY as two tuples, read by position like ``_SCANS``, and
+# countermodel_assignment's recipe for each paired axiom, indexed the same:
+# (frame, state s, event E, witness events) -> the assignment of p, q, r.
 _PAIRED_AXIOMS = tuple(PAIRED_PROPERTY)
 _PAIRED_KINDS = tuple(prop.value for prop in PAIRED_PROPERTY.values())
+_RECIPES = (
+    lambda frame, s, e, events: (e,),  # A2
+    lambda frame, s, e, events: (e, frame.union[s][e]),  # A3
+    lambda frame, s, e, events: (e, frame.belief[s] & e),  # A4
+    lambda frame, s, e, events: (e, 0),  # A5
+    lambda frame, s, e, events: (e, events["F"], events["G"]),  # A7
+    lambda frame, s, e, events: (e, events["F"], frame.union[s][e]),  # A8
+)
 
 
 def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple[int, ...], int]:
@@ -387,26 +397,17 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
     p, and q and r take the derived events that make the axiom's
     antecedent true while its consequent fails.
     """
-    if k not in _PAIRED_AXIOMS or w.kind != _PAIRED_KINDS[_PAIRED_AXIOMS.index(k)]:
+    try:
+        i = _PAIRED_AXIOMS.index(k)
+    except ValueError:
+        i = -1
+    if i < 0 or w.kind != _PAIRED_KINDS[i]:
         paired = PAIRED_PROPERTY.get(k)
         raise MismatchedWitnessError(
             f"witness for {w.kind!r} cannot refute {k.value} (needs {paired.value if paired else 'n/a'})"
         )
-    s = w.states["s"]
-    e = w.events["E"]
-    if k is AxiomId.A2:
-        assignment: tuple[int, ...] = (e,)
-    elif k is AxiomId.A3:
-        assignment = (e, frame.union[s][e])
-    elif k is AxiomId.A4:
-        assignment = (e, frame.belief[s] & e)
-    elif k is AxiomId.A5:
-        assignment = (e, 0)
-    elif k is AxiomId.A7:
-        assignment = (e, w.events["F"], w.events["G"])
-    else:  # A8
-        assignment = (e, w.events["F"], frame.union[s][e])
-    return assignment, s
+    s, events = w.states["s"], w.events
+    return _RECIPES[i](frame, s, events["E"], events), s
 
 
 def countermodel_from_witness(

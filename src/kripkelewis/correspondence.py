@@ -141,16 +141,22 @@ def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:
 def _sample_codes(n: int, count: int, seed: int) -> Iterator[int]:
     """Codes of the frames :func:`sample_frames` yields: per frame, each
     state's belief set, then each state's selection row in event order,
-    folded into :func:`frame_code` digits as drawn."""
-    rng = random.Random(seed)
+    folded into :func:`frame_code` digits as drawn.  Each digit is drawn
+    exactly as ``randrange(1, 2^n)`` or ``randrange(0, 2^n)`` draws it:
+    ``getrandbits(n)`` or ``getrandbits(n + 1)``, redrawn while out of range."""
+    getrandbits = random.Random(seed).getrandbits
     full = (1 << n) - 1
     base = full + 1
     for _ in range(count):
         code = 0
         for _ in range(n):
-            code = code * full + rng.randrange(1, base) - 1
+            while (d := getrandbits(n)) >= full:
+                pass
+            code = code * full + d
         for _ in range(n * full):
-            code = code * base + rng.randrange(0, base)
+            while (d := getrandbits(n + 1)) >= base:
+                pass
+            code = code << n | d
         yield code
 
 

@@ -69,6 +69,11 @@ def bit_indices(mask: int) -> Iterator[int]:
         i += 1
 
 
+@lru_cache(maxsize=None)  # one entry per belief mask: fewer than 2^n on n states
+def _believed(mask: int) -> tuple[int, ...]:
+    return tuple(bit_indices(mask))
+
+
 @lru_cache(maxsize=None)
 def canonical_events(n: int, include_empty: bool = False) -> tuple[int, ...]:
     """Nonempty events of an n-state frame ordered by (size, numeric value).
@@ -103,17 +108,17 @@ class Frame:
         self.n = len(self.states)
         self.full = (1 << self.n) - 1
         self.belief = tuple(belief)
-        self.selection = tuple(tuple(row) for row in selection)
-        self.believed = tuple(tuple(bit_indices(b)) for b in self.belief)
+        self.selection = sel = tuple(map(tuple, selection))
+        self.believed = tuple(map(_believed, self.belief))
         union = {}
         for b, believed in zip(self.belief, self.believed):
             if b not in union:
-                row = (0,) * (self.full + 1)
-                for x in believed:
-                    row = map(or_, row, self.selection[x])
-                row = list(row)
-                row[0] = 0
-                union[b] = tuple(row)
+                row = sel[believed[0]] if believed else (0,) * (self.full + 1)
+                if len(believed) > 1 or row[0]:  # else the one believed row is the union
+                    for x in believed[1:]:
+                        row = map(or_, row, sel[x])
+                    row = (0, *tuple(row)[1:])
+                union[b] = row
         self.union = tuple([union[b] for b in self.belief])
 
     def state_index(self, name: str) -> int:

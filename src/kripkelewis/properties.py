@@ -30,19 +30,11 @@ class PropertyId(Enum):
 
 def check_property(frame: Frame, k: PropertyId) -> Witness | None:
     """None if the frame satisfies property ``k``, else a minimal witness."""
-    if k is PropertyId.P2:
-        return _check_p2(frame)
-    if k is PropertyId.P3:
-        return _check_p3(frame)
-    if k is PropertyId.P4:
-        return _check_p4(frame)
-    if k is PropertyId.P5:
-        return _check_p5(frame)
-    if k is PropertyId.P7:
-        return _check_p7(frame)
-    if k is PropertyId.P8:
-        return _check_p8(frame)
-    raise ValueError(f"unknown property {k!r}")
+    try:
+        check = _CHECKS[_CHECK_IDS.index(k)]
+    except ValueError:
+        raise ValueError(f"unknown property {k!r}") from None
+    return check(frame)
 
 
 def _check_p2(frame: Frame) -> Witness | None:
@@ -138,6 +130,12 @@ def _check_p8(frame: Frame) -> Witness | None:
                             {"E": e, "F": f},
                         )
     return None
+
+
+# The checkers in PropertyId order, looked up by position: ``tuple.index``
+# compares identities, where a dict would call the enum's Python-level hash.
+_CHECKS = (_check_p2, _check_p3, _check_p4, _check_p5, _check_p7, _check_p8)
+_CHECK_IDS = tuple(PropertyId)
 
 
 def replay_witness(frame: Frame, w: Witness) -> bool:

@@ -14,6 +14,7 @@ from kripkelewis import (
     PAIRED_PROPERTY,
     PropertyId,
     SchemaEvaluator,
+    Witness,
     axiom_instance,
     check_property,
     countermodel_from_witness,
@@ -216,6 +217,22 @@ def test_mismatched_witness_rejected(fx2):
         countermodel_from_witness(fx2, AxiomId.A3, w)
     with pytest.raises(MismatchedWitnessError):
         countermodel_from_witness(fx2, AxiomId.A1, w)
+
+
+def test_countermodel_assignment_rejects_every_wrong_witness_kind(fx2):
+    def witness(prop):
+        return Witness(prop.value, {"s": 0}, {"E": 1, "F": 1, "G": 1})
+
+    for axiom, paired in PAIRED_PROPERTY.items():
+        countermodel_assignment(fx2, axiom, witness(paired))  # its own kind is accepted
+        for prop in PropertyId:
+            if prop is not paired:
+                with pytest.raises(MismatchedWitnessError):
+                    countermodel_assignment(fx2, axiom, witness(prop))
+    for axiom in (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6):
+        for prop in PropertyId:
+            with pytest.raises(MismatchedWitnessError):
+                countermodel_assignment(fx2, axiom, witness(prop))
 
 
 def test_witness_prefers_lexicographically_least_assignment():

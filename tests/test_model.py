@@ -287,6 +287,21 @@ def test_union_rows_equal_triple_loop_oracle():
         assert frame.union == helpers.oracle_union(frame), frame
 
 
+def test_singleton_belief_union_rows_zero_a_nonzero_placeholder():
+    rng = random.Random(117)
+    for n in range(1, 5):
+        full = (1 << n) - 1
+        for _ in range(25):
+            belief = [1 << rng.randrange(n) for _ in range(n)]
+            selection = [
+                [rng.randrange(1, full + 1), *(rng.randrange(full + 1) for _ in range(full))]
+                for _ in range(n)
+            ]
+            frame = Frame([f"s{i}" for i in range(n)], belief, selection)
+            assert all(frame.union[s][0] == 0 for s in range(n)), frame
+            assert frame.union == helpers.oracle_union(frame), frame
+
+
 def test_json_writers_equal_per_entry_oracle():
     rng = random.Random(116)
     for frame in _table_frames():

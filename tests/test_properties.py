@@ -146,3 +146,11 @@ def test_unknown_witness_kind_rejected(m0):
 
     with pytest.raises(ValueError):
         replay_witness(m0, Witness("A2", {"s": 0}, {"p": 1}))
+
+
+def test_check_property_rejects_what_is_not_a_property_id(fx2):
+    from kripkelewis import AxiomId
+
+    for k in ("P2", AxiomId.A2):
+        with pytest.raises(ValueError):
+            check_property(fx2, k)

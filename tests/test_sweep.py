@@ -33,6 +33,7 @@ from kripkelewis import (
 )
 import kripkelewis.correspondence as sweep_module
 from kripkelewis.axioms import countermodel_assignment
+from kripkelewis.revision import AgmPostulateId
 
 import helpers
 
@@ -118,6 +119,17 @@ def test_sample_codes_equal_tuple_drawing_oracle():
                 frame_code(frame) for frame in frames
             ], (n, seed)
             assert list(sample_frames(n, count, seed)) == frames, (n, seed)
+
+
+def test_sample_codes_equal_tuple_drawing_oracle_at_five_states():
+    # n = 5 draws belief digits with getrandbits(5) and selection digits
+    # with getrandbits(6), the widest the sampler meets in a test
+    for seed in (0, 42):
+        drawn = helpers.oracle_sample_tuples(5, 30, seed)
+        frames = [Frame(tuple(f"s{i}" for i in range(5)), b, sel) for b, sel in drawn]
+        assert list(sweep_module._sample_codes(5, 30, seed)) == [
+            frame_code(frame) for frame in frames
+        ], seed
 
 
 def analytic_p2_rate(n: int) -> Fraction:
@@ -482,7 +494,7 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
 
         def lane_failures(self, k):
             failed = super().lane_failures(k)
-            return failed | self.broken if k is sweep_module.AgmPostulateId.K2 else failed
+            return failed | self.broken if k is AgmPostulateId.K2 else failed
 
     def broken_a2_recipe(frame, k, w):
         assignment, s = real_assignment(frame, k, w)
