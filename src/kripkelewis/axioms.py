@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .formula import And, Atom, Bel, Box, Cond, Formula, Implies, Not
+from .formula import And, Atom, Bel, Box, Cond, Formula, Iff, Implies, Not, atoms
 from .model import Frame, Model, Witness, shared_size
 from .model import truth_set  # noqa: F401  unused; perfbench's tracer patches it by name
 from .properties import PropertyId
@@ -65,6 +65,19 @@ _INSTANCES = {
 }
 
 
+# Each rule's instance, with the letters its scan binds: RuleK5a is
+# B(p > q) with p the empty event, the event-level image of an inconsistent
+# antecedent; RuleK6 is B(p > r) <-> B(q > r) with q = p, two antecedents
+# with the same event.  Both hold on every frame, since the clause for >
+# reads only the antecedent's event and is vacuous on the empty one: the
+# RuleK6 scan reads one table entry on both sides, and the RuleK5a scan
+# reads row 0 of ``bel_cond``, which is every state.
+_RULE_INSTANCES = {
+    AxiomId.RULE_K5A: (Bel(Cond(_P, _Q)), {"p": "0"}),
+    AxiomId.RULE_K6: (Iff(Bel(Cond(_P, _R)), Bel(Cond(_Q, _R))), {"q": "p"}),
+}
+
+
 def axiom_instance(k: AxiomId) -> Formula:
     """The schema instantiated with atoms p, q, r standing for its letters."""
     if k in _RULES:
@@ -81,7 +94,7 @@ class SchemaEvaluator:
     on the same n states.
 
     Frame i occupies lane i: bit ``i*n + s`` of every state mask stands for
-    state s of frame i, so each scan below runs once for all the frames.
+    state s of frame i, so each scan in ``_SCANS`` runs once for all the frames.
     Precomputes, for every pair of events (a, b), the mask of states where
     the believed conditional with antecedent event a and consequent event
     b holds: everything if a is empty, else the states whose union of
@@ -110,130 +123,6 @@ class SchemaEvaluator:
             bel_cond.append(_superset_masks(column, bits, full))
         self.bel_cond = bel_cond
         self.bel = _superset_masks([b for frame in frames for b in frame.belief], bits, full)
-
-    # One scan per schema or rule over the given letter ranges.  Each is a
-    # generator walking the assignments in ``product`` order and yielding
-    # ``(bad, assignment)`` for each assignment whose instance fails at
-    # some state of some lane, ``bad`` being those states.  A block of
-    # assignments is skipped only where a conjunct of the antecedent bound
-    # by the outer letters is empty in every lane, so the instance holds
-    # there by its own formula.  ``_failures`` keeps track of the lanes.
-
-    def _scan_a1(self, ra, rb, rc):
-        # B(p > q) & B(p > (q -> r)) -> B(p > r)
-        full, bc = self.full, self.bel_cond
-        for a in ra:
-            row = bc[a]
-            for b in rb:
-                ante = row[b]
-                if not ante:
-                    continue
-                nb = full ^ b
-                for c in rc:
-                    bad = ante & row[nb | c] & ~row[c]
-                    if bad:
-                        yield bad, (a, b, c)
-
-    def _scan_a2(self, ra):
-        # B(p > p)
-        bc, states = self.bel_cond, self.states
-        for a in ra:
-            bad = states & ~bc[a][a]
-            if bad:
-                yield bad, (a,)
-
-    def _scan_a3(self, ra, rb):
-        # ~[]~p & B(p > q) -> B(p -> q)
-        full, bel, bc = self.full, self.bel, self.bel_cond
-        for a in ra:
-            if not a:  # ~[]~p fails everywhere
-                continue
-            row = bc[a]
-            na = full ^ a
-            for b in rb:
-                bad = row[b] & ~bel[na | b]
-                if bad:
-                    yield bad, (a, b)
-
-    def _scan_a4(self, ra, rb):
-        # ~B~p & B(p -> q) -> B(p > q)
-        full, bel, bc, states = self.full, self.bel, self.bel_cond, self.states
-        for a in ra:
-            na = full ^ a
-            ante = states & ~bel[na]
-            if not ante:
-                continue
-            row = bc[a]
-            for b in rb:
-                bad = ante & bel[na | b] & ~row[b]
-                if bad:
-                    yield bad, (a, b)
-
-    def _scan_a5(self, ra, rb):
-        # ~[]~p & B(p > q) -> ~B(p > ~q)
-        full, bc = self.full, self.bel_cond
-        for a in ra:
-            if not a:  # ~[]~p fails everywhere
-                continue
-            row = bc[a]
-            for b in rb:
-                bad = row[b] & row[full ^ b]
-                if bad:
-                    yield bad, (a, b)
-
-    def _scan_a7(self, ra, rb, rc):
-        # ~[]~(p & q) & B(p & q > r) -> B(p > (q -> r))
-        full, bc = self.full, self.bel_cond
-        for a in ra:
-            row = bc[a]
-            for b in rb:
-                ab = a & b
-                if not ab:  # ~[]~(p & q) fails everywhere
-                    continue
-                ab_row = bc[ab]
-                nb = full ^ b
-                for c in rc:
-                    bad = ab_row[c] & ~row[nb | c]
-                    if bad:
-                        yield bad, (a, b, c)
-
-    def _scan_a8(self, ra, rb, rc):
-        # ~B(p > ~q) & B(p > (q -> r)) -> B(p & q > q & r)
-        full, bc, states = self.full, self.bel_cond, self.states
-        for a in ra:
-            row = bc[a]
-            for b in rb:
-                nb = full ^ b
-                ante = states & ~row[nb]
-                if not ante:
-                    continue
-                ab_row = bc[a & b]
-                for c in rc:
-                    bad = ante & row[nb | c] & ~ab_row[b & c]
-                    if bad:
-                        yield bad, (a, b, c)
-
-    def _scan_rule_k5a(self, rb):
-        # RuleK5a: with an impossible antecedent (the event-level image of an
-        # inconsistent formula), B(p > q) holds at every state whatever the
-        # consequent event q; that is row 0 of ``bel_cond``.
-        bc0, states = self.bel_cond[0], self.states
-        for b in rb:
-            bad = states & ~bc0[b]
-            if bad:
-                yield bad, (0, b)
-
-    def _scan_rule_k6(self, ra, rc):
-        # RuleK6: two antecedents with the same event yield the same believed
-        # conditionals, so B(p > r) <-> B(q > r) holds under p = q = a for
-        # every consequent event r = c.
-        bc = self.bel_cond
-        for a in ra:
-            row = bc[a]
-            for c in rc:
-                bad = row[c] ^ row[c]
-                if bad:
-                    yield bad, (a, a, c)
 
     def _failures(self, scan, live: int, ranges) -> tuple[int, tuple[int, ...] | None]:
         """Runs ``scan`` over ``ranges`` on the lanes in ``live``: each hit,
@@ -303,22 +192,108 @@ class SchemaEvaluator:
         return self._first_witness(k)
 
 
-# Each schema or rule with its scan and the letter ranges the scan takes:
-# the letters a schema quantifies over; RuleK5a fixes p to the empty event
-# and RuleK6 sets q = p.  Looked up by position in ``_SCAN_IDS``:
-# ``tuple.index`` compares identities, where a dict lookup would call the
-# enum's Python-level hash.
-_SCANS = (
-    (AxiomId.A1, SchemaEvaluator._scan_a1, 3),
-    (AxiomId.A2, SchemaEvaluator._scan_a2, 1),
-    (AxiomId.A3, SchemaEvaluator._scan_a3, 2),
-    (AxiomId.A4, SchemaEvaluator._scan_a4, 2),
-    (AxiomId.A5, SchemaEvaluator._scan_a5, 2),
-    (AxiomId.A7, SchemaEvaluator._scan_a7, 3),
-    (AxiomId.A8, SchemaEvaluator._scan_a8, 3),
-    (AxiomId.RULE_K5A, SchemaEvaluator._scan_rule_k5a, 1),
-    (AxiomId.RULE_K6, SchemaEvaluator._scan_rule_k6, 2),
-)
+def _literals(f: Formula, holds: bool):
+    """``(g, truth)`` pairs whose conjunction is where ``f`` has truth ``holds``."""
+    if isinstance(f, Not):
+        yield from _literals(f.body, not holds)
+    elif isinstance(f, And) and holds or isinstance(f, Implies) and not holds:
+        yield from _literals(f.left, True)
+        yield from _literals(f.right, holds)
+    else:
+        yield f, holds
+
+
+def _compile_scan(formula: Formula, bound: dict[str, str] | None = None):
+    """The scan of ``formula`` and the number of letter ranges it takes.
+
+    The scan is a generator with one loop per free letter, in ``LETTERS``
+    order, yielding ``(bad, assignment)`` for each assignment whose
+    instance fails at some state of some lane, ``bad`` being those
+    states.  ``bound`` maps a letter to the source of its event, ``"0"``
+    or a free letter.  The instance must combine ``B(a > b)``, ``B a``
+    and ``[] a`` over Boolean events by ``~ & -> <->``; anything else
+    raises ValueError.  ``bad`` is the conjunction of the literals whose
+    truth falsifies the instance.  Each sub-term is named once at the
+    outermost loop binding its letters, or inlined in the innermost one.
+    An outer loop skips its block where its literals are empty in every
+    lane; a ``[]`` literal, all-or-nothing over the lanes, is that test.
+    """
+    bound, used = bound or {}, atoms(formula)
+    if not used <= set(LETTERS):
+        raise ValueError(f"atoms outside {', '.join(LETTERS)}: {formula!r}")
+    var = {x: bound.get(x, x) for x in LETTERS[: max(map(LETTERS.index, used)) + 1]}
+    free = [x for x in var if x not in bound]
+    level = {x: free.index(v) if v in free else -1 for x, v in var.items()}
+    inner, names = len(free) - 1, {}
+    lines: list[list[str]] = [[] for _ in range(len(free) + 1)]  # before loop 0, in each loop
+
+    def term(src: str, depth: int) -> tuple[str, int]:
+        if depth < inner and src not in names:
+            names[src] = f"t{len(names)}"
+            lines[depth + 1].append(f"{names[src]} = {src}")
+        return names.get(src, src), depth
+
+    def mask(f: Formula, top: str = "states") -> tuple[str, int]:
+        """Source and loop depth of ``f``: an event if ``top`` is "full"."""
+        if isinstance(f, Not):
+            x, depth = mask(f.body, top)
+            return term(f"({top} ^ {x})", depth)
+        form = {And: "({} & {})", Implies: "({} | {})", Iff: f"({top} ^ {{}} ^ {{}})"}.get(type(f))
+        if form:
+            x, dx = mask(Not(f.left) if isinstance(f, Implies) else f.left, top)
+            y, dy = mask(f.right, top)
+            return term(form.format(x, y), max(dx, dy))
+        if top == "full" and isinstance(f, Atom):
+            return var[f.name], level[f.name]
+        if top == "full" or not isinstance(f, (Bel, Box)):
+            raise ValueError(f"not a B(a > b), B a or [] a over Boolean events: {f!r}")
+        if isinstance(f.body, Cond) and isinstance(f, Bel):
+            (a, da), (b, db) = mask(f.body.antecedent, "full"), mask(f.body.consequent, "full")
+            return term(f"{term(f'bc[{a}]', da)[0]}[{b}]", max(da, db))
+        a, depth = mask(f.body, "full")
+        form = "bel[{}]" if isinstance(f, Bel) else "(states if {} == full else 0)"
+        return term(form.format(a), depth)
+
+    by_depth: list[list] = [[] for _ in free]
+    for f, holds in _literals(formula, False):
+        by_depth[max([level[x] for x in atoms(f)] + [0])].append((f, holds))
+    ante = []
+    for depth, literals in enumerate(by_depth):
+        out, positive, negated = lines[depth + 1], [], []
+        for f, holds in literals:
+            if isinstance(f, Box):
+                body, test = f.body, "{} == full"  # where the [] literal holds
+                if isinstance(body, Not):
+                    body, test = body.body, "not {}"
+                test = test.format(mask(body, "full")[0])
+                out.append(f"if {f'not ({test})' if holds else test}: continue")
+            elif isinstance(f, Iff) and not holds:
+                positive.append(f"({mask(f.left)[0]} ^ {mask(f.right)[0]})")
+            else:
+                (positive if holds else negated).append(mask(f)[0])
+        product = " & ".join(ante + positive or ["states"]) + "".join(f" & ~{x}" for x in negated)
+        if depth == inner:
+            out += [f"bad = {product}", f"if bad: yield bad, ({', '.join(var.values())},)"]
+        elif positive or negated:
+            out += [f"ante{depth} = {product}", f"if not ante{depth}: continue"]
+            ante = [f"ante{depth}"]
+    source = [f"def scan(self, {', '.join('r' + x for x in free)}):",
+              "    full, states, bel, bc = self.full, self.states, self.bel, self.bel_cond"]
+    for depth, out in enumerate(lines):
+        source += ["    " * (depth + 1) + line for line in out]
+        if depth <= inner:
+            source.append(f"{'    ' * (depth + 1)}for {free[depth]} in r{free[depth]}:")
+    namespace: dict = {}
+    exec(compile("\n".join(source), "<axiom scan>", "exec"), namespace)
+    return namespace["scan"], len(free)
+
+
+# Each schema or rule with its scan and the letter ranges the scan takes,
+# compiled once from the module's own instances.  Looked up by position in
+# ``_SCAN_IDS``: ``tuple.index`` compares identities, where a dict lookup
+# would call the enum's Python-level hash.
+_SCANS = tuple((k, *_compile_scan(_INSTANCES[k])) for k in _INSTANCES) + tuple(
+    (k, *_compile_scan(*_RULE_INSTANCES[k])) for k in _RULES)
 _SCAN_IDS = tuple(k for k, _, _ in _SCANS)
 
 
@@ -402,10 +377,10 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
     except ValueError:
         i = -1
     if i < 0 or w.kind != _PAIRED_KINDS[i]:
-        paired = PAIRED_PROPERTY.get(k)
+        name = k.value if isinstance(k, AxiomId) else repr(k)
+        paired = PAIRED_PROPERTY[k].value if k in PAIRED_PROPERTY else "n/a"
         raise MismatchedWitnessError(
-            f"witness for {w.kind!r} cannot refute {k.value} (needs {paired.value if paired else 'n/a'})"
-        )
+            f"witness for {w.kind!r} cannot refute {name} (needs {paired})")
     s, events = w.states["s"], w.events
     return _RECIPES[i](frame, s, events["E"], events), s
 

@@ -4,17 +4,23 @@ from itertools import product
 import pytest
 
 from kripkelewis import (
+    And,
     Atom,
     AxiomId,
     Bel,
+    Box,
     Cond,
+    Iff,
+    Implies,
     MismatchedWitnessError,
     Model,
     Not,
+    Or,
     PAIRED_PROPERTY,
     PropertyId,
     SchemaEvaluator,
     Witness,
+    atoms,
     axiom_instance,
     check_property,
     countermodel_from_witness,
@@ -27,7 +33,7 @@ from kripkelewis import (
     truth,
     truth_set,
 )
-from kripkelewis.axioms import _SCANS, countermodel_assignment
+from kripkelewis.axioms import _SCANS, _compile_scan, countermodel_assignment
 
 import helpers
 
@@ -112,7 +118,8 @@ def _assert_schema_matches_models(frame, axiom, assignments):
 
 
 def test_schema_evaluation_equals_model_semantics_exhaustive_small():
-    # all letter assignments on fixture frames and sampled 1- and 2-state frames
+    # all letter assignments on fixture frames, sampled 1- to 3-state frames and
+    # a ranked three-state frame (every schema valid)
     rng = random.Random(122)
     frames = [
         helpers.m0_frame(),
@@ -122,6 +129,8 @@ def test_schema_evaluation_equals_model_semantics_exhaustive_small():
     ]
     frames += list(sample_frames(1, 10, seed=123))
     frames += list(sample_frames(2, 60, seed=124))
+    frames += list(sample_frames(3, 4, seed=125))
+    frames += [helpers.ranked_frame(rng, 3)]
     for frame in frames:
         full = frame.full
         for axiom in SCHEMAS:
@@ -229,10 +238,60 @@ def test_countermodel_assignment_rejects_every_wrong_witness_kind(fx2):
             if prop is not paired:
                 with pytest.raises(MismatchedWitnessError):
                     countermodel_assignment(fx2, axiom, witness(prop))
-    for axiom in (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6):
+    for axiom in (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6, "A2", None):
         for prop in PropertyId:
             with pytest.raises(MismatchedWitnessError):
                 countermodel_assignment(fx2, axiom, witness(prop))
+
+
+def test_compiled_scans_of_other_fragment_formulas_equal_truth_set():
+    # forms the instances do not use: <-> over events, [] inside <->, a
+    # positive [] literal, a [] literal bound by the innermost letter, a
+    # negated <-> consequent, an implication as a conjunct of ``bad``
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    formulas = [
+        Iff(Bel(Cond(p, q)), Box(Iff(p, q))),
+        Implies(Box(p), Not(Bel(Not(q)))),
+        Not(And(Bel(p), Implies(Bel(Cond(q, r)), Box(Not(r))))),
+        Bel(Cond(And(p, Not(q)), Implies(q, r))),
+        Implies(And(Bel(Cond(p, q)), Not(Box(Not(r)))), Iff(Bel(q), Bel(Cond(p, r)))),
+    ]
+    frames = [helpers.fx2_frame(), helpers.p8_violation_frame()]
+    frames += list(sample_frames(2, 12, seed=138))
+    batches = [frames[i : i + 7] for i in range(0, len(frames), 7)]
+    batches += [list(sample_frames(3, 3, seed=139))]
+    for formula in formulas:
+        scan, letters = _compile_scan(formula)
+        assert letters == len(atoms(formula))
+        for batch in batches:
+            evaluator = SchemaEvaluator(*batch)
+            n, full = evaluator.n, evaluator.full
+            expected = []
+            for assignment in product(range(full + 1), repeat=letters):
+                bad = 0
+                for lane, frame in enumerate(batch):
+                    model = Model(frame, dict(zip(("p", "q", "r"), assignment)))
+                    bad |= (full ^ truth_set(model, formula)) << lane * n
+                if bad:
+                    expected.append((bad, assignment))
+            hits = list(scan(evaluator, *[range(full + 1)] * letters))
+            assert hits == expected, (formula, frame_digest(batch[0]))
+
+
+def test_scan_compiler_refuses_formulas_outside_its_fragment():
+    p, q = Atom("p"), Atom("q")
+    outside = r"not a B\(a > b\), B a or \[\] a over Boolean events"
+    for formula, match in (
+        (Or(Bel(Cond(p, q)), Bel(p)), outside),  # Or at the modal level
+        (Bel(Bel(p)), outside),
+        (Bel(Cond(p, Bel(q))), outside),
+        (Box(Bel(p)), outside),
+        (Implies(Bel(p), p), outside),  # an atom at the modal level
+        (Bel(Cond(Or(p, q), q)), outside),  # Or in an event
+        (Bel(Cond(p, Atom("s"))), "atoms outside p, q, r"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            _compile_scan(formula)
 
 
 def test_witness_prefers_lexicographically_least_assignment():
