@@ -37,7 +37,7 @@ from .model import (
     truth_set,
     validate_frame,
 )
-from .properties import PropertyId, check_property, replay_witness
+from .properties import PropertyEvaluator, PropertyId, check_property, replay_witness
 from .axioms import (
     AxiomId,
     MismatchedWitnessError,
@@ -82,7 +82,7 @@ __all__ = [
     "EmptyEventError", "Frame", "FrameIssue", "FrameValidationError", "Model",
     "Witness", "canonical_events", "frame_to_json", "load_frame", "load_model",
     "model_to_json", "revised_support", "truth", "truth_set", "validate_frame",
-    "PropertyId", "check_property", "replay_witness",
+    "PropertyEvaluator", "PropertyId", "check_property", "replay_witness",
     "AxiomId", "MismatchedWitnessError", "PAIRED_PROPERTY", "SchemaEvaluator",
     "axiom_instance", "countermodel_from_witness", "rule_valid_on_frame",
     "schema_valid_on_frame",

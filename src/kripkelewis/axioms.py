@@ -12,7 +12,7 @@ semantics on instances built from fresh atoms p, q, r.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .formula import And, Atom, Bel, Box, Cond, Formula, Iff, Implies, Not, atoms
 from .model import Frame, Model, Witness, shared_size
@@ -94,7 +94,8 @@ class SchemaEvaluator:
     on the same n states.
 
     Frame i occupies lane i: bit ``i*n + s`` of every state mask stands for
-    state s of frame i, so each scan in ``_SCANS`` runs once for all the frames.
+    state s of frame i, so each compiled scan (``_scan``) runs once for all
+    the frames.
     Precomputes, for every pair of events (a, b), the mask of states where
     the believed conditional with antecedent event a and consequent event
     b holds: everything if a is empty, else the states whose union of
@@ -147,7 +148,7 @@ class SchemaEvaluator:
     def holds_mask(self, k: AxiomId, assignment: tuple[int, ...]) -> int:
         """Mask of states, in every lane, where the instance of ``k`` under
         ``assignment`` (one event per letter, in ``LETTERS`` order) holds."""
-        _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
+        _, scan, letters = _scan(_SCAN_IDS.index(k))
         if k in _RULES:
             raise ValueError(f"{k.value} is a rule of inference, not a schema")
         if len(assignment) != letters:
@@ -160,13 +161,13 @@ class SchemaEvaluator:
         """State mask, over every lane, whose lane i is nonempty iff the
         schema or rule ``k`` fails on frame i: it holds the states where
         frame i's first falsifying assignment fails."""
-        _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
+        _, scan, letters = _scan(_SCAN_IDS.index(k))
         return self._failures(scan, self.states, [range(self.full + 1)] * letters)[0]
 
     def _first_witness(self, k: AxiomId) -> Witness | None:
         """None if ``k`` holds on the first frame, else its first falsifying
         assignment in ``product`` order with its lowest falsified state."""
-        _, scan, letters = _SCANS[_SCAN_IDS.index(k)]
+        _, scan, letters = _scan(_SCAN_IDS.index(k))
         failed, assignment = self._failures(scan, self.full, [range(self.full + 1)] * letters)
         if assignment is None:
             return None
@@ -288,13 +289,28 @@ def _compile_scan(formula: Formula, bound: dict[str, str] | None = None):
     return namespace["scan"], len(free)
 
 
-# Each schema or rule with its scan and the letter ranges the scan takes,
-# compiled once from the module's own instances.  Looked up by position in
-# ``_SCAN_IDS``: ``tuple.index`` compares identities, where a dict lookup
-# would call the enum's Python-level hash.
-_SCANS = tuple((k, *_compile_scan(_INSTANCES[k])) for k in _INSTANCES) + tuple(
-    (k, *_compile_scan(*_RULE_INSTANCES[k])) for k in _RULES)
-_SCAN_IDS = tuple(k for k, _, _ in _SCANS)
+# The schemas and rules with a scan, looked up by position: ``tuple.index``
+# compares identities, where a dict lookup would call the enum's
+# Python-level hash.
+_SCAN_IDS = (*_INSTANCES, *_RULES)
+
+
+@cache
+def _scan(i: int):
+    """``(k, scan, letters)`` for the schema or rule at position i of
+    ``_SCAN_IDS``: its scan and the letter ranges the scan takes, compiled
+    from the module's own instance on first use."""
+    k = _SCAN_IDS[i]
+    instance = _RULE_INSTANCES[k] if k in _RULES else (_INSTANCES[k],)
+    return (k, *_compile_scan(*instance))
+
+
+def compile_scans() -> None:
+    """Compile every schema and rule scan now.  A process about to fork
+    workers calls this, so that each worker inherits the scans instead of
+    compiling them again in every pool."""
+    for i in range(len(_SCAN_IDS)):
+        _scan(i)
 
 
 @lru_cache(maxsize=None)
@@ -348,19 +364,26 @@ PAIRED_PROPERTY = {
 }
 
 
-# PAIRED_PROPERTY as two tuples, read by position like ``_SCANS``, and
-# countermodel_assignment's recipe for each paired axiom, indexed the same:
-# (frame, state s, event E, witness events) -> the assignment of p, q, r.
+# PAIRED_PROPERTY as two tuples, read by position like ``_SCAN_IDS``, and
+# the countermodel recipe of each paired axiom, indexed the same:
+# (frame, state s, event E, event F) -> the assignment of p, q, r.
 _PAIRED_AXIOMS = tuple(PAIRED_PROPERTY)
 _PAIRED_KINDS = tuple(prop.value for prop in PAIRED_PROPERTY.values())
 _RECIPES = (
-    lambda frame, s, e, events: (e,),  # A2
-    lambda frame, s, e, events: (e, frame.union[s][e]),  # A3
-    lambda frame, s, e, events: (e, frame.belief[s] & e),  # A4
-    lambda frame, s, e, events: (e, 0),  # A5
-    lambda frame, s, e, events: (e, events["F"], events["G"]),  # A7
-    lambda frame, s, e, events: (e, events["F"], frame.union[s][e]),  # A8
+    lambda frame, s, e, f: (e,),  # A2
+    lambda frame, s, e, f: (e, frame.union[s][e]),  # A3
+    lambda frame, s, e, f: (e, frame.belief[s] & e),  # A4
+    lambda frame, s, e, f: (e, 0),  # A5
+    lambda frame, s, e, f: (e, f, frame.union[s][e & f]),  # A7
+    lambda frame, s, e, f: (e, f, frame.union[s][e]),  # A8
 )
+
+
+def countermodel_recipe(k: AxiomId):
+    """The recipe :func:`countermodel_assignment` applies for the paired
+    axiom ``k``: a function of the frame, the violating state s and the
+    witness's events E and F (0 where it has none) to the assignment."""
+    return _RECIPES[_PAIRED_AXIOMS.index(k)]
 
 
 def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple[int, ...], int]:
@@ -370,7 +393,9 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
 
     These are the canonical refutation recipes: the violated event becomes
     p, and q and r take the derived events that make the axiom's
-    antecedent true while its consequent fails.
+    antecedent true while its consequent fails.  For A7, r is the union of
+    believed selections for E & F, the strongest candidate, whatever G the
+    witness carries.
     """
     try:
         i = _PAIRED_AXIOMS.index(k)
@@ -382,7 +407,7 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
         raise MismatchedWitnessError(
             f"witness for {w.kind!r} cannot refute {name} (needs {paired})")
     s, events = w.states["s"], w.events
-    return _RECIPES[i](frame, s, events["E"], events), s
+    return _RECIPES[i](frame, s, events["E"], events.get("F", 0)), s
 
 
 def countermodel_from_witness(

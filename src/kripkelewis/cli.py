@@ -29,7 +29,7 @@ from .model import (
     truth,
 )
 from .parser import format_formula, parse
-from .properties import PropertyId, check_property
+from .properties import PropertyEvaluator, PropertyId, check_property
 from .revision import AgmPostulateId, PostulateEvaluator, revise_membership
 from .revision import agm_event_check  # noqa: F401  unused; perfbench's tracer patches it by name
 from .correspondence import (
@@ -152,7 +152,8 @@ def cmd_frame_check(args) -> int:
     props = list(PropertyId)
     if args.props:
         props = [_id_arg(PropertyId, "property", piece.strip()) for piece in args.props.split(",")]
-    results = {p.value: _outcome("pass", check_property(frame, p), frame) for p in props}
+    evaluator = PropertyEvaluator(frame)
+    results = {p.value: _outcome("pass", evaluator.witnesses(p)[0], frame) for p in props}
     _emit(args, lambda: {"results": results},
           lambda: (_verdict(name, "pass", res) for name, res in results.items()))
     return 0 if all(res["pass"] for res in results.values()) else 1

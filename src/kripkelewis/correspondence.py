@@ -8,13 +8,13 @@ for k = 4 the property must imply the postulate (the reverse direction is
 recorded as data, never as a failure).  Every property violation also
 replays its canonical countermodel, which must falsify the paired axiom.
 
-Sweeps check frames in batches: a lane-batched ``SchemaEvaluator`` and
-``PostulateEvaluator`` scan each schema, rule and postulate once for a
-whole batch, and each distinct countermodel is replayed once (see
-:func:`_batch_verdicts`).  A sweep partition holding at least as many
-frames as there are local profiles ``(belief[s], union[s])`` folds each
-frame from memoised per-profile verdicts instead of checking it whole; see
-:func:`_fold_profiles`.
+Sweeps check frames in batches: a lane-batched ``PropertyEvaluator``,
+``SchemaEvaluator`` and ``PostulateEvaluator`` scan each property, schema,
+rule and postulate once for a whole batch, and each distinct countermodel
+is replayed once (see :func:`_batch_verdicts`).  A sweep partition holding
+at least as many frames as there are local profiles ``(belief[s],
+union[s])`` folds each frame from memoised per-profile verdicts instead of
+checking it whole; see :func:`_fold_profiles`.
 """
 
 from __future__ import annotations
@@ -22,19 +22,19 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, countermodel_assignment
+from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, compile_scans, countermodel_recipe
 from .model import Frame, bit_indices
 
 # Unused here; perfbench's tracer patches these names on this module.
 from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
 from .model import truth  # noqa: F401
+from .properties import check_property  # noqa: F401
 from .revision import agm_event_check  # noqa: F401
-from .properties import check_property
+from .properties import PropertyEvaluator
 from .revision import CONDITIONED, UNCONDITIONAL, AgmPostulateId, PostulateEvaluator
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
@@ -195,48 +195,54 @@ BATCH_FRAMES = 250
 
 def _batch_verdicts(frames: Sequence[Frame], ks: tuple[int, ...]) -> list[tuple[int, int]]:
     """Packed verdicts of each of these frames on the same states.  One
-    schema and one postulate evaluator hold frame i in lane i, so each
-    schema, rule and postulate is scanned once for all of them; properties
-    are checked per frame.  Property violations are grouped by countermodel
-    (the axiom and its letter assignment), and each group is replayed once,
-    every violation reading its own state off the shared mask."""
+    property, one schema and one postulate evaluator hold frame i in lane
+    i, so each property, schema, rule and postulate is scanned once for all
+    of them, and each column comes back as a state mask over the lanes.
+    Property violations are grouped by countermodel (the axiom and its
+    letter assignment), and each group is replayed once, every violation
+    reading its own state off the shared mask."""
     schemas = SchemaEvaluator(*frames)
     postulates = PostulateEvaluator(*frames)
-    m = len(ks)
+    properties = PropertyEvaluator(*frames)
+    n = schemas.n
     axioms = [_AXIOM[k] for k in ks]
-    failures = [(schemas.lane_failures(ax), m + i) for i, ax in enumerate(axioms)]
-    failures += [(postulates.lane_failures(_AGM[k]), 2 * m + i) for i, k in enumerate(ks)]
-    failures += [(schemas.lane_failures(ax), 3 * m + j)
-                 for j, ax in enumerate(_ALWAYS_VALID_AXIOMS)]
-    failures += [(postulates.lane_failures(pid), 3 * m + j)
-                 for j, pid in enumerate(UNCONDITIONAL, start=len(_ALWAYS_VALID_AXIOMS))]
-    n, full = schemas.n, schemas.full
-    # replays[i]: countermodel assignment -> (lane, state bit) of each
-    # violation of the property at position i of ks
-    replays: list[dict[tuple[int, ...], list[tuple[int, int]]]] = [{} for _ in ks]
-    ok_bits = []
-    for lane, frame in enumerate(frames):
-        shift = lane * n
-        ok = 0
-        for i, k in enumerate(ks):
-            w = check_property(frame, _PROP[k])
-            if w is None:
-                ok |= 1 << i
-                continue
-            assignment, s = countermodel_assignment(frame, axioms[i], w)
-            replays[i].setdefault(assignment, []).append((lane, shift + s))
-        for lane_failures, bit in failures:
-            if not lane_failures >> shift & full:
-                ok |= 1 << bit
-        ok_bits.append(ok)
-    falsified = [0] * len(frames)
-    for i, groups in enumerate(replays):
+    failures = []  # the failing states of each ``ok`` bit, in bit order
+    falsified = []  # per k: the violations whose replay falsified Ak
+    for k, axiom in zip(ks, axioms):
+        failed, hits = properties.lane_hits(_PROP[k])
+        failures.append(failed)
+        recipe = countermodel_recipe(axiom)
+        # countermodel assignment -> the violating state of each lane
+        groups: dict[tuple[int, ...], int] = {}
+        for bit, e, f, _ in hits:
+            assignment = recipe(frames[bit // n], bit % n, e, f)
+            groups[assignment] = groups.get(assignment, 0) | 1 << bit
+        replayed = 0
         for assignment, violations in groups.items():
-            holds = schemas.holds_mask(axioms[i], assignment)
-            for lane, bit in violations:
-                if not holds >> bit & 1:
-                    falsified[lane] |= 1 << i
-    return list(zip(ok_bits, falsified))
+            replayed |= violations & ~schemas.holds_mask(axiom, assignment)
+        falsified.append(replayed)
+    failures += [schemas.lane_failures(axiom) for axiom in axioms]
+    failures += [postulates.lane_failures(_AGM[k]) for k in ks]
+    failures += [schemas.lane_failures(axiom) for axiom in _ALWAYS_VALID_AXIOMS]
+    failures += [postulates.lane_failures(pid) for pid in UNCONDITIONAL]
+    every = (1 << len(failures)) - 1
+    ok_bits = [every ^ failed for failed in _lane_words(failures, n, len(frames))]
+    return list(zip(ok_bits, _lane_words(falsified, n, len(frames))))
+
+
+def _lane_words(columns: list[int], n: int, lanes: int) -> list[int]:
+    """Per lane, the int whose bit j is set iff the state mask
+    ``columns[j]`` has a state of that lane.  Each column's lane bits are
+    read off its binary digits, one every n, and each lane's word is
+    spelled from them, highest column first."""
+    width = n * lanes
+    digits = []
+    for mask in reversed(columns):
+        spread = mask
+        for s in range(1, n):
+            spread |= mask >> s  # state 0 of each lane: any of its states
+        digits.append(f"{spread:0{width}b}"[width - 1 :: -n])
+    return [int("".join(bits), 2) for bits in zip(*digits)]
 
 
 def _unpack_verdicts(
@@ -480,9 +486,10 @@ def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
     profile's verdicts are those of its uniform frame, where every state
     believes ``belief[s]`` and selects the row ``union[s]``.  A frame's
     replay for a violated Pk is its lowest violating state's, because the
-    property checkers scan states first.  Profile verdicts are memoised for
-    this partition only: per batch of frames, the uniform frames of the
-    profiles not yet seen are checked together by :func:`_batch_verdicts`.
+    property evaluator takes each lane's witness from its lowest failing
+    state.  Profile verdicts are memoised for this partition only: per
+    batch of frames, the uniform frames of the profiles not yet seen are
+    checked together by :func:`_batch_verdicts`.
 
     A frame code is the belief digits followed by n selection rows of
     ``width`` bits each (one n-bit digit per event), so the union of the
@@ -575,6 +582,10 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
         except Exception as exc:
             failure = exc
     else:
+        # imported here: only the pool path pays for it
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+        compile_scans()
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             futures = [pool.submit(_run_partition, *p) for p in payloads]
             wait(futures, return_when=FIRST_EXCEPTION)

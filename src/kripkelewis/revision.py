@@ -94,12 +94,13 @@ class PostulateEvaluator:
     are checked independently of the schema evaluator's tables.
     """
 
-    __slots__ = ("n", "width", "states", "inside", "belief", "union")
+    __slots__ = ("n", "width", "shifts", "states", "inside", "belief", "union")
 
     def __init__(self, *frames: Frame):
         n = shared_size(frames)
         self.n = n
         self.width = n * len(frames)
+        self.shifts = range(self.width, n * self.width, self.width)  # of blocks 1 .. n-1
         self.states = (1 << self.width) - 1
         self.inside = _inside(n, self.width)
         self.union = _blocks([row for frame in frames for row in frame.union], n)
@@ -107,11 +108,10 @@ class PostulateEvaluator:
 
     def _fold(self, blocks: int) -> int:
         """Mask of the states set in any block."""
-        mask = 0
-        while blocks:
-            mask |= blocks & self.states
-            blocks >>= self.width
-        return mask
+        mask = blocks
+        for shift in self.shifts:
+            mask |= blocks >> shift
+        return mask & self.states
 
     # One scan per postulate: each walks the inputs E (or E, then F) in
     # canonical order and yields the mask of states where the postulate
@@ -218,8 +218,19 @@ def _blocks(rows, n: int) -> list[int]:
     Spells each column as binary digits, highest bit first, and reads them
     with ``int``: the rows are flattened into bytes (eight states at a
     time), ``bytes.translate`` turns each byte into the digit of state x,
-    and a slice stepping back over the rows picks column e.
+    and a slice stepping back over the rows picks column e.  Below
+    ``_FEW_ROWS`` rows, as for a single frame, ORing each entry's blocks
+    in from a table is faster.
     """
+    if len(rows) < _FEW_ROWS:
+        spread = _spread(n, len(rows))
+        columns = []
+        for column in zip(*rows):
+            blocks = 0
+            for i, u in enumerate(column):
+                blocks |= spread[u] << i
+            columns.append(blocks)
+        return columns
     step = len(rows[0])
     last = (len(rows) - 1) * step
     digits = []
@@ -231,7 +242,17 @@ def _blocks(rows, n: int) -> list[int]:
     return [int(b"".join([d[last + e :: -step] for d in digits]), 2) for e in range(step)]
 
 
+# Where the two ways of ``_blocks`` took about as long, on two to five states.
+_FEW_ROWS = 16
+
+
+@lru_cache(maxsize=None)
+def _spread(n: int, width: int) -> list[int]:
+    """Indexed by event u on n states: bit 0 of block x for each x in u."""
+    return [sum(1 << x * width for x in bit_indices(u)) for u in range(1 << n)]
+
+
 @lru_cache(maxsize=None)
 def _inside(n: int, width: int) -> tuple[int, ...]:
     """Indexed by event e: every bit of block x for each state x in e."""
-    return tuple(_blocks([range(1 << n)] * width, n))
+    return tuple(bits * ((1 << width) - 1) for bits in _spread(n, width))

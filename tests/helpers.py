@@ -5,7 +5,8 @@ representations than the library uses: classification by top-down
 membership predicates, frame properties over frozensets instead of
 bitmasks, rules of inference through concrete models instead of the
 schema evaluator's tables, P7 and P8 through their literal quantifier
-forms, sampled frames as drawn tuples instead of frame codes, the
+forms, the lane-packed property evaluator by its per-frame loops,
+sampled frames as drawn tuples instead of frame codes, the
 evaluator's tables by per-entry subset tests and its schema and rule
 scans as one mask formula each under ``product``, the postulates by
 loops over one state's union table, and the frame loader, union table,
@@ -324,6 +325,97 @@ def check_p8_literal(frame: Frame) -> Witness | None:
 
 
 LITERAL_FORMS = {PropertyId.P7: check_p7_literal, PropertyId.P8: check_p8_literal}
+
+
+# --- per-frame property loops ---------------------------------------------
+#
+# The checkers the lane-packed ``PropertyEvaluator`` replaced: one frame at
+# a time, states first, then events in canonical order, then the believed
+# state, so each returns the minimal witness in (s, E, ...) order.  P7 and
+# P8 use the library's reformulations over the union table.
+
+def oracle_check_p2(frame: Frame) -> Witness | None:
+    sel = frame.selection
+    for s in range(frame.n):
+        for e in canonical_events(frame.n):
+            for sp in frame.believed[s]:
+                if sel[sp][e] & ~e:
+                    return Witness("P2", {"s": s, "s_prime": sp}, {"E": e})
+    return None
+
+
+def oracle_check_p3(frame: Frame) -> Witness | None:
+    for s in range(frame.n):
+        for e in canonical_events(frame.n):
+            u = frame.union[s][e]
+            for sp in frame.believed[s]:
+                if e >> sp & 1 and not u >> sp & 1:
+                    return Witness("P3", {"s": s, "s_prime": sp}, {"E": e})
+    return None
+
+
+def oracle_check_p4(frame: Frame) -> Witness | None:
+    sel = frame.selection
+    for s in range(frame.n):
+        b = frame.belief[s]
+        for e in canonical_events(frame.n):
+            inside = b & e
+            if inside == 0:
+                continue
+            for sp in frame.believed[s]:
+                if sel[sp][e] & ~inside:
+                    return Witness("P4", {"s": s, "s_prime": sp}, {"E": e})
+    return None
+
+
+def oracle_check_p5(frame: Frame) -> Witness | None:
+    sel = frame.selection
+    for s in range(frame.n):
+        for e in canonical_events(frame.n):
+            if not any(sel[sp][e] for sp in frame.believed[s]):
+                return Witness("P5", {"s": s}, {"E": e})
+    return None
+
+
+def oracle_check_p7(frame: Frame) -> Witness | None:
+    events = canonical_events(frame.n)
+    for s in range(frame.n):
+        row = frame.union[s]
+        for e in events:
+            for f in events:
+                if e & f and row[e] & f & ~row[e & f]:
+                    return Witness("P7", {"s": s}, {"E": e, "F": f, "G": row[e & f]})
+    return None
+
+
+def oracle_check_p8(frame: Frame) -> Witness | None:
+    sel = frame.selection
+    events = canonical_events(frame.n)
+    for s in range(frame.n):
+        row = frame.union[s]
+        members = frame.believed[s]
+        for e in events:
+            bound = row[e]
+            for f in events:
+                ef = e & f
+                if ef == 0 or bound & f == 0:
+                    continue
+                for st in members:
+                    if sel[st][ef] & ~(bound & f):
+                        s_hat = next(sp for sp in members if sel[sp][e] & f)
+                        return Witness(
+                            "P8", {"s": s, "s_hat": s_hat, "s_tilde": st}, {"E": e, "F": f})
+    return None
+
+
+ORACLE_PROPERTY_CHECKS = {
+    PropertyId.P2: oracle_check_p2,
+    PropertyId.P3: oracle_check_p3,
+    PropertyId.P4: oracle_check_p4,
+    PropertyId.P5: oracle_check_p5,
+    PropertyId.P7: oracle_check_p7,
+    PropertyId.P8: oracle_check_p8,
+}
 
 
 # --- frame sampling oracle -------------------------------------------------

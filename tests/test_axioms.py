@@ -33,7 +33,7 @@ from kripkelewis import (
     truth,
     truth_set,
 )
-from kripkelewis.axioms import _SCANS, _compile_scan, countermodel_assignment
+from kripkelewis.axioms import _SCAN_IDS, _compile_scan, _scan, countermodel_assignment
 
 import helpers
 
@@ -516,7 +516,7 @@ def _assert_scans_yield_oracle_hits(frames) -> int:
     n, full = evaluator.n, evaluator.full
     tables = [helpers.oracle_tables(frame) for frame in frames]
     count = 0
-    for k, scan, letters in _SCANS:
+    for k, scan, letters in map(_scan, range(len(_SCAN_IDS))):
         expected = helpers.oracle_scan_hits(frames, tables, k)
         hits = list(scan(evaluator, *[range(full + 1)] * letters))
         assert hits == expected, (frame_digest(frames[0]), len(frames), k)

@@ -4,7 +4,9 @@ import pytest
 
 from kripkelewis import (
     Frame,
+    PropertyEvaluator,
     PropertyId,
+    Witness,
     check_property,
     enumerate_frames,
     frame_digest,
@@ -151,6 +153,71 @@ def test_unknown_witness_kind_rejected(m0):
 def test_check_property_rejects_what_is_not_a_property_id(fx2):
     from kripkelewis import AxiomId
 
-    for k in ("P2", AxiomId.A2):
-        with pytest.raises(ValueError):
+    for k in ("P2", AxiomId.A2, None):
+        with pytest.raises(ValueError, match="unknown property"):
             check_property(fx2, k)
+        with pytest.raises(ValueError, match="unknown property"):
+            PropertyEvaluator(fx2).lane_hits(k)
+
+
+# --- the lane-packed evaluator against the per-frame loops it replaced -----
+
+def _assert_evaluator_matches_loops(frames) -> int:
+    """On one evaluator holding ``frames``: each property's witnesses equal
+    the per-frame loops' (kind, states and events, P8's s_hat included),
+    and lane i of the failing states is nonempty iff frame i fails.
+    Returns the number of witnesses."""
+    evaluator = PropertyEvaluator(*frames)
+    n, full = frames[0].n, frames[0].full
+    count = 0
+    for prop in ALL_PROPS:
+        expected = [helpers.ORACLE_PROPERTY_CHECKS[prop](frame) for frame in frames]
+        assert evaluator.witnesses(prop) == expected, (frame_digest(frames[0]), prop)
+        failed, hits = evaluator.lane_hits(prop)
+        fails = [bool(failed >> lane * n & full) for lane in range(len(frames))]
+        assert fails == [w is not None for w in expected], (frame_digest(frames[0]), prop)
+        assert sorted(bit // n for bit, *_ in hits) == [i for i, w in enumerate(expected) if w]
+        count += sum(w is not None for w in expected)
+    return count
+
+
+def test_evaluator_matches_loops_all_two_state_frames_in_mixed_batches():
+    frames = list(enumerate_frames(2))
+    random.Random(140).shuffle(frames)  # passing and failing lanes side by side
+    for lo in range(0, len(frames), 250):
+        assert _assert_evaluator_matches_loops(frames[lo : lo + 250])
+
+
+def test_evaluator_matches_loops_seed_42_three_state_frames():
+    frames = list(sample_frames(3, 1000, seed=42))
+    for lo in range(0, len(frames), 250):
+        assert _assert_evaluator_matches_loops(frames[lo : lo + 250])
+    for frame in frames[:100]:
+        _assert_evaluator_matches_loops([frame])
+
+
+def test_evaluator_matches_loops_uniform_and_ranked_four_and_five_states():
+    rng = random.Random(141)
+    for n in (4, 5):
+        frames = [helpers.random_frame(rng, n) for _ in range(12)]
+        frames += [helpers.ranked_frame(rng, n) for _ in range(12)]
+        rng.shuffle(frames)
+        assert _assert_evaluator_matches_loops(frames)
+        for frame in frames[:6]:
+            _assert_evaluator_matches_loops([frame])
+
+
+def test_lane_witness_is_its_lowest_failing_states():
+    # s1 believes only itself and selects nothing for {s0}: P5 fails there
+    # at the first event.  s0 believes only itself and selects nothing for
+    # {s0, s1}: P5 fails there at the last event.  The witness is s0's.
+    frame = Frame(("s0", "s1"), (0b01, 0b10), ((0, 0b01, 0b10, 0), (0, 0, 0b10, 0b10)))
+    holds = Frame(("s0", "s1"), (0b11, 0b11), ((0, 0b01, 0b10, 0b01), (0, 0b01, 0b10, 0b10)))
+    witness = Witness("P5", {"s": 0}, {"E": 0b11})
+    assert helpers.oracle_check_p5(frame) == witness
+    evaluator = PropertyEvaluator(holds, frame, frame)
+    failed, hits = evaluator.lane_hits(PropertyId.P5)
+    assert failed == 0b111100  # both states of lanes 1 and 2
+    assert sorted(hits) == [(2, 0b11, 0, 0), (4, 0b11, 0, 0)]  # each lane's s0
+    assert evaluator.witnesses(PropertyId.P5) == [None, witness, witness]
+    assert check_property(frame, PropertyId.P5) == witness

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import concurrent.futures
 from concurrent.futures import Future
 from fractions import Fraction
 from math import comb
@@ -287,7 +288,7 @@ def test_sweep_workers_capped_at_cpu_count(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
     pooled = sweep(cfg, workers=64).to_json()
@@ -416,7 +417,7 @@ def test_sweep_error_names_pool_partition(monkeypatch):
             raise RuntimeError("injected")
         return real(n, code)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlineFailingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineFailingPool)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(sweep_module, "frame_from_code", flaky)
     # three partitions of 40 frames each: the second fails at its eleventh frame
@@ -479,7 +480,7 @@ def test_profile_route_equals_frame_route_three_state_codes():
 
 
 def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
-    real_assignment = sweep_module.countermodel_assignment
+    real_recipe = sweep_module.countermodel_recipe
 
     class BrokenK2(sweep_module.PostulateEvaluator):
         # K2 also fails at every state whose union for the event {s0, s1} is empty
@@ -496,14 +497,20 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
             failed = super().lane_failures(k)
             return failed | self.broken if k is AgmPostulateId.K2 else failed
 
-    def broken_a2_recipe(frame, k, w):
-        assignment, s = real_assignment(frame, k, w)
-        if k is AxiomId.A2 and frame.belief[s] == 3:
-            return (0,), s  # the empty event cannot falsify A2
-        return assignment, s
+    def broken_a2_recipe(k):
+        recipe = real_recipe(k)
+        if k is not AxiomId.A2:
+            return recipe
+
+        def broken(frame, s, e, f):
+            if frame.belief[s] == 3:
+                return (0,)  # the empty event cannot falsify A2
+            return recipe(frame, s, e, f)
+
+        return broken
 
     monkeypatch.setattr(sweep_module, "PostulateEvaluator", BrokenK2)
-    monkeypatch.setattr(sweep_module, "countermodel_assignment", broken_a2_recipe)
+    monkeypatch.setattr(sweep_module, "countermodel_recipe", broken_a2_recipe)
     for n, count, seed in ((2, 900, 18), (3, 120, 19)):
         config = SweepConfig(size=n, mode="random", count=count, seed=seed).echo()
         codes = list(sweep_module._sample_codes(n, count, seed))
@@ -706,3 +713,18 @@ def test_partition_hashes_no_enum_per_frame(monkeypatch):
     sweep_module._run_partition(config, codes)
     monkeypatch.undo()
     assert hashes[0] <= 100
+
+
+def test_lane_words_equal_a_per_lane_bit_loop():
+    # the ok and falsified words of _batch_verdicts, assembled from column
+    # masks, against reading each column's lanes one at a time
+    rng = random.Random(146)
+    for n, lanes in ((1, 7), (2, 250), (3, 250), (3, 1), (5, 40)):
+        full = (1 << n) - 1
+        columns = [rng.getrandbits(n * lanes) & rng.getrandbits(n * lanes) for _ in range(21)]
+        columns[3] = 0
+        expected = [
+            sum(1 << j for j, mask in enumerate(columns) if mask >> lane * n & full)
+            for lane in range(lanes)
+        ]
+        assert sweep_module._lane_words(columns, n, lanes) == expected, (n, lanes)
