@@ -306,9 +306,8 @@ def _scan(i: int):
 
 
 def compile_scans() -> None:
-    """Compile every schema and rule scan now.  A process about to fork
-    workers calls this, so that each worker inherits the scans instead of
-    compiling them again in every pool."""
+    """Compile every schema and rule scan now: a parallel sweep calls this before
+    it forks its workers, so that they inherit the scans instead of compiling them."""
     for i in range(len(_SCAN_IDS)):
         _scan(i)
 

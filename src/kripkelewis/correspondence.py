@@ -14,7 +14,8 @@ rule and postulate once for a whole batch, and each distinct countermodel
 is replayed once (see :func:`_batch_verdicts`).  A sweep partition holding
 at least as many frames as there are local profiles ``(belief[s],
 union[s])`` folds each frame from memoised per-profile verdicts instead of
-checking it whole; see :func:`_fold_profiles`.
+checking it whole; see :func:`_fold_profiles`.  On several workers the parent
+checks the last partition and forked workers the others (see :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -559,13 +560,25 @@ def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, Sequence[
     return [(config, codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _outcome(config: dict, codes: Sequence[int], sender=None) -> tuple:
+    """``(None, report)`` or ``(exception, None)`` for a partition, also sent to ``sender``."""
+    try:
+        outcome: tuple = (None, _run_partition(config, codes))
+    except Exception as exc:
+        outcome = (exc, None)
+    if sender is not None:
+        sender.send(outcome)
+    return outcome
+
+
 def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     """Check every frame of the configured frame stream (see :func:`_run_partition`).
 
-    With ``workers > 1`` the stream is partitioned across a process pool
-    of at most ``os.cpu_count()`` processes and the partial reports merged;
-    a worker failure aborts the sweep with a SweepError carrying the report
-    for whatever completed.  Refuses ``workers < 1``.
+    With ``workers > 1`` the stream is split into at most ``os.cpu_count()``
+    partitions: the parent checks the last while a forked worker checks each
+    other one and sends its report through a pipe.  A failed partition, or a
+    worker exiting without a report, aborts the sweep with a SweepError naming
+    the lowest one and carrying the completed reports.  Refuses ``workers < 1``.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -573,30 +586,33 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     started = time.perf_counter()
     workers = min(workers, os.cpu_count() or 1)
     payloads = _make_payloads(cfg, workers)
-    partials: list[Report] = []
-    failure: BaseException | None = None
-    failed_at = 0
-    if len(payloads) == 1:
-        try:
-            partials.append(_run_partition(*payloads[0]))
-        except Exception as exc:
-            failure = exc
-    else:
-        # imported here: only the pool path pays for it
-        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-
-        compile_scans()
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            futures = [pool.submit(_run_partition, *p) for p in payloads]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            for i, fut in enumerate(futures):
-                if not fut.done():
-                    fut.cancel()
-                elif fut.exception() is None:
-                    partials.append(fut.result())
-                elif failure is None:
-                    failure, failed_at = fut.exception(), i
-    if failure is not None:
+    children = []
+    try:
+        if len(payloads) > 1:
+            import multiprocessing  # here: only the parallel path pays for it
+            compile_scans()
+            for payload in payloads[:-1]:
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_outcome, args=(*payload, sender))
+                child.start()
+                sender.close()  # so that the receiver reads EOF once the child is gone
+                children.append((child, receiver))
+        results = [_outcome(*payloads[-1])]
+        for i, (child, receiver) in enumerate(children):
+            try:
+                results.insert(i, receiver.recv())
+            except EOFError:
+                child.join()
+                results.insert(i, (RuntimeError(f"worker exited with code {child.exitcode}"), None))
+    finally:
+        for child, receiver in children:  # no worker outlives the sweep
+            child.terminate()
+            child.join()
+            receiver.close()
+    partials = [report for exc, report in results if exc is None]
+    failures = [(i, exc) for i, (exc, _) in enumerate(results) if exc is not None]
+    if failures:
+        failed_at, failure = failures[0]
         partial = merge_reports(partials) if partials else Report.empty(cfg.echo(), cfg.ks)
         lo = sum(len(codes) for _, codes in payloads[:failed_at])
         hi = lo + len(payloads[failed_at][1])

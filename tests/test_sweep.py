@@ -2,9 +2,12 @@ import enum
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import random
-import concurrent.futures
-from concurrent.futures import Future
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -267,50 +270,86 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_sweep_workers_capped_at_cpu_count(monkeypatch):
-    sizes = []
+@pytest.fixture
+def bounded():
+    """Fails a test still running after 60 s, so that a sweep waiting on a
+    worker that will never report fails instead of hanging the run."""
 
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: runs each partition in this
-        process and records the pool size it was asked for."""
+    def timeout(signum, frame):
+        raise TimeoutError("still running after 60 s")
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+# Workers see a patch made in the parent only when they are forked from it.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers are not forked")
 
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+def _fail_on(monkeypatch, codes) -> None:
+    """Make decoding raise RuntimeError("injected") on these frame codes, in
+    this process and in every worker forked from it."""
+    real = sweep_module.frame_from_code
+
+    def failing(n, code):
+        if code in codes:
+            raise RuntimeError("injected")
+        return real(n, code)
+
+    monkeypatch.setattr(sweep_module, "frame_from_code", failing)
+
+
+def test_sweep_workers_capped_at_cpu_count(monkeypatch, bounded):
+    pipes = []
+    real_pipe = multiprocessing.Pipe
+
+    def counting_pipe(duplex=True):
+        pipes.append(duplex)  # one per worker started
+        return real_pipe(duplex)
+
+    monkeypatch.setattr(multiprocessing, "Pipe", counting_pipe)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
-    pooled = sweep(cfg, workers=64).to_json()
-    assert sizes == [3]
+    parallel = sweep(cfg, workers=64).to_json()
+    assert len(pipes) == 2  # two workers and the parent: three processes check
+    assert multiprocessing.active_children() == []
     serial = sweep(cfg, workers=1).to_json()
-    pooled.pop("duration_ms")
+    parallel.pop("duration_ms")
     serial.pop("duration_ms")
-    assert pooled == serial
+    assert parallel == serial
 
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)
     sweep(cfg, workers=8)
-    assert sizes == [3]  # an unknown core count means one process, no pool
+    assert len(pipes) == 2  # an unknown core count means the parent alone
+    assert multiprocessing.active_children() == []
 
 
-def test_sweep_exhaustive_parallel_partition():
-    cfg = SweepConfig(size=1, mode="exhaustive")
-    serial = sweep(cfg, workers=1).to_json()
-    parallel = sweep(cfg, workers=2).to_json()
-    serial.pop("duration_ms")
-    parallel.pop("duration_ms")
-    assert serial == parallel
-    assert serial["totals"]["frames"] == 2
+def test_cli_import_loads_no_process_machinery():
+    # only a sweep on several workers imports multiprocessing
+    code = "import sys, kripkelewis.cli; print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(sweep_module.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_sweep_exhaustive_parallel_partition(monkeypatch, bounded):
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    for size, frames in ((1, 2), (2, 36_864)):
+        cfg = SweepConfig(size=size, mode="exhaustive")
+        serial = sweep(cfg, workers=1).to_json()
+        parallel = sweep(cfg, workers=2).to_json()
+        serial.pop("duration_ms")
+        parallel.pop("duration_ms")
+        assert serial == parallel
+        assert serial["totals"]["frames"] == frames
+    # both halves of the two-state stream fold profiles (see _run_partition)
+    halves = [len(codes) for _, codes in sweep_module._make_payloads(cfg, 2)]
+    assert len(halves) == 2 and min(halves) >= sweep_module._profile_count(2)
 
 
 def test_merge_reports_is_order_insensitive():
@@ -385,58 +424,74 @@ def test_sweep_error_names_serial_partition(monkeypatch):
     assert str(exc.value) == "sweep aborted: partition codes[0:2] failed: injected"
 
 
-class InlineFailingPool:
-    """Stands in for ProcessPoolExecutor: runs each partition in this
-    process and hands back its result or its exception in a future."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:
-            fut.set_exception(exc)
-        return fut
-
-
-def test_sweep_error_names_pool_partition(monkeypatch):
-    calls = {"n": 0}
-    real = sweep_module.frame_from_code
-
-    def flaky(n, code):
-        calls["n"] += 1
-        if calls["n"] > 50:
-            raise RuntimeError("injected")
-        return real(n, code)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineFailingPool)
+@needs_fork
+def test_sweep_error_names_pool_partition(monkeypatch, bounded):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(sweep_module, "frame_from_code", flaky)
-    # three partitions of 40 frames each: the second fails at its eleventh frame
+    # three partitions of 40 frames each; the first two go to workers
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
+    codes = list(sweep_module._sample_codes(2, 120, 16))
+    assert codes.index(codes[50]) == 50 and codes[50] not in codes[80:]
+    _fail_on(monkeypatch, {codes[50]})
+    with pytest.raises(SweepError) as exc:
+        sweep(cfg, workers=3)
+    assert str(exc.value) == "sweep aborted: partition codes[40:80] (seed 16) failed: injected"
+    assert exc.value.partial_report.totals["frames"] == 80  # the first and the last
+    assert multiprocessing.active_children() == []
+
+    # a worker and the parent both fail: the lower partition is named
+    assert codes.index(codes[110]) == 110
+    _fail_on(monkeypatch, {codes[50], codes[110]})
     with pytest.raises(SweepError) as exc:
         sweep(cfg, workers=3)
     assert str(exc.value) == "sweep aborted: partition codes[40:80] (seed 16) failed: injected"
     assert exc.value.partial_report.totals["frames"] == 40
+    assert multiprocessing.active_children() == []
 
-    def fails_on_last_code(n, code):
-        if (n, code) == (1, 1):
-            raise RuntimeError("injected")
-        return real(n, code)
 
-    monkeypatch.setattr(sweep_module, "frame_from_code", fails_on_last_code)
+def test_sweep_error_names_parent_partition(monkeypatch, bounded):
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    _fail_on(monkeypatch, {1})  # the parent checks the last partition, codes[1:2]
     with pytest.raises(SweepError) as exc:
         sweep(SweepConfig(size=1, mode="exhaustive"), workers=2)
     assert str(exc.value) == "sweep aborted: partition codes[1:2] failed: injected"
     assert exc.value.partial_report.totals["frames"] == 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bounded):
+    parent, real = os.getpid(), sweep_module._run_partition
+
+    def dies_in_worker(config, codes):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(config, codes)
+
+    monkeypatch.setattr(sweep_module, "_run_partition", dies_in_worker)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
+    with pytest.raises(SweepError) as exc:
+        sweep(cfg, workers=2)
+    assert str(exc.value) == (
+        "sweep aborted: partition codes[0:60] (seed 16) failed: worker exited with code 3")
+    assert exc.value.partial_report.totals["frames"] == 60  # the parent's partition
+    assert multiprocessing.active_children() == []
+
+
+def test_keyboard_interrupt_in_parent_partition_propagates(monkeypatch, bounded):
+    parent, real = os.getpid(), sweep_module._run_partition
+
+    def interrupted_in_parent(config, codes):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(config, codes)
+
+    monkeypatch.setattr(sweep_module, "_run_partition", interrupted_in_parent)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    cfg = SweepConfig(size=3, mode="random", count=3000, seed=16)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(cfg, workers=3)
+    assert multiprocessing.active_children() == []
 
 
 def _both_routes(config: dict, codes) -> tuple[dict, dict]:
