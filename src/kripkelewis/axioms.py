@@ -18,6 +18,7 @@ from .formula import And, Atom, Bel, Box, Cond, Formula, Iff, Implies, Not, atom
 from .model import Frame, Model, Witness, shared_size
 from .model import truth_set  # noqa: F401  unused; perfbench's tracer patches it by name
 from .properties import PropertyId
+from .revision import LaneTables
 
 
 class AxiomId(Enum):
@@ -102,19 +103,24 @@ class SchemaEvaluator:
     believed selections for a lies inside b.  Likewise the mask of states
     whose belief set lies inside each event.
 
+    A sweep batch's masks are read off the blocks of its ``tables``.
     ``full`` is the event universe 2^n - 1 (also lane 0's states);
     ``states`` is every state of every lane.
     """
 
     __slots__ = ("n", "full", "states", "low", "bel", "bel_cond")
 
-    def __init__(self, *frames: Frame):
-        n = shared_size(frames)
+    def __init__(self, *frames: Frame, tables: LaneTables | None = None):
+        n, lanes = (tables.n, tables.lanes) if tables else (shared_size(frames), len(frames))
         full = (1 << n) - 1
         self.n = n
         self.full = full
-        self.states = (1 << n * len(frames)) - 1
-        self.low = self.states // full  # bit 0 of each lane
+        self.states = states = (1 << n * lanes) - 1
+        self.low = states // full  # bit 0 of each lane
+        if tables:  # union[0] is 0, so row 0 of bel_cond is every state
+            self.bel, *self.bel_cond = [
+                _block_superset_masks(u, n, states) for u in (tables.belief, *tables.union)]
+            return
         bits = _lane_bits(len(frames) * n)
         # Column a: union[s][a] of every (lane, state) in bit order.
         columns = zip(*[row for frame in frames for row in frame.union])
@@ -343,6 +349,18 @@ def _superset_masks(events, bits, full: int) -> list[int]:
     return masks
 
 
+def _block_superset_masks(blocks: int, n: int, states: int) -> list[int]:
+    """``_superset_masks`` of the events in ``blocks`` (block x: the states whose event
+    has x).  The states with a member outside b are block x or ``outside[b | 1 << x]``,
+    x the least state outside b."""
+    width = states.bit_length()
+    outside = [0] * (1 << n)
+    for b in range(len(outside) - 2, -1, -1):
+        x = ((b + 1) & ~b).bit_length() - 1
+        outside[b] = outside[b | (b + 1)] | blocks >> x * width & states
+    return [states ^ mask for mask in outside]
+
+
 def schema_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:
     """Check one axiom schema on a frame by exhausting letter assignments."""
     return SchemaEvaluator(frame).check_axiom(k)
@@ -365,23 +383,23 @@ PAIRED_PROPERTY = {
 
 # PAIRED_PROPERTY as two tuples, read by position like ``_SCAN_IDS``, and
 # the countermodel recipe of each paired axiom, indexed the same:
-# (frame, state s, event E, event F) -> the assignment of p, q, r.
+# (reader of union[s][e], reader of belief[s], state s, event E, event F) -> p, q, r.
 _PAIRED_AXIOMS = tuple(PAIRED_PROPERTY)
 _PAIRED_KINDS = tuple(prop.value for prop in PAIRED_PROPERTY.values())
 _RECIPES = (
-    lambda frame, s, e, f: (e,),  # A2
-    lambda frame, s, e, f: (e, frame.union[s][e]),  # A3
-    lambda frame, s, e, f: (e, frame.belief[s] & e),  # A4
-    lambda frame, s, e, f: (e, 0),  # A5
-    lambda frame, s, e, f: (e, f, frame.union[s][e & f]),  # A7
-    lambda frame, s, e, f: (e, f, frame.union[s][e]),  # A8
+    lambda union, belief, s, e, f: (e,),  # A2
+    lambda union, belief, s, e, f: (e, union(s, e)),  # A3
+    lambda union, belief, s, e, f: (e, belief(s) & e),  # A4
+    lambda union, belief, s, e, f: (e, 0),  # A5
+    lambda union, belief, s, e, f: (e, f, union(s, e & f)),  # A7
+    lambda union, belief, s, e, f: (e, f, union(s, e)),  # A8
 )
 
 
 def countermodel_recipe(k: AxiomId):
     """The recipe :func:`countermodel_assignment` applies for the paired
-    axiom ``k``: a function of the frame, the violating state s and the
-    witness's events E and F (0 where it has none) to the assignment."""
+    axiom ``k`` (see ``_RECIPES``); E and F are 0 where the witness has
+    none, and a sweep batch's readers take a state's bit ``lane*n + s``."""
     return _RECIPES[_PAIRED_AXIOMS.index(k)]
 
 
@@ -406,7 +424,8 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
         raise MismatchedWitnessError(
             f"witness for {w.kind!r} cannot refute {name} (needs {paired})")
     s, events = w.states["s"], w.events
-    return _RECIPES[i](frame, s, events["E"], events.get("F", 0)), s
+    union = lambda x, e: frame.union[x][e]
+    return _RECIPES[i](union, frame.belief.__getitem__, s, events["E"], events.get("F", 0)), s
 
 
 def countermodel_from_witness(

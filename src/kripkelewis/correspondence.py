@@ -24,7 +24,8 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, compile_scans, countermodel_recipe
@@ -36,7 +37,8 @@ from .model import truth  # noqa: F401
 from .properties import check_property  # noqa: F401
 from .revision import agm_event_check  # noqa: F401
 from .properties import PropertyEvaluator
-from .revision import CONDITIONED, UNCONDITIONAL, AgmPostulateId, PostulateEvaluator
+from .revision import CONDITIONED, UNCONDITIONAL, AgmPostulateId, LaneTables, PostulateEvaluator
+from .revision import _spread
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
 MODES = ("exhaustive", "random")
@@ -177,7 +179,7 @@ class FrameRecord:
 def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
     """Run property, axiom and postulate checks on one frame and flag any
     disagreement the correspondence asserts cannot happen."""
-    (verdicts,) = _batch_verdicts([frame], ks)
+    (verdicts,) = _batch_verdicts(frame.n, [frame_code(frame)], ks)
     record = _unpack_verdicts(verdicts, ks, frame_digest(frame))
     record.discrepancies = _discrepancies(record)
     return record
@@ -194,18 +196,53 @@ BATCH_FRAMES = 250
 # bit i says the replay for a violated Pk falsified Ak.
 
 
-def _batch_verdicts(frames: Sequence[Frame], ks: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Packed verdicts of each of these frames on the same states.  One
-    property, one schema and one postulate evaluator hold frame i in lane
-    i, so each property, schema, rule and postulate is scanned once for all
-    of them, and each column comes back as a state mask over the lanes.
-    Property violations are grouped by countermodel (the axiom and its
-    letter assignment), and each group is replayed once, every violation
-    reading its own state off the shared mask."""
-    schemas = SchemaEvaluator(*frames)
-    postulates = PostulateEvaluator(*frames)
-    properties = PropertyEvaluator(*frames)
-    n = schemas.n
+def _lane_tables(n: int, codes: Sequence[int]) -> LaneTables:
+    """The lane tables of the frames with these codes on n states, frame i in
+    lane i (see ``PropertyEvaluator``), spelled from the codes' digits.  A
+    code's selection digits are n-bit fields, (state, event) ascending from
+    the top, so in the reversed string of the batch's selection bits, bit x
+    of (lane i, state s, event e) is at n(full - e) + x plus n full for each
+    (lane, state) above (i, s).  ``belief`` is spelled likewise, one field
+    per state, and ``union[e]`` ORs in each believed state's ``sel[e]``."""
+    full = (1 << n) - 1
+    cut, step, width = n * n * full, n * full, n * len(codes)
+    mask, states = (1 << cut) - 1, (1 << width) - 1
+    digits = "".join([f"{code & mask:0{cut}b}" for code in codes])[::-1]
+    sel = [0] + [int("".join([digits[(full - e) * n + x :: step] for x in reversed(range(n))]), 2)
+                 for e in range(1, full + 1)]
+    beliefs = "".join([_belief_bits(n, code >> cut) for code in codes])[::-1]
+    belief = int("".join([beliefs[x::n] for x in reversed(range(n))]), 2)
+    ones = _spread(n, width)[full]  # bit 0 of every block
+    lows = states // full * ones  # state 0 of every lane in every block
+    believed = [(belief >> x * width & states) * ones for x in range(n)]  # block x, in every block
+    union = [0] + [reduce(or_, [(row >> x & lows) * full & b for x, b in enumerate(believed)])
+                   for row in sel[1:]]
+    return LaneTables(n, len(codes), sel, union, belief)
+
+
+@lru_cache(maxsize=4096)  # every belief number of up to three states
+def _belief_bits(n: int, digits: int) -> str:
+    """A code's belief digits as the binary digits of one n-bit field per state."""
+    full = (1 << n) - 1
+    return "".join([f"{digits // full ** (n - 1 - s) % full + 1:0{n}b}" for s in range(n)])
+
+
+def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Packed verdicts of the frames with these codes on n states.  One
+    property, one schema and one postulate evaluator share the lane tables
+    of :func:`_lane_tables`, so each property, schema, rule and postulate
+    is scanned once for all the frames, and each column comes back as a
+    state mask over the lanes.  Property violations are grouped by their
+    countermodel, read off the tables, and each group is replayed once,
+    every violation reading its own state off the shared mask."""
+    tables = _lane_tables(n, codes)
+    schemas = SchemaEvaluator(tables=tables)
+    postulates = PostulateEvaluator(tables=tables)
+    properties = PropertyEvaluator(tables=tables)
+    spread = _spread(n, n * len(codes))  # event -> bit 0 of each of its states' blocks
+    event, ones = {bits: u for u, bits in enumerate(spread)}.__getitem__, spread[-1]
+    union = lambda bit, e: event(tables.union[e] >> bit & ones)  # union[s][e] at bit lane*n + s
+    belief = lambda bit: event(tables.belief >> bit & ones)
     axioms = [_AXIOM[k] for k in ks]
     failures = []  # the failing states of each ``ok`` bit, in bit order
     falsified = []  # per k: the violations whose replay falsified Ak
@@ -216,7 +253,7 @@ def _batch_verdicts(frames: Sequence[Frame], ks: tuple[int, ...]) -> list[tuple[
         # countermodel assignment -> the violating state of each lane
         groups: dict[tuple[int, ...], int] = {}
         for bit, e, f, _ in hits:
-            assignment = recipe(frames[bit // n], bit % n, e, f)
+            assignment = recipe(union, belief, bit, e, f)
             groups[assignment] = groups.get(assignment, 0) | 1 << bit
         replayed = 0
         for assignment, violations in groups.items():
@@ -227,8 +264,8 @@ def _batch_verdicts(frames: Sequence[Frame], ks: tuple[int, ...]) -> list[tuple[
     failures += [schemas.lane_failures(axiom) for axiom in _ALWAYS_VALID_AXIOMS]
     failures += [postulates.lane_failures(pid) for pid in UNCONDITIONAL]
     every = (1 << len(failures)) - 1
-    ok_bits = [every ^ failed for failed in _lane_words(failures, n, len(frames))]
-    return list(zip(ok_bits, _lane_words(falsified, n, len(frames))))
+    ok_bits = [every ^ failed for failed in _lane_words(failures, n, len(codes))]
+    return list(zip(ok_bits, _lane_words(falsified, n, len(codes))))
 
 
 def _lane_words(columns: list[int], n: int, lanes: int) -> list[int]:
@@ -448,8 +485,7 @@ def _check_frames(config: dict, codes: Sequence[int]) -> Report:
     def outcomes() -> Iterator[tuple[int, tuple[int, int]]]:
         for lo in range(0, len(codes), BATCH_FRAMES):
             batch = codes[lo : lo + BATCH_FRAMES]
-            frames = [frame_from_code(n, code) for code in batch]
-            yield from zip(batch, _batch_verdicts(frames, ks))
+            yield from zip(batch, _batch_verdicts(n, batch, ks))
 
     return _tally(config, ks, outcomes())
 
@@ -525,11 +561,10 @@ def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
             for i in range(0, len(unseen), BATCH_FRAMES):
                 profiles = unseen[i : i + BATCH_FRAMES]
                 uniform = [
-                    frame_from_code(
-                        n, uniform_beliefs[key >> width] | (key & row_mask) * uniform_rows)
+                    uniform_beliefs[key >> width] | (key & row_mask) * uniform_rows
                     for key in profiles
                 ]
-                memo.update(zip(profiles, _batch_verdicts(uniform, ks)))
+                memo.update(zip(profiles, _batch_verdicts(n, uniform, ks)))
             verdicts = map(memo.__getitem__, keys)
             folded = []
             for states in zip(*[verdicts] * n):
@@ -560,12 +595,18 @@ def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, Sequence[
     return [(config, codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
+class WorkerTraceback(Exception):
+    """A worker's traceback as text, the cause of the exception it sent."""
+
+
 def _outcome(config: dict, codes: Sequence[int], sender=None) -> tuple:
-    """``(None, report)`` or ``(exception, None)`` for a partition, also sent to ``sender``."""
+    """``(None, report, None)`` or ``(exception, None, traceback text)`` for a
+    partition, also sent to ``sender``: pickling an exception drops its traceback."""
     try:
-        outcome: tuple = (None, _run_partition(config, codes))
+        outcome: tuple = (None, _run_partition(config, codes), None)
     except Exception as exc:
-        outcome = (exc, None)
+        import traceback  # here: only a failure pays for it
+        outcome = (exc, None, traceback.format_exc())
     if sender is not None:
         sender.send(outcome)
     return outcome
@@ -601,16 +642,19 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
         for i, (child, receiver) in enumerate(children):
             try:
                 results.insert(i, receiver.recv())
+                if results[i][0] is not None:
+                    results[i][0].__cause__ = WorkerTraceback(results[i][2])
             except EOFError:
                 child.join()
-                results.insert(i, (RuntimeError(f"worker exited with code {child.exitcode}"), None))
+                exited = RuntimeError(f"worker exited with code {child.exitcode}")
+                results.insert(i, (exited, None, None))
     finally:
         for child, receiver in children:  # no worker outlives the sweep
             child.terminate()
             child.join()
             receiver.close()
-    partials = [report for exc, report in results if exc is None]
-    failures = [(i, exc) for i, (exc, _) in enumerate(results) if exc is not None]
+    partials = [report for exc, report, _ in results if exc is None]
+    failures = [(i, exc) for i, (exc, _, _) in enumerate(results) if exc is not None]
     if failures:
         failed_at, failure = failures[0]
         partial = merge_reports(partials) if partials else Report.empty(cfg.echo(), cfg.ks)

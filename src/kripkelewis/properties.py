@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Frame, Witness, canonical_events, shared_size
-from .revision import PostulateEvaluator, _blocks, _inside
+from .model import Frame, Witness, canonical_events
+from .revision import LaneTables, PostulateEvaluator, _inside, frame_tables
 
 
 class PropertyId(Enum):
@@ -49,25 +49,23 @@ class PropertyEvaluator:
     whose selection for event e contains x, block x of ``belief`` those
     whose belief set contains x, and block x of ``union[e]`` those whose
     union of believed selections for e contains x.  ``union`` is read only
-    by P3, P7 and P8, whose conditions name it; no table of the schema or
-    postulate evaluators is read.  ``believes[x]`` is block x of ``belief``
+    by P3, P7 and P8, whose conditions name it.  A sweep batch passes its
+    ``tables`` (shared with its ``PostulateEvaluator``) and no frames, so it
+    has no :meth:`witnesses`.  ``believes[x]`` is block x of ``belief``
     as a state mask, and ``low`` has state 0 of every lane.
     """
 
-    def __init__(self, *frames: Frame):
-        n = shared_size(frames)
+    def __init__(self, *frames: Frame, tables: LaneTables | None = None):
+        n, lanes, self.sel, self.union, self.belief = tables or frame_tables(frames, True)
         self.frames = frames
         self.n = n
-        self.width = width = n * len(frames)
+        self.width = width = n * lanes
         self.shifts = range(width, n * width, width)  # of blocks 1 .. n-1
         self.states = (1 << width) - 1
         self.low = self.states // ((1 << n) - 1)
         self.inside = _inside(n, width)
         self.ones = self.inside[-1] // self.states  # bit 0 of every block
         self.lows = self.low * self.ones  # state 0 of every lane in every block
-        self.sel = _blocks([row for frame in frames for row in frame.selection], n)
-        self.union = _blocks([row for frame in frames for row in frame.union], n)
-        (self.belief,) = _blocks([(b,) for frame in frames for b in frame.belief], n)
         self.believes = [self.belief >> x * width & self.states for x in range(n)]
 
     _fold = PostulateEvaluator._fold

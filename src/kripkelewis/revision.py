@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from typing import NamedTuple
 
 from .formula import Formula, require_boolean
 from .model import Frame, Model, Witness, bit_indices, canonical_events, shared_size, truth_set
@@ -90,21 +90,20 @@ class PostulateEvaluator:
     ``union[e]`` holds the states whose union of believed selections for
     event e contains x, block x of ``belief`` those whose belief set
     contains x, and ``inside[e]`` is every block x with x in e.  They are
-    read off ``frame.union`` and ``frame.belief`` alone, so the postulates
-    are checked independently of the schema evaluator's tables.
+    read off ``frame.union`` and ``frame.belief`` alone (or a sweep batch's
+    ``tables``), so the postulates are checked independently of the schema
+    evaluator's tables.
     """
 
     __slots__ = ("n", "width", "shifts", "states", "inside", "belief", "union")
 
-    def __init__(self, *frames: Frame):
-        n = shared_size(frames)
+    def __init__(self, *frames: Frame, tables: LaneTables | None = None):
+        n, lanes, _, self.union, self.belief = tables or frame_tables(frames)
         self.n = n
-        self.width = n * len(frames)
+        self.width = n * lanes
         self.shifts = range(self.width, n * self.width, self.width)  # of blocks 1 .. n-1
         self.states = (1 << self.width) - 1
         self.inside = _inside(n, self.width)
-        self.union = _blocks([row for frame in frames for row in frame.union], n)
-        (self.belief,) = _blocks([(b,) for frame in frames for b in frame.belief], n)
 
     def _fold(self, blocks: int) -> int:
         """Mask of the states set in any block."""
@@ -207,43 +206,33 @@ class PostulateEvaluator:
 _SCANS = (PostulateEvaluator._scan_k2, PostulateEvaluator._scan_k3, PostulateEvaluator._scan_k4,
           PostulateEvaluator._scan_k5b, PostulateEvaluator._scan_k7, PostulateEvaluator._scan_k8)
 
-# _DIGITS[x][u] is the ASCII digit of bit x of the byte u.
-_DIGITS = [(b"0" * (1 << x) + b"1" * (1 << x)) * (128 >> x) for x in range(8)]
+# ``PropertyEvaluator``'s tables of ``lanes`` frames on ``n`` states, ``sel``
+# and ``union`` indexed by event (0 at the empty one).
+LaneTables = NamedTuple(
+    "LaneTables", [("n", int), ("lanes", int), ("sel", list), ("union", list), ("belief", int)])
+
+
+def frame_tables(frames: tuple[Frame, ...], selection: bool = False) -> LaneTables:
+    """The lane tables of these frames, with ``sel`` only if ``selection``."""
+    n = shared_size(frames)
+    sel = _blocks([row for frame in frames for row in frame.selection], n) if selection else []
+    union = _blocks([row for frame in frames for row in frame.union], n)
+    (belief,) = _blocks([(b,) for frame in frames for b in frame.belief], n)
+    return LaneTables(n, len(frames), sel, union, belief)
 
 
 def _blocks(rows, n: int) -> list[int]:
     """Per column e of the equally long ``rows`` of events on n states:
-    block x has bit i set iff state x is in ``rows[i][e]``.
-
-    Spells each column as binary digits, highest bit first, and reads them
-    with ``int``: the rows are flattened into bytes (eight states at a
-    time), ``bytes.translate`` turns each byte into the digit of state x,
-    and a slice stepping back over the rows picks column e.  Below
-    ``_FEW_ROWS`` rows, as for a single frame, ORing each entry's blocks
-    in from a table is faster.
-    """
-    if len(rows) < _FEW_ROWS:
-        spread = _spread(n, len(rows))
-        columns = []
-        for column in zip(*rows):
-            blocks = 0
-            for i, u in enumerate(column):
-                blocks |= spread[u] << i
-            columns.append(blocks)
-        return columns
-    step = len(rows[0])
-    last = (len(rows) - 1) * step
-    digits = []
-    for low in range(0, n, 8):
-        values = chain.from_iterable(rows)
-        data = bytes(values) if n <= 8 else bytes(u >> low & 255 for u in values)
-        digits += [data.translate(_DIGITS[x]) for x in range(min(8, n - low))]
-    digits.reverse()  # highest state first
-    return [int(b"".join([d[last + e :: -step] for d in digits]), 2) for e in range(step)]
-
-
-# Where the two ways of ``_blocks`` took about as long, on two to five states.
-_FEW_ROWS = 16
+    block x has bit i set iff state x is in ``rows[i][e]``.  The library
+    passes single frames; a sweep batch spells its tables from frame codes."""
+    spread = _spread(n, len(rows))
+    columns = []
+    for column in zip(*rows):
+        blocks = 0
+        for i, u in enumerate(column):
+            blocks |= spread[u] << i
+        columns.append(blocks)
+    return columns
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,6 @@ from kripkelewis import (
     sample_frames,
     truth,
 )
-from kripkelewis import revision
-
 import helpers
 
 P, Q = Atom("p"), Atom("q")
@@ -286,16 +284,3 @@ def test_postulate_evaluator_refuses_no_frames_and_mixed_state_counts():
     with pytest.raises(ValueError, match="same number of states"):
         PostulateEvaluator(*frames)
 
-
-def test_blocks_of_few_rows_equal_the_digit_route(monkeypatch):
-    # below _FEW_ROWS rows the tables are ORed in from a table of spread
-    # bits; forcing the digit route must give the same blocks
-    rng = random.Random(145)
-    cases = [(n, rows) for n in (1, 2, 3, 5, 9) for rows in (1, 2, 5, revision._FEW_ROWS - 1)]
-    expected = []
-    for n, count in cases:
-        rows = [[rng.randrange(1 << n) for _ in range(1 << min(n, 4))] for _ in range(count)]
-        expected.append((n, rows, revision._blocks(rows, n)))
-    monkeypatch.setattr(revision, "_FEW_ROWS", 0)
-    for n, rows, blocks in expected:
-        assert revision._blocks(rows, n) == blocks, (n, len(rows))

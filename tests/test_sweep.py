@@ -14,6 +14,7 @@ from math import comb
 import pytest
 
 from kripkelewis import (
+    PAIRED_PROPERTY,
     AxiomId,
     Frame,
     PropertyId,
@@ -37,7 +38,7 @@ from kripkelewis import (
 )
 import kripkelewis.correspondence as sweep_module
 from kripkelewis.axioms import countermodel_assignment
-from kripkelewis.revision import AgmPostulateId
+from kripkelewis.revision import AgmPostulateId, frame_tables
 
 import helpers
 
@@ -291,16 +292,17 @@ needs_fork = pytest.mark.skipif(
 
 
 def _fail_on(monkeypatch, codes) -> None:
-    """Make decoding raise RuntimeError("injected") on these frame codes, in
-    this process and in every worker forked from it."""
-    real = sweep_module.frame_from_code
+    """Make building a batch's lane tables raise RuntimeError("injected")
+    when the batch holds one of these frame codes, in this process and in
+    every worker forked from it."""
+    real = sweep_module._lane_tables
 
-    def failing(n, code):
-        if code in codes:
+    def failing(n, batch):
+        if not codes.isdisjoint(batch):
             raise RuntimeError("injected")
-        return real(n, code)
+        return real(n, batch)
 
-    monkeypatch.setattr(sweep_module, "frame_from_code", failing)
+    monkeypatch.setattr(sweep_module, "_lane_tables", failing)
 
 
 def test_sweep_workers_capped_at_cpu_count(monkeypatch, bounded):
@@ -375,17 +377,18 @@ def test_merge_reports_rejects_mismatched_configs():
 
 
 def test_sweep_aborts_with_partial_report(monkeypatch):
-    # both routes decode every frame they check with frame_from_code
+    # both routes build the lane tables of every batch they check with
+    # _lane_tables; this one fails once it has seen more than 50 codes
     calls = {"n": 0}
-    real = sweep_module.frame_from_code
+    real = sweep_module._lane_tables
 
-    def flaky(n, code):
-        calls["n"] += 1
+    def flaky(n, codes):
+        calls["n"] += len(codes)
         if calls["n"] > 50:
             raise RuntimeError("injected")
-        return real(n, code)
+        return real(n, codes)
 
-    monkeypatch.setattr(sweep_module, "frame_from_code", flaky)
+    monkeypatch.setattr(sweep_module, "_lane_tables", flaky)
     cfg = SweepConfig(size=2, mode="random", count=200, seed=13, ks=(2,))
     with pytest.raises(SweepError) as exc:
         sweep(cfg, workers=1)
@@ -410,10 +413,10 @@ def test_random_mode_refuses_five_states_without_override():
 
 
 def test_sweep_error_names_serial_partition(monkeypatch):
-    def failing(n, code):
+    def failing(n, codes):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(sweep_module, "frame_from_code", failing)
+    monkeypatch.setattr(sweep_module, "_lane_tables", failing)
     cfg = SweepConfig(size=2, mode="random", count=200, seed=13, ks=(2,))
     with pytest.raises(SweepError) as exc:
         sweep(cfg, workers=1)
@@ -455,6 +458,25 @@ def test_sweep_error_names_parent_partition(monkeypatch, bounded):
         sweep(SweepConfig(size=1, mode="exhaustive"), workers=2)
     assert str(exc.value) == "sweep aborted: partition codes[1:2] failed: injected"
     assert exc.value.partial_report.totals["frames"] == 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_traceback_is_the_cause_of_its_failure(monkeypatch, bounded):
+    # pickling drops a worker's traceback, so the worker sends it as text
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
+    codes = list(sweep_module._sample_codes(2, 120, 16))
+    assert codes[10] not in codes[60:]  # so only the worker's partition fails
+    _fail_on(monkeypatch, {codes[10]})
+    with pytest.raises(SweepError) as exc:
+        sweep(cfg, workers=2)
+    assert str(exc.value) == "sweep aborted: partition codes[0:60] (seed 16) failed: injected"
+    assert exc.value.partial_report.totals["frames"] == 60
+    failure = exc.value.__cause__
+    assert repr(failure) == "RuntimeError('injected')"
+    remote = str(failure.__cause__)
+    assert ", in failing\n" in remote and remote.endswith("RuntimeError: injected\n"), remote
     assert multiprocessing.active_children() == []
 
 
@@ -539,14 +561,9 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
 
     class BrokenK2(sweep_module.PostulateEvaluator):
         # K2 also fails at every state whose union for the event {s0, s1} is empty
-        def __init__(self, *frames):
-            super().__init__(*frames)
-            self.broken = sum(
-                1 << (lane * frame.n + s)
-                for lane, frame in enumerate(frames)
-                for s in range(frame.n)
-                if frame.union[s][3] == 0
-            )
+        def __init__(self, *frames, tables=None):
+            super().__init__(*frames, tables=tables)
+            self.broken = self.states & ~self._fold(self.union[3])
 
         def lane_failures(self, k):
             failed = super().lane_failures(k)
@@ -557,10 +574,10 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
         if k is not AxiomId.A2:
             return recipe
 
-        def broken(frame, s, e, f):
-            if frame.belief[s] == 3:
+        def broken(union, belief, s, e, f):
+            if belief(s) == 3:
                 return (0,)  # the empty event cannot falsify A2
-            return recipe(frame, s, e, f)
+            return recipe(union, belief, s, e, f)
 
         return broken
 
@@ -589,10 +606,10 @@ def _count_checked_frames(monkeypatch) -> dict:
     calls = {"n": 0}
     real = sweep_module._batch_verdicts
 
-    def spy(frames, ks):
-        assert 0 < len(frames) <= sweep_module.BATCH_FRAMES
-        calls["n"] += len(frames)
-        return real(frames, ks)
+    def spy(n, codes, ks):
+        assert 0 < len(codes) <= sweep_module.BATCH_FRAMES
+        calls["n"] += len(codes)
+        return real(n, codes, ks)
 
     monkeypatch.setattr(sweep_module, "_batch_verdicts", spy)
     return calls
@@ -616,10 +633,14 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
 
 
 # sha256 of the sorted-key JSON report without duration_ms: the byte-stable
-# report contract, recorded before sweeps were lane-batched.
+# report contract.  The first two were recorded before sweeps were
+# lane-batched, the four- and five-state ones before batches built their
+# lane tables from frame codes.
 REPORT_DIGESTS = {
     "exhaustive2": "058453b7bc09785f13f3d5ba24112eaeca0aeaed0aa91631c2dc0247a78e4dba",
     "random3_1000_seed42": "acd118acf93ddf6bfc33be4a3bf6eb879f5803fe5758d14ee6dba98c87382c52",
+    "random4_500_seed42": "df02008cdcc61fbfdf5f3a89345aaf2a712c463fbd8fb86d4f32a505757fb5c2",
+    "random5_100_seed42": "8a66d1017affdd5868410df8f18cc300e9670287b0c11dce692bf6ff05432df1",
 }
 
 
@@ -631,10 +652,15 @@ def _report_digest(report: Report) -> str:
 
 def test_report_digests_golden():
     assert _report_digest(sweep(SweepConfig(size=2))) == REPORT_DIGESTS["exhaustive2"]
-    cfg = SweepConfig(size=3, mode="random", count=1000, seed=42)
-    for workers in (1, 2):
-        assert _report_digest(sweep(cfg, workers=workers)) == REPORT_DIGESTS[
-            "random3_1000_seed42"], workers
+    for name, cfg in (
+        ("random3_1000_seed42", SweepConfig(size=3, mode="random", count=1000, seed=42)),
+        ("random4_500_seed42", SweepConfig(size=4, mode="random", count=500, seed=42)),
+        ("random5_100_seed42",
+         SweepConfig(size=5, mode="random", count=100, seed=42, allow_large=True)),
+    ):
+        for workers in (1, 2):
+            assert _report_digest(sweep(cfg, workers=workers)) == REPORT_DIGESTS[name], (
+                name, workers)
 
 
 def _per_frame_report(config: dict, codes) -> dict:
@@ -652,11 +678,13 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
     # multiples of the batch sizes
     rng = random.Random(137)
     every_k = sweep_module.DEFAULT_KS
-    for n, count, ks in ((1, 5, every_k), (2, 61, every_k), (3, 131, (8, 2, 5)), (4, 13, every_k)):
+    for n, count, ks in ((1, 5, every_k), (2, 61, every_k), (3, 131, (8, 2, 5)), (4, 13, every_k),
+                         (5, 5, every_k)):
         codes = []
         for code in sweep_module._sample_codes(n, count, 138 + n):
             codes += [code, frame_code(helpers.ranked_frame(rng, n))]
-        config = SweepConfig(size=n, mode="random", count=len(codes), seed=0, ks=ks).echo()
+        config = SweepConfig(size=n, mode="random", count=len(codes), seed=0, ks=ks,
+                             allow_large=n > 4).echo()
         expected = _per_frame_report(config, codes)
         assert expected["replay"]["attempted"] > 0 or n == 1
         for batch in (1, 7, sweep_module.BATCH_FRAMES):
@@ -664,6 +692,72 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
             assert sweep_module._check_frames(config, codes).to_json() == expected, (n, batch)
             if n <= 2:
                 assert sweep_module._fold_profiles(config, codes).to_json() == expected, (n, batch)
+
+
+# --- lane tables spelled from frame codes against the frame-built ones -------
+
+def _assert_code_tables_match(n: int, codes) -> None:
+    """``_lane_tables`` of these codes against ``_blocks`` over the decoded
+    frames' rows, and the schema evaluator's masks built from each."""
+    frames = tuple(frame_from_code(n, code) for code in codes)
+    tables = sweep_module._lane_tables(n, codes)
+    assert tables == frame_tables(frames, selection=True), (n, len(codes))
+    by_codes, by_frames = SchemaEvaluator(tables=tables), SchemaEvaluator(*frames)
+    assert by_codes.bel_cond == by_frames.bel_cond, (n, len(codes))
+    assert by_codes.bel == by_frames.bel, (n, len(codes))
+
+
+def test_code_tables_equal_frame_tables_all_two_state_frames():
+    codes = range(frame_count(2))
+    for lo in range(0, len(codes), 250):
+        _assert_code_tables_match(2, codes[lo : lo + 250])
+
+
+def test_code_tables_equal_frame_tables_sampled_and_ranked():
+    rng = random.Random(149)
+    for n in (1, 3, 4, 5):
+        sampled = list(sweep_module._sample_codes(n, 250, 150 + n))
+        ranked = [frame_code(helpers.ranked_frame(rng, n)) for _ in range(250)]
+        for codes in (sampled, ranked):
+            for lanes in (1, 7, 250):
+                _assert_code_tables_match(n, codes[:lanes])
+
+
+def test_batch_recipes_equal_countermodel_assignment(monkeypatch):
+    # every countermodel a batch reads off its lane tables, against the
+    # witness and recipe of the decoded frame
+    real = sweep_module.countermodel_recipe
+    calls = []
+
+    def recording(k):
+        recipe = real(k)
+
+        def recorded(union, belief, bit, e, f):
+            assignment = recipe(union, belief, bit, e, f)
+            calls.append((k, bit, e, f, assignment))
+            return assignment
+
+        return recorded
+
+    monkeypatch.setattr(sweep_module, "countermodel_recipe", recording)
+    rng = random.Random(153)
+    checked = 0
+    for n, count in ((1, 30), (2, 400), (3, 300), (4, 60), (5, 8)):
+        codes = list(sweep_module._sample_codes(n, count, 154 + n))
+        codes += [frame_code(helpers.ranked_frame(rng, n)) for _ in range(5)]
+        rng.shuffle(codes)
+        for lo in range(0, len(codes), 250):
+            batch = codes[lo : lo + 250]
+            calls.clear()
+            sweep_module._batch_verdicts(n, batch, sweep_module.DEFAULT_KS)
+            for k, bit, e, f, assignment in calls:
+                lane, s = divmod(bit, n)
+                frame = frame_from_code(n, batch[lane])
+                w = check_property(frame, PAIRED_PROPERTY[k])
+                assert (w.states["s"], w.events["E"], w.events.get("F", 0)) == (s, e, f)
+                assert countermodel_assignment(frame, k, w) == (assignment, s), (n, batch[lane])
+            checked += len(calls)
+    assert checked > 3000
 
 
 def test_sweep_config_refuses_repeated_ks():
@@ -705,7 +799,8 @@ def _assert_grouped_replays_match(frames, ks=sweep_module.DEFAULT_KS, batch=250)
     replays = 0
     for lo in range(0, len(frames), batch):
         part = frames[lo : lo + batch]
-        for frame, (ok, falsified) in zip(part, sweep_module._batch_verdicts(part, ks)):
+        verdicts = sweep_module._batch_verdicts(part[0].n, [frame_code(f) for f in part], ks)
+        for frame, (ok, falsified) in zip(part, verdicts):
             assert falsified == _per_violation_falsified(frame, ks), (frame_digest(frame), ks)
             replays += sum(not ok >> i & 1 for i in range(len(ks)))
     return replays
@@ -738,7 +833,7 @@ def test_grouped_replays_equal_per_violation_replays_ranked_among_sampled():
 def test_batch_replays_once_per_distinct_countermodel(monkeypatch):
     # the 1,000 seed-42 frames in batches of 250: 5,587 violations share
     # 526 distinct (axiom, assignment) countermodels within their batches
-    frames = list(sample_frames(3, 1000, seed=42))
+    codes = list(sweep_module._sample_codes(3, 1000, 42))
     replayed = []
     real = SchemaEvaluator.holds_mask
 
@@ -748,7 +843,7 @@ def test_batch_replays_once_per_distinct_countermodel(monkeypatch):
 
     monkeypatch.setattr(SchemaEvaluator, "holds_mask", spy)
     for lo in range(0, 1000, 250):
-        sweep_module._batch_verdicts(frames[lo : lo + 250], sweep_module.DEFAULT_KS)
+        sweep_module._batch_verdicts(3, codes[lo : lo + 250], sweep_module.DEFAULT_KS)
     assert len(replayed) == len(set(replayed)) == 526
 
 
