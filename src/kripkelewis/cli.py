@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .axioms import (
     AxiomId,
@@ -49,7 +50,36 @@ class _InputError(Exception):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for str-keyed dicts:
+    with ``indent`` set the stdlib runs its pure-Python encoder; here only the layout is Python."""
+    parts = []
+    _lay_out(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _lay_out(obj, newline: str, parts: list) -> None:
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(obj):
+            parts.append(f"{opener}{_encode_str(key)}: ")
+            _lay_out(obj[key], inner, parts)
+            opener = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in obj:
+            parts.append(opener)
+            _lay_out(item, inner, parts)
+            opener = "," + inner
+        parts.append(newline + "]")
+    elif obj is True or obj is False:
+        parts.append("true" if obj else "false")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _read_json(path: str) -> dict:
@@ -98,7 +128,7 @@ def _state_arg(container, name: str) -> int:
     try:
         return container.state_index(name)
     except KeyError as exc:
-        raise _InputError(str(exc)) from exc
+        raise _InputError(exc.args[0]) from exc  # str() of a KeyError is the repr of its message
 
 
 def _emit(args, payload, lines) -> None:

@@ -387,8 +387,23 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
     selection = [[0] + [None] * full for _ in range(n)]
     rows = dict(zip(states, selection))
     for entry in raw_selection:
-        # dict first: its check is in C, the Mapping ABC's runs Python code
-        if not isinstance(entry, (dict, Mapping)):
+        # A dict naming a known state, with lists of known names and a new nonempty
+        # event, in one step; every other entry goes on to the checks that record issues.
+        if type(entry) is dict:
+            try:
+                row, event, selected = rows[entry["state"]], entry["event"], entry["selected"]
+                if type(event) is list and type(selected) is list:
+                    e = value = 0
+                    for x in event:
+                        e |= bits[x]
+                    for x in selected:
+                        value |= bits[x]
+                    if e and row[e] is None:
+                        row[e] = value
+                        continue
+            except (KeyError, TypeError):
+                pass
+        if not isinstance(entry, Mapping):
             return None, [bad_selection]
         name = entry.get("state")
         row = rows.get(name) if isinstance(name, str) else None
@@ -414,7 +429,7 @@ def validate_frame(data: Mapping) -> tuple[Frame | None, list[FrameIssue]]:
             continue
         row[event] = selected
     for name, row in zip(states, selection):
-        for e, value in enumerate(row):
+        for e, value in enumerate(row) if None in row else ():
             if value is None:
                 names = ", ".join(states[j] for j in bit_indices(e))
                 issues.append(

@@ -23,6 +23,7 @@ import pytest
 
 from conftest import REPO_ROOT
 from kripkelewis import FrameValidationError, load_model
+from kripkelewis import cli
 from kripkelewis.cli import main
 
 
@@ -125,6 +126,7 @@ GOLDEN = {
     "agm-check --frame @fx2": (1, "5ede444bd9d9bd8f", "e3b0c44298fc1c14"),
     "agm-check --json --frame @fx2": (1, "0d6e71be9b5de67a", "e3b0c44298fc1c14"),
     "agm-check --state s0 --frame @fx2": (1, "c0edbdb7a4b7163f", "e3b0c44298fc1c14"),
+    "agm-check --state s9 --frame @fx2": (2, "e3b0c44298fc1c14", "2a88dde151703732"),
     "countermodel --axiom A2 --frame @fx2": (1, "1b3f7146a00ce983", "e3b0c44298fc1c14"),
     "countermodel --axiom A3 --frame @fx2": (0, "90437884e5706029", "e3b0c44298fc1c14"),
     "countermodel --axiom A4 --frame @fx2": (1, "b6ad56a3f5b22b32", "e3b0c44298fc1c14"),
@@ -163,7 +165,7 @@ GOLDEN = {
         (0, "a16778337f24bc2c", "e3b0c44298fc1c14"),
     "eval --model @fx2 --state s0 --formula '(p > ~p) | B(p > q)'":
         (0, "2ed27c1421e6928d", "e3b0c44298fc1c14"),
-    "eval --model @fx2 --state s9 --formula p": (2, "e3b0c44298fc1c14", "852a0851759a562b"),
+    "eval --model @fx2 --state s9 --formula p": (2, "e3b0c44298fc1c14", "2a88dde151703732"),
     "revise --model @fx2 --state s0 --input p --query p":
         (0, "2ed27c1421e6928d", "e3b0c44298fc1c14"),
     "revise --model @fx2 --json --state s0 --input '~p | q' --query q":
@@ -175,7 +177,7 @@ GOLDEN = {
         (0, "92a517e0b43c0547", "e3b0c44298fc1c14"),
     "eval --model @m0 --state s0 --formula '(p > ~p) | B(p > q)'":
         (0, "a17fcf0a2f50e2d4", "e3b0c44298fc1c14"),
-    "eval --model @m0 --state s9 --formula p": (2, "e3b0c44298fc1c14", "852a0851759a562b"),
+    "eval --model @m0 --state s9 --formula p": (2, "e3b0c44298fc1c14", "2a88dde151703732"),
     "revise --model @m0 --state s0 --input p --query p":
         (0, "a17fcf0a2f50e2d4", "e3b0c44298fc1c14"),
     "revise --model @m0 --json --state s0 --input '~p | q' --query q":
@@ -439,6 +441,28 @@ def test_sweep_output_matches_golden(capsys):
         if got != expected:
             mismatches[key] = got
     assert not mismatches, mismatches
+
+
+def test_dump_equals_json_dumps_on_every_golden_payload(capsys, paths, monkeypatch):
+    """Every payload the ``GOLDEN`` and ``SWEEP_GOLDEN`` argvs print as JSON,
+    ``sweep --json`` reports included, lays out as ``json.dumps`` does."""
+    payloads = []
+    dump = cli._dump
+
+    def recording_dump(obj):
+        payloads.append((argv, obj))
+        return dump(obj)
+
+    monkeypatch.setattr(cli, "_dump", recording_dump)
+    for key in [*GOLDEN, *SWEEP_GOLDEN]:
+        argv = shlex.split(key)
+        main([paths.get(arg, arg) for arg in argv])
+        capsys.readouterr()
+    assert {argv[0] for argv, _ in payloads} == {
+        "parse", "eval", "frame-check", "axiom-check", "agm-check", "revise", "countermodel",
+        "sweep"}
+    for argv, obj in payloads:
+        assert dump(obj) == json.dumps(obj, indent=2, sort_keys=True), argv
 
 
 def test_golden_covers_every_command_and_issue_kind():

@@ -7,6 +7,7 @@ exit 2 must come with an ``error:`` line.
 import contextlib
 import io
 import json
+import types
 
 import pytest
 
@@ -131,4 +132,42 @@ def test_validate_frame_equals_two_pass_oracle(data):
     if frame is None:
         assert tables is None
     else:
+        assert (frame.states, frame.belief, frame.selection) == tables
+
+
+def _ab_frame(*entries) -> dict:
+    """A complete frame on states ``a`` and ``b`` with ``entries`` in place
+    of its first selection entry."""
+    selection = [
+        {"state": state, "event": event, "selected": event}
+        for state in ("a", "b") for event in (["a"], ["b"], ["a", "b"])
+    ]
+    return {"states": ["a", "b"], "belief": {"a": ["a"], "b": ["b"]},
+            "selection": [*entries, *selection[1:]]}
+
+
+# Entries the loader's one-step route for well-formed dict entries must pass
+# on to the issue-recording checks, whose verdicts must stay the oracle's.
+FALLBACK_CASES = {
+    "tuple-name-lists": (_ab_frame({"state": "a", "event": ("a",), "selected": ("a", "b")}), True),
+    "mapping-proxy-entry": (
+        _ab_frame(types.MappingProxyType({"state": "a", "event": ["a"], "selected": ["b"]})), True),
+    "repeated-name": (_ab_frame({"state": "a", "event": ["a", "a"], "selected": ["b", "b"]}), True),
+    "string-event-of-state-names": (_ab_frame({"state": "a", "event": "ab", "selected": []}), False),
+    "int-state": (_ab_frame({"state": 7, "event": ["a"], "selected": ["a"]}), False),
+    "list-state": (_ab_frame({"state": ["a"], "event": ["a"], "selected": ["a"]}), False),
+    "duplicate-after-valid": (_ab_frame({"state": "a", "event": ["a"], "selected": ["a"]},
+                                        {"state": "a", "event": ["a"], "selected": ["b"]}), False),
+    "no-event-key": (_ab_frame({"state": "a", "selected": ["a"]}), False),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK_CASES)
+def test_validate_frame_fallback_shapes_equal_two_pass_oracle(name):
+    data, loads = FALLBACK_CASES[name]
+    frame, issues = validate_frame(data)
+    tables, expected = helpers.oracle_validate_frame(data)
+    assert issues == expected
+    assert (frame is not None) == (tables is not None) == loads
+    if frame is not None:
         assert (frame.states, frame.belief, frame.selection) == tables
