@@ -33,10 +33,9 @@ class AxiomId(Enum):
     RULE_K6 = "RuleK6"
 
 
-# The rules of inference.  The module tests membership in the tuple, which
-# compares identities where the frozenset would call the enum's hash.
-_RULES = (AxiomId.RULE_K5A, AxiomId.RULE_K6)
-RULE_IDS = frozenset(_RULES)
+# The rules of inference.  A tuple, because testing membership in it
+# compares identities, where a frozenset would call the enum's hash.
+RULE_IDS = (AxiomId.RULE_K5A, AxiomId.RULE_K6)
 
 LETTERS = ("p", "q", "r")
 
@@ -66,23 +65,9 @@ _INSTANCES = {
 }
 
 
-# Each rule's instance, with the letters its scan binds: RuleK5a is
-# B(p > q) with p the empty event, the event-level image of an inconsistent
-# antecedent; RuleK6 is B(p > r) <-> B(q > r) with q = p, two antecedents
-# with the same event.  Both hold on every frame, since the clause for >
-# reads only the antecedent's event and is vacuous on the empty one: the
-# RuleK6 scan reads one table entry on both sides, and the RuleK5a scan
-# reads row 0 of ``bel_cond``, which is every state.
-_RULE_INSTANCES = {
-    AxiomId.RULE_K5A: (Bel(Cond(_P, _Q)), {"p": "0"}),
-    AxiomId.RULE_K6: (Iff(Bel(Cond(_P, _R)), Bel(Cond(_Q, _R))), {"q": "p"}),
-}
-
-
 def axiom_instance(k: AxiomId) -> Formula:
     """The schema instantiated with atoms p, q, r standing for its letters."""
-    if k in _RULES:
-        raise ValueError(f"{k.value} is a rule of inference, not a schema")
+    _schema_index(k)  # refuses a rule
     return _INSTANCES[k]
 
 
@@ -117,18 +102,15 @@ class SchemaEvaluator:
         self.full = full
         self.states = states = (1 << n * lanes) - 1
         self.low = states // full  # bit 0 of each lane
-        if tables:  # union[0] is 0, so row 0 of bel_cond is every state
+        # union[s][0] is 0 on both routes, so row 0 of bel_cond is every state
+        if tables:
             self.bel, *self.bel_cond = [
                 _block_superset_masks(u, n, states) for u in (tables.belief, *tables.union)]
             return
         bits = _lane_bits(len(frames) * n)
         # Column a: union[s][a] of every (lane, state) in bit order.
         columns = zip(*[row for frame in frames for row in frame.union])
-        next(columns)  # placeholder column of the empty event
-        bel_cond = [[self.states] * (full + 1)]  # empty antecedent: vacuously believed
-        for column in columns:
-            bel_cond.append(_superset_masks(column, bits, full))
-        self.bel_cond = bel_cond
+        self.bel_cond = [_superset_masks(column, bits, full) for column in columns]
         self.bel = _superset_masks([b for frame in frames for b in frame.belief], bits, full)
 
     def _failures(self, scan, live: int, ranges) -> tuple[int, tuple[int, ...] | None]:
@@ -154,9 +136,7 @@ class SchemaEvaluator:
     def holds_mask(self, k: AxiomId, assignment: tuple[int, ...]) -> int:
         """Mask of states, in every lane, where the instance of ``k`` under
         ``assignment`` (one event per letter, in ``LETTERS`` order) holds."""
-        _, scan, letters = _scan(_SCAN_IDS.index(k))
-        if k in _RULES:
-            raise ValueError(f"{k.value} is a rule of inference, not a schema")
+        scan, letters = _scan(_schema_index(k))
         if len(assignment) != letters:
             raise ValueError(
                 f"{k.value} takes one event for each of {', '.join(LETTERS[:letters])}; "
@@ -165,38 +145,21 @@ class SchemaEvaluator:
 
     def lane_failures(self, k: AxiomId) -> int:
         """State mask, over every lane, whose lane i is nonempty iff the
-        schema or rule ``k`` fails on frame i: it holds the states where
-        frame i's first falsifying assignment fails."""
-        _, scan, letters = _scan(_SCAN_IDS.index(k))
+        schema ``k`` fails on frame i: it holds the states where frame i's
+        first falsifying assignment fails."""
+        scan, letters = _scan(_schema_index(k))
         return self._failures(scan, self.states, [range(self.full + 1)] * letters)[0]
-
-    def _first_witness(self, k: AxiomId) -> Witness | None:
-        """None if ``k`` holds on the first frame, else its first falsifying
-        assignment in ``product`` order with its lowest falsified state."""
-        _, scan, letters = _scan(_SCAN_IDS.index(k))
-        failed, assignment = self._failures(scan, self.full, [range(self.full + 1)] * letters)
-        if assignment is None:
-            return None
-        state = (failed & -failed).bit_length() - 1
-        return Witness(kind=k.value, states={"s": state}, events=dict(zip(LETTERS, assignment)))
 
     def check_axiom(self, k: AxiomId) -> Witness | None:
         """None if ``k`` is valid on the (first) frame, else the
         lexicographically least falsifying assignment with its lowest
         falsified state."""
-        if k in _RULES:
-            raise ValueError(f"{k.value} is a rule of inference; use check_rule")
-        return self._first_witness(k)
-
-    def check_rule(self, k: AxiomId) -> Witness | None:
-        """None if the rule ``k`` holds on the (first) frame, else the first
-        falsifying assignment in ``product`` order (RuleK5a: (0, q);
-        RuleK6: (a, a, r)) with its lowest falsified state.  The tests
-        cross ``bel_cond`` against ``truth_set`` of ``B(p > r)`` on
-        concrete models."""
-        if k not in _RULES:
-            raise ValueError(f"{k.value} is a schema; use check_axiom")
-        return self._first_witness(k)
+        scan, letters = _scan(_schema_index(k))
+        failed, assignment = self._failures(scan, self.full, [range(self.full + 1)] * letters)
+        if assignment is None:
+            return None
+        state = (failed & -failed).bit_length() - 1
+        return Witness(kind=k.value, states={"s": state}, events=dict(zip(LETTERS, assignment)))
 
 
 def _literals(f: Formula, holds: bool):
@@ -210,34 +173,31 @@ def _literals(f: Formula, holds: bool):
         yield f, holds
 
 
-def _compile_scan(formula: Formula, bound: dict[str, str] | None = None):
+def _compile_scan(formula: Formula):
     """The scan of ``formula`` and the number of letter ranges it takes.
 
-    The scan is a generator with one loop per free letter, in ``LETTERS``
-    order, yielding ``(bad, assignment)`` for each assignment whose
-    instance fails at some state of some lane, ``bad`` being those
-    states.  ``bound`` maps a letter to the source of its event, ``"0"``
-    or a free letter.  The instance must combine ``B(a > b)``, ``B a``
-    and ``[] a`` over Boolean events by ``~ & -> <->``; anything else
-    raises ValueError.  ``bad`` is the conjunction of the literals whose
-    truth falsifies the instance.  Each sub-term is named once at the
+    The scan is a generator with one loop per letter up to the last one
+    ``formula`` uses, in ``LETTERS`` order, yielding ``(bad, assignment)``
+    for each assignment whose instance fails at some state of some lane,
+    ``bad`` being those states.  The instance must combine ``B(a > b)``,
+    ``B a`` and ``[] a`` over Boolean events by ``~ & -> <->``; anything
+    else raises ValueError.  ``bad`` is the conjunction of the literals
+    whose truth falsifies the instance.  Each sub-term is named once at the
     outermost loop binding its letters, or inlined in the innermost one.
     An outer loop skips its block where its literals are empty in every
     lane; a ``[]`` literal, all-or-nothing over the lanes, is that test.
     """
-    bound, used = bound or {}, atoms(formula)
+    used = atoms(formula)
     if not used <= set(LETTERS):
         raise ValueError(f"atoms outside {', '.join(LETTERS)}: {formula!r}")
-    var = {x: bound.get(x, x) for x in LETTERS[: max(map(LETTERS.index, used)) + 1]}
-    free = [x for x in var if x not in bound]
-    level = {x: free.index(v) if v in free else -1 for x, v in var.items()}
+    free = LETTERS[: max(map(LETTERS.index, used)) + 1]
     inner, names = len(free) - 1, {}
-    lines: list[list[str]] = [[] for _ in range(len(free) + 1)]  # before loop 0, in each loop
+    lines: list[list[str]] = [[] for _ in free]  # in each loop
 
     def term(src: str, depth: int) -> tuple[str, int]:
         if depth < inner and src not in names:
             names[src] = f"t{len(names)}"
-            lines[depth + 1].append(f"{names[src]} = {src}")
+            lines[depth].append(f"{names[src]} = {src}")
         return names.get(src, src), depth
 
     def mask(f: Formula, top: str = "states") -> tuple[str, int]:
@@ -251,7 +211,7 @@ def _compile_scan(formula: Formula, bound: dict[str, str] | None = None):
             y, dy = mask(f.right, top)
             return term(form.format(x, y), max(dx, dy))
         if top == "full" and isinstance(f, Atom):
-            return var[f.name], level[f.name]
+            return f.name, free.index(f.name)
         if top == "full" or not isinstance(f, (Bel, Box)):
             raise ValueError(f"not a B(a > b), B a or [] a over Boolean events: {f!r}")
         if isinstance(f.body, Cond) and isinstance(f, Bel):
@@ -263,10 +223,10 @@ def _compile_scan(formula: Formula, bound: dict[str, str] | None = None):
 
     by_depth: list[list] = [[] for _ in free]
     for f, holds in _literals(formula, False):
-        by_depth[max([level[x] for x in atoms(f)] + [0])].append((f, holds))
+        by_depth[max([free.index(x) for x in atoms(f)] + [0])].append((f, holds))
     ante = []
     for depth, literals in enumerate(by_depth):
-        out, positive, negated = lines[depth + 1], [], []
+        out, positive, negated = lines[depth], [], []
         for f, holds in literals:
             if isinstance(f, Box):
                 body, test = f.body, "{} == full"  # where the [] literal holds
@@ -280,40 +240,44 @@ def _compile_scan(formula: Formula, bound: dict[str, str] | None = None):
                 (positive if holds else negated).append(mask(f)[0])
         product = " & ".join(ante + positive or ["states"]) + "".join(f" & ~{x}" for x in negated)
         if depth == inner:
-            out += [f"bad = {product}", f"if bad: yield bad, ({', '.join(var.values())},)"]
+            out += [f"bad = {product}", f"if bad: yield bad, ({', '.join(free)},)"]
         elif positive or negated:
             out += [f"ante{depth} = {product}", f"if not ante{depth}: continue"]
             ante = [f"ante{depth}"]
     source = [f"def scan(self, {', '.join('r' + x for x in free)}):",
               "    full, states, bel, bc = self.full, self.states, self.bel, self.bel_cond"]
-    for depth, out in enumerate(lines):
-        source += ["    " * (depth + 1) + line for line in out]
-        if depth <= inner:
-            source.append(f"{'    ' * (depth + 1)}for {free[depth]} in r{free[depth]}:")
+    for depth, x in enumerate(free):
+        source.append(f"{'    ' * (depth + 1)}for {x} in r{x}:")
+        source += ["    " * (depth + 2) + line for line in lines[depth]]
     namespace: dict = {}
     exec(compile("\n".join(source), "<axiom scan>", "exec"), namespace)
     return namespace["scan"], len(free)
 
 
-# The schemas and rules with a scan, looked up by position: ``tuple.index``
+# The schemas, each with a scan, looked up by position: ``tuple.index``
 # compares identities, where a dict lookup would call the enum's
 # Python-level hash.
-_SCAN_IDS = (*_INSTANCES, *_RULES)
+_SCAN_IDS = tuple(_INSTANCES)
 
 
 @cache
 def _scan(i: int):
-    """``(k, scan, letters)`` for the schema or rule at position i of
-    ``_SCAN_IDS``: its scan and the letter ranges the scan takes, compiled
-    from the module's own instance on first use."""
-    k = _SCAN_IDS[i]
-    instance = _RULE_INSTANCES[k] if k in _RULES else (_INSTANCES[k],)
-    return (k, *_compile_scan(*instance))
+    """``(scan, letters)`` of the schema at position i of ``_SCAN_IDS``,
+    compiled from the module's own instance on first use."""
+    return _compile_scan(_INSTANCES[_SCAN_IDS[i]])
+
+
+def _schema_index(k: AxiomId) -> int:
+    """Position of the schema ``k`` in ``_SCAN_IDS``.  A rule has no scan
+    and is refused here: see :func:`rule_valid_on_frame`."""
+    if k in RULE_IDS:
+        raise ValueError(f"{k.value} is a rule of inference, not a schema")
+    return _SCAN_IDS.index(k)
 
 
 def compile_scans() -> None:
-    """Compile every schema and rule scan now: a parallel sweep calls this before
-    it forks its workers, so that they inherit the scans instead of compiling them."""
+    """Compile every schema scan now: a parallel sweep calls this before it
+    forks its workers, so that they inherit the scans instead of compiling them."""
     for i in range(len(_SCAN_IDS)):
         _scan(i)
 
@@ -366,9 +330,13 @@ def schema_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:
     return SchemaEvaluator(frame).check_axiom(k)
 
 
-def rule_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:
-    """Check one rule of inference on a frame at the event level."""
-    return SchemaEvaluator(frame).check_rule(k)
+def rule_valid_on_frame(frame: Frame, k: AxiomId) -> None:
+    """None, for either rule of inference on any frame: the clause for >
+    reads only the antecedent's event and is vacuous on the empty one, so
+    B(p > q) with p empty (RuleK5a) and B(p > r) <-> B(q > r) with p and
+    q the same event (RuleK6) hold everywhere.  Refuses a schema."""
+    if k not in RULE_IDS:
+        raise ValueError(f"{k.value} is a schema; use schema_valid_on_frame")
 
 
 PAIRED_PROPERTY = {

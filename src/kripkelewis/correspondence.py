@@ -9,8 +9,8 @@ recorded as data, never as a failure).  Every property violation also
 replays its canonical countermodel, which must falsify the paired axiom.
 
 Sweeps check frames in batches: a lane-batched ``PropertyEvaluator``,
-``SchemaEvaluator`` and ``PostulateEvaluator`` scan each property, schema,
-rule and postulate once for a whole batch, and each distinct countermodel
+``SchemaEvaluator`` and ``PostulateEvaluator`` scan each property, schema
+and conditioned postulate once per batch, and each distinct countermodel
 is replayed once (see :func:`_batch_verdicts`).  A sweep partition holding
 at least as many frames as there are local profiles ``(belief[s],
 union[s])`` folds each frame from memoised per-profile verdicts instead of
@@ -50,9 +50,10 @@ _PROP = {k: PAIRED_PROPERTY[axiom] for k, axiom in _AXIOM.items()}
 _AGM: dict[int, AgmPostulateId] = {int(pid.value[1]): pid for pid in CONDITIONED}
 _AGM_NAME = {k: _AGM[k].value for k in DEFAULT_KS}
 
-# A1, the two rules and the unconditional postulates hold on every frame.
-_ALWAYS_VALID_AXIOMS = (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6)
-ALWAYS_VALID_NAMES = tuple(x.value for x in _ALWAYS_VALID_AXIOMS + UNCONDITIONAL)
+# A1, the two rules and the unconditional postulates hold on every frame;
+# only A1 is scanned (the rules: see ``rule_valid_on_frame``).
+_ALWAYS_VALID = (AxiomId.A1, AxiomId.RULE_K5A, AxiomId.RULE_K6, *UNCONDITIONAL)
+ALWAYS_VALID_NAMES = tuple(x.value for x in _ALWAYS_VALID)
 
 
 class SweepError(RuntimeError):
@@ -230,11 +231,11 @@ def _belief_bits(n: int, digits: int) -> str:
 def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[tuple[int, int]]:
     """Packed verdicts of the frames with these codes on n states.  One
     property, one schema and one postulate evaluator share the lane tables
-    of :func:`_lane_tables`, so each property, schema, rule and postulate
-    is scanned once for all the frames, and each column comes back as a
-    state mask over the lanes.  Property violations are grouped by their
-    countermodel, read off the tables, and each group is replayed once,
-    every violation reading its own state off the shared mask."""
+    of :func:`_lane_tables`, so each property, schema and conditioned
+    postulate is scanned once for all the frames, and each column comes
+    back as a state mask over the lanes.  Property violations are grouped
+    by their countermodel, read off the tables, and each group is replayed
+    once, every violation reading its own state off the shared mask."""
     tables = _lane_tables(n, codes)
     schemas = SchemaEvaluator(tables=tables)
     postulates = PostulateEvaluator(tables=tables)
@@ -261,9 +262,8 @@ def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[t
         falsified.append(replayed)
     failures += [schemas.lane_failures(axiom) for axiom in axioms]
     failures += [postulates.lane_failures(_AGM[k]) for k in ks]
-    failures += [schemas.lane_failures(axiom) for axiom in _ALWAYS_VALID_AXIOMS]
-    failures += [postulates.lane_failures(pid) for pid in UNCONDITIONAL]
-    every = (1 << len(failures)) - 1
+    failures.append(schemas.lane_failures(AxiomId.A1))  # the other always-valid columns cannot fail
+    every = (1 << 3 * len(ks) + len(ALWAYS_VALID_NAMES)) - 1
     ok_bits = [every ^ failed for failed in _lane_words(failures, n, len(codes))]
     return list(zip(ok_bits, _lane_words(falsified, n, len(codes))))
 

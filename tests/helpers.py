@@ -558,34 +558,16 @@ ORACLE_SCHEMAS = {
 }
 
 
-# The same for each rule, under its assignment in ``LETTERS`` order.
-
-def _rule_k5a(full, bel, bc, a, b):
-    return bc[a][b]  # B(p > q), with p the empty event
-
-
-def _rule_k6(full, bel, bc, a, b, c):
-    return full ^ bc[a][c] ^ bc[b][c]  # B(p > r) <-> B(q > r), with q = p
-
-
 def oracle_scan_hits(frames, tables, k: AxiomId) -> list[tuple[int, tuple[int, ...]]]:
     """What the scan of ``k`` over every event for each letter yields on an
     evaluator holding ``frames`` (frame i in lane i), from ``tables[i] =
-    oracle_tables(frames[i])``: each assignment in ``product`` order
-    (RuleK5a: (0, q); RuleK6: (a, a, r)) whose instance fails somewhere,
-    with the mask of those states, bit ``i*n + s``."""
+    oracle_tables(frames[i])``: each assignment in ``product`` order whose
+    instance fails somewhere, with the mask of those states, bit ``i*n + s``."""
     full, n = frames[0].full, frames[0].n
-    events = range(full + 1)
-    if k is AxiomId.RULE_K5A:
-        holds, assignments = _rule_k5a, [(0, b) for b in events]
-    elif k is AxiomId.RULE_K6:
-        holds, assignments = _rule_k6, [(a, a, c) for a, c in product(events, repeat=2)]
-    else:
-        holds, letters = ORACLE_SCHEMAS[k]
-        assignments = product(events, repeat=letters)
+    holds, letters = ORACLE_SCHEMAS[k]
     lanes = [(partial(holds, full, *t), i * n) for i, t in enumerate(tables)]
     hits = []
-    for assignment in assignments:
+    for assignment in product(range(full + 1), repeat=letters):
         bad = 0
         for check, shift in lanes:
             bad |= (full ^ check(*assignment)) << shift

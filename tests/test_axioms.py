@@ -316,21 +316,16 @@ def test_witness_prefers_lexicographically_least_assignment():
     assert seen > 100
 
 
-def _assert_rules_match_model_route(frame) -> dict:
-    """Checks both rules and the table they read on one frame; returns the
-    oracle's verdict per rule."""
-    evaluator = SchemaEvaluator(frame)
-    valid = {}
+def _assert_rules_hold_and_bel_cond_matches_model_route(frame) -> None:
+    """Both rules hold on ``frame`` through the model semantics (their
+    lemma), and the table A1-A8 read agrees with it: ``bel_cond[a][c]`` is
+    the truth set of B(p > r) under p = a, r = c."""
     for rule in RULES:
-        expected = helpers.oracle_rule_valid(frame, rule)
-        assert evaluator.check_rule(rule) == expected, (frame_digest(frame), rule)
-        valid[rule] = expected is None
-    # the table both rules read: bel_cond[a][c] is the truth set of B(p > r)
-    # under p = a, r = c
+        assert helpers.oracle_rule_valid(frame, rule) is None, (frame_digest(frame), rule)
+    evaluator = SchemaEvaluator(frame)
     for a, c in product(range(frame.full + 1), repeat=2):
         expected = helpers.truth_set_unchecked(Model(frame, {"p": a, "r": c}), BEL_P_R)
         assert evaluator.bel_cond[a][c] == expected, (frame_digest(frame), a, c)
-    return valid
 
 
 def _lane_valid(evaluator, k, count: int) -> list[bool]:
@@ -353,28 +348,29 @@ def _assert_lanes_match(frames, batch: int, one_frame_check, ids) -> None:
                 frame_digest(part[0]), len(part), k)
 
 
-def test_check_rule_equals_model_route_all_two_state_frames():
-    # per-lane rule validity on 250-frame batches against the same oracle
-    _assert_lanes_match(list(enumerate_frames(2)), 250, _assert_rules_match_model_route, RULES)
-
-
-def test_check_rule_equals_model_route_sampled_frames():
+def _rule_lemma_frames() -> list:
     frames = [helpers.m0_frame(), helpers.fx2_frame(), helpers.empty_selection_frame()]
-    frames += list(sample_frames(1, 10, seed=130))
-    frames += list(sample_frames(3, 300, seed=131))
-    for frame in frames:
-        _assert_rules_match_model_route(frame)
+    return frames + list(sample_frames(1, 10, seed=130)) + list(sample_frames(3, 300, seed=131))
 
 
-def test_check_rule_witness_is_first_falsifying_assignment(fx2):
-    # corrupt the table so that each rule fails, and read off the witness
-    evaluator = SchemaEvaluator(fx2)
-    evaluator.bel_cond = [row[:] for row in evaluator.bel_cond]
-    evaluator.bel_cond[0][2] = 0b10
-    w = evaluator.check_rule(AxiomId.RULE_K5A)
-    assert (w.kind, w.states, w.events) == ("RuleK5a", {"s": 0}, {"p": 0, "q": 2})
-    with pytest.raises(ValueError):
-        evaluator.check_rule(AxiomId.A2)
+def test_rules_hold_and_bel_cond_equals_model_route_all_two_state_frames():
+    for frame in enumerate_frames(2):
+        _assert_rules_hold_and_bel_cond_matches_model_route(frame)
+
+
+def test_rules_hold_and_bel_cond_equals_model_route_sampled_frames():
+    for frame in _rule_lemma_frames():
+        _assert_rules_hold_and_bel_cond_matches_model_route(frame)
+
+
+def test_rule_valid_on_frame_is_none_for_both_rules():
+    # the lemma as the library states it: no scan, no witness, on any frame
+    for frame in [*_rule_lemma_frames(), *enumerate_frames(1)]:
+        for rule in RULES:
+            assert rule_valid_on_frame(frame, rule) is None
+        for axiom in SCHEMAS:
+            with pytest.raises(ValueError, match=f"{axiom.value} is a schema"):
+                rule_valid_on_frame(frame, axiom)
 
 
 def test_replay_through_evaluator_equals_pointwise_truth_all_two_state_frames():
@@ -432,7 +428,7 @@ def test_scans_and_tables_equal_oracle_on_frames_where_every_schema_is_valid():
 
 
 def _ranked_among_failing(n: int, count: int, seed: int) -> list:
-    """Ranked frames (every schema and rule valid) alternating with sampled
+    """Ranked frames (every schema valid) alternating with sampled
     frames, most of which fail some schema at an early assignment."""
     rng = random.Random(seed)
     sampled = list(sample_frames(n, count, seed=seed))
@@ -442,20 +438,14 @@ def _ranked_among_failing(n: int, count: int, seed: int) -> list:
     return frames
 
 
-def _one_frame_verdicts(frame) -> dict:
-    valid = _assert_scans_match_oracle(frame)
-    valid.update((rule, helpers.oracle_rule_valid(frame, rule) is None) for rule in RULES)
-    return valid
-
-
 def test_lane_verdicts_equal_oracle_valid_lanes_next_to_failing_lanes():
     for n, count in ((1, 6), (2, 12), (3, 12), (4, 3)):
         frames = _ranked_among_failing(n, count, seed=135 + n)
-        assert not all(_one_frame_verdicts(frames[1])[k] for k in SCHEMAS) or n == 1
+        assert not all(_assert_scans_match_oracle(frames[1]).values()) or n == 1
         for batch in (1, 3, len(frames)):
-            _assert_lanes_match(frames, batch, _one_frame_verdicts, SCHEMAS + RULES)
+            _assert_lanes_match(frames, batch, _assert_scans_match_oracle, SCHEMAS)
         evaluator = SchemaEvaluator(*frames)
-        for k in SCHEMAS + RULES:
+        for k in SCHEMAS:
             assert _lane_valid(evaluator, k, len(frames))[::2] == [True] * count, (n, k)
         # one-frame witnesses come from the first frame's lane
         for k in SCHEMAS:
@@ -463,8 +453,6 @@ def test_lane_verdicts_equal_oracle_valid_lanes_next_to_failing_lanes():
         shifted = SchemaEvaluator(*frames[1:])
         for k in SCHEMAS:
             assert shifted.check_axiom(k) == SchemaEvaluator(frames[1]).check_axiom(k)
-        for k in RULES:
-            assert shifted.check_rule(k) is None
 
 
 def test_evaluator_refuses_no_frames_and_mixed_state_counts():
@@ -516,7 +504,7 @@ def _assert_scans_yield_oracle_hits(frames) -> int:
     n, full = evaluator.n, evaluator.full
     tables = [helpers.oracle_tables(frame) for frame in frames]
     count = 0
-    for k, scan, letters in map(_scan, range(len(_SCAN_IDS))):
+    for k, (scan, letters) in zip(_SCAN_IDS, map(_scan, range(len(_SCAN_IDS)))):
         expected = helpers.oracle_scan_hits(frames, tables, k)
         hits = list(scan(evaluator, *[range(full + 1)] * letters))
         assert hits == expected, (frame_digest(frames[0]), len(frames), k)

@@ -288,6 +288,33 @@ def _run_on(capsys, tmp_path, data, command="frame-check"):
     return run(capsys, command, "--frame", str(path))
 
 
+def _broken_frames() -> list[dict]:
+    """``_good_frame`` broken once for each frame issue kind."""
+    frames = [_good_frame() for _ in range(6)]
+    frames[0]["belief"]["a"] = []  # non_serial
+    frames[1]["selection"].pop()  # missing_selection_entry
+    frames[2]["selection"][0]["selected"] = ["a", "zz"]  # unknown_state
+    frames[3]["selection"].append({"state": "a", "event": [], "selected": []})  # empty_event
+    frames[4]["selection"].append(frames[4]["selection"][0])  # duplicate_selection_entry
+    frames[5]["states"] = ["a", "a"]  # bad_structure
+    return frames
+
+
+def test_rule_check_loads_its_frame_before_the_constant(capsys, tmp_path):
+    # a rule holds on every frame, but a malformed frame is still an input
+    # error, reported as a schema check reports it
+    sources = [("--code", "2:36864"), ("--code", "9:0"), ("--frame", str(tmp_path / "none.json"))]
+    for i, data in enumerate(_broken_frames()):
+        path = tmp_path / f"broken{i}.json"
+        path.write_text(json.dumps(data))
+        sources.append(("--frame", str(path)))
+    for source in sources:
+        code, out, err = run(capsys, "axiom-check", "--axiom", "A2", *source)
+        assert (code, out) == (2, "") and err.startswith("error: "), (source, err)
+        for rule in ("RuleK5a", "RuleK6"):
+            assert run(capsys, "axiom-check", "--axiom", rule, *source) == (2, "", err), source
+
+
 def test_good_frame_is_accepted(capsys, tmp_path):
     code, out, _ = _run_on(capsys, tmp_path, _good_frame(), "eval")
     assert code == 0
