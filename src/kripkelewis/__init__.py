@@ -14,14 +14,10 @@ from .formula import (
     SyntacticClass,
     atoms,
     classify,
-    desugar,
-    evaluate,
-    is_tautology,
     is_wellformed,
 )
 from .parser import ParseError, StratificationError, format_formula, parse
 from .model import (
-    EmptyEventError,
     Frame,
     FrameIssue,
     FrameValidationError,
@@ -32,12 +28,11 @@ from .model import (
     load_frame,
     load_model,
     model_to_json,
-    revised_support,
     truth,
     truth_set,
     validate_frame,
 )
-from .properties import PropertyEvaluator, PropertyId, check_property, replay_witness
+from .properties import PropertyEvaluator, PropertyId, check_property
 from .axioms import (
     AxiomId,
     MismatchedWitnessError,
@@ -61,7 +56,6 @@ from .correspondence import (
     Report,
     SweepConfig,
     SweepError,
-    enumerate_frames,
     frame_code,
     frame_count,
     frame_digest,
@@ -76,19 +70,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "And", "Atom", "Bel", "Box", "Cond", "Formula", "Iff", "Implies", "Not", "Or",
-    "SyntacticClass", "atoms", "classify", "desugar", "evaluate", "is_tautology",
-    "is_wellformed",
+    "SyntacticClass", "atoms", "classify", "is_wellformed",
     "ParseError", "StratificationError", "format_formula", "parse",
-    "EmptyEventError", "Frame", "FrameIssue", "FrameValidationError", "Model",
-    "Witness", "canonical_events", "frame_to_json", "load_frame", "load_model",
-    "model_to_json", "revised_support", "truth", "truth_set", "validate_frame",
-    "PropertyEvaluator", "PropertyId", "check_property", "replay_witness",
+    "Frame", "FrameIssue", "FrameValidationError", "Model", "Witness", "canonical_events",
+    "frame_to_json", "load_frame", "load_model", "model_to_json", "truth", "truth_set",
+    "validate_frame",
+    "PropertyEvaluator", "PropertyId", "check_property",
     "AxiomId", "MismatchedWitnessError", "PAIRED_PROPERTY", "SchemaEvaluator",
     "axiom_instance", "countermodel_from_witness", "rule_valid_on_frame",
     "schema_valid_on_frame",
     "AgmPostulateId", "PostulateEvaluator", "agm_event_check", "expand_membership",
     "in_belief_set", "revise_membership",
-    "FrameRecord", "Report", "SweepConfig", "SweepError", "enumerate_frames",
-    "frame_code", "frame_count", "frame_digest", "frame_from_code",
-    "merge_reports", "sample_frames", "sweep", "triple_check",
+    "FrameRecord", "Report", "SweepConfig", "SweepError", "frame_code", "frame_count",
+    "frame_digest", "frame_from_code", "merge_reports", "sample_frames", "sweep",
+    "triple_check",
 ]

@@ -35,7 +35,6 @@ from .revision import AgmPostulateId, PostulateEvaluator, revise_membership
 from .revision import agm_event_check  # noqa: F401  unused; perfbench's tracer patches it by name
 from .correspondence import (
     DEFAULT_KS,
-    MAX_RANDOM_SIZE,
     MODES,
     SweepConfig,
     SweepError,
@@ -47,6 +46,11 @@ from .correspondence import (
 
 class _InputError(Exception):
     pass
+
+
+# Largest state count --code takes: a code on 7 states has at most 1,889
+# digits, one on 8 states up to 4,933, past int()'s default limit of 4,300.
+MAX_CODE_SIZE = 7
 
 
 def _dump(obj) -> str:
@@ -109,8 +113,8 @@ def _code_frame(text: str):
     if not (n_text.isascii() and n_text.isdigit() and code_text.isascii() and code_text.isdigit()):
         raise _InputError(f"bad --code value {text!r} (expected n:code, two decimal integers)")
     n = int(n_text)
-    if not 1 <= n <= MAX_RANDOM_SIZE:
-        raise _InputError(f"--code {text!r}: state count must be 1 to {MAX_RANDOM_SIZE}")
+    if not 1 <= n <= MAX_CODE_SIZE:
+        raise _InputError(f"--code {text!r}: state count must be 1 to {MAX_CODE_SIZE}")
     # every valid code has fewer digits than int()'s default limit on a string
     count = frame_count(n)
     if len(code_text) > len(str(count)) or not int(code_text) < count:
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
             source.add_argument(
                 "--code",
                 metavar="N:CODE",
-                help=f"frame digest as a sweep report prints it (N from 1 to {MAX_RANDOM_SIZE})",
+                help=f"frame digest as a sweep report prints it (N from 1 to {MAX_CODE_SIZE})",
             )
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)

@@ -1,4 +1,4 @@
-"""Frame enumeration, sampling, and the three-way correspondence sweep.
+"""Frame codes, sampling, and the three-way correspondence sweep.
 
 For each k in {2, 3, 4, 5, 7, 8} a frame is checked three ways: the frame
 property Pk, validity of the modal axiom Ak, and the event-level revision
@@ -112,23 +112,6 @@ def frame_from_code(n: int, code: int) -> Frame:
 
 def frame_digest(frame: Frame) -> str:
     return f"{frame.n}:{frame_code(frame)}"
-
-
-def enumerate_frames(n: int, allow_large: bool = False) -> Iterator[Frame]:
-    """All frames on n states, each exactly once, in canonical order.
-
-    Refuses n >= 3 unless ``allow_large`` is set: the count grows as
-    (2^n - 1)^n * (2^n)^(n(2^n - 1)) and is already astronomical at n = 3.
-    """
-    if n < 1:
-        raise ValueError("need at least one state")
-    if n >= 3 and not allow_large:
-        raise ValueError(
-            f"exhaustive enumeration of {frame_count(n)} frames on {n} states "
-            "requires allow_large=True"
-        )
-    for code in range(frame_count(n)):
-        yield frame_from_code(n, code)
 
 
 def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 
 class Formula:
@@ -204,61 +203,3 @@ def require_boolean(f: Formula) -> None:
     cls = classify(f)
     if cls is not SyntacticClass.PHI0:
         raise ValueError(f"expected a Boolean formula, got {cls.value}: {f!r}")
-
-
-def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Truth value of a Boolean formula under an atom assignment.
-
-    Atoms missing from the assignment count as false, mirroring the model
-    convention that unvalued atoms denote the empty event.
-    """
-    if isinstance(f, Atom):
-        return bool(assignment.get(f.name, False))
-    if isinstance(f, Not):
-        return not evaluate(f.body, assignment)
-    if isinstance(f, Or):
-        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
-    if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
-    if isinstance(f, Iff):
-        return evaluate(f.left, assignment) == evaluate(f.right, assignment)
-    raise ValueError(f"no assignment semantics for modal node {f!r}")
-
-
-def is_tautology(f: Formula) -> bool:
-    """Truth-table decision over the formula's own atoms (Boolean input only)."""
-    require_boolean(f)
-    names = sorted(atoms(f))
-    return all(
-        evaluate(f, dict(zip(names, bits)))
-        for bits in product((False, True), repeat=len(names))
-    )
-
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite And/Implies/Iff into Not/Or throughout.
-
-    Uses the fixed definitions a -> b = ~a | b, a & b = ~(~a | ~b),
-    a <-> b = (a -> b) & (b -> a).
-    """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.body))
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right))
-    if isinstance(f, And):
-        return Not(Or(Not(desugar(f.left)), Not(desugar(f.right))))
-    if isinstance(f, Implies):
-        return Or(Not(desugar(f.left)), desugar(f.right))
-    if isinstance(f, Iff):
-        return desugar(And(Implies(f.left, f.right), Implies(f.right, f.left)))
-    if isinstance(f, Cond):
-        return Cond(desugar(f.antecedent), desugar(f.consequent))
-    if isinstance(f, Bel):
-        return Bel(desugar(f.body))
-    if isinstance(f, Box):
-        return Box(desugar(f.body))
-    raise TypeError(f"not a formula node: {f!r}")

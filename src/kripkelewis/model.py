@@ -39,10 +39,6 @@ _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 MAX_MISSING_SELECTION_ENTRIES = 1024
 
 
-class EmptyEventError(ValueError):
-    """Raised when an operation requires a nonempty event."""
-
-
 @dataclass(frozen=True, slots=True)
 class FrameIssue:
     """One validation failure found while building a frame."""
@@ -298,17 +294,6 @@ def _truth_set(m: Model, f: Formula) -> int:
                 mask |= 1 << s
         return mask
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def revised_support(frame: Frame, s: int, event: int) -> int:
-    """Union of the selections at the believed states of ``s`` for ``event``.
-
-    This is the event that must contain a formula's truth set for the
-    formula to survive revision by ``event`` at ``s``.
-    """
-    if event == 0:
-        raise EmptyEventError("selection is undefined on the empty event")
-    return frame.union[s][event]
 
 
 # ---------------------------------------------------------------------------

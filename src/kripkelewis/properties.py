@@ -254,45 +254,3 @@ _WITNESSES = (
         "P8", {"s": s, "s_hat": next(x for x in frame.believed[s] if frame.selection[x][e] & f),
                "s_tilde": sp}, {"E": e, "F": f}),
 )
-
-
-def replay_witness(frame: Frame, w: Witness) -> bool:
-    """True iff the witness's data still violates its property's matrix condition."""
-    sel = frame.selection
-    if w.kind == "P2":
-        s, sp, e = w.states["s"], w.states["s_prime"], w.events["E"]
-        return sp in frame.believed[s] and bool(sel[sp][e] & ~e)
-    if w.kind == "P3":
-        s, sp, e = w.states["s"], w.states["s_prime"], w.events["E"]
-        return (
-            sp in frame.believed[s]
-            and bool(e >> sp & 1)
-            and not frame.union[s][e] >> sp & 1
-        )
-    if w.kind == "P4":
-        s, sp, e = w.states["s"], w.states["s_prime"], w.events["E"]
-        inside = frame.belief[s] & e
-        return sp in frame.believed[s] and inside != 0 and bool(sel[sp][e] & ~inside)
-    if w.kind == "P5":
-        s, e = w.states["s"], w.events["E"]
-        return all(sel[sp][e] == 0 for sp in frame.believed[s])
-    if w.kind == "P7":
-        s, e, f, g = w.states["s"], w.events["E"], w.events["F"], w.events["G"]
-        members = frame.believed[s]
-        if e & f == 0:
-            return False
-        if any(sel[sp][e & f] & ~g for sp in members):
-            return False
-        return any(sel[sp][e] & f & ~g for sp in members)
-    if w.kind == "P8":
-        s, e, f = w.states["s"], w.events["E"], w.events["F"]
-        s_hat, s_tilde = w.states["s_hat"], w.states["s_tilde"]
-        members = frame.believed[s]
-        if e == 0 or f == 0 or e & f == 0:
-            return False
-        if s_hat not in members or s_tilde not in members:
-            return False
-        if sel[s_hat][e] & f == 0:
-            return False
-        return bool(sel[s_tilde][e & f] & ~(frame.union[s][e] & f))
-    raise ValueError(f"not a property witness: {w.kind!r}")

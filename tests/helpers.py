@@ -12,13 +12,16 @@ scans as one mask formula each under ``product``, the postulates by
 loops over one state's union table, and the frame loader, union table,
 code decoder and JSON writer by the per-entry loops they replaced.
 Expected values frozen into the golden tests were computed with these.
+Two routes live here because only tests call them: every small frame,
+decoded once per session, and the property witnesses replayed one at a
+time against their conditions.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
-from functools import partial
+from collections.abc import Iterable, Mapping
+from functools import cache, partial
 from itertools import chain, combinations, product
 
 from kripkelewis import (
@@ -40,6 +43,8 @@ from kripkelewis import (
     SyntacticClass,
     Witness,
     canonical_events,
+    frame_count,
+    frame_from_code,
     is_wellformed,
     sample_frames,
 )
@@ -116,6 +121,33 @@ def gen_any_tree(rng: random.Random, depth: int = 3, names=ATOM_NAMES):
     if kind == 7:
         return Bel(gen_any_tree(rng, depth - 1, names))
     return Box(gen_any_tree(rng, depth - 1, names))
+
+
+# --- frame streams ------------------------------------------------------
+
+def enumerate_frames(n: int, allow_large: bool = False) -> Iterable[Frame]:
+    """All frames on n states, each exactly once, in ascending code order.
+
+    On one or two states this is a tuple decoded once per session and shared
+    by every caller.  Refuses n >= 3 unless ``allow_large`` is set, and then
+    decodes lazily: the count grows as (2^n - 1)^n * (2^n)^(n(2^n - 1)) and
+    is already astronomical at n = 3.
+    """
+    if n < 1:
+        raise ValueError("need at least one state")
+    if n <= 2:
+        return _small_frames(n)
+    if not allow_large:
+        raise ValueError(
+            f"exhaustive enumeration of {frame_count(n)} frames on {n} states "
+            "requires allow_large=True"
+        )
+    return map(partial(frame_from_code, n), range(frame_count(n)))
+
+
+@cache
+def _small_frames(n: int) -> tuple[Frame, ...]:
+    return tuple(map(partial(frame_from_code, n), range(frame_count(n))))
 
 
 def random_frame(rng: random.Random, n: int | None = None) -> Frame:
@@ -416,6 +448,50 @@ ORACLE_PROPERTY_CHECKS = {
     PropertyId.P7: oracle_check_p7,
     PropertyId.P8: oracle_check_p8,
 }
+
+
+def replay_witness(frame: Frame, w: Witness) -> bool:
+    """True iff the witness's data still violates its property's matrix
+    condition: a second route to the property conditions, read off the
+    frame's selection and union tables one witness at a time."""
+    sel = frame.selection
+    if w.kind == "P2":
+        s, sp, e = w.states["s"], w.states["s_prime"], w.events["E"]
+        return sp in frame.believed[s] and bool(sel[sp][e] & ~e)
+    if w.kind == "P3":
+        s, sp, e = w.states["s"], w.states["s_prime"], w.events["E"]
+        return (
+            sp in frame.believed[s]
+            and bool(e >> sp & 1)
+            and not frame.union[s][e] >> sp & 1
+        )
+    if w.kind == "P4":
+        s, sp, e = w.states["s"], w.states["s_prime"], w.events["E"]
+        inside = frame.belief[s] & e
+        return sp in frame.believed[s] and inside != 0 and bool(sel[sp][e] & ~inside)
+    if w.kind == "P5":
+        s, e = w.states["s"], w.events["E"]
+        return all(sel[sp][e] == 0 for sp in frame.believed[s])
+    if w.kind == "P7":
+        s, e, f, g = w.states["s"], w.events["E"], w.events["F"], w.events["G"]
+        members = frame.believed[s]
+        if e & f == 0:
+            return False
+        if any(sel[sp][e & f] & ~g for sp in members):
+            return False
+        return any(sel[sp][e] & f & ~g for sp in members)
+    if w.kind == "P8":
+        s, e, f = w.states["s"], w.events["E"], w.events["F"]
+        s_hat, s_tilde = w.states["s_hat"], w.states["s_tilde"]
+        members = frame.believed[s]
+        if e == 0 or f == 0 or e & f == 0:
+            return False
+        if s_hat not in members or s_tilde not in members:
+            return False
+        if sel[s_hat][e] & f == 0:
+            return False
+        return bool(sel[s_tilde][e & f] & ~(frame.union[s][e] & f))
+    raise ValueError(f"not a property witness: {w.kind!r}")
 
 
 # --- frame sampling oracle -------------------------------------------------

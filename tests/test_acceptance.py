@@ -20,7 +20,6 @@ from kripkelewis import (
     SweepConfig,
     check_property,
     classify,
-    enumerate_frames,
     expand_membership,
     format_formula,
     frame_digest,
@@ -215,7 +214,7 @@ def test_criterion_7_parser_round_trip_and_rejections():
 
 def test_criterion_8_quantifier_form_agreement():
     checked = 0
-    for frame in enumerate_frames(2):
+    for frame in helpers.enumerate_frames(2):
         for prop in (PropertyId.P7, PropertyId.P8):
             fast = check_property(frame, prop) is None
             literal = helpers.LITERAL_FORMS[prop](frame) is None

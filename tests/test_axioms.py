@@ -24,7 +24,6 @@ from kripkelewis import (
     axiom_instance,
     check_property,
     countermodel_from_witness,
-    enumerate_frames,
     frame_digest,
     parse,
     rule_valid_on_frame,
@@ -140,7 +139,7 @@ def test_schema_evaluation_equals_model_semantics_exhaustive_small():
 
 def test_schema_evaluation_equals_model_semantics_all_two_state_frames():
     # one deterministic assignment per axiom on every 2-state frame
-    for i, frame in enumerate(enumerate_frames(2)):
+    for i, frame in enumerate(helpers.enumerate_frames(2)):
         full = frame.full
         for j, axiom in enumerate(SCHEMAS):
             seedling = (i * 7 + j) % (full + 1) ** LETTER_COUNT[axiom]
@@ -354,7 +353,7 @@ def _rule_lemma_frames() -> list:
 
 
 def test_rules_hold_and_bel_cond_equals_model_route_all_two_state_frames():
-    for frame in enumerate_frames(2):
+    for frame in helpers.enumerate_frames(2):
         _assert_rules_hold_and_bel_cond_matches_model_route(frame)
 
 
@@ -365,7 +364,7 @@ def test_rules_hold_and_bel_cond_equals_model_route_sampled_frames():
 
 def test_rule_valid_on_frame_is_none_for_both_rules():
     # the lemma as the library states it: no scan, no witness, on any frame
-    for frame in [*_rule_lemma_frames(), *enumerate_frames(1)]:
+    for frame in [*_rule_lemma_frames(), *helpers.enumerate_frames(1)]:
         for rule in RULES:
             assert rule_valid_on_frame(frame, rule) is None
         for axiom in SCHEMAS:
@@ -375,7 +374,7 @@ def test_rule_valid_on_frame_is_none_for_both_rules():
 
 def test_replay_through_evaluator_equals_pointwise_truth_all_two_state_frames():
     replays = 0
-    for frame in enumerate_frames(2):
+    for frame in helpers.enumerate_frames(2):
         evaluator = SchemaEvaluator(frame)
         for axiom, prop in PAIRED_PROPERTY.items():
             w = check_property(frame, prop)
@@ -409,7 +408,7 @@ def _assert_scans_match_oracle(frame) -> dict:
 
 def test_scans_and_tables_equal_oracle_all_two_state_frames():
     # per-lane schema validity on 250-frame batches against the same oracle
-    _assert_lanes_match(list(enumerate_frames(2)), 250, _assert_scans_match_oracle, SCHEMAS)
+    _assert_lanes_match(helpers.enumerate_frames(2), 250, _assert_scans_match_oracle, SCHEMAS)
 
 
 def test_scans_and_tables_equal_oracle_sampled_three_state_frames():
@@ -518,7 +517,7 @@ def _assert_scans_yield_oracle_hits(frames) -> int:
 
 
 def test_scans_yield_oracle_hits_all_two_state_frames():
-    frames = list(enumerate_frames(2))
+    frames = helpers.enumerate_frames(2)
     for lo in range(0, len(frames), 250):
         assert _assert_scans_yield_oracle_hits(frames[lo : lo + 250])
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kripkelewis import (
+    frame_count,
     frame_digest,
     frame_to_json,
     load_frame,
@@ -418,11 +419,15 @@ FRAME_COMMANDS = [
 def test_code_source_equals_frame_file(capsys, tmp_path, fx2_path):
     with open(fx2_path, encoding="utf-8") as handle:
         fixture_digest = frame_digest(load_frame(json.load(handle)))
-    frame = next(sample_frames(3, 1, seed=42))
-    sampled = frame_digest(frame)
-    sampled_path = tmp_path / "sampled.json"
-    sampled_path.write_text(json.dumps(frame_to_json(frame)))
-    for digest, path in ((fixture_digest, fx2_path), (sampled, str(sampled_path))):
+    cases = [(fixture_digest, fx2_path)]
+    # a sampled three-state frame, and a five-state one as random sweeps with
+    # allow_large print it
+    for n in (3, 5):
+        frame = next(sample_frames(n, 1, seed=42))
+        sampled_path = tmp_path / f"sampled{n}.json"
+        sampled_path.write_text(json.dumps(frame_to_json(frame)))
+        cases.append((frame_digest(frame), str(sampled_path)))
+    for digest, path in cases:
         for argv in FRAME_COMMANDS:
             by_code = run(capsys, *argv, "--code", digest)
             assert by_code == run(capsys, *argv, "--frame", path), (digest, argv)
@@ -431,13 +436,21 @@ def test_code_source_equals_frame_file(capsys, tmp_path, fx2_path):
 
 @pytest.mark.parametrize("value", [
     "2", "x:1", "2:abc", "2:-1", "-2:1", "2:+1", "2: 1", "2:1_0", "2:1:3", ":5", "2:",
-    "0:0", "5:0", "99999:0", "2:36864", "4:" + "9" * 5000, "\uff12:1",
+    "0:0", "8:0", "99999:0", "2:36864", "4:" + "9" * 5000, "\uff12:1",
 ])
 def test_bad_code_is_one_error_line(capsys, value):
     code, out, err = run(capsys, "axiom-check", "--axiom", "A1", f"--code={value}")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_code_takes_up_to_seven_states(capsys):
+    # the largest state count whose codes stay under int()'s digit limit
+    for n in (5, 6, 7):
+        for code in (0, frame_count(n) - 1):
+            status, out, err = run(capsys, "frame-check", "--code", f"{n}:{code}")
+            assert status in (0, 1) and out and not err, (n, code)
 
 
 def test_frame_and_code_are_exclusive(capsys, m0_path):

@@ -1,7 +1,4 @@
 import random
-from itertools import product
-
-import pytest
 
 from kripkelewis import (
     And,
@@ -9,16 +6,12 @@ from kripkelewis import (
     Bel,
     Box,
     Cond,
-    Iff,
     Implies,
     Not,
     Or,
     SyntacticClass,
     atoms,
     classify,
-    desugar,
-    evaluate,
-    is_tautology,
 )
 
 import helpers
@@ -61,58 +54,6 @@ def test_atoms_goldens():
     assert atoms(Or(P, Not(Q))) == {"p", "q"}
     assert atoms(Bel(Cond(P, P))) == {"p"}
     assert atoms(Implies(Box(Not(And(P, Q))), Bel(Cond(P, R)))) == {"p", "q", "r"}
-
-
-def test_is_tautology_goldens():
-    assert is_tautology(Or(P, Not(P)))
-    assert not is_tautology(Implies(P, Q))
-    # 4-row table: rows (p, q) in {TT, TF, FT, FF} all satisfy it
-    assert is_tautology(Implies(And(P, Implies(P, Q)), Q))
-
-
-def test_is_tautology_rejects_modal_input():
-    with pytest.raises(ValueError):
-        is_tautology(Bel(P))
-    with pytest.raises(ValueError):
-        is_tautology(Cond(P, Q))
-
-
-def test_tautological_iff_means_equal_truth_tables():
-    rng = random.Random(103)
-    for _ in range(300):
-        f = helpers.gen_phi0(rng, depth=3, names=("p", "q", "r"))
-        g = helpers.gen_phi0(rng, depth=3, names=("p", "q", "r"))
-        names = sorted(atoms(f) | atoms(g))
-        tables_equal = all(
-            evaluate(f, dict(zip(names, bits))) == evaluate(g, dict(zip(names, bits)))
-            for bits in product((False, True), repeat=len(names))
-        )
-        assert is_tautology(Iff(f, g)) == tables_equal
-
-
-def test_derived_connectives_match_expansions():
-    rng = random.Random(104)
-    for _ in range(300):
-        f = helpers.gen_phi0(rng, depth=4)
-        g = desugar(f)
-        # the rewrite eliminates every derived connective
-        stack = [g]
-        while stack:
-            node = stack.pop()
-            assert not isinstance(node, (And, Implies, Iff)), g
-            if isinstance(node, Not):
-                stack.append(node.body)
-            elif isinstance(node, Or):
-                stack.extend((node.left, node.right))
-        names = sorted(atoms(f))
-        for bits in product((False, True), repeat=len(names)):
-            sigma = dict(zip(names, bits))
-            assert evaluate(f, sigma) == evaluate(g, sigma)
-
-
-def test_evaluate_missing_atoms_default_false():
-    assert evaluate(P, {}) is False
-    assert evaluate(Not(P), {}) is True
 
 
 def test_operator_sugar_builds_nodes():

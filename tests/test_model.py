@@ -9,18 +9,15 @@ from kripkelewis import (
     Bel,
     Box,
     Cond,
-    EmptyEventError,
     Frame,
     Model,
     Not,
     Or,
-    enumerate_frames,
     frame_to_json,
     load_frame,
     load_model,
     model_to_json,
     parse,
-    revised_support,
     sample_frames,
     truth,
     truth_set,
@@ -218,14 +215,11 @@ def test_box_truth_is_state_independent():
         assert len(values) == 1
 
 
+# union[s][e] is the revised support at s for e: the event a formula's truth
+# set must contain for the formula to survive revision by e at s.
 def test_revised_support_goldens(m0, fx2):
-    assert revised_support(m0, 0, 0b1) == 0b1
-    assert revised_support(fx2, 0, 0b01) == 0b10
-
-
-def test_revised_support_empty_event(m0):
-    with pytest.raises(EmptyEventError):
-        revised_support(m0, 0, 0)
+    assert m0.union[0][0b1] == 0b1
+    assert fx2.union[0][0b01] == 0b10
 
 
 def test_revised_support_singleton_belief():
@@ -236,7 +230,7 @@ def test_revised_support_singleton_belief():
         singles = [x for x in range(frame.n) if frame.belief[s] == 1 << x]
         if singles:
             e = rng.randrange(1, frame.full + 1)
-            assert revised_support(frame, s, e) == frame.selection[singles[0]][e]
+            assert frame.union[s][e] == frame.selection[singles[0]][e]
 
 
 def test_revised_support_bounded_by_full_selection_column():
@@ -248,7 +242,7 @@ def test_revised_support_bounded_by_full_selection_column():
         column = 0
         for x in range(frame.n):
             column |= frame.selection[x][e]
-        assert revised_support(frame, s, e) & ~column == 0
+        assert frame.union[s][e] & ~column == 0
 
 
 def test_frame_json_round_trip():
@@ -274,7 +268,7 @@ def _table_frames() -> tuple:
     empty belief set (the constructor does not check seriality)."""
     rng = random.Random(115)
     return (
-        *enumerate_frames(2),
+        *helpers.enumerate_frames(2),
         *sample_frames(3, 1000, seed=42),
         *(helpers.ranked_frame(rng, n) for n in range(1, 6) for _ in range(20)),
         Frame(("a", "b"), (0b11, 0b01), ((3, 1, 2, 3), (2, 0, 1, 2))),

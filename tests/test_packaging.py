@@ -1,10 +1,13 @@
 """The package has no runtime dependencies: it imports the standard library
-and itself only, and ``pyproject.toml`` declares none."""
+and itself only, and ``pyproject.toml`` declares none.  Its modules read
+every name they import, and ``__all__`` lists each public name once."""
 
 import ast
+import inspect
 import re
 import sys
 
+import kripkelewis
 from conftest import REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "kripkelewis"
@@ -32,3 +35,52 @@ def test_package_imports_only_the_standard_library():
 def test_pyproject_declares_no_dependencies():
     text = (REPO_ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE), text
+
+
+def _unused_imports(path) -> list[tuple[int, str]]:
+    """(line, name) of each name the module imports and never reads, unless
+    its import line carries ``# noqa: F401``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+                if name not in read and not any("# noqa: F401" in line for line in marked):
+                    unused.append((alias.lineno, name))
+    return unused
+
+
+def test_modules_read_every_name_they_import():
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(paths) >= 8
+    for path in paths:
+        assert not _unused_imports(path), (path.name, _unused_imports(path))
+
+
+def test_unused_import_check_sees_an_unread_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import (\n    Iterator,\n    Mapping,  # noqa: F401\n)\n"
+        "print(sys.argv)\n"
+    )
+    assert _unused_imports(module) == [(2, "os"), (4, "Iterator")]
+
+
+def test_all_lists_each_public_name_once():
+    names = kripkelewis.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(kripkelewis, name) for name in names)
+    public = {
+        name for name, value in vars(kripkelewis).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(names), public ^ set(names)

@@ -8,9 +8,7 @@ from kripkelewis import (
     PropertyId,
     Witness,
     check_property,
-    enumerate_frames,
     frame_digest,
-    replay_witness,
     sample_frames,
 )
 
@@ -69,7 +67,7 @@ def test_checkers_match_set_oracle_on_fixtures():
 
 
 def test_checkers_match_set_oracle_on_enumerated_and_random_frames():
-    frames = [f for i, f in enumerate(enumerate_frames(2)) if i % 97 == 0]
+    frames = [f for i, f in enumerate(helpers.enumerate_frames(2)) if i % 97 == 0]
     frames += list(sample_frames(3, 120, seed=115))
     for frame in frames:
         for prop in ALL_PROPS:
@@ -88,13 +86,13 @@ def test_witness_replay_reproduces_violation():
         for prop in ALL_PROPS:
             w = check_property(frame, prop)
             if w is not None:
-                assert replay_witness(frame, w), (frame_digest(frame), prop)
+                assert helpers.replay_witness(frame, w), (frame_digest(frame), prop)
                 replayed += 1
     assert replayed > 200
 
 
 def test_literal_and_fast_forms_agree():
-    frames = [f for i, f in enumerate(enumerate_frames(2)) if i % 53 == 0]
+    frames = [f for i, f in enumerate(helpers.enumerate_frames(2)) if i % 53 == 0]
     frames += list(sample_frames(3, 200, seed=117))
     for frame in frames:
         for prop in (PropertyId.P7, PropertyId.P8):
@@ -103,8 +101,8 @@ def test_literal_and_fast_forms_agree():
             assert (fast is None) == (literal is None), (frame_digest(frame), prop)
             if fast is not None:
                 # both forms emit replayable witnesses
-                assert replay_witness(frame, fast)
-                assert replay_witness(frame, literal)
+                assert helpers.replay_witness(frame, fast)
+                assert helpers.replay_witness(frame, literal)
 
 
 def test_p7_allows_empty_innermost_event():
@@ -123,7 +121,7 @@ def test_p7_allows_empty_innermost_event():
     lit = helpers.check_p7_literal(frame)
     assert lit is not None
     assert lit.events["G"] == 0
-    assert replay_witness(frame, lit)
+    assert helpers.replay_witness(frame, lit)
 
 
 def test_p2_pass_preserved_under_belief_shrinking():
@@ -147,7 +145,7 @@ def test_unknown_witness_kind_rejected(m0):
     from kripkelewis import Witness
 
     with pytest.raises(ValueError):
-        replay_witness(m0, Witness("A2", {"s": 0}, {"p": 1}))
+        helpers.replay_witness(m0, Witness("A2", {"s": 0}, {"p": 1}))
 
 
 def test_check_property_rejects_what_is_not_a_property_id(fx2):
@@ -182,7 +180,7 @@ def _assert_evaluator_matches_loops(frames) -> int:
 
 
 def test_evaluator_matches_loops_all_two_state_frames_in_mixed_batches():
-    frames = list(enumerate_frames(2))
+    frames = list(helpers.enumerate_frames(2))
     random.Random(140).shuffle(frames)  # passing and failing lanes side by side
     for lo in range(0, len(frames), 250):
         assert _assert_evaluator_matches_loops(frames[lo : lo + 250])

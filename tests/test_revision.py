@@ -15,7 +15,6 @@ from kripkelewis import (
     PropertyId,
     agm_event_check,
     check_property,
-    enumerate_frames,
     expand_membership,
     frame_digest,
     in_belief_set,
@@ -212,7 +211,7 @@ def _assert_postulates_match_oracle(frames, batch: int = 250) -> None:
 
 
 def test_postulate_evaluator_equals_oracle_all_two_state_frames():
-    _assert_postulates_match_oracle(list(enumerate_frames(2)))
+    _assert_postulates_match_oracle(helpers.enumerate_frames(2))
 
 
 def test_postulate_evaluator_equals_oracle_sampled_three_state_frames():
