@@ -350,24 +350,28 @@ PAIRED_PROPERTY = {
 
 
 # PAIRED_PROPERTY as two tuples, read by position like ``_SCAN_IDS``, and
-# the countermodel recipe of each paired axiom, indexed the same:
-# (reader of union[s][e], reader of belief[s], state s, event E, event F) -> p, q, r.
+# the countermodel recipe of each paired axiom, indexed the same: from the
+# witness's events E and F, ``read`` names the one per-state event u the
+# recipe reads, ("union", x) for union[s][x] or ("belief", x) for
+# belief[s] & x (("belief", 0) for none: it is always 0), and ``build``
+# is the assignment (p, q, r) made of E, F and u.
 _PAIRED_AXIOMS = tuple(PAIRED_PROPERTY)
 _PAIRED_KINDS = tuple(prop.value for prop in PAIRED_PROPERTY.values())
 _RECIPES = (
-    lambda union, belief, s, e, f: (e,),  # A2
-    lambda union, belief, s, e, f: (e, union(s, e)),  # A3
-    lambda union, belief, s, e, f: (e, belief(s) & e),  # A4
-    lambda union, belief, s, e, f: (e, 0),  # A5
-    lambda union, belief, s, e, f: (e, f, union(s, e & f)),  # A7
-    lambda union, belief, s, e, f: (e, f, union(s, e)),  # A8
+    (lambda e, f: ("belief", 0), lambda e, f, u: (e,)),  # A2
+    (lambda e, f: ("union", e), lambda e, f, u: (e, u)),  # A3
+    (lambda e, f: ("belief", e), lambda e, f, u: (e, u)),  # A4
+    (lambda e, f: ("belief", 0), lambda e, f, u: (e, 0)),  # A5
+    (lambda e, f: ("union", e & f), lambda e, f, u: (e, f, u)),  # A7
+    (lambda e, f: ("union", e), lambda e, f, u: (e, f, u)),  # A8
 )
 
 
 def countermodel_recipe(k: AxiomId):
-    """The recipe :func:`countermodel_assignment` applies for the paired
-    axiom ``k`` (see ``_RECIPES``); E and F are 0 where the witness has
-    none, and a sweep batch's readers take a state's bit ``lane*n + s``."""
+    """The ``(read, build)`` recipe :func:`countermodel_assignment` applies
+    for the paired axiom ``k`` (see ``_RECIPES``); E and F are 0 where the
+    witness has none.  A sweep batch reads the event ``read`` names off
+    its lane tables' blocks, once for all the states of a hit."""
     return _RECIPES[_PAIRED_AXIOMS.index(k)]
 
 
@@ -391,9 +395,10 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
         paired = PAIRED_PROPERTY[k].value if k in PAIRED_PROPERTY else "n/a"
         raise MismatchedWitnessError(
             f"witness for {w.kind!r} cannot refute {name} (needs {paired})")
-    s, events = w.states["s"], w.events
-    union = lambda x, e: frame.union[x][e]
-    return _RECIPES[i](union, frame.belief.__getitem__, s, events["E"], events.get("F", 0)), s
+    read, build = _RECIPES[i]
+    s, e, f = w.states["s"], w.events["E"], w.events.get("F", 0)
+    table, x = read(e, f)
+    return build(e, f, frame.union[s][x] if table == "union" else frame.belief[s] & x), s
 
 
 def countermodel_from_witness(

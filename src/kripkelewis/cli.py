@@ -108,17 +108,19 @@ def _frame_arg(args):
 
 def _code_frame(text: str):
     """The frame of a digest ``n:code`` as sweep reports print it, with
-    states s0 ... s{n-1}."""
+    states s0 ... s{n-1}.  An error line echoes at most the first 30
+    characters of the value and names the bound rather than printing it."""
+    shown = repr(text if len(text) <= 30 else text[:30] + "...")
     n_text, _, code_text = text.partition(":")
     if not (n_text.isascii() and n_text.isdigit() and code_text.isascii() and code_text.isdigit()):
-        raise _InputError(f"bad --code value {text!r} (expected n:code, two decimal integers)")
-    n = int(n_text)
+        raise _InputError(f"bad --code value {shown} (expected n:code, two decimal integers)")
+    n = int(n_text) if len(n_text) < 5 else 0  # a longer one is out of range, unparsed
     if not 1 <= n <= MAX_CODE_SIZE:
-        raise _InputError(f"--code {text!r}: state count must be 1 to {MAX_CODE_SIZE}")
+        raise _InputError(f"--code {shown}: state count must be 1 to {MAX_CODE_SIZE}")
     # every valid code has fewer digits than int()'s default limit on a string
     count = frame_count(n)
     if len(code_text) > len(str(count)) or not int(code_text) < count:
-        raise _InputError(f"--code {text!r}: code must be below {count} for {n} states")
+        raise _InputError(f"--code {shown}: code must be below frame_count({n}) for {n} states")
     return frame_from_code(n, int(code_text))
 
 

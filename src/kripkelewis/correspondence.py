@@ -11,11 +11,14 @@ replays its canonical countermodel, which must falsify the paired axiom.
 Sweeps check frames in batches: a lane-batched ``PropertyEvaluator``,
 ``SchemaEvaluator`` and ``PostulateEvaluator`` scan each property, schema
 and conditioned postulate once per batch, and each distinct countermodel
-is replayed once (see :func:`_batch_verdicts`).  A sweep partition holding
+is replayed once for the state mask of its violations (see
+:func:`_replay_groups`).  A sweep partition holding
 at least as many frames as there are local profiles ``(belief[s],
 union[s])`` folds each frame from memoised per-profile verdicts instead of
-checking it whole; see :func:`_fold_profiles`.  On several workers the parent
-checks the last partition and forked workers the others (see :func:`sweep`).
+checking it whole; see :func:`_fold_profiles`.  A partition is a range of
+the frame stream, whose codes each process spells for itself: on several
+workers the parent checks the last partition and forked workers the others
+(see :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -38,7 +42,7 @@ from .properties import check_property  # noqa: F401
 from .revision import agm_event_check  # noqa: F401
 from .properties import PropertyEvaluator
 from .revision import CONDITIONED, UNCONDITIONAL, AgmPostulateId, LaneTables, PostulateEvaluator
-from .revision import _spread
+from .revision import _inside, _spread
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
 MODES = ("exhaustive", "random")
@@ -217,30 +221,20 @@ def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[t
     of :func:`_lane_tables`, so each property, schema and conditioned
     postulate is scanned once for all the frames, and each column comes
     back as a state mask over the lanes.  Property violations are grouped
-    by their countermodel, read off the tables, and each group is replayed
-    once, every violation reading its own state off the shared mask."""
+    by their countermodel (see :func:`_replay_groups`), and each group is
+    replayed once, every violation reading its own state off the shared mask."""
     tables = _lane_tables(n, codes)
     schemas = SchemaEvaluator(tables=tables)
     postulates = PostulateEvaluator(tables=tables)
     properties = PropertyEvaluator(tables=tables)
-    spread = _spread(n, n * len(codes))  # event -> bit 0 of each of its states' blocks
-    event, ones = {bits: u for u, bits in enumerate(spread)}.__getitem__, spread[-1]
-    union = lambda bit, e: event(tables.union[e] >> bit & ones)  # union[s][e] at bit lane*n + s
-    belief = lambda bit: event(tables.belief >> bit & ones)
     axioms = [_AXIOM[k] for k in ks]
     failures = []  # the failing states of each ``ok`` bit, in bit order
     falsified = []  # per k: the violations whose replay falsified Ak
     for k, axiom in zip(ks, axioms):
         failed, hits = properties.lane_hits(_PROP[k])
         failures.append(failed)
-        recipe = countermodel_recipe(axiom)
-        # countermodel assignment -> the violating state of each lane
-        groups: dict[tuple[int, ...], int] = {}
-        for bit, e, f, _ in hits:
-            assignment = recipe(union, belief, bit, e, f)
-            groups[assignment] = groups.get(assignment, 0) | 1 << bit
         replayed = 0
-        for assignment, violations in groups.items():
+        for assignment, violations in _replay_groups(tables, axiom, hits).items():
             replayed |= violations & ~schemas.holds_mask(axiom, assignment)
         falsified.append(replayed)
     failures += [schemas.lane_failures(axiom) for axiom in axioms]
@@ -249,6 +243,32 @@ def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[t
     every = (1 << 3 * len(ks) + len(ALWAYS_VALID_NAMES)) - 1
     ok_bits = [every ^ failed for failed in _lane_words(failures, n, len(codes))]
     return list(zip(ok_bits, _lane_words(falsified, n, len(codes))))
+
+
+def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, ...], int]:
+    """Countermodel assignment to the paired ``axiom`` -> the violating
+    states that replay it, from the property's ``lane_hits``.  A hit's
+    states share E and F, so they differ only in the event u their recipe
+    reads (see ``countermodel_recipe``): the hit's mask is split by the
+    blocks of the table that holds u, one block x at a time, into the
+    states whose u has x and those whose u lacks it."""
+    read, build = countermodel_recipe(axiom)
+    n, width = tables.n, tables.n * tables.lanes
+    inside = _inside(n, width)
+    groups: dict[tuple[int, ...], int] = {}
+    for mask, e, f, _ in hits:
+        table, event = read(e, f)
+        blocks = tables.union[event] if table == "union" else tables.belief & inside[event]
+        classes = [(0, mask)]  # (u so far, its states)
+        for x in range(n):
+            block = blocks >> x * width & mask
+            if block:
+                classes = [(v, part) for u, states_u in classes for v, part in (
+                    (u | 1 << x, states_u & block), (u, states_u & ~block)) if part]
+        for u, part in classes:
+            assignment = build(e, f, u)
+            groups[assignment] = groups.get(assignment, 0) | part
+    return groups
 
 
 def _lane_words(columns: list[int], n: int, lanes: int) -> list[int]:
@@ -562,31 +582,37 @@ def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
     return _tally(config, ks, outcomes())
 
 
-def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, Sequence[int]]]:
-    """Split the configured frame codes into at most ``workers`` contiguous,
-    nonempty ``(config, codes)`` partitions."""
-    if cfg.mode == "exhaustive":
-        total = frame_count(cfg.size)
-        codes: Sequence[int] = range(total)
-    else:
-        assert cfg.count is not None and cfg.seed is not None
-        total = cfg.count
-        codes = list(_sample_codes(cfg.size, total, cfg.seed))
+def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]]:
+    """Split the configured frame stream into at most ``workers``
+    contiguous, nonempty partitions ``(config, lo, hi)``: its codes
+    ``lo`` to ``hi - 1``, spelled by :func:`_partition_codes`."""
+    total = frame_count(cfg.size) if cfg.mode == "exhaustive" else cfg.count
+    assert total is not None
     chunks = max(1, min(workers, total))
     bounds = [total * i // chunks for i in range(chunks + 1)]
     config = cfg.echo()
-    return [(config, codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _partition_codes(config: dict, lo: int, hi: int) -> Sequence[int]:
+    """Codes ``lo`` to ``hi - 1`` of the configured frame stream: a range
+    in exhaustive mode; in random mode the seeded stream drawn up to ``hi``,
+    its first ``lo`` codes dropped as they are drawn."""
+    if config["mode"] == "exhaustive":
+        return range(lo, hi)
+    return list(islice(_sample_codes(config["size"], hi, config["seed"]), lo, None))
 
 
 class WorkerTraceback(Exception):
     """A worker's traceback as text, the cause of the exception it sent."""
 
 
-def _outcome(config: dict, codes: Sequence[int], sender=None) -> tuple:
-    """``(None, report, None)`` or ``(exception, None, traceback text)`` for a
-    partition, also sent to ``sender``: pickling an exception drops its traceback."""
+def _outcome(config: dict, lo: int, hi: int, sender=None) -> tuple:
+    """``(None, report, None)`` or ``(exception, None, traceback text)`` for
+    the partition ``codes[lo:hi]``, also sent to ``sender``: pickling an
+    exception drops its traceback."""
     try:
-        outcome: tuple = (None, _run_partition(config, codes), None)
+        outcome: tuple = (None, _run_partition(config, _partition_codes(config, lo, hi)), None)
     except Exception as exc:
         import traceback  # here: only a failure pays for it
         outcome = (exc, None, traceback.format_exc())
@@ -599,8 +625,10 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     """Check every frame of the configured frame stream (see :func:`_run_partition`).
 
     With ``workers > 1`` the stream is split into at most ``os.cpu_count()``
-    partitions: the parent checks the last while a forked worker checks each
-    other one and sends its report through a pipe.  A failed partition, or a
+    partitions, each named by its range of the stream (see
+    :func:`_make_payloads`): the parent checks the last while a forked worker
+    checks each other one and sends its report through a pipe.  Each process
+    spells its own partition's codes after the fork.  A failed partition, or a
     worker exiting without a report, aborts the sweep with a SweepError naming
     the lowest one and carrying the completed reports.  Refuses ``workers < 1``.
     """
@@ -641,8 +669,7 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     if failures:
         failed_at, failure = failures[0]
         partial = merge_reports(partials) if partials else Report.empty(cfg.echo(), cfg.ks)
-        lo = sum(len(codes) for _, codes in payloads[:failed_at])
-        hi = lo + len(payloads[failed_at][1])
+        _, lo, hi = payloads[failed_at]
         seed = f" (seed {cfg.seed})" if cfg.mode == "random" else ""
         raise SweepError(
             f"sweep aborted: partition codes[{lo}:{hi}]{seed} failed: {failure}", partial

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Frame, Witness, canonical_events
+from .model import Frame, Witness, bit_indices, canonical_events
 from .revision import LaneTables, PostulateEvaluator, _inside, frame_tables
 
 
@@ -187,11 +187,12 @@ class PropertyEvaluator:
 
     def lane_hits(self, k: PropertyId) -> tuple[int, list[tuple[int, int, int, int]]]:
         """The states where ``k`` fails, whose lane i is nonempty iff ``k``
-        fails on frame i, and the data of each failing lane's witness: the
-        first hit ``(bit, E, F, s')`` of its lowest failing state, with
-        ``bit`` that state's bit ``lane*n + s``.  The scan stops once state
-        0 of every lane has failed, since no lane's witness can change
-        then."""
+        fails on frame i, and the data of the failing lanes' witnesses: the
+        scan's hits ``(mask, E, F, s')``, each ``mask`` cut to the lanes'
+        lowest failing states, so each failing lane's lowest failing state
+        (bit ``lane*n + s``) is in exactly one hit, the one where it first
+        failed.  The scan stops once state 0 of every lane has failed, since
+        no lane's witness can change then."""
         try:
             scan = _SCANS[_IDS.index(k)]
         except ValueError:
@@ -212,28 +213,17 @@ class PropertyEvaluator:
                 pick = failed >> s & low & ~taken  # lanes whose lowest is s
                 taken |= pick
                 lowest |= pick << s
-        found = []
-        for bad, e, f, sp in hits:
-            bad &= lowest
-            if not bad:
-                continue
-            # each lowest failing state in this hit, read off binary digits
-            digits = f"{bad:b}"
-            top = len(digits) - 1
-            at = digits.find("1")
-            while at >= 0:
-                found.append((top - at, e, f, sp))
-                at = digits.find("1", at + 1)
-        return failed, found
+        return failed, [(bad & lowest, e, f, sp) for bad, e, f, sp in hits if bad & lowest]
 
     def witnesses(self, k: PropertyId) -> list[Witness | None]:
         """Per frame: None if it satisfies ``k``, else its minimal witness."""
         found: list[Witness | None] = [None] * len(self.frames)
         _, hits = self.lane_hits(k)
         witness = _WITNESSES[_IDS.index(k)]
-        for bit, e, f, sp in hits:
-            lane, s = divmod(bit, self.n)
-            found[lane] = witness(self.frames[lane], s, e, f, sp)
+        for mask, e, f, sp in hits:
+            for bit in bit_indices(mask):
+                lane, s = divmod(bit, self.n)
+                found[lane] = witness(self.frames[lane], s, e, f, sp)
         return found
 
 

@@ -445,6 +445,18 @@ def test_bad_code_is_one_error_line(capsys, value):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("value", [
+    "7:" + "9" * 1889, "4:" + "9" * 5000, "x" * 3000, "9" * 5000 + ":0", "\U0001f600" * 3000,
+], ids=["7-past-range", "4-5000-nines", "3000-letters", "5000-digit-n", "3000-emoji"])
+def test_long_bad_code_is_one_short_error_line(capsys, value):
+    # the value is cut and the bound named, so the line stays short
+    code, out, err = run(capsys, "frame-check", f"--code={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err.encode()) < 200, err
+
+
 def test_code_takes_up_to_seven_states(capsys):
     # the largest state count whose codes stay under int()'s digit limit
     for n in (5, 6, 7):

@@ -11,6 +11,7 @@ from kripkelewis import (
     frame_digest,
     sample_frames,
 )
+from kripkelewis.model import bit_indices
 
 import helpers
 
@@ -174,7 +175,9 @@ def _assert_evaluator_matches_loops(frames) -> int:
         failed, hits = evaluator.lane_hits(prop)
         fails = [bool(failed >> lane * n & full) for lane in range(len(frames))]
         assert fails == [w is not None for w in expected], (frame_digest(frames[0]), prop)
-        assert sorted(bit // n for bit, *_ in hits) == [i for i, w in enumerate(expected) if w]
+        # each failing lane's lowest failing state, in one hit's mask
+        bits = sorted(bit for mask, *_ in hits for bit in bit_indices(mask))
+        assert bits == [i * n + w.states["s"] for i, w in enumerate(expected) if w]
         count += sum(w is not None for w in expected)
     return count
 
@@ -216,6 +219,6 @@ def test_lane_witness_is_its_lowest_failing_states():
     evaluator = PropertyEvaluator(holds, frame, frame)
     failed, hits = evaluator.lane_hits(PropertyId.P5)
     assert failed == 0b111100  # both states of lanes 1 and 2
-    assert sorted(hits) == [(2, 0b11, 0, 0), (4, 0b11, 0, 0)]  # each lane's s0
+    assert hits == [(0b010100, 0b11, 0, 0)]  # each lane's s0, in one mask
     assert evaluator.witnesses(PropertyId.P5) == [None, witness, witness]
     assert check_property(frame, PropertyId.P5) == witness

@@ -37,6 +37,7 @@ from kripkelewis import (
 )
 import kripkelewis.correspondence as sweep_module
 from kripkelewis.axioms import countermodel_assignment
+from kripkelewis.model import bit_indices
 from kripkelewis.revision import AgmPostulateId, frame_tables
 
 import helpers
@@ -350,8 +351,38 @@ def test_sweep_exhaustive_parallel_partition(monkeypatch, bounded):
         assert serial == parallel
         assert serial["totals"]["frames"] == frames
     # both halves of the two-state stream fold profiles (see _run_partition)
-    halves = [len(codes) for _, codes in sweep_module._make_payloads(cfg, 2)]
+    halves = [hi - lo for _, lo, hi in sweep_module._make_payloads(cfg, 2)]
     assert len(halves) == 2 and min(halves) >= sweep_module._profile_count(2)
+
+
+def _spelled(cfg: SweepConfig, parts: int) -> list[int]:
+    """The codes of ``parts`` partitions of cfg's stream, each spelled on its own."""
+    payloads = sweep_module._make_payloads(cfg, parts)
+    codes = [code for payload in payloads for code in sweep_module._partition_codes(*payload)]
+    assert len(payloads) == min(parts, len(codes))
+    return codes
+
+
+def test_partitions_concatenate_to_the_stream():
+    # each partition spells its own codes; a middle one skips a prefix
+    for parts in (2, 3, 4, 5):
+        count = 6 * parts + 1  # not a multiple of the partition count
+        for n in (1, 2, 3, 4):
+            for seed in (3, 42, 161):
+                cfg = SweepConfig(size=n, mode="random", count=count, seed=seed)
+                assert _spelled(cfg, parts) == list(sweep_module._sample_codes(n, count, seed)), (
+                    n, seed, parts)
+        for n in (1, 2):
+            assert _spelled(SweepConfig(size=n), parts) == list(range(frame_count(n))), (n, parts)
+
+
+def test_three_workers_report_the_pinned_digest(monkeypatch, bounded):
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    cfg = SweepConfig(size=3, mode="random", count=1000, seed=42)
+    assert [payload[1:] for payload in sweep_module._make_payloads(cfg, 3)] == [
+        (0, 333), (333, 666), (666, 1000)]
+    assert _report_digest(sweep(cfg, workers=3)) == REPORT_DIGESTS["random3_1000_seed42"]
+    assert multiprocessing.active_children() == []
 
 
 def test_merge_reports_is_order_insensitive():
@@ -396,11 +427,9 @@ def test_sweep_aborts_with_partial_report(monkeypatch):
 
     calls["n"] = 0
     # with several partitions the completed ones survive in the partial report
-    payloads = sweep_module._make_payloads(cfg, 4)
-    partials = []
-    for payload in payloads[:1]:
-        partials.append(sweep_module._run_partition(*payload))
-    assert partials[0].totals["frames"] == 50
+    config, lo, hi = sweep_module._make_payloads(cfg, 4)[0]
+    partial = sweep_module._run_partition(config, sweep_module._partition_codes(config, lo, hi))
+    assert partial.totals["frames"] == 50
 
 
 def test_random_mode_refuses_five_states_without_override():
@@ -570,16 +599,11 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
             return failed | self.broken if k is AgmPostulateId.K2 else failed
 
     def broken_a2_recipe(k):
-        recipe = real_recipe(k)
         if k is not AxiomId.A2:
-            return recipe
-
-        def broken(union, belief, s, e, f):
-            if belief(s) == 3:
-                return (0,)  # the empty event cannot falsify A2
-            return recipe(union, belief, s, e, f)
-
-        return broken
+            return real_recipe(k)
+        # reads belief[s] & {s0, s1}; where that is {s0, s1}, p is the empty
+        # event, which cannot falsify A2
+        return lambda e, f: ("belief", 3), lambda e, f, u: (0,) if u == 3 else (e,)
 
     monkeypatch.setattr(sweep_module, "PostulateEvaluator", BrokenK2)
     monkeypatch.setattr(sweep_module, "countermodel_recipe", broken_a2_recipe)
@@ -724,22 +748,17 @@ def test_code_tables_equal_frame_tables_sampled_and_ranked():
 
 
 def test_batch_recipes_equal_countermodel_assignment(monkeypatch):
-    # every countermodel a batch reads off its lane tables, against the
-    # witness and recipe of the decoded frame
-    real = sweep_module.countermodel_recipe
+    # every state of every replay group a batch reads off its lane tables,
+    # against the witness and recipe of the decoded frame
+    real = sweep_module._replay_groups
     calls = []
 
-    def recording(k):
-        recipe = real(k)
+    def recording(tables, axiom, hits):
+        groups = real(tables, axiom, hits)
+        calls.append((axiom, groups))
+        return groups
 
-        def recorded(union, belief, bit, e, f):
-            assignment = recipe(union, belief, bit, e, f)
-            calls.append((k, bit, e, f, assignment))
-            return assignment
-
-        return recorded
-
-    monkeypatch.setattr(sweep_module, "countermodel_recipe", recording)
+    monkeypatch.setattr(sweep_module, "_replay_groups", recording)
     rng = random.Random(153)
     checked = 0
     for n, count in ((1, 30), (2, 400), (3, 300), (4, 60), (5, 8)):
@@ -750,14 +769,53 @@ def test_batch_recipes_equal_countermodel_assignment(monkeypatch):
             batch = codes[lo : lo + 250]
             calls.clear()
             sweep_module._batch_verdicts(n, batch, sweep_module.DEFAULT_KS)
-            for k, bit, e, f, assignment in calls:
-                lane, s = divmod(bit, n)
-                frame = frame_from_code(n, batch[lane])
-                w = check_property(frame, PAIRED_PROPERTY[k])
-                assert (w.states["s"], w.events["E"], w.events.get("F", 0)) == (s, e, f)
-                assert countermodel_assignment(frame, k, w) == (assignment, s), (n, batch[lane])
-            checked += len(calls)
+            assert len(calls) == len(sweep_module.DEFAULT_KS)
+            for k, groups in calls:
+                for assignment, states in groups.items():
+                    for bit in bit_indices(states):
+                        lane, s = divmod(bit, n)
+                        frame = frame_from_code(n, batch[lane])
+                        w = check_property(frame, PAIRED_PROPERTY[k])
+                        assert countermodel_assignment(frame, k, w) == (assignment, s), (
+                            n, batch[lane])
+                        checked += 1
     assert checked > 3000
+
+
+def _lane_by_lane_groups(n: int, codes, k: int) -> dict:
+    """The replay groups of Pk's violations, assignment -> state mask,
+    built from each decoded frame's witness and countermodel."""
+    groups: dict = {}
+    for lane, code in enumerate(codes):
+        frame = frame_from_code(n, code)
+        w = check_property(frame, PropertyId(f"P{k}"))
+        if w is not None:
+            assignment, s = countermodel_assignment(frame, AxiomId(f"A{k}"), w)
+            groups[assignment] = groups.get(assignment, 0) | 1 << lane * n + s
+    return groups
+
+
+def test_replay_groups_equal_lane_by_lane_groups():
+    # the mask split of _replay_groups against one countermodel per lane,
+    # on sampled and ranked batches and batches that mix them
+    rng = random.Random(157)
+    most = 0  # the most classes one hit split into
+    for n in (1, 2, 3, 4, 5):
+        sampled = list(sweep_module._sample_codes(n, 250, 158 + n))
+        ranked = [frame_code(helpers.ranked_frame(rng, n)) for _ in range(250)]
+        mixed = [code for pair in zip(ranked, sampled) for code in pair][:250]
+        for codes in (sampled, ranked, mixed):
+            for lanes in (1, 7, 250):
+                batch = codes[:lanes]
+                tables = sweep_module._lane_tables(n, batch)
+                properties = sweep_module.PropertyEvaluator(tables=tables)
+                for k in sweep_module.DEFAULT_KS:
+                    _, hits = properties.lane_hits(PropertyId(f"P{k}"))
+                    groups = sweep_module._replay_groups(tables, AxiomId(f"A{k}"), hits)
+                    assert groups == _lane_by_lane_groups(n, batch, k), (n, lanes, k)
+                    for mask, *_ in hits:
+                        most = max(most, sum(bool(states & mask) for states in groups.values()))
+    assert most >= 3
 
 
 def test_sweep_config_refuses_repeated_ks():
