@@ -12,13 +12,13 @@ semantics on instances built from fresh atoms p, q, r.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache
 
 from .formula import And, Atom, Bel, Box, Cond, Formula, Iff, Implies, Not, atoms
-from .model import Frame, Model, Witness, shared_size
+from .model import Frame, Model, Witness
 from .model import truth_set  # noqa: F401  unused; perfbench's tracer patches it by name
 from .properties import PropertyId
-from .revision import LaneTables
+from .revision import LaneTables, frame_tables
 
 
 class AxiomId(Enum):
@@ -88,7 +88,9 @@ class SchemaEvaluator:
     believed selections for a lies inside b.  Likewise the mask of states
     whose belief set lies inside each event.
 
-    A sweep batch's masks are read off the blocks of its ``tables``.
+    Both are read off lane tables (see ``LaneTables``), one table per
+    event through ``_within_masks``: a sweep batch passes its ``tables``,
+    and frames passed directly get theirs from :func:`frame_tables`.
     ``full`` is the event universe 2^n - 1 (also lane 0's states);
     ``states`` is every state of every lane.
     """
@@ -96,22 +98,14 @@ class SchemaEvaluator:
     __slots__ = ("n", "full", "states", "low", "bel", "bel_cond")
 
     def __init__(self, *frames: Frame, tables: LaneTables | None = None):
-        n, lanes = (tables.n, tables.lanes) if tables else (shared_size(frames), len(frames))
+        n, lanes, _, union, belief = tables or frame_tables(frames)
         full = (1 << n) - 1
         self.n = n
         self.full = full
         self.states = states = (1 << n * lanes) - 1
         self.low = states // full  # bit 0 of each lane
-        # union[s][0] is 0 on both routes, so row 0 of bel_cond is every state
-        if tables:
-            self.bel, *self.bel_cond = [
-                _block_superset_masks(u, n, states) for u in (tables.belief, *tables.union)]
-            return
-        bits = _lane_bits(len(frames) * n)
-        # Column a: union[s][a] of every (lane, state) in bit order.
-        columns = zip(*[row for frame in frames for row in frame.union])
-        self.bel_cond = [_superset_masks(column, bits, full) for column in columns]
-        self.bel = _superset_masks([b for frame in frames for b in frame.belief], bits, full)
+        # union[0] is 0, so row 0 of bel_cond is every state
+        self.bel, *self.bel_cond = [_within_masks(u, n, states) for u in (belief, *union)]
 
     def _failures(self, scan, live: int, ranges) -> tuple[int, tuple[int, ...] | None]:
         """Runs ``scan`` over ``ranges`` on the lanes in ``live``: each hit,
@@ -282,47 +276,19 @@ def compile_scans() -> None:
         _scan(i)
 
 
-@lru_cache(maxsize=None)
-def _lane_bits(count: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(count))
-
-
-def _superset_masks(events, bits, full: int) -> list[int]:
-    """Masks indexed by event x: bit ``bits[i]`` is set iff ``events[i]``
-    lies inside x.
-
-    Groups the bits by event, then marks each distinct event once on its
-    supersets, walked in ascending order by ``x = (x + 1) | u``.
-    """
-    grouped = [0] * (full + 1)
-    distinct = []
-    for u, bit in zip(events, bits):
-        if grouped[u]:
-            grouped[u] |= bit
-        else:
-            grouped[u] = bit
-            distinct.append(u)
-    masks = [0] * (full + 1)
-    for u in distinct:
-        bit = grouped[u]
-        x = u
-        while x != full:
-            masks[x] |= bit
-            x = (x + 1) | u
-        masks[full] |= bit
-    return masks
-
-
-def _block_superset_masks(blocks: int, n: int, states: int) -> list[int]:
-    """``_superset_masks`` of the events in ``blocks`` (block x: the states whose event
-    has x).  The states with a member outside b are block x or ``outside[b | 1 << x]``,
-    x the least state outside b."""
+def _within_masks(blocks: int, n: int, states: int) -> list[int]:
+    """Masks indexed by event b: the states whose event lies inside b, read
+    off ``blocks``, n blocks of one bit per state (block x: the states whose
+    event has x).  A state's event lies inside b iff the state is in no
+    block x outside b, so the masks over events on states 0 .. x are those
+    over states 0 .. x-1 ANDed with ``omit``, the states outside block x
+    (for b without x), then as they are (for b with x)."""
     width = states.bit_length()
-    outside = [0] * (1 << n)
-    for b in range(len(outside) - 2, -1, -1):
-        x = ((b + 1) & ~b).bit_length() - 1
-        outside[b] = outside[b | (b + 1)] | blocks >> x * width & states
-    return [states ^ mask for mask in outside]
+    masks = [states]
+    for x in range(n):
+        omit = states ^ blocks >> x * width & states
+        masks = (masks if omit == states else [m & omit for m in masks]) + masks
+    return masks
 
 
 def schema_valid_on_frame(frame: Frame, k: AxiomId) -> Witness | None:

@@ -357,7 +357,7 @@ class SweepConfig:
             if self.size > MAX_RANDOM_SIZE and not self.allow_large:
                 raise ValueError(
                     f"random mode for size >= {MAX_RANDOM_SIZE + 1} requires allow_large "
-                    f"(one frame's check scans {(1 << self.size) ** 3} assignments per "
+                    f"(one frame's check scans 2^(3*{self.size}) assignments per "
                     "three-letter axiom)"
                 )
         elif self.count is not None or self.seed is not None:
@@ -365,7 +365,7 @@ class SweepConfig:
         elif self.size >= 3 and not self.allow_large:
             raise ValueError(
                 "exhaustive mode for size >= 3 requires allow_large "
-                f"({frame_count(self.size)} frames)"
+                f"(frame_count({self.size}) frames)"
             )
         bad = [k for k in self.ks if k not in DEFAULT_KS]
         if bad or not self.ks or len(set(self.ks)) != len(self.ks):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .formula import Formula, require_boolean
-from .model import Frame, Model, Witness, bit_indices, canonical_events, shared_size, truth_set
+from .model import Frame, Model, Witness, bit_indices, canonical_events, truth_set
 
 
 class AgmPostulateId(Enum):
@@ -91,8 +91,8 @@ class PostulateEvaluator:
     event e contains x, block x of ``belief`` those whose belief set
     contains x, and ``inside[e]`` is every block x with x in e.  They are
     read off ``frame.union`` and ``frame.belief`` alone (or a sweep batch's
-    ``tables``), so the postulates are checked independently of the schema
-    evaluator's tables.
+    ``tables``), and the postulates read their blocks directly, not the
+    schema evaluator's superset masks.
     """
 
     __slots__ = ("n", "width", "shifts", "states", "inside", "belief", "union")
@@ -206,15 +206,22 @@ class PostulateEvaluator:
 _SCANS = (PostulateEvaluator._scan_k2, PostulateEvaluator._scan_k3, PostulateEvaluator._scan_k4,
           PostulateEvaluator._scan_k5b, PostulateEvaluator._scan_k7, PostulateEvaluator._scan_k8)
 
-# ``PropertyEvaluator``'s tables of ``lanes`` frames on ``n`` states, ``sel``
-# and ``union`` indexed by event (0 at the empty one).
+# The one input of the three evaluators: tables of ``lanes`` frames on ``n``
+# states, ``sel`` and ``union`` indexed by event (0 at the empty one).
 LaneTables = NamedTuple(
     "LaneTables", [("n", int), ("lanes", int), ("sel", list), ("union", list), ("belief", int)])
 
 
 def frame_tables(frames: tuple[Frame, ...], selection: bool = False) -> LaneTables:
-    """The lane tables of these frames, with ``sel`` only if ``selection``."""
-    n = shared_size(frames)
+    """The lane tables of one or more frames on the same n states, frame i
+    in lane i, with ``sel`` only if ``selection``: what each evaluator
+    reads when it is given frames rather than a sweep batch's tables."""
+    if not frames:
+        raise ValueError("need at least one frame")
+    n = frames[0].n
+    for frame in frames:
+        if frame.n != n:
+            raise ValueError("frames in one evaluator must have the same number of states")
     sel = _blocks([row for frame in frames for row in frame.selection], n) if selection else []
     union = _blocks([row for frame in frames for row in frame.union], n)
     (belief,) = _blocks([(b,) for frame in frames for b in frame.belief], n)

@@ -20,7 +20,7 @@ time against their conditions.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from functools import cache, partial
 from itertools import chain, combinations, product
 
@@ -125,28 +125,14 @@ def gen_any_tree(rng: random.Random, depth: int = 3, names=ATOM_NAMES):
 
 # --- frame streams ------------------------------------------------------
 
-def enumerate_frames(n: int, allow_large: bool = False) -> Iterable[Frame]:
-    """All frames on n states, each exactly once, in ascending code order.
-
-    On one or two states this is a tuple decoded once per session and shared
-    by every caller.  Refuses n >= 3 unless ``allow_large`` is set, and then
-    decodes lazily: the count grows as (2^n - 1)^n * (2^n)^(n(2^n - 1)) and
-    is already astronomical at n = 3.
-    """
-    if n < 1:
-        raise ValueError("need at least one state")
-    if n <= 2:
-        return _small_frames(n)
-    if not allow_large:
-        raise ValueError(
-            f"exhaustive enumeration of {frame_count(n)} frames on {n} states "
-            "requires allow_large=True"
-        )
-    return map(partial(frame_from_code, n), range(frame_count(n)))
-
-
 @cache
-def _small_frames(n: int) -> tuple[Frame, ...]:
+def enumerate_frames(n: int) -> tuple[Frame, ...]:
+    """All frames on one or two states, each exactly once, in ascending code
+    order: a tuple decoded once per session and shared by every caller.
+    Refuses n >= 3, where the count, frame_count(n), is already
+    astronomical."""
+    if not 1 <= n <= 2:
+        raise ValueError(f"enumerates frames on 1 or 2 states, not {n}")
     return tuple(map(partial(frame_from_code, n), range(frame_count(n))))
 
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+from conftest import REPO_ROOT
 
 from kripkelewis import (
     frame_count,
@@ -455,6 +460,26 @@ def test_long_bad_code_is_one_short_error_line(capsys, value):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert len(err.encode()) < 200, err
+
+
+def test_large_sweep_sizes_are_refused_at_once():
+    # the refusal names its bound instead of computing it: at these sizes
+    # frame_count(n) has thousands to millions of digits
+    argvs = [["--size", str(n)] for n in (7, 8, 20, 22, 24, 40)]
+    argvs.append(["--mode", "random", "--count", "1", "--seed", "1", "--size", "2000000000"])
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    runs = [subprocess.Popen([sys.executable, "-m", "kripkelewis.cli", "sweep", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE) for argv in argvs]
+    try:
+        for argv, proc in zip(argvs, runs):
+            out, err = proc.communicate(timeout=20)
+            assert proc.returncode == 2 and out == b"", (argv, err)
+            assert err.startswith(b"error: ") and err.count(b"\n") == 1, (argv, err)
+            assert len(err) < 200 and b"Traceback" not in err, (argv, err)
+    finally:
+        for proc in runs:
+            proc.kill()
+            proc.wait()
 
 
 def test_code_takes_up_to_seven_states(capsys):

@@ -59,9 +59,6 @@ def test_enumerate_one_state():
 def test_enumerate_refuses_large_without_override():
     with pytest.raises(ValueError):
         next(helpers.enumerate_frames(3))
-    # the override makes it start
-    stream = helpers.enumerate_frames(3, allow_large=True)
-    assert next(stream).n == 3
 
 
 def test_enumerate_two_state_contains_fx2_exactly_once(fx2):
@@ -718,33 +715,69 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
                 assert sweep_module._fold_profiles(config, codes).to_json() == expected, (n, batch)
 
 
-# --- lane tables spelled from frame codes against the frame-built ones -------
+# --- lane tables spelled from frame codes, and the masks read off them -------
 
-def _assert_code_tables_match(n: int, codes) -> None:
-    """``_lane_tables`` of these codes against ``_blocks`` over the decoded
-    frames' rows, and the schema evaluator's masks built from each."""
+def _assert_code_tables_match(n: int, codes, oracle: dict) -> None:
+    """``_lane_tables`` of these codes against ``frame_tables`` of the
+    decoded frames, and the schema evaluator's ``bel`` and ``bel_cond``
+    read off them against ``helpers.oracle_tables`` of each frame, lane
+    by lane (``oracle`` caches those by code)."""
     frames = tuple(frame_from_code(n, code) for code in codes)
     tables = sweep_module._lane_tables(n, codes)
     assert tables == frame_tables(frames, selection=True), (n, len(codes))
-    by_codes, by_frames = SchemaEvaluator(tables=tables), SchemaEvaluator(*frames)
-    assert by_codes.bel_cond == by_frames.bel_cond, (n, len(codes))
-    assert by_codes.bel == by_frames.bel, (n, len(codes))
+    evaluator, full = SchemaEvaluator(tables=tables), (1 << n) - 1
+    for lane, (code, frame) in enumerate(zip(codes, frames)):
+        if code not in oracle:
+            oracle[code] = helpers.oracle_tables(frame)
+        bel, bel_cond = oracle[code]
+        shift = lane * n
+        assert [m >> shift & full for m in evaluator.bel] == bel, (n, code)
+        assert [[m >> shift & full for m in row] for row in evaluator.bel_cond] == bel_cond, (
+            n, code)
+
+
+def _omit_edges(n: int, codes) -> set:
+    """Which edges of the superset DP's ``omit`` these codes' tables
+    reach: "none" where some state x is in no lane's event (the ANDs are
+    skipped), "every" where it is in every lane's event (``omit`` is 0)."""
+    tables = sweep_module._lane_tables(n, codes)
+    states = (1 << tables.lanes * n) - 1
+    blocks = [u >> x * tables.lanes * n & states for u in (tables.belief, *tables.union[1:])
+              for x in range(n)]
+    return {edge for edge, block in (("none", 0), ("every", states)) if block in blocks}
+
+
+def _edge_code(frame: Frame) -> int:
+    """The code of ``frame`` with state 0 added to, and state n-1 (if not
+    state 0) taken from, every belief set and selection."""
+    low, high = 1, (1 << frame.n - 1) * (frame.n > 1)
+    belief = [(b | low) & ~high for b in frame.belief]
+    selection = [row[:1] + tuple((e | low) & ~high for e in row[1:]) for row in frame.selection]
+    return frame_code(Frame(frame.states, belief, selection))
 
 
 def test_code_tables_equal_frame_tables_all_two_state_frames():
-    codes = range(frame_count(2))
+    codes, oracle = range(frame_count(2)), {}
     for lo in range(0, len(codes), 250):
-        _assert_code_tables_match(2, codes[lo : lo + 250])
+        _assert_code_tables_match(2, codes[lo : lo + 250], oracle)
 
 
 def test_code_tables_equal_frame_tables_sampled_and_ranked():
+    # sampled, ranked and mixed batches, and edge batches, where state 0 is
+    # in every lane's events and state n-1 in none, so both edges of omit
+    # run on every lane count
     rng = random.Random(149)
-    for n in (1, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5):
         sampled = list(sweep_module._sample_codes(n, 250, 150 + n))
         ranked = [frame_code(helpers.ranked_frame(rng, n)) for _ in range(250)]
-        for codes in (sampled, ranked):
+        mixed = [code for pair in zip(sampled, ranked) for code in pair][:250]
+        edge = [_edge_code(frame_from_code(n, code)) for code in sampled]
+        oracle: dict = {}
+        for codes in (sampled, ranked, mixed, edge):
             for lanes in (1, 7, 250):
-                _assert_code_tables_match(n, codes[:lanes])
+                _assert_code_tables_match(n, codes[:lanes], oracle)
+        for lanes in (1, 7, 250):
+            assert _omit_edges(n, edge[:lanes]) == ({"every"} if n == 1 else {"every", "none"}), n
 
 
 def test_batch_recipes_equal_countermodel_assignment(monkeypatch):
