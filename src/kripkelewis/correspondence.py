@@ -12,13 +12,13 @@ Sweeps check frames in batches: a lane-batched ``PropertyEvaluator``,
 ``SchemaEvaluator`` and ``PostulateEvaluator`` scan each property, schema
 and conditioned postulate once per batch, and each distinct countermodel
 is replayed once for the state mask of its violations (see
-:func:`_replay_groups`).  A sweep partition holding
-at least as many frames as there are local profiles ``(belief[s],
-union[s])`` folds each frame from memoised per-profile verdicts instead of
-checking it whole; see :func:`_fold_profiles`.  A partition is a range of
-the frame stream, whose codes each process spells for itself: on several
-workers the parent checks the last partition and forked workers the others
-(see :func:`sweep`).
+:func:`_replay_groups`).  An exhaustive partition holding at least as many
+frames as there are local profiles ``(belief[s], union[s])`` checks only
+the uniform frames of its profiles and folds their verdicts block by
+block, with no Python per frame (see :func:`_fold_profiles`).  A partition
+is a range of the frame stream, whose codes each process spells for
+itself: on several workers the parent checks the last partition and forked
+workers the others (see :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 from itertools import islice
@@ -33,7 +34,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, compile_scans, countermodel_recipe
-from .model import Frame, bit_indices
+from .model import Frame
 
 # Unused here; perfbench's tracer patches these names on this module.
 from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
@@ -46,6 +47,7 @@ from .revision import _inside, _spread
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
 MODES = ("exhaustive", "random")
+_CELLS = ("pp", "pf", "fp", "ff")  # property, then axiom or postulate: pass or fail
 
 # k -> Ak and k -> Pk, read off the axiom-property pairing, and k -> Kk
 # off the postulates with a frame condition (K5b for k = 5).
@@ -178,10 +180,10 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
 # states; a larger batch only holds more frames at once.
 BATCH_FRAMES = 250
 
-# A frame's verdicts packed into two ints, with ``ks`` indexed by position
-# i and m = len(ks).  ``ok``: bit i is Pk, bit m + i is Ak, bit 2m + i is Kk
-# at every state, then one bit per ALWAYS_VALID_NAMES entry.  ``falsified``:
-# bit i says the replay for a violated Pk falsified Ak.
+# A frame's verdicts packed into one int, with ``ks`` indexed by position
+# i and m = len(ks).  Bit i says the replay for a violated Pk falsified Ak.
+# The bits from m on are ``ok``: bit i of ok is Pk, bit m + i is Ak, bit
+# 2m + i is Kk at every state, then one bit per ALWAYS_VALID_NAMES entry.
 
 
 def _lane_tables(n: int, codes: Sequence[int]) -> LaneTables:
@@ -215,7 +217,7 @@ def _belief_bits(n: int, digits: int) -> str:
     return "".join([f"{digits // full ** (n - 1 - s) % full + 1:0{n}b}" for s in range(n)])
 
 
-def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[tuple[int, int]]:
+def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[int]:
     """Packed verdicts of the frames with these codes on n states.  One
     property, one schema and one postulate evaluator share the lane tables
     of :func:`_lane_tables`, so each property, schema and conditioned
@@ -241,8 +243,7 @@ def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[t
     failures += [postulates.lane_failures(_AGM[k]) for k in ks]
     failures.append(schemas.lane_failures(AxiomId.A1))  # the other always-valid columns cannot fail
     every = (1 << 3 * len(ks) + len(ALWAYS_VALID_NAMES)) - 1
-    ok_bits = [every ^ failed for failed in _lane_words(failures, n, len(codes))]
-    return list(zip(ok_bits, _lane_words(falsified, n, len(codes))))
+    return [word ^ every << len(ks) for word in _lane_words(falsified + failures, n, len(codes))]
 
 
 def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, ...], int]:
@@ -286,13 +287,11 @@ def _lane_words(columns: list[int], n: int, lanes: int) -> list[int]:
     return [int("".join(bits), 2) for bits in zip(*digits)]
 
 
-def _unpack_verdicts(
-    verdicts: tuple[int, int], ks: tuple[int, ...], digest: str
-) -> FrameRecord:
+def _unpack_verdicts(verdicts: int, ks: tuple[int, ...], digest: str) -> FrameRecord:
     """The record of a frame with these packed verdicts; its discrepancies
     are left for :func:`_discrepancies`."""
-    ok, falsified = verdicts
     m = len(ks)
+    ok = verdicts >> m
     property_pass = {k: bool(ok >> i & 1) for i, k in enumerate(ks)}
     return FrameRecord(
         digest,
@@ -300,7 +299,7 @@ def _unpack_verdicts(
         {k: bool(ok >> (m + i) & 1) for i, k in enumerate(ks)},
         {k: bool(ok >> (2 * m + i) & 1) for i, k in enumerate(ks)},
         {name: bool(ok >> (3 * m + j) & 1) for j, name in enumerate(ALWAYS_VALID_NAMES)},
-        [(k, bool(falsified >> i & 1)) for i, k in enumerate(ks) if not property_pass[k]],
+        [(k, bool(verdicts >> i & 1)) for i, k in enumerate(ks) if not property_pass[k]],
         [],
     )
 
@@ -373,18 +372,7 @@ class SweepConfig:
                 f"ks must be a nonempty subset of {DEFAULT_KS} without repeats, got {self.ks}")
 
     def echo(self) -> dict:
-        return {
-            "size": self.size,
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-            "ks": list(self.ks),
-            "allow_large": self.allow_large,
-        }
-
-
-def _empty_counts() -> dict[str, int]:
-    return {"pp": 0, "pf": 0, "fp": 0, "ff": 0}
+        return {**asdict(self), "ks": list(self.ks)}
 
 
 @dataclass
@@ -404,8 +392,8 @@ class Report:
     def empty(cls, config: dict, ks: tuple[int, ...]) -> "Report":
         return cls(
             config=config,
-            per_axiom={_PROP[k].value: _empty_counts() for k in ks},
-            per_agm={_AGM_NAME[k]: _empty_counts() for k in ks},
+            per_axiom={_PROP[k].value: dict.fromkeys(_CELLS, 0) for k in ks},
+            per_agm={_AGM_NAME[k]: dict.fromkeys(_CELLS, 0) for k in ks},
             always_valid={name: 0 for name in ALWAYS_VALID_NAMES},
         )
 
@@ -472,11 +460,20 @@ def _profile_count(n: int) -> int:
     return full << (n * full)
 
 
+def _uniform_code(n: int, key: int) -> int:
+    """Code of the uniform frame of the profile ``d << width | row``: every
+    state has belief digit d and selection row ``row``."""
+    full = (1 << n) - 1
+    width = n * full
+    d, row = divmod(key, 1 << width)
+    return sum(d * full**s << n * width | row << s * width for s in range(n))
+
+
 def _run_partition(config: dict, codes: Sequence[int]) -> Report:
-    """Report on the frames with these codes.  A partition with at least as
-    many frames as there are local profiles folds memoised profile verdicts;
-    a smaller one checks each frame."""
-    if len(codes) >= _profile_count(config["size"]):
+    """Report on the frames with these codes: an exhaustive partition of at
+    least as many frames as there are profiles folds profile verdicts, any
+    other checks each frame."""
+    if config["mode"] == "exhaustive" and len(codes) >= _profile_count(config["size"]):
         return _fold_profiles(config, codes)
     return _check_frames(config, codes)
 
@@ -484,102 +481,103 @@ def _run_partition(config: dict, codes: Sequence[int]) -> Report:
 def _check_frames(config: dict, codes: Sequence[int]) -> Report:
     """Check the frames batch by batch (see :func:`_batch_verdicts`)."""
     n, ks = config["size"], tuple(config["ks"])
-
-    def outcomes() -> Iterator[tuple[int, tuple[int, int]]]:
-        for lo in range(0, len(codes), BATCH_FRAMES):
-            batch = codes[lo : lo + BATCH_FRAMES]
-            yield from zip(batch, _batch_verdicts(n, batch, ks))
-
-    return _tally(config, ks, outcomes())
+    outcomes = _Outcomes(ks)
+    batches = (codes[lo : lo + BATCH_FRAMES] for lo in range(0, len(codes), BATCH_FRAMES))
+    return _tally(config, outcomes, (
+        (batch, list(map(outcomes.__getitem__, _batch_verdicts(n, batch, ks))))
+        for batch in batches))
 
 
-def _tally(
-    config: dict, ks: tuple[int, ...], outcomes: Iterable[tuple[int, tuple[int, int]]]
-) -> Report:
-    """Report on frames given as ``(code, packed verdicts)`` in frame order.
-    Frames are counted by outcome, and each frame whose outcome the
-    correspondence flags gets its discrepancies under its own digest."""
-    n = config["size"]
-    tally: dict[tuple[int, int], int] = {}
-    flagged: set[tuple[int, int]] = set()
-    report = Report.empty(config, ks)
-    for code, outcome in outcomes:
-        if outcome in tally:
-            tally[outcome] += 1
-        else:
-            tally[outcome] = 1
-            if _discrepancies(_unpack_verdicts(outcome, ks, "")):
-                flagged.add(outcome)
-        if outcome in flagged:
-            record = _unpack_verdicts(outcome, ks, f"{n}:{code}")
-            report.discrepancies.extend(_discrepancies(record))
-    for outcome, frames in tally.items():
-        report.add_record(_unpack_verdicts(outcome, ks, ""), frames)
+class _Outcomes(dict):
+    """Packed verdicts interned as small ints: ``outcomes[verdicts]`` is an
+    id, ``packed[id]`` the verdicts and ``flagged[id]`` their discrepancies,
+    if any.  ``outcomes[a, b]`` folds the verdicts of the states above a
+    state (id a) with that state's (id b)."""
+
+    def __init__(self, ks: tuple[int, ...]):
+        super().__init__()
+        self.ks, self.packed, self.flagged = ks, [], {}
+
+    def __missing__(self, key: int | tuple[int, int]) -> int:
+        if isinstance(key, tuple):
+            (a, b), low = map(self.packed.__getitem__, key), (1 << len(self.ks)) - 1
+            # the lower state's replay wins where it violates the property
+            self[key] = i = self[a & b & ~low | (a & b >> len(self.ks) | b) & low]
+            return i
+        self[key] = i = len(self.packed)
+        self.packed.append(key)
+        if found := _discrepancies(_unpack_verdicts(key, self.ks, "")):
+            self.flagged[i] = found
+        return i
+
+
+def _tally(config: dict, outcomes: _Outcomes,
+           batches: Iterable[tuple[Sequence[int], list[int]]]) -> Report:
+    """Report on frames given batch by batch as ``(codes, outcome ids)`` in
+    frame order, counted by outcome; a flagged one's frames get digests."""
+    n, flagged = config["size"], outcomes.flagged
+    tally: Counter[int] = Counter()
+    report = Report.empty(config, outcomes.ks)
+    for codes, ids in batches:
+        tally.update(ids)
+        if not flagged.keys().isdisjoint(ids):
+            for code, i in zip(codes, ids):
+                for found in flagged.get(i, ()):
+                    report.discrepancies.append({**found, "digest": f"{n}:{code}"})
+    for i, frames in tally.items():
+        report.add_record(_unpack_verdicts(outcomes.packed[i], outcomes.ks, ""), frames)
     return report
 
 
-def _fold_profiles(config: dict, codes: Sequence[int]) -> Report:
-    """Fold each frame's verdicts from its states' local profiles.
+def _fold_profiles(config: dict, codes: range) -> Report:
+    """Fold the verdicts of the frames with these consecutive codes from
+    their states' profiles ``(belief[s], union[s])``.
 
-    Every verdict of :func:`triple_check` is a conjunction over states of a
-    condition on the state's profile ``(belief[s], union[s])``, and a
-    profile's verdicts are those of its uniform frame, where every state
-    believes ``belief[s]`` and selects the row ``union[s]``.  A frame's
-    replay for a violated Pk is its lowest violating state's, because the
-    property evaluator takes each lane's witness from its lowest failing
-    state.  Profile verdicts are memoised for this partition only: per
-    batch of frames, the uniform frames of the profiles not yet seen are
-    checked together by :func:`_batch_verdicts`.
-
-    A frame code is the belief digits followed by n selection rows of
-    ``width`` bits each (one n-bit digit per event), so the union of the
-    believed rows is the OR of their bit fields.
+    Each verdict of :func:`triple_check` is a conjunction over states of a
+    condition on the state's profile, whose verdicts are its uniform
+    frame's (:func:`_uniform_code`), and a replay is the lowest violating
+    state's.  A code ends in n selection rows of ``width`` bits, state
+    n - 1's last, so on a block of 2^width codes a state that does not
+    believe state n - 1 keeps one profile, and one that does has
+    ``key | row``, key holding its belief digit and its other believed
+    rows' OR.  Each state's outcome ids on a block are one map over the
+    memo, folded from state n - 1 down.
     """
     n, ks = config["size"], tuple(config["ks"])
+    outcomes = _Outcomes(ks)
     full = (1 << n) - 1
     width = n * full
-    row_mask = (1 << width) - 1
-    shifts = [(n - 1 - s) * width for s in range(n)]  # of row s
-    members = [tuple(bit_indices(d + 1)) for d in range(full)]  # of belief digit d
-    # Profile (d + 1, row) is keyed d << width | row; its uniform frame has
-    # code uniform_beliefs[d] | row * uniform_rows.
-    uniform_beliefs = [sum(d * full**s for s in range(n)) << (n * width) for d in range(full)]
-    uniform_rows = sum(1 << shift for shift in shifts)
-    memo: dict[int, tuple[int, int]] = {}
+    size, span = 1 << width, 1 << 16  # codes whose new profiles are checked at once
+    memo: dict[int, int] = {}  # profile key -> outcome id
 
-    def outcomes() -> Iterator[tuple[int, tuple[int, int]]]:
-        for lo in range(0, len(codes), BATCH_FRAMES):
-            batch = codes[lo : lo + BATCH_FRAMES]
-            keys = []  # n per frame, from state n - 1 down
-            for code in batch:
-                rows = [code >> shift & row_mask for shift in shifts]
-                beliefs = code >> (n * width)
-                for _ in range(n):
-                    beliefs, d = divmod(beliefs, full)
-                    union = 0
-                    for x in members[d]:
-                        union |= rows[x]
-                    keys.append(d << width | union)
-            unseen = list(set(keys).difference(memo))
+    def batches() -> Iterator[tuple[range, list[int]]]:
+        for start in range(codes.start - codes.start % span, codes.stop, span):
+            lo, hi = max(codes.start, start), min(codes.stop, start + span)
+            firsts = range(lo - lo % size, hi, size)  # of the blocks
+            index: dict = {}  # (key, row mask, rows) -> column
+            at = []  # per block, n - 1 down: columns (ints, as a tuple per block wakes the GC)
+            for first in firsts:
+                rows = range(max(lo - first, 0), min(hi - first, size))
+                above = [first >> (n - 1 - x) * width & size - 1 for x in range(n)]  # n - 1's is 0
+                for i in range(n):
+                    d = (first >> n * width) // full**i % full
+                    key = reduce(or_, [above[x] for x in range(n) if d + 1 >> x & 1], d << width)
+                    varies = size - 1 if d + 1 >> n - 1 else 0  # believes state n - 1
+                    at.append(index.setdefault((key, varies, rows), len(index)))
+            keys = [list(map(key.__or__, map(varies.__and__, rows))) for key, varies, rows in index]
+            unseen = list(set().union(*keys).difference(memo))
             for i in range(0, len(unseen), BATCH_FRAMES):
                 profiles = unseen[i : i + BATCH_FRAMES]
-                uniform = [
-                    uniform_beliefs[key >> width] | (key & row_mask) * uniform_rows
-                    for key in profiles
-                ]
-                memo.update(zip(profiles, _batch_verdicts(n, uniform, ks)))
-            verdicts = map(memo.__getitem__, keys)
-            folded = []
-            for states in zip(*[verdicts] * n):
-                # The lowest violating state's replay wins, so it comes last.
-                ok, falsified = -1, 0
-                for state_ok, state_falsified in states:
-                    ok &= state_ok
-                    falsified = falsified & state_ok | state_falsified
-                folded.append((ok, falsified))
-            yield from zip(batch, folded)
+                verdicts = _batch_verdicts(n, [_uniform_code(n, key) for key in profiles], ks)
+                memo.update(zip(profiles, map(outcomes.__getitem__, verdicts)))
+            columns = [list(map(memo.__getitem__, k)) for k in keys]
+            for first, j in zip(firsts, range(0, len(at), n)):
+                folded = columns[at[j]]
+                for column in at[j + 1 : j + n]:
+                    folded = list(map(outcomes.__getitem__, zip(folded, columns[column])))
+                yield range(max(lo, first), min(hi, first + size)), folded
 
-    return _tally(config, ks, outcomes())
+    return _tally(config, outcomes, batches())
 
 
 def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]]:

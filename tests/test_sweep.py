@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -373,6 +374,17 @@ def test_partitions_concatenate_to_the_stream():
             assert _spelled(SweepConfig(size=n), parts) == list(range(frame_count(n))), (n, parts)
 
 
+def test_five_workers_cut_blocks_and_report_the_pinned_digest(monkeypatch, bounded):
+    # partition bounds fall inside the 64-code blocks the profile route folds
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 5)
+    cfg = SweepConfig(size=2)
+    bounds = [lo for _, lo, _ in sweep_module._make_payloads(cfg, 5)][1:]
+    assert len(bounds) == 4 and all(lo % 64 for lo in bounds), bounds
+    serial, parallel = sweep(cfg, workers=1), sweep(cfg, workers=5)
+    assert _report_digest(parallel) == _report_digest(serial) == REPORT_DIGESTS["exhaustive2"]
+    assert multiprocessing.active_children() == []
+
+
 def test_three_workers_report_the_pinned_digest(monkeypatch, bounded):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     cfg = SweepConfig(size=3, mode="random", count=1000, seed=42)
@@ -542,7 +554,7 @@ def test_keyboard_interrupt_in_parent_partition_propagates(monkeypatch, bounded)
     assert multiprocessing.active_children() == []
 
 
-def _both_routes(config: dict, codes) -> tuple[dict, dict]:
+def _both_routes(config: dict, codes: range) -> tuple[dict, dict]:
     profiles = sweep_module._fold_profiles(config, codes).to_json()
     frames = sweep_module._check_frames(config, codes).to_json()
     return profiles, frames
@@ -557,6 +569,19 @@ def test_profile_count_goldens():
     assert len(profiles) == 192
 
 
+def test_uniform_code_spells_the_profile_at_every_state():
+    rng = random.Random(151)
+    for n, keys in ((1, range(2)), (2, range(192)),
+                    (3, [rng.randrange(sweep_module._profile_count(3)) for _ in range(300)])):
+        full = (1 << n) - 1
+        for key in keys:
+            d, row = divmod(key, 1 << n * full)
+            selected = (0, *[row >> n * (full - e) & full for e in range(1, full + 1)])
+            frame = frame_from_code(n, sweep_module._uniform_code(n, key))
+            assert tuple(frame.belief) == (d + 1,) * n, (n, key)
+            assert tuple(frame.union) == (selected,) * n, (n, key)
+
+
 def test_profile_route_equals_frame_route_all_two_state_frames():
     config = SweepConfig(size=2).echo()
     profiles, frames = _both_routes(config, range(frame_count(2)))
@@ -565,21 +590,45 @@ def test_profile_route_equals_frame_route_all_two_state_frames():
 
 
 def test_profile_route_equals_frame_route_random_partitions():
-    for n, count, ks in ((1, 40, (2, 3, 4, 5, 7, 8)), (2, 500, (2, 3, 4, 5, 7, 8)),
-                         (2, 300, (8, 2, 5)), (1, 3, (4,))):
-        for seed in (3, 42):
-            config = SweepConfig(size=n, mode="random", count=count, seed=seed, ks=ks).echo()
-            codes = list(sweep_module._sample_codes(n, count, seed))
-            profiles, frames = _both_routes(config, codes)
-            assert profiles == frames, (n, count, ks, seed)
+    # exhaustive partitions whose ends cut the 64-code blocks of two
+    # states, fixed and drawn at random, with subsets of ks
+    rng = random.Random(152)
+    drawn = [sorted(rng.sample(range(frame_count(2) + 1), 2)) for _ in range(3)]
+    for n, lo, hi in ((1, 0, 2), (1, 1, 2), (2, 777, 5000), (2, 12289, 25000), (2, 63, 65),
+                      *[(2, lo, hi) for lo, hi in drawn]):
+        for ks in ((2, 3, 4, 5, 7, 8), (8, 2, 5), (4,)):
+            config = SweepConfig(size=n, ks=ks).echo()
+            profiles, frames = _both_routes(config, range(lo, hi))
+            assert profiles == frames, (n, lo, hi, ks)
+            assert profiles["totals"]["frames"] == hi - lo
 
 
-def test_profile_route_equals_frame_route_three_state_codes():
-    config = SweepConfig(size=3, mode="random", count=250, seed=17).echo()
-    codes = list(sweep_module._sample_codes(3, 250, 17))
-    profiles, frames = _both_routes(config, codes)
-    assert profiles == frames
-    assert profiles["replay"]["attempted"] > 0
+def _three_state_starts(count: int, seed: int) -> list[int]:
+    """Sampled three-state codes, ranked ones (where the properties hold),
+    and two codes just below the end of a 2^21-code block, so that short
+    ranges from them cross a block end.  The first block is one where every
+    state believes {s0} and s0 selects nothing, so P2 holds throughout."""
+    rng = random.Random(seed)
+    starts = list(sweep_module._sample_codes(3, count, seed))
+    starts += [frame_code(helpers.ranked_frame(rng, 3)) for _ in range(count)]
+    ends = [rng.randrange(1, 1 << 21), rng.randrange(1, frame_count(3) >> 21)]
+    return starts + [(end << 21) - 3 for end in ends]
+
+
+def test_profile_route_equals_frame_route_three_state_codes(monkeypatch):
+    # the profile route on short three-state ranges checks only the
+    # profiles it meets, at most BATCH_FRAMES at a time
+    calls = _count_checked_frames(monkeypatch)
+    config = SweepConfig(size=3, allow_large=True).echo()
+    attempted = 0
+    for start in _three_state_starts(3, 17):
+        codes = range(start, start + 90)
+        calls["n"] = 0
+        profiles = sweep_module._fold_profiles(config, codes).to_json()
+        assert 0 < calls["n"] <= 3 * len(codes), start
+        assert profiles == sweep_module._check_frames(config, codes).to_json(), start
+        attempted += profiles["replay"]["attempted"]
+    assert attempted > 0
 
 
 def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
@@ -604,21 +653,21 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "PostulateEvaluator", BrokenK2)
     monkeypatch.setattr(sweep_module, "countermodel_recipe", broken_a2_recipe)
-    for n, count, seed in ((2, 900, 18), (3, 120, 19)):
-        config = SweepConfig(size=n, mode="random", count=count, seed=seed).echo()
-        codes = list(sweep_module._sample_codes(n, count, seed))
-        bounds = (0, count // 3, count)
-        routes = []
-        for route in (sweep_module._fold_profiles, sweep_module._check_frames):
-            parts = [route(config, codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-            routes.append([p.to_json() for p in parts] + [merge_reports(parts).to_json()])
-        assert routes[0] == routes[1], (n, seed)
-        merged = routes[0][-1]
-        kinds = {d["kind"] for d in merged["discrepancies"]}
-        # P2 holds on too few random three-state frames to meet broken K2
-        assert kinds == {"property_vs_agm", "countermodel_replay"} if n == 2 else {
-            "countermodel_replay"}, kinds
-        assert merged["replay"]["falsified"] < merged["replay"]["attempted"]
+    for n, partitions in ((2, [(4000, 4321, 9000)]), (3, [
+            (start, start + 40, start + 120) for start in _three_state_starts(3, 22)])):
+        config = SweepConfig(size=n, allow_large=n > 2).echo()
+        kinds, replay = set(), Counter()
+        for bounds in partitions:
+            routes = []
+            for route in (sweep_module._fold_profiles, sweep_module._check_frames):
+                parts = [route(config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+                routes.append([p.to_json() for p in parts] + [merge_reports(parts).to_json()])
+            assert routes[0] == routes[1], (n, bounds)
+            kinds |= {d["kind"] for d in routes[0][-1]["discrepancies"]}
+            replay.update(routes[0][-1]["replay"])
+        # broken K2 shows where P2 holds: at n = 3, in the first block end
+        assert kinds == {"property_vs_agm", "countermodel_replay"}, (n, kinds)
+        assert replay["falsified"] < replay["attempted"]
 
 
 def _count_checked_frames(monkeypatch) -> dict:
@@ -648,9 +697,11 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
     second.pop("duration_ms")
     assert first == second
 
-    calls["n"] = 0
-    sweep(SweepConfig(size=3, mode="random", count=1000, seed=42))
-    assert calls["n"] == 1000
+    # random partitions take the frame route, whatever their length
+    for n in (2, 3):
+        calls["n"] = 0
+        sweep(SweepConfig(size=n, mode="random", count=1000, seed=42))
+        assert calls["n"] == 1000, n
 
 
 # sha256 of the sorted-key JSON report without duration_ms: the byte-stable
@@ -711,8 +762,17 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
         for batch in (1, 7, sweep_module.BATCH_FRAMES):
             monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
             assert sweep_module._check_frames(config, codes).to_json() == expected, (n, batch)
-            if n <= 2:
-                assert sweep_module._fold_profiles(config, codes).to_json() == expected, (n, batch)
+    # the profile route on exhaustive ranges around a ranked code, whose
+    # ends cut blocks
+    for n, ks in ((1, every_k), (2, every_k), (2, (8, 2, 5))):
+        ranked = frame_code(helpers.ranked_frame(rng, n))
+        codes = range(max(ranked - 100, 0), min(ranked + 157, frame_count(n)))
+        config = SweepConfig(size=n, ks=ks).echo()
+        expected = _per_frame_report(config, codes)
+        assert expected["replay"]["attempted"] > 0 or n == 1
+        for batch in (1, 7, sweep_module.BATCH_FRAMES):
+            monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
+            assert sweep_module._fold_profiles(config, codes).to_json() == expected, (n, batch)
 
 
 # --- lane tables spelled from frame codes, and the masks read off them -------
@@ -891,7 +951,8 @@ def _assert_grouped_replays_match(frames, ks=sweep_module.DEFAULT_KS, batch=250)
     for lo in range(0, len(frames), batch):
         part = frames[lo : lo + batch]
         verdicts = sweep_module._batch_verdicts(part[0].n, [frame_code(f) for f in part], ks)
-        for frame, (ok, falsified) in zip(part, verdicts):
+        for frame, packed in zip(part, verdicts):
+            ok, falsified = divmod(packed, 1 << len(ks))
             assert falsified == _per_violation_falsified(frame, ks), (frame_digest(frame), ks)
             replays += sum(not ok >> i & 1 for i in range(len(ks)))
     return replays
