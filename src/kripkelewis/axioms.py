@@ -18,7 +18,7 @@ from .formula import And, Atom, Bel, Box, Cond, Formula, Iff, Implies, Not, atom
 from .model import Frame, Model, Witness
 from .model import truth_set  # noqa: F401  unused; perfbench's tracer patches it by name
 from .properties import PropertyId
-from .revision import LaneTables, frame_tables
+from .revision import LaneLayout, LaneTables, frame_tables, lane_layout
 
 
 class AxiomId(Enum):
@@ -95,17 +95,16 @@ class SchemaEvaluator:
     ``states`` is every state of every lane.
     """
 
-    __slots__ = ("n", "full", "states", "low", "bel", "bel_cond")
+    __slots__ = ("n", "full", "states", "spread", "bel", "bel_cond")
 
     def __init__(self, *frames: Frame, tables: LaneTables | None = None):
         n, lanes, _, union, belief = tables or frame_tables(frames)
-        full = (1 << n) - 1
         self.n = n
-        self.full = full
-        self.states = states = (1 << n * lanes) - 1
-        self.low = states // full  # bit 0 of each lane
+        self.full = (1 << n) - 1
+        layout = lane_layout(n, lanes)
+        self.states, self.spread = layout.states, layout.spread
         # union[0] is 0, so row 0 of bel_cond is every state
-        self.bel, *self.bel_cond = [_within_masks(u, n, states) for u in (belief, *union)]
+        self.bel, *self.bel_cond = [_within_masks(u, n, layout) for u in (belief, *union)]
 
     def _failures(self, scan, live: int, ranges) -> tuple[int, tuple[int, ...] | None]:
         """Runs ``scan`` over ``ranges`` on the lanes in ``live``: each hit,
@@ -113,16 +112,13 @@ class SchemaEvaluator:
         touches is dropped.  Returns ``(failed, assignment)`` once no lane
         is live, else ``(failed, None)``, so with one live lane the
         assignment is the first falsifying one."""
-        n, low, full = self.n, self.low, self.full
+        spread = self.spread
         failed = 0
         for bad, assignment in scan(self, *ranges):
             bad &= live
             if bad:
                 failed |= bad
-                spread = bad
-                for shift in range(1, n):
-                    spread |= bad >> shift
-                live &= ~((spread & low) * full)
+                live &= ~spread(bad)
                 if not live:
                     return failed, assignment
         return failed, None
@@ -276,14 +272,14 @@ def compile_scans() -> None:
         _scan(i)
 
 
-def _within_masks(blocks: int, n: int, states: int) -> list[int]:
+def _within_masks(blocks: int, n: int, layout: LaneLayout) -> list[int]:
     """Masks indexed by event b: the states whose event lies inside b, read
     off ``blocks``, n blocks of one bit per state (block x: the states whose
     event has x).  A state's event lies inside b iff the state is in no
     block x outside b, so the masks over events on states 0 .. x are those
     over states 0 .. x-1 ANDed with ``omit``, the states outside block x
     (for b without x), then as they are (for b with x)."""
-    width = states.bit_length()
+    width, states = layout.width, layout.states
     masks = [states]
     for x in range(n):
         omit = states ^ blocks >> x * width & states

@@ -12,13 +12,14 @@ Sweeps check frames in batches: a lane-batched ``PropertyEvaluator``,
 ``SchemaEvaluator`` and ``PostulateEvaluator`` scan each property, schema
 and conditioned postulate once per batch, and each distinct countermodel
 is replayed once for the state mask of its violations (see
-:func:`_replay_groups`).  An exhaustive partition holding at least as many
-frames as there are local profiles ``(belief[s], union[s])`` checks only
-the uniform frames of its profiles and folds their verdicts block by
-block, with no Python per frame (see :func:`_fold_profiles`).  A partition
-is a range of the frame stream, whose codes each process spells for
-itself: on several workers the parent checks the last partition and forked
-workers the others (see :func:`sweep`).
+:func:`_replay_groups`).  The mode picks the route: an exhaustive
+partition checks only the uniform frames of its local profiles
+``(belief[s], union[s])`` and folds their verdicts block by block, with no
+Python per frame (see :func:`_fold_profiles`), and a random one checks its
+frames batch by batch as they are drawn.  A partition is a range of the
+frame stream, whose codes each process spells for itself: on several
+workers the parent checks the last partition and forked workers the
+others (see :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .properties import check_property  # noqa: F401
 from .revision import agm_event_check  # noqa: F401
 from .properties import PropertyEvaluator
 from .revision import CONDITIONED, UNCONDITIONAL, AgmPostulateId, LaneTables, PostulateEvaluator
-from .revision import _inside, _spread
+from .revision import lane_layout
 
 DEFAULT_KS = (2, 3, 4, 5, 7, 8)
 MODES = ("exhaustive", "random")
@@ -195,15 +196,14 @@ def _lane_tables(n: int, codes: Sequence[int]) -> LaneTables:
     (lane, state) above (i, s).  ``belief`` is spelled likewise, one field
     per state, and ``union[e]`` ORs in each believed state's ``sel[e]``."""
     full = (1 << n) - 1
-    cut, step, width = n * n * full, n * full, n * len(codes)
-    mask, states = (1 << cut) - 1, (1 << width) - 1
+    cut, step = n * n * full, n * full
+    width, states, _, ones, lows = lane_layout(n, len(codes))[:5]
+    mask = (1 << cut) - 1
     digits = "".join([f"{code & mask:0{cut}b}" for code in codes])[::-1]
     sel = [0] + [int("".join([digits[(full - e) * n + x :: step] for x in reversed(range(n))]), 2)
                  for e in range(1, full + 1)]
     beliefs = "".join([_belief_bits(n, code >> cut) for code in codes])[::-1]
     belief = int("".join([beliefs[x::n] for x in reversed(range(n))]), 2)
-    ones = _spread(n, width)[full]  # bit 0 of every block
-    lows = states // full * ones  # state 0 of every lane in every block
     believed = [(belief >> x * width & states) * ones for x in range(n)]  # block x, in every block
     union = [0] + [reduce(or_, [(row >> x & lows) * full & b for x, b in enumerate(believed)])
                    for row in sel[1:]]
@@ -254,8 +254,9 @@ def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, 
     blocks of the table that holds u, one block x at a time, into the
     states whose u has x and those whose u lacks it."""
     read, build = countermodel_recipe(axiom)
-    n, width = tables.n, tables.n * tables.lanes
-    inside = _inside(n, width)
+    n = tables.n
+    layout = lane_layout(n, tables.lanes)
+    width, inside = layout.width, layout.inside
     groups: dict[tuple[int, ...], int] = {}
     for mask, e, f, _ in hits:
         table, event = read(e, f)
@@ -274,16 +275,13 @@ def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, 
 
 def _lane_words(columns: list[int], n: int, lanes: int) -> list[int]:
     """Per lane, the int whose bit j is set iff the state mask
-    ``columns[j]`` has a state of that lane.  Each column's lane bits are
-    read off its binary digits, one every n, and each lane's word is
-    spelled from them, highest column first."""
-    width = n * lanes
-    digits = []
-    for mask in reversed(columns):
-        spread = mask
-        for s in range(1, n):
-            spread |= mask >> s  # state 0 of each lane: any of its states
-        digits.append(f"{spread:0{width}b}"[width - 1 :: -n])
+    ``columns[j]`` has a state of that lane.  Each column is spread to
+    every state of each lane it touches, its lane bits are read off its
+    binary digits, one every n, and each lane's word is spelled from them,
+    highest column first."""
+    layout = lane_layout(n, lanes)
+    width, spread = layout.width, layout.spread
+    digits = [f"{spread(mask):0{width}b}"[width - 1 :: -n] for mask in reversed(columns)]
     return [int("".join(bits), 2) for bits in zip(*digits)]
 
 
@@ -453,13 +451,6 @@ def merge_reports(parts: list[Report]) -> Report:
     return merged
 
 
-def _profile_count(n: int) -> int:
-    """Number of distinct local profiles ``(belief[s], union[s])`` on n
-    states: every nonempty belief set with every union-of-selections row."""
-    full = (1 << n) - 1
-    return full << (n * full)
-
-
 def _uniform_code(n: int, key: int) -> int:
     """Code of the uniform frame of the profile ``d << width | row``: every
     state has belief digit d and selection row ``row``."""
@@ -469,20 +460,23 @@ def _uniform_code(n: int, key: int) -> int:
     return sum(d * full**s << n * width | row << s * width for s in range(n))
 
 
-def _run_partition(config: dict, codes: Sequence[int]) -> Report:
-    """Report on the frames with these codes: an exhaustive partition of at
-    least as many frames as there are profiles folds profile verdicts, any
-    other checks each frame."""
-    if config["mode"] == "exhaustive" and len(codes) >= _profile_count(config["size"]):
+def _run_partition(config: dict, codes: Iterable[int]) -> Report:
+    """Report on the frames with these codes, routed by mode alone: an
+    exhaustive partition (a range) folds profile verdicts, a random one
+    (an iterator) checks each frame."""
+    if config["mode"] == "exhaustive":
         return _fold_profiles(config, codes)
     return _check_frames(config, codes)
 
 
-def _check_frames(config: dict, codes: Sequence[int]) -> Report:
-    """Check the frames batch by batch (see :func:`_batch_verdicts`)."""
+def _check_frames(config: dict, codes: Iterable[int]) -> Report:
+    """Check the frames batch by batch (see :func:`_batch_verdicts`),
+    taking ``BATCH_FRAMES`` codes at a time, so an iterator of codes is
+    never held whole."""
     n, ks = config["size"], tuple(config["ks"])
     outcomes = _Outcomes(ks)
-    batches = (codes[lo : lo + BATCH_FRAMES] for lo in range(0, len(codes), BATCH_FRAMES))
+    codes = iter(codes)
+    batches = iter(lambda: list(islice(codes, BATCH_FRAMES)), [])
     return _tally(config, outcomes, (
         (batch, list(map(outcomes.__getitem__, _batch_verdicts(n, batch, ks))))
         for batch in batches))
@@ -592,13 +586,13 @@ def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]
     return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _partition_codes(config: dict, lo: int, hi: int) -> Sequence[int]:
+def _partition_codes(config: dict, lo: int, hi: int) -> Iterable[int]:
     """Codes ``lo`` to ``hi - 1`` of the configured frame stream: a range
-    in exhaustive mode; in random mode the seeded stream drawn up to ``hi``,
-    its first ``lo`` codes dropped as they are drawn."""
+    in exhaustive mode; in random mode an iterator over the seeded stream
+    drawn up to ``hi``, its first ``lo`` codes dropped as they are drawn."""
     if config["mode"] == "exhaustive":
         return range(lo, hi)
-    return list(islice(_sample_codes(config["size"], hi, config["seed"]), lo, None))
+    return islice(_sample_codes(config["size"], hi, config["seed"]), lo, None)
 
 
 class WorkerTraceback(Exception):

@@ -19,6 +19,11 @@ class Formula:
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        # a list, not a generator, so each nesting level adds one Python frame
+        fields = [getattr(self, name) for name in self.__match_args__]
+        return f"{type(self).__name__}({', '.join(map(repr, fields))})"
+
     def __invert__(self) -> Formula:
         return Not(self)
 
@@ -29,87 +34,60 @@ class Formula:
         return Or(self, other)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Atom(Formula):
     name: str
 
-    def __repr__(self) -> str:
-        return f"Atom({self.name!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
     body: Formula
 
-    def __repr__(self) -> str:
-        return f"Not({self.body!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self) -> str:
-        return f"Or({self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self) -> str:
-        return f"And({self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self) -> str:
-        return f"Implies({self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self) -> str:
-        return f"Iff({self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Cond(Formula):
     """Conditional ``antecedent > consequent``; both operands must be Boolean."""
 
     antecedent: Formula
     consequent: Formula
 
-    def __repr__(self) -> str:
-        return f"Cond({self.antecedent!r}, {self.consequent!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Bel(Formula):
     """Belief operator; the body must be a Boolean combination of Boolean and conditional formulas."""
 
     body: Formula
 
-    def __repr__(self) -> str:
-        return f"Bel({self.body!r})"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Box(Formula):
     """Global necessity; the body must be Boolean."""
 
     body: Formula
-
-    def __repr__(self) -> str:
-        return f"Box({self.body!r})"
 
 
 BOOLEAN_NODES = (Not, Or, And, Implies, Iff)

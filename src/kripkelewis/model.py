@@ -71,14 +71,13 @@ def _believed(mask: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def canonical_events(n: int, include_empty: bool = False) -> tuple[int, ...]:
+def canonical_events(n: int) -> tuple[int, ...]:
     """Nonempty events of an n-state frame ordered by (size, numeric value).
 
     This is the scan order every checker uses, so reported witnesses are
     minimal in that order.
     """
-    start = 0 if include_empty else 1
-    return tuple(sorted(range(start, 1 << n), key=lambda e: (e.bit_count(), e)))
+    return tuple(sorted(range(1, 1 << n), key=lambda e: (e.bit_count(), e)))
 
 
 class Frame:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .model import Frame, Witness, bit_indices, canonical_events
-from .revision import LaneTables, PostulateEvaluator, _inside, frame_tables
+from .revision import LaneTables, frame_tables, lane_layout
 
 
 class PropertyId(Enum):
@@ -52,38 +52,23 @@ class PropertyEvaluator:
     by P3, P7 and P8, whose conditions name it.  A sweep batch passes its
     ``tables`` (shared with its ``PostulateEvaluator``) and no frames, so it
     has no :meth:`witnesses`.  ``believes[x]`` is block x of ``belief``
-    as a state mask, and ``low`` has state 0 of every lane.
+    as a state mask; the rest is the geometry of :func:`lane_layout`.
     """
 
     def __init__(self, *frames: Frame, tables: LaneTables | None = None):
         n, lanes, self.sel, self.union, self.belief = tables or frame_tables(frames, True)
         self.frames = frames
         self.n = n
-        self.width = width = n * lanes
-        self.shifts = range(width, n * width, width)  # of blocks 1 .. n-1
-        self.states = (1 << width) - 1
-        self.low = self.states // ((1 << n) - 1)
-        self.inside = _inside(n, width)
-        self.ones = self.inside[-1] // self.states  # bit 0 of every block
-        self.lows = self.low * self.ones  # state 0 of every lane in every block
-        self.believes = [self.belief >> x * width & self.states for x in range(n)]
-
-    _fold = PostulateEvaluator._fold
+        layout = lane_layout(n, lanes)
+        self.width, self.states, self.low, self.ones, self.lows = layout[:5]
+        self.inside, self._fold = layout.inside, layout.fold
+        self.believes = [self.belief >> x * self.width & self.states for x in range(n)]
 
     def _selected(self, e: int) -> list[int]:
         """Per state sp, ``sel[e]`` as sp selects: block x holds every
         state of each lane whose state sp's selection for e contains x."""
         sel, lows, spread = self.sel[e], self.lows, (1 << self.n) - 1
         return [(sel >> sp & lows) * spread for sp in range(self.n)]
-
-    def _reach(self, selected: list[int]) -> int:
-        """Blocks where block x holds the states believing some state whose
-        blocks in ``selected`` hold x: the union of believed selections,
-        read off ``sel``."""
-        reach = 0
-        for believes, blocks in zip(self.believes, selected):
-            reach |= blocks & believes * self.ones
-        return reach
 
     def _believing(self, rows: int) -> int:
         """The states that believe some state in ``rows`` of their lane."""
@@ -160,9 +145,8 @@ class PropertyEvaluator:
     def _scan_p8(self):
         # every believed state's selection for E & F inside union[E] & F,
         # where union[E] meets F; the believed states are scanned only
-        # where the union of their selections is not inside
+        # where union[E & F], the union of their selections, is not inside
         union, inside, fold, ones = self.union, self.inside, self._fold, self.ones
-        reached: list = [None] * len(inside)  # per event: selected, reach
         for e in canonical_events(self.n):
             ue = union[e]
             for f in canonical_events(self.n):
@@ -173,12 +157,9 @@ class PropertyEvaluator:
                 meets = fold(met)
                 if not meets:
                     continue
-                if reached[ef] is None:
-                    selected = self._selected(ef)
-                    reached[ef] = selected, self._reach(selected)
-                selected, reach = reached[ef]
                 outside = ~met
-                if reach & outside & meets * ones:
+                if union[ef] & outside & meets * ones:
+                    selected = self._selected(ef)
                     for st, believes in enumerate(self.believes):
                         rows = believes & meets
                         out = selected[st] & outside

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .formula import Formula, require_boolean
 from .model import Frame, Model, Witness, bit_indices, canonical_events, truth_set
@@ -89,28 +89,20 @@ class PostulateEvaluator:
     masks in one int, a block of ``width`` bits per state x: block x of
     ``union[e]`` holds the states whose union of believed selections for
     event e contains x, block x of ``belief`` those whose belief set
-    contains x, and ``inside[e]`` is every block x with x in e.  They are
-    read off ``frame.union`` and ``frame.belief`` alone (or a sweep batch's
-    ``tables``), and the postulates read their blocks directly, not the
-    schema evaluator's superset masks.
+    contains x, and ``inside[e]`` is every block x with x in e (see
+    :func:`lane_layout`).  They are read off ``frame.union`` and
+    ``frame.belief`` alone (or a sweep batch's ``tables``), and the
+    postulates read their blocks directly, not the schema evaluator's
+    superset masks.
     """
 
-    __slots__ = ("n", "width", "shifts", "states", "inside", "belief", "union")
+    __slots__ = ("n", "states", "inside", "_fold", "belief", "union")
 
     def __init__(self, *frames: Frame, tables: LaneTables | None = None):
         n, lanes, _, self.union, self.belief = tables or frame_tables(frames)
         self.n = n
-        self.width = n * lanes
-        self.shifts = range(self.width, n * self.width, self.width)  # of blocks 1 .. n-1
-        self.states = (1 << self.width) - 1
-        self.inside = _inside(n, self.width)
-
-    def _fold(self, blocks: int) -> int:
-        """Mask of the states set in any block."""
-        mask = blocks
-        for shift in self.shifts:
-            mask |= blocks >> shift
-        return mask & self.states
+        layout = lane_layout(n, lanes)
+        self.states, self.inside, self._fold = layout.states, layout.inside, layout.fold
 
     # One scan per postulate: each walks the inputs E (or E, then F) in
     # canonical order and yields the mask of states where the postulate
@@ -222,33 +214,65 @@ def frame_tables(frames: tuple[Frame, ...], selection: bool = False) -> LaneTabl
     for frame in frames:
         if frame.n != n:
             raise ValueError("frames in one evaluator must have the same number of states")
-    sel = _blocks([row for frame in frames for row in frame.selection], n) if selection else []
-    union = _blocks([row for frame in frames for row in frame.union], n)
-    (belief,) = _blocks([(b,) for frame in frames for b in frame.belief], n)
+    heads = lane_layout(n, len(frames)).heads
+    sel = _blocks([row for frame in frames for row in frame.selection], heads) if selection else []
+    union = _blocks([row for frame in frames for row in frame.union], heads)
+    (belief,) = _blocks([(b,) for frame in frames for b in frame.belief], heads)
     return LaneTables(n, len(frames), sel, union, belief)
 
 
-def _blocks(rows, n: int) -> list[int]:
-    """Per column e of the equally long ``rows`` of events on n states:
-    block x has bit i set iff state x is in ``rows[i][e]``.  The library
-    passes single frames; a sweep batch spells its tables from frame codes."""
-    spread = _spread(n, len(rows))
+def _blocks(rows, heads: tuple[int, ...]) -> list[int]:
+    """Per column e of the equally long ``rows`` of events, one row per
+    state of each lane: block x has bit i set iff state x is in
+    ``rows[i][e]``.  The library passes single frames; a sweep batch
+    spells its tables from frame codes."""
     columns = []
     for column in zip(*rows):
         blocks = 0
         for i, u in enumerate(column):
-            blocks |= spread[u] << i
+            blocks |= heads[u] << i
         columns.append(blocks)
     return columns
 
 
-@lru_cache(maxsize=None)
-def _spread(n: int, width: int) -> list[int]:
-    """Indexed by event u on n states: bit 0 of block x for each x in u."""
-    return [sum(1 << x * width for x in bit_indices(u)) for u in range(1 << n)]
+class LaneLayout(NamedTuple):
+    """The bit geometry of ``lanes`` frames on n states that every lane
+    table shares: bit ``lane*n + s`` of a state mask is state s of frame
+    ``lane``, and a table holds n state masks in one int, block x at bit
+    ``x*width``."""
+
+    width: int  # bits of one state mask, n * lanes
+    states: int  # every state of every lane
+    low: int  # state 0 of each lane
+    ones: int  # bit 0 of every block
+    lows: int  # state 0 of each lane in every block
+    heads: tuple[int, ...]  # per event e: bit 0 of block x for each state x in e
+    inside: tuple[int, ...]  # per event e: every bit of block x for each state x in e
+    fold: Callable[[int], int]  # blocks -> the states set in any block
+    spread: Callable[[int], int]  # state mask -> every state of each lane it touches
 
 
 @lru_cache(maxsize=None)
-def _inside(n: int, width: int) -> tuple[int, ...]:
-    """Indexed by event e: every bit of block x for each state x in e."""
-    return tuple(bits * ((1 << width) - 1) for bits in _spread(n, width))
+def lane_layout(n: int, lanes: int) -> LaneLayout:
+    """The one :class:`LaneLayout` of ``lanes`` frames on n states."""
+    full = (1 << n) - 1
+    width = n * lanes
+    states = (1 << width) - 1
+    low = states // full
+    shifts = range(width, n * width, width)  # of blocks 1 .. n-1
+    heads = tuple(sum(1 << x * width for x in bit_indices(e)) for e in range(full + 1))
+
+    def fold(blocks: int) -> int:
+        mask = blocks
+        for shift in shifts:
+            mask |= blocks >> shift
+        return mask & states
+
+    def spread(mask: int) -> int:
+        touched = mask
+        for shift in range(1, n):
+            touched |= mask >> shift
+        return (touched & low) * full
+
+    return LaneLayout(width, states, low, heads[full], low * heads[full], heads,
+                      tuple(bits * states for bits in heads), fold, spread)

@@ -299,7 +299,7 @@ def check_p7_literal(frame: Frame) -> Witness | None:
     the witness is minimal in the library's scan order."""
     sel = frame.selection
     events = canonical_events(frame.n)
-    all_events = canonical_events(frame.n, include_empty=True)
+    all_events = (0, *events)  # the empty event first, as in canonical order
     for s in range(frame.n):
         members = frame.believed[s]
         for e in events:

@@ -222,3 +222,43 @@ def test_lane_witness_is_its_lowest_failing_states():
     assert hits == [(0b010100, 0b11, 0, 0)]  # each lane's s0, in one mask
     assert evaluator.witnesses(PropertyId.P5) == [None, witness, witness]
     assert check_property(frame, PropertyId.P5) == witness
+
+
+def _perturbed(rng: random.Random, frame: Frame) -> Frame:
+    """The frame with one selection entry changed to another event."""
+    selection = [list(row) for row in frame.selection]
+    x, e = rng.randrange(frame.n), rng.randrange(1, frame.full + 1)
+    selection[x][e] = rng.choice([u for u in range(frame.full + 1) if u != selection[x][e]])
+    return Frame(frame.states, frame.belief, selection)
+
+
+def test_profile_reduction_lemma_three_states():
+    # each property holds at a state iff it holds on the uniform frame of
+    # the state's profile (belief[s], union[s]), where every state has that
+    # belief set and selection row: the lemma the exhaustive sweep folds on
+    rng = random.Random(153)
+    frames = list(sample_frames(3, 80, seed=153))
+    frames += [helpers.ranked_frame(rng, 3) for _ in range(80)]
+    frames += [_perturbed(rng, frame) for frame in frames]
+    profile_fails: dict = {}  # (profile, property) -> the uniform frame fails it
+    held = set()
+    for frame in frames:
+        for prop in ALL_PROPS:
+            fails = []
+            for s in range(frame.n):
+                profile = frame.belief[s], tuple(frame.union[s])
+                if (profile, prop) not in profile_fails:
+                    uniform = Frame(frame.states, [profile[0]] * frame.n, [profile[1]] * frame.n)
+                    failed = check_property(uniform, prop) is not None
+                    assert failed != helpers.oracle_property_holds(uniform, prop.value), uniform
+                    profile_fails[profile, prop] = failed
+                fails.append(profile_fails[profile, prop])
+            holds = helpers.oracle_property_holds(frame, prop.value)
+            assert holds == (True not in fails), (frame_digest(frame), prop)
+            witness = check_property(frame, prop)
+            if holds:
+                assert witness is None
+                held.add(prop)
+            else:
+                assert witness.states["s"] == fails.index(True), (frame_digest(frame), prop)
+    assert {PropertyId.P2, PropertyId.P4, PropertyId.P8} <= held

@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -348,9 +349,6 @@ def test_sweep_exhaustive_parallel_partition(monkeypatch, bounded):
         parallel.pop("duration_ms")
         assert serial == parallel
         assert serial["totals"]["frames"] == frames
-    # both halves of the two-state stream fold profiles (see _run_partition)
-    halves = [hi - lo for _, lo, hi in sweep_module._make_payloads(cfg, 2)]
-    assert len(halves) == 2 and min(halves) >= sweep_module._profile_count(2)
 
 
 def _spelled(cfg: SweepConfig, parts: int) -> list[int]:
@@ -560,8 +558,15 @@ def _both_routes(config: dict, codes: range) -> tuple[dict, dict]:
     return profiles, frames
 
 
+def _profile_count(n: int) -> int:
+    """Number of distinct local profiles ``(belief[s], union[s])`` on n
+    states: every nonempty belief set with every union-of-selections row."""
+    full = (1 << n) - 1
+    return full << (n * full)
+
+
 def test_profile_count_goldens():
-    assert [sweep_module._profile_count(n) for n in (1, 2, 3)] == [2, 192, 14_680_064]
+    assert [_profile_count(n) for n in (1, 2, 3)] == [2, 192, 14_680_064]
     profiles = set()
     for code in range(frame_count(2)):
         frame = frame_from_code(2, code)
@@ -572,7 +577,7 @@ def test_profile_count_goldens():
 def test_uniform_code_spells_the_profile_at_every_state():
     rng = random.Random(151)
     for n, keys in ((1, range(2)), (2, range(192)),
-                    (3, [rng.randrange(sweep_module._profile_count(3)) for _ in range(300)])):
+                    (3, [rng.randrange(_profile_count(3)) for _ in range(300)])):
         full = (1 << n) - 1
         for key in keys:
             d, row = divmod(key, 1 << n * full)
@@ -702,6 +707,28 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
         calls["n"] = 0
         sweep(SweepConfig(size=n, mode="random", count=1000, seed=42))
         assert calls["n"] == 1000, n
+
+    # the mode alone picks the route: a one-code exhaustive partition folds
+    for route in ("_fold_profiles", "_check_frames"):
+        monkeypatch.setattr(sweep_module, route, lambda config, codes, route=route: route)
+    assert sweep_module._run_partition(SweepConfig(size=1).echo(), range(1, 2)) == "_fold_profiles"
+    config = SweepConfig(size=2, mode="random", count=1, seed=0).echo()
+    assert sweep_module._run_partition(config, iter([5])) == "_check_frames"
+
+
+def test_random_partition_streams_its_codes():
+    # a random partition is checked as its codes are drawn, BATCH_FRAMES at
+    # a time: holding the 20,000 codes would peak at about 800 KB
+    # first fill the caches a 250-frame batch reads
+    sweep(SweepConfig(size=2, mode="random", count=sweep_module.BATCH_FRAMES, seed=7))
+    tracemalloc.start()
+    try:
+        report = sweep(SweepConfig(size=2, mode="random", count=20_000, seed=7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.totals["frames"] == 20_000
+    assert peak < 200_000, peak
 
 
 # sha256 of the sorted-key JSON report without duration_ms: the byte-stable
