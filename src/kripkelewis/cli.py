@@ -35,6 +35,7 @@ from .revision import AgmPostulateId, PostulateEvaluator, revise_membership
 from .revision import agm_event_check  # noqa: F401  unused; perfbench's tracer patches it by name
 from .correspondence import (
     DEFAULT_KS,
+    MAX_CODE_SIZE,
     MODES,
     SweepConfig,
     SweepError,
@@ -46,11 +47,6 @@ from .correspondence import (
 
 class _InputError(Exception):
     pass
-
-
-# Largest state count --code takes: a code on 7 states has at most 1,889
-# digits, one on 8 states up to 4,933, past int()'s default limit of 4,300.
-MAX_CODE_SIZE = 7
 
 
 def _dump(obj) -> str:
@@ -186,7 +182,7 @@ def cmd_eval(args) -> int:
 def cmd_frame_check(args) -> int:
     frame = _frame_arg(args)
     props = list(PropertyId)
-    if args.props:
+    if args.props is not None:
         props = [_id_arg(PropertyId, "property", piece.strip()) for piece in args.props.split(",")]
     evaluator = PropertyEvaluator(frame)
     results = {p.value: _outcome("pass", evaluator.witnesses(p)[0], frame) for p in props}
@@ -260,7 +256,7 @@ def cmd_countermodel(args) -> int:
 
 
 def _ks_arg(text: str | None) -> tuple[int, ...]:
-    if not text:
+    if text is None:
         return DEFAULT_KS
     try:
         return tuple(int(piece) for piece in text.split(","))

@@ -78,6 +78,10 @@ def _state_names(n: int) -> tuple[str, ...]:
 
 # Largest state count random mode takes without ``allow_large``.
 MAX_RANDOM_SIZE = 4
+# Largest state count a sweep or ``--code`` takes: a code on 7 states has at
+# most 1,889 digits, one on 8 states up to 4,933, past int()'s default
+# limit of 4,300, so a larger sweep could print no digest that replays.
+MAX_CODE_SIZE = 7
 
 
 def frame_count(n: int) -> int:
@@ -364,6 +368,9 @@ class SweepConfig:
                 "exhaustive mode for size >= 3 requires allow_large "
                 f"(frame_count({self.size}) frames)"
             )
+        if self.size > MAX_CODE_SIZE:
+            raise ValueError(
+                f"size must be at most {MAX_CODE_SIZE}, the largest whose frame codes replay")
         bad = [k for k in self.ks if k not in DEFAULT_KS]
         if bad or not self.ks or len(set(self.ks)) != len(self.ks):
             raise ValueError(

@@ -16,7 +16,8 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import or_
+from itertools import compress, product, starmap
+from operator import and_, or_
 
 from .formula import (
     Atom,
@@ -78,6 +79,17 @@ def canonical_events(n: int) -> tuple[int, ...]:
     minimal in that order.
     """
     return tuple(sorted(range(1, 1 << n), key=lambda e: (e.bit_count(), e)))
+
+
+def canonical_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs ``(E, F)`` of overlapping nonempty events, E then F in
+    canonical order: the inputs of the two-event checks, which are vacuous
+    where selection would be read at the empty event E & F.  An iterator,
+    not a table, which would grow as 4^n; made of itertools, since a
+    generator function's resume per pair made a one-lane K7 scan about a
+    tenth slower."""
+    events = canonical_events(n)
+    return compress(product(events, repeat=2), starmap(and_, product(events, repeat=2)))
 
 
 class Frame:

@@ -3,11 +3,17 @@
 ``PropertyEvaluator`` checks the properties on one or more frames at once,
 frame i in lane i, and returns None on a pass or a Witness carrying the
 failing instantiation.  Each property is one scan over events in (size,
-value) order, with every state of every lane tested at once; a state's
+value) order, or over the overlapping pairs of ``canonical_pairs`` for P7
+and P8, with every state of every lane tested at once; a state's
 first hit is its minimal (E, ...) instantiation, with the least believed
 state the condition names, and a frame's witness is its lowest failing
 state's.  So the witness is the minimal one in (s, E, ...) order, the
 order in which a per-frame loop over states, then events, would meet it.
+
+P2, P4 and P8 share one quantifier, every believed state's selection for
+an event inside a bound (E; belief and E; union[E] and F), and one method
+tests it per believed state.  P5 is that test with the empty bound,
+negated, and keeps its own loop, which folds the selections first.
 
 P7 and P8 are checked through reformulations over the union-of-selections
 table: for P7 the innermost universally quantified event is eliminated by
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Frame, Witness, bit_indices, canonical_events
+from .model import Frame, Witness, bit_indices, canonical_events, canonical_pairs
 from .revision import LaneTables, frame_tables, lane_layout
 
 
@@ -64,21 +70,22 @@ class PropertyEvaluator:
         self.inside, self._fold = layout.inside, layout.fold
         self.believes = [self.belief >> x * self.width & self.states for x in range(n)]
 
-    def _selected(self, e: int) -> list[int]:
-        """Per state sp, ``sel[e]`` as sp selects: block x holds every
-        state of each lane whose state sp's selection for e contains x."""
-        sel, lows, spread = self.sel[e], self.lows, (1 << self.n) - 1
-        return [(sel >> sp & lows) * spread for sp in range(self.n)]
-
-    def _believing(self, rows: int) -> int:
-        """The states that believe some state in ``rows`` of their lane."""
-        spread, low = (1 << self.n) - 1, self.low
-        out = 0
+    def _leaving(self, e: int, allowed: int, rows: int):
+        """Per believed state s', in order, the states in ``rows`` that
+        believe s' and whose lane's s' selects, for e, some x outside
+        block x of ``allowed``: the failures of "every believed state's
+        selection for e lies inside the bound", with the s' that fails."""
+        sel, lows, ones, fold = self.sel[e], self.lows, self.ones, self._fold
+        spread = (1 << self.n) - 1
+        outside = ~allowed
         for sp, believes in enumerate(self.believes):
-            out |= believes & (rows >> sp & low) * spread
-        return out
+            believers = believes & rows
+            # block x: the states s whose lane's s' selects x where s's bound lacks x
+            out = (sel >> sp & lows) * spread & outside
+            if out & believers * ones:
+                yield believers & fold(out), sp
 
-    # One scan per property: each walks the events E (or E, then F) in
+    # One scan per property: each walks the events E (or the pairs E, F) in
     # canonical order and yields the states that fail on them with E, F
     # (0 if the property has none) and the believed state the condition
     # names (0 if none).
@@ -86,15 +93,11 @@ class PropertyEvaluator:
     def _scan_p2(self):
         # every believed state's selection for E inside E
         full = len(self.inside) - 1
-        spread, low = full, self.low
+        sel, inside, states = self.sel, self.inside, self.states
         for e in canonical_events(self.n):
-            out = self.sel[e] & self.inside[full ^ e]
-            if out:
-                out = self._fold(out)
-                for sp, believes in enumerate(self.believes):
-                    bad = believes & (out >> sp & low) * spread
-                    if bad:
-                        yield bad, e, 0, sp
+            if sel[e] & inside[full ^ e]:
+                for bad, sp in self._leaving(e, inside[e], states):
+                    yield bad, e, 0, sp
 
     def _scan_p3(self):
         # every believed state in E in union[E]
@@ -110,61 +113,44 @@ class PropertyEvaluator:
     def _scan_p4(self):
         # every believed state's selection for E inside belief & E,
         # where belief meets E
-        fold, ones = self._fold, self.ones
         for e in canonical_events(self.n):
             inside = self.belief & self.inside[e]
-            meets = fold(inside)
+            meets = self._fold(inside)
             if meets:
-                selected, outside = self._selected(e), ~inside
-                for sp, believes in enumerate(self.believes):
-                    rows = believes & meets
-                    out = selected[sp] & outside
-                    if out & rows * ones:
-                        yield rows & fold(out), e, 0, sp
+                for bad, sp in self._leaving(e, inside, meets):
+                    yield bad, e, 0, sp
 
     def _scan_p5(self):
         # some believed state's selection for E nonempty
+        spread, low = (1 << self.n) - 1, self.low
         for e in canonical_events(self.n):
-            bad = self.states & ~self._believing(self._fold(self.sel[e]))
+            selecting = self._fold(self.sel[e])
+            believing = 0
+            for sp, believes in enumerate(self.believes):
+                believing |= believes & (selecting >> sp & low) * spread
+            bad = self.states & ~believing
             if bad:
                 yield bad, e, 0, 0
 
     def _scan_p7(self):
         # union[E] & F inside union[E & F] when E and F overlap
         union, inside = self.union, self.inside
-        events = canonical_events(self.n)
-        for e in events:
-            ue = union[e]
-            for f in events:
-                ef = e & f
-                if ef:
-                    out = ue & inside[f] & ~union[ef]
-                    if out:
-                        yield self._fold(out), e, f, 0
+        for e, f in canonical_pairs(self.n):
+            out = union[e] & inside[f] & ~union[e & f]
+            if out:
+                yield self._fold(out), e, f, 0
 
     def _scan_p8(self):
         # every believed state's selection for E & F inside union[E] & F,
         # where union[E] meets F; the believed states are scanned only
         # where union[E & F], the union of their selections, is not inside
         union, inside, fold, ones = self.union, self.inside, self._fold, self.ones
-        for e in canonical_events(self.n):
-            ue = union[e]
-            for f in canonical_events(self.n):
-                ef = e & f
-                if not ef:
-                    continue
-                met = ue & inside[f]
-                meets = fold(met)
-                if not meets:
-                    continue
-                outside = ~met
-                if union[ef] & outside & meets * ones:
-                    selected = self._selected(ef)
-                    for st, believes in enumerate(self.believes):
-                        rows = believes & meets
-                        out = selected[st] & outside
-                        if out & rows * ones:
-                            yield rows & fold(out), e, f, st
+        for e, f in canonical_pairs(self.n):
+            met = union[e] & inside[f]
+            meets = fold(met)
+            if meets and union[e & f] & ~met & meets * ones:
+                for bad, st in self._leaving(e & f, met, meets):
+                    yield bad, e, f, st
 
     def lane_hits(self, k: PropertyId) -> tuple[int, list[tuple[int, int, int, int]]]:
         """The states where ``k`` fails, whose lane i is nonempty iff ``k``

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .formula import Formula, require_boolean
-from .model import Frame, Model, Witness, bit_indices, canonical_events, truth_set
+from .model import Frame, Model, Witness, bit_indices, canonical_events, canonical_pairs, truth_set
 
 
 class AgmPostulateId(Enum):
@@ -135,29 +135,19 @@ class PostulateEvaluator:
     def _scan_k7(self):
         # union[E] & F inside union[E & F] when E and F overlap
         union, inside = self.union, self.inside
-        events = canonical_events(self.n)
-        for e in events:
-            ue = union[e]
-            for f in events:
-                ef = e & f
-                if ef:
-                    out = ue & inside[f] & ~union[ef]
-                    if out:
-                        yield self._fold(out), (e, f)
+        for e, f in canonical_pairs(self.n):
+            out = union[e] & inside[f] & ~union[e & f]
+            if out:
+                yield self._fold(out), (e, f)
 
     def _scan_k8(self):
         # union[E & F] inside union[E] & F when union[E] meets F
         union, inside = self.union, self.inside
-        events = canonical_events(self.n)
-        for e in events:
-            ue = union[e]
-            for f in events:
-                ef = e & f
-                if ef:
-                    met = ue & inside[f]
-                    out = union[ef] & ~met
-                    if met and out:
-                        yield self._fold(out) & self._fold(met), (e, f)
+        for e, f in canonical_pairs(self.n):
+            met = union[e] & inside[f]
+            out = union[e & f] & ~met
+            if met and out:
+                yield self._fold(out) & self._fold(met), (e, f)
 
     def _hits(self, k: AgmPostulateId, live: int) -> list[tuple[int, tuple[int, ...]]]:
         """The scan of ``k`` on the states in ``live``: each input at which

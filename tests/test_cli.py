@@ -88,6 +88,13 @@ def test_frame_check_unknown_property(capsys, m0_path):
     assert "P6" in err
 
 
+def test_frame_check_empty_props_is_an_input_error(capsys, m0_path):
+    # an empty list names no property; it does not mean all six
+    code, out, err = run(capsys, "frame-check", "--frame", m0_path, "--props", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_axiom_check(capsys, m0_path, fx2_path):
     code, out, _ = run(capsys, "axiom-check", "--frame", m0_path, "--axiom", "A2")
     assert code == 0
@@ -210,7 +217,7 @@ def test_sweep_command_refuses_five_state_random_mode(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--ks", "2,2"), ("--ks", "5,2,5"), ("--workers", "0"), ("--workers", "-3"),
+    ("--ks", "2,2"), ("--ks", "5,2,5"), ("--workers", "0"), ("--workers", "-3"), ("--ks", ""),
 ])
 def test_sweep_command_refuses_repeated_ks_and_no_workers(capsys, argv):
     code, out, err = run(capsys, "sweep", "--size", "2", "--json", *argv)
@@ -467,6 +474,9 @@ def test_large_sweep_sizes_are_refused_at_once():
     # frame_count(n) has thousands to millions of digits
     argvs = [["--size", str(n)] for n in (7, 8, 20, 22, 24, 40)]
     argvs.append(["--mode", "random", "--count", "1", "--seed", "1", "--size", "2000000000"])
+    # past 7 states no sweep runs, in either mode: allow_large lifts no bound there
+    sampled = ["--mode", "random", "--count", "1", "--seed", "1"]
+    argvs += [[*mode, "--size", str(n), "--allow-large"] for mode in ([], sampled) for n in (8, 40)]
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     runs = [subprocess.Popen([sys.executable, "-m", "kripkelewis.cli", "sweep", *argv], env=env,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for argv in argvs]

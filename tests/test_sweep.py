@@ -446,6 +446,14 @@ def test_random_mode_refuses_five_states_without_override():
         SweepConfig(size=12, mode="random", count=1, seed=0).validate()
     SweepConfig(size=4, mode="random", count=1, seed=0).validate()
     SweepConfig(size=5, mode="random", count=1, seed=0, allow_large=True).validate()
+    # past 7 states allow_large lifts nothing: no digest of such a sweep replays
+    for size in (8, 40):
+        for cfg in (SweepConfig(size=size, mode="random", count=1, seed=0, allow_large=True),
+                    SweepConfig(size=size, allow_large=True)):
+            with pytest.raises(ValueError, match="at most 7"):
+                cfg.validate()
+    SweepConfig(size=7, mode="random", count=1, seed=0, allow_large=True).validate()
+    SweepConfig(size=7, allow_large=True).validate()
 
 
 def test_sweep_error_names_serial_partition(monkeypatch):
