@@ -18,7 +18,7 @@ from .formula import And, Atom, Bel, Box, Cond, Formula, Iff, Implies, Not, atom
 from .model import Frame, Model, Witness
 from .model import truth_set  # noqa: F401  unused; perfbench's tracer patches it by name
 from .properties import PropertyId
-from .revision import LaneLayout, LaneTables, frame_tables, lane_layout
+from .revision import LaneLayout, LaneTables, first_hits, frame_tables, lane_layout
 
 
 class AxiomId(Enum):
@@ -81,7 +81,9 @@ class SchemaEvaluator:
 
     Frame i occupies lane i: bit ``i*n + s`` of every state mask stands for
     state s of frame i, so each compiled scan (``_scan``) runs once for all
-    the frames.
+    the frames.  ``lane_failures`` keeps each lane's first hit through
+    :func:`first_hits`, the driver of all three lane evaluators;
+    ``check_axiom`` and ``holds_mask`` read a scan's first hit directly.
     Precomputes, for every pair of events (a, b), the mask of states where
     the believed conditional with antecedent event a and consequent event
     b holds: everything if a is empty, else the states whose union of
@@ -106,23 +108,6 @@ class SchemaEvaluator:
         # union[0] is 0, so row 0 of bel_cond is every state
         self.bel, *self.bel_cond = [_within_masks(u, n, layout) for u in (belief, *union)]
 
-    def _failures(self, scan, live: int, ranges) -> tuple[int, tuple[int, ...] | None]:
-        """Runs ``scan`` over ``ranges`` on the lanes in ``live``: each hit,
-        masked to the live lanes, is added to ``failed``, and every lane it
-        touches is dropped.  Returns ``(failed, assignment)`` once no lane
-        is live, else ``(failed, None)``, so with one live lane the
-        assignment is the first falsifying one."""
-        spread = self.spread
-        failed = 0
-        for bad, assignment in scan(self, *ranges):
-            bad &= live
-            if bad:
-                failed |= bad
-                live &= ~spread(bad)
-                if not live:
-                    return failed, assignment
-        return failed, None
-
     def holds_mask(self, k: AxiomId, assignment: tuple[int, ...]) -> int:
         """Mask of states, in every lane, where the instance of ``k`` under
         ``assignment`` (one event per letter, in ``LETTERS`` order) holds."""
@@ -131,25 +116,29 @@ class SchemaEvaluator:
             raise ValueError(
                 f"{k.value} takes one event for each of {', '.join(LETTERS[:letters])}; "
                 f"got {len(assignment)}")
-        return self.states ^ self._failures(scan, self.states, [(x,) for x in assignment])[0]
+        # over one assignment the scan yields at most one hit
+        return self.states ^ next(scan(self, *[(x,) for x in assignment]), (0,))[0]
 
     def lane_failures(self, k: AxiomId) -> int:
         """State mask, over every lane, whose lane i is nonempty iff the
         schema ``k`` fails on frame i: it holds the states where frame i's
-        first falsifying assignment fails."""
+        first falsifying assignment fails, as :func:`first_hits` drops the
+        whole lane of each hit."""
         scan, letters = _scan(_schema_index(k))
-        return self._failures(scan, self.states, [range(self.full + 1)] * letters)[0]
+        hits = scan(self, *[range(self.full + 1)] * letters)
+        return first_hits(hits, self.states, self.states, self.spread)[0]
 
     def check_axiom(self, k: AxiomId) -> Witness | None:
         """None if ``k`` is valid on the (first) frame, else the
         lexicographically least falsifying assignment with its lowest
-        falsified state."""
+        falsified state: the first hit with a state of the first frame."""
         scan, letters = _scan(_schema_index(k))
-        failed, assignment = self._failures(scan, self.full, [range(self.full + 1)] * letters)
-        if assignment is None:
-            return None
-        state = (failed & -failed).bit_length() - 1
-        return Witness(kind=k.value, states={"s": state}, events=dict(zip(LETTERS, assignment)))
+        for bad, assignment in scan(self, *[range(self.full + 1)] * letters):
+            bad &= self.full
+            if bad:
+                state = (bad & -bad).bit_length() - 1
+                return Witness(k.value, {"s": state}, dict(zip(LETTERS, assignment)))
+        return None
 
 
 def _literals(f: Formula, holds: bool):

@@ -110,10 +110,12 @@ def _code_frame(text: str):
     n_text, _, code_text = text.partition(":")
     if not (n_text.isascii() and n_text.isdigit() and code_text.isascii() and code_text.isdigit()):
         raise _InputError(f"bad --code value {shown} (expected n:code, two decimal integers)")
+    # the guards count the digits past any leading zeros, so every code
+    # they pass has fewer digits than int()'s default limit on a string
+    n_text, code_text = n_text.lstrip("0") or "0", code_text.lstrip("0") or "0"
     n = int(n_text) if len(n_text) < 5 else 0  # a longer one is out of range, unparsed
     if not 1 <= n <= MAX_CODE_SIZE:
         raise _InputError(f"--code {shown}: state count must be 1 to {MAX_CODE_SIZE}")
-    # every valid code has fewer digits than int()'s default limit on a string
     count = frame_count(n)
     if len(code_text) > len(str(count)) or not int(code_text) < count:
         raise _InputError(f"--code {shown}: code must be below frame_count({n}) for {n} states")

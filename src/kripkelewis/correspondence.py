@@ -394,7 +394,9 @@ class Report:
     duration_ms: int = 0
 
     @classmethod
-    def empty(cls, config: dict, ks: tuple[int, ...]) -> "Report":
+    def empty(cls, config: dict) -> "Report":
+        """The report on no frames, with a zero cell per k of ``config``."""
+        ks = config["ks"]
         return cls(
             config=config,
             per_axiom={_PROP[k].value: dict.fromkeys(_CELLS, 0) for k in ks},
@@ -436,7 +438,7 @@ def merge_reports(parts: list[Report]) -> Report:
         raise ValueError("nothing to merge")
     if any(p.config != parts[0].config for p in parts):
         raise ValueError("cannot merge reports with different configs")
-    merged = Report.empty(parts[0].config, tuple(parts[0].config["ks"]))
+    merged = Report.empty(parts[0].config)
     for p in parts:
         for key, v in p.totals.items():
             merged.totals[key] += v
@@ -518,7 +520,7 @@ def _tally(config: dict, outcomes: _Outcomes,
     frame order, counted by outcome; a flagged one's frames get digests."""
     n, flagged = config["size"], outcomes.flagged
     tally: Counter[int] = Counter()
-    report = Report.empty(config, outcomes.ks)
+    report = Report.empty(config)
     for codes, ids in batches:
         tally.update(ids)
         if not flagged.keys().isdisjoint(ids):
@@ -667,7 +669,7 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     failures = [(i, exc) for i, (exc, _, _) in enumerate(results) if exc is not None]
     if failures:
         failed_at, failure = failures[0]
-        partial = merge_reports(partials) if partials else Report.empty(cfg.echo(), cfg.ks)
+        partial = merge_reports(partials) if partials else Report.empty(cfg.echo())
         _, lo, hi = payloads[failed_at]
         seed = f" (seed {cfg.seed})" if cfg.mode == "random" else ""
         raise SweepError(

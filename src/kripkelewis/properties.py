@@ -4,8 +4,9 @@
 frame i in lane i, and returns None on a pass or a Witness carrying the
 failing instantiation.  Each property is one scan over events in (size,
 value) order, or over the overlapping pairs of ``canonical_pairs`` for P7
-and P8, with every state of every lane tested at once; a state's
-first hit is its minimal (E, ...) instantiation, with the least believed
+and P8, with every state of every lane tested at once.  The driver the
+three lane evaluators share, ``revision.first_hits``, keeps each state's
+first hit, its minimal (E, ...) instantiation with the least believed
 state the condition names, and a frame's witness is its lowest failing
 state's.  So the witness is the minimal one in (s, E, ...) order, the
 order in which a per-frame loop over states, then events, would meet it.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .model import Frame, Witness, bit_indices, canonical_events, canonical_pairs
-from .revision import LaneTables, frame_tables, lane_layout
+from .revision import LaneTables, first_hits, frame_tables, lane_layout
 
 
 class PropertyId(Enum):
@@ -86,9 +87,9 @@ class PropertyEvaluator:
                 yield believers & fold(out), sp
 
     # One scan per property: each walks the events E (or the pairs E, F) in
-    # canonical order and yields the states that fail on them with E, F
-    # (0 if the property has none) and the believed state the condition
-    # names (0 if none).
+    # canonical order and yields the states that fail on them with
+    # (E, F, s'): F is 0 if the property has none, and s' the believed
+    # state the condition names (0 if none).
 
     def _scan_p2(self):
         # every believed state's selection for E inside E
@@ -97,7 +98,7 @@ class PropertyEvaluator:
         for e in canonical_events(self.n):
             if sel[e] & inside[full ^ e]:
                 for bad, sp in self._leaving(e, inside[e], states):
-                    yield bad, e, 0, sp
+                    yield bad, (e, 0, sp)
 
     def _scan_p3(self):
         # every believed state in E in union[E]
@@ -108,7 +109,7 @@ class PropertyEvaluator:
                 for sp in range(self.n):
                     bad = out >> sp * width & states
                     if bad:
-                        yield bad, e, 0, sp
+                        yield bad, (e, 0, sp)
 
     def _scan_p4(self):
         # every believed state's selection for E inside belief & E,
@@ -118,7 +119,7 @@ class PropertyEvaluator:
             meets = self._fold(inside)
             if meets:
                 for bad, sp in self._leaving(e, inside, meets):
-                    yield bad, e, 0, sp
+                    yield bad, (e, 0, sp)
 
     def _scan_p5(self):
         # some believed state's selection for E nonempty
@@ -130,7 +131,7 @@ class PropertyEvaluator:
                 believing |= believes & (selecting >> sp & low) * spread
             bad = self.states & ~believing
             if bad:
-                yield bad, e, 0, 0
+                yield bad, (e, 0, 0)
 
     def _scan_p7(self):
         # union[E] & F inside union[E & F] when E and F overlap
@@ -138,7 +139,7 @@ class PropertyEvaluator:
         for e, f in canonical_pairs(self.n):
             out = union[e] & inside[f] & ~union[e & f]
             if out:
-                yield self._fold(out), e, f, 0
+                yield self._fold(out), (e, f, 0)
 
     def _scan_p8(self):
         # every believed state's selection for E & F inside union[E] & F,
@@ -150,7 +151,7 @@ class PropertyEvaluator:
             meets = fold(met)
             if meets and union[e & f] & ~met & meets * ones:
                 for bad, st in self._leaving(e & f, met, meets):
-                    yield bad, e, f, st
+                    yield bad, (e, f, st)
 
     def lane_hits(self, k: PropertyId) -> tuple[int, list[tuple[int, int, int, int]]]:
         """The states where ``k`` fails, whose lane i is nonempty iff ``k``
@@ -158,21 +159,14 @@ class PropertyEvaluator:
         scan's hits ``(mask, E, F, s')``, each ``mask`` cut to the lanes'
         lowest failing states, so each failing lane's lowest failing state
         (bit ``lane*n + s``) is in exactly one hit, the one where it first
-        failed.  The scan stops once state 0 of every lane has failed, since
-        no lane's witness can change then."""
+        failed.  :func:`first_hits` stops the scan once state 0 of every
+        lane has failed, since no lane's witness can change then."""
         try:
             scan = _SCANS[_IDS.index(k)]
         except ValueError:
             raise ValueError(f"unknown property {k!r}") from None
         n, low = self.n, self.low
-        failed, hits = 0, []
-        for bad, e, f, sp in scan(self):
-            bad &= ~failed
-            if bad:
-                failed |= bad
-                hits.append((bad, e, f, sp))
-                if failed & low == low:
-                    break
+        failed, hits = first_hits(scan(self), self.states, low)
         lowest = low  # each lane's lowest failing state, if state 0 failed in all
         if failed & low != low:
             lowest, taken = 0, 0
@@ -180,7 +174,7 @@ class PropertyEvaluator:
                 pick = failed >> s & low & ~taken  # lanes whose lowest is s
                 taken |= pick
                 lowest |= pick << s
-        return failed, [(bad & lowest, e, f, sp) for bad, e, f, sp in hits if bad & lowest]
+        return failed, [(bad & lowest, e, f, sp) for bad, (e, f, sp) in hits if bad & lowest]
 
     def witnesses(self, k: PropertyId) -> list[Witness | None]:
         """Per frame: None if it satisfies ``k``, else its minimal witness."""

@@ -149,27 +149,15 @@ class PostulateEvaluator:
             if met and out:
                 yield self._fold(out) & self._fold(met), (e, f)
 
-    def _hits(self, k: AgmPostulateId, live: int) -> list[tuple[int, tuple[int, ...]]]:
-        """The scan of ``k`` on the states in ``live``: each input at which
-        some of them fail first, with those states, until none is left."""
+    def _hits(self, k: AgmPostulateId, live: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+        """:func:`first_hits` of the scan of ``k`` on the states in ``live``."""
         if k in UNCONDITIONAL:
-            return []
-        hits = []
-        for bad, events in _SCANS[CONDITIONED.index(k)](self):
-            bad &= live
-            if bad:
-                hits.append((bad, events))
-                live ^= bad
-                if not live:
-                    break
-        return hits
+            return 0, []
+        return first_hits(_SCANS[CONDITIONED.index(k)](self), live, live)
 
     def lane_failures(self, k: AgmPostulateId) -> int:
         """State mask, over every lane, of the states where ``k`` fails."""
-        failed = 0
-        for bad, _ in self._hits(k, self.states):
-            failed |= bad
-        return failed
+        return self._hits(k, self.states)[0]
 
     def witnesses(self, k: AgmPostulateId, live: int | None = None) -> list[Witness | None]:
         """Per state of the first frame: None where ``k`` holds or the state
@@ -177,7 +165,7 @@ class PostulateEvaluator:
         input in canonical order."""
         found: list[Witness | None] = [None] * self.n
         full = (1 << self.n) - 1
-        for bad, events in self._hits(k, full if live is None else live & full):
+        for bad, events in self._hits(k, full if live is None else live & full)[1]:
             for s in bit_indices(bad):
                 found[s] = Witness(k.value, {"s": s}, dict(zip(("E", "F"), events)))
         return found
@@ -266,3 +254,22 @@ def lane_layout(n: int, lanes: int) -> LaneLayout:
 
     return LaneLayout(width, states, low, heads[full], low * heads[full], heads,
                       tuple(bits * states for bits in heads), fold, spread)
+
+
+def first_hits(scan, live: int, until: int,
+               drop: Callable[[int], int] | None = None) -> tuple[int, list[tuple[int, object]]]:
+    """The first hit of each state in ``live``, from ``scan``'s hits
+    ``(bad, data)`` in order: each hit is cut to the live states and kept
+    if any is left, and those states leave ``live`` (with ``drop``, the
+    states ``drop(bad)`` names instead), until no state of ``until`` is
+    live.  Returns the states of the kept hits and the kept hits."""
+    failed, hits = 0, []
+    for bad, data in scan:
+        bad &= live
+        if bad:
+            failed |= bad
+            hits.append((bad, data))
+            live &= ~(drop(bad) if drop else bad)
+            if not live & until:
+                break
+    return failed, hits

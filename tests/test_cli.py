@@ -8,6 +8,7 @@ import pytest
 from conftest import REPO_ROOT
 
 from kripkelewis import (
+    PostulateEvaluator,
     frame_count,
     frame_digest,
     frame_to_json,
@@ -226,14 +227,20 @@ def test_sweep_command_refuses_repeated_ks_and_no_workers(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_agm_check_restricted_state_equals_full_run(capsys, fx2_path):
-    # --state prints the same lines for that state as a run over every state
+def test_agm_check_restricted_state_equals_full_run(capsys, monkeypatch, fx2_path):
+    # --state prints the same lines for that state as a run over every
+    # state, and the postulate scans look at that state alone
     _, full, _ = run(capsys, "agm-check", "--frame", fx2_path)
-    for state in ("s0", "s1"):
+    real, scanned = PostulateEvaluator.witnesses, set()
+    monkeypatch.setattr(PostulateEvaluator, "witnesses",
+                        lambda self, k, live=None: scanned.add(live) or real(self, k, live))
+    for s, state in enumerate(("s0", "s1")):
+        scanned.clear()
         code, out, _ = run(capsys, "agm-check", "--frame", fx2_path, "--state", state)
         assert code == 1
         assert out.splitlines() == [line for line in full.splitlines()
                                     if line.startswith(state + " ")]
+        assert scanned == {1 << s}, state
 
 
 def test_json_outputs_are_byte_stable(capsys, fx2_path):
@@ -447,6 +454,14 @@ def test_code_source_equals_frame_file(capsys, tmp_path, fx2_path):
 
 
 @pytest.mark.parametrize("value", [
+    "2:0005", "2:0000000000000000005", "00002:5", "2:" + "0" * 5000 + "5",
+], ids=["3-zeros", "18-zeros", "zero-padded-n", "5000-zeros"])
+def test_code_with_leading_zeros_is_the_same_frame(capsys, value):
+    for argv in (("frame-check",), ("axiom-check", "--axiom", "A4")):
+        assert run(capsys, *argv, "--code", value) == run(capsys, *argv, "--code", "2:5"), argv
+
+
+@pytest.mark.parametrize("value", [
     "2", "x:1", "2:abc", "2:-1", "-2:1", "2:+1", "2: 1", "2:1_0", "2:1:3", ":5", "2:",
     "0:0", "8:0", "99999:0", "2:36864", "4:" + "9" * 5000, "\uff12:1",
 ])
@@ -459,7 +474,9 @@ def test_bad_code_is_one_error_line(capsys, value):
 
 @pytest.mark.parametrize("value", [
     "7:" + "9" * 1889, "4:" + "9" * 5000, "x" * 3000, "9" * 5000 + ":0", "\U0001f600" * 3000,
-], ids=["7-past-range", "4-5000-nines", "3000-letters", "5000-digit-n", "3000-emoji"])
+    "0" * 5000 + ":5", "2:" + "0" * 5000 + "36864", "4:" + "0" * 5000 + "9" * 5000,
+], ids=["7-past-range", "4-5000-nines", "3000-letters", "5000-digit-n", "3000-emoji",
+        "5000-zero-n", "zero-padded-past-range", "zero-padded-5000-nines"])
 def test_long_bad_code_is_one_short_error_line(capsys, value):
     # the value is cut and the bound named, so the line stays short
     code, out, err = run(capsys, "frame-check", f"--code={value}")

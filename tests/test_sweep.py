@@ -408,8 +408,8 @@ def test_merge_reports_is_order_insensitive():
 
 
 def test_merge_reports_rejects_mismatched_configs():
-    a = Report.empty(SweepConfig(size=1).echo(), (2,))
-    b = Report.empty(SweepConfig(size=2).echo(), (2,))
+    a = Report.empty(SweepConfig(size=1).echo())
+    b = Report.empty(SweepConfig(size=2).echo())
     with pytest.raises(ValueError):
         merge_reports([a, b])
 
@@ -773,7 +773,7 @@ def test_report_digests_golden():
 def _per_frame_report(config: dict, codes) -> dict:
     """The frame route as one triple_check (one lane) per frame."""
     n, ks = config["size"], tuple(config["ks"])
-    report = Report.empty(config, ks)
+    report = Report.empty(config)
     for code in codes:
         report.add_record(triple_check(frame_from_code(n, code), ks))
     return report.to_json()
