@@ -16,23 +16,24 @@ is replayed once for the state mask of its violations (see
 partition checks only the uniform frames of its local profiles
 ``(belief[s], union[s])`` and folds their verdicts block by block, with no
 Python per frame (see :func:`_fold_profiles`), and a random one checks its
-frames batch by batch as they are drawn.  A partition is a range of the
-frame stream, whose codes each process spells for itself: on several
-workers the parent checks the last partition and forked workers the
-others (see :func:`sweep`).
+frames batch by batch as they are parsed off blocks of the seeded words
+(see :func:`_sample_batches`).  A partition is a range of the frame
+stream, which each process draws for itself: on several workers the parent
+checks the last partition and forked workers the others (see :func:`sweep`).
 """
 
 from __future__ import annotations
 
 import os
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, reduce
-from itertools import islice
+from functools import lru_cache, partial, reduce
+from itertools import chain, islice
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, compile_scans, countermodel_recipe
 from .model import Frame
@@ -126,36 +127,65 @@ def frame_digest(frame: Frame) -> str:
 
 
 def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:
-    """Uniform independent draws of belief sets and selection entries,
-    deterministic for a fixed seed."""
-    if n < 1:
-        raise ValueError("need at least one state")
+    """Uniform independent draws of belief sets and selection entries on 1
+    to ``MAX_CODE_SIZE`` states, deterministic for a fixed seed."""
+    if not 1 <= n <= MAX_CODE_SIZE:
+        raise ValueError(f"state count must be 1 to {MAX_CODE_SIZE}, got {n}")
     if count < 1:
         raise ValueError("count must be positive")
-    for code in _sample_codes(n, count, seed):
-        yield frame_from_code(n, code)
+    for beliefs, selections in _sample_batches(n, seed, 0, count):
+        for i in range(len(beliefs) // n):
+            yield frame_from_code(n, _spell_code(n, beliefs, selections, i))
 
 
-def _sample_codes(n: int, count: int, seed: int) -> Iterator[int]:
-    """Codes of the frames :func:`sample_frames` yields: per frame, each
-    state's belief set, then each state's selection row in event order,
-    folded into :func:`frame_code` digits as drawn.  Each digit is drawn
-    exactly as ``randrange(1, 2^n)`` or ``randrange(0, 2^n)`` draws it:
-    ``getrandbits(n)`` or ``getrandbits(n + 1)``, redrawn while out of range."""
+@lru_cache(maxsize=None)
+def _frame_parse(n: int) -> tuple:
+    """The regex :func:`_sample_batches` matches a frame on n states with
+    (its belief draws, its selection draws, or else the unmatched tail) and
+    each part's ``translate`` arguments.  ``getrandbits(k)``, k <= 8, is the
+    top k bits of one word, kept if its top byte is below ``cut`` (belief
+    draws, k = n) or 0x80 (selection draws, k = n + 1)."""
+    full, cut = (1 << n) - 1, 256 - (256 >> n)
+    belief = rb"[\x%02x-\xff]*[\x00-\x%02x]" % (cut, cut - 1)
+    selection = rb"[\x80-\xff]*[\x00-\x7f]"
+    return (re.compile(b"(%s)(%s)|(.+)" % (belief * n, selection * (n * full)), re.S),
+            (bytes((b >> 8 - n) + 1 for b in range(256)), bytes(range(cut, 256))),
+            (bytes(b >> 7 - n for b in range(256)), bytes(range(128, 256))))
+
+
+def _sample_batches(n: int, seed: int, lo: int, hi: int) -> Iterator[tuple[bytes, bytes]]:
+    """Frames ``lo`` to ``hi - 1`` of the seeded stream on n states, in
+    batches of ``BATCH_FRAMES`` as :func:`_lane_tables` reads them: each
+    belief set and selection entry drawn as ``randrange`` draws it,
+    ``getrandbits(n)`` or ``getrandbits(n + 1)`` redrawn while out of range.
+    On CPython ``getrandbits(32 m)`` is the next m such words, the first
+    lowest, so words are drawn in blocks and parsed by :func:`_frame_parse`,
+    a block's unmatched tail carried on; the first ``lo`` frames are matched
+    but never decoded."""
     getrandbits = random.Random(seed).getrandbits
+    pattern, beliefs, selections = _frame_parse(n)
+    words = (n << n + 1) * min(hi, 64)  # about 64 frames: two words a draw at most, on average
+
+    def blocks() -> Iterator[list[tuple[bytes, bytes, bytes]]]:
+        tail = b""
+        while True:
+            drawn = getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]  # top bytes
+            found = pattern.findall(tail + drawn)
+            tail = found.pop()[2] if found[-1][2] else b""
+            yield found
+
+    frames = islice(chain.from_iterable(blocks()), lo, hi)
+    for batch in iter(lambda: list(islice(frames, BATCH_FRAMES)), []):
+        drawn_beliefs, drawn_selections, _ = map(b"".join, zip(*batch))
+        yield drawn_beliefs.translate(*beliefs), drawn_selections.translate(*selections)
+
+
+def _spell_code(n: int, beliefs: bytes, selections: bytes, i: int) -> int:
+    """The code of frame i of a batch's belief and selection bytes."""
     full = (1 << n) - 1
-    base = full + 1
-    for _ in range(count):
-        code = 0
-        for _ in range(n):
-            while (d := getrandbits(n)) >= full:
-                pass
-            code = code * full + d
-        for _ in range(n * full):
-            while (d := getrandbits(n + 1)) >= base:
-                pass
-            code = code << n | d
-        yield code
+    step = n * full
+    code = reduce(lambda code, b: code * full + b - 1, beliefs[i * n : i * n + n], 0)
+    return reduce(lambda code, d: code << n | d, selections[i * step : i * step + step], code)
 
 
 @dataclass
@@ -174,7 +204,8 @@ class FrameRecord:
 def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
     """Run property, axiom and postulate checks on one frame and flag any
     disagreement the correspondence asserts cannot happen."""
-    (verdicts,) = _batch_verdicts(frame.n, [frame_code(frame)], ks)
+    selections = bytes([d for row in frame.selection for d in row[1:]])
+    (verdicts,) = _batch_verdicts(frame.n, bytes(frame.belief), selections, ks)
     record = _unpack_verdicts(verdicts, ks, frame_digest(frame))
     record.discrepancies = _discrepancies(record)
     return record
@@ -185,51 +216,42 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
 # states; a larger batch only holds more frames at once.
 BATCH_FRAMES = 250
 
+_BITS = [(b"0" * 2**x + b"1" * 2**x) * (128 >> x) for x in range(8)]  # bit x as b"0" or b"1"
+
 # A frame's verdicts packed into one int, with ``ks`` indexed by position
 # i and m = len(ks).  Bit i says the replay for a violated Pk falsified Ak.
 # The bits from m on are ``ok``: bit i of ok is Pk, bit m + i is Ak, bit
 # 2m + i is Kk at every state, then one bit per ALWAYS_VALID_NAMES entry.
 
 
-def _lane_tables(n: int, codes: Sequence[int]) -> LaneTables:
-    """The lane tables of the frames with these codes on n states, frame i in
-    lane i (see ``PropertyEvaluator``), spelled from the codes' digits.  A
-    code's selection digits are n-bit fields, (state, event) ascending from
-    the top, so in the reversed string of the batch's selection bits, bit x
-    of (lane i, state s, event e) is at n(full - e) + x plus n full for each
-    (lane, state) above (i, s).  ``belief`` is spelled likewise, one field
-    per state, and ``union[e]`` ORs in each believed state's ``sel[e]``."""
-    full = (1 << n) - 1
-    cut, step = n * n * full, n * full
-    width, states, _, ones, lows = lane_layout(n, len(codes))[:5]
-    mask = (1 << cut) - 1
-    digits = "".join([f"{code & mask:0{cut}b}" for code in codes])[::-1]
-    sel = [0] + [int("".join([digits[(full - e) * n + x :: step] for x in reversed(range(n))]), 2)
-                 for e in range(1, full + 1)]
-    beliefs = "".join([_belief_bits(n, code >> cut) for code in codes])[::-1]
-    belief = int("".join([beliefs[x::n] for x in reversed(range(n))]), 2)
+def _lane_tables(n: int, beliefs: bytes, selections: bytes) -> LaneTables:
+    """The lane tables of a batch of frames on n states, frame i in lane i
+    (see ``PropertyEvaluator``), spelled from its bytes: per frame, each
+    state's belief set, then each state's selection row in event order.
+    Bit x of the selection bytes, spelled b"0" or b"1" and reversed, has
+    (lane i, state s, event e) at full - e plus full per (lane, state)
+    above (i, s); ``belief`` is spelled likewise, and ``union[e]`` ORs in
+    each believed state's ``sel[e]``."""
+    full, lanes = (1 << n) - 1, len(beliefs) // n
+    width, states, _, ones, lows = lane_layout(n, lanes)[:5]
+    bits = [selections.translate(_BITS[x])[::-1] for x in reversed(range(n))]
+    sel = [0] + [int(b"".join([b[full - e :: full] for b in bits]), 2) for e in range(1, full + 1)]
+    belief = int(b"".join([beliefs.translate(_BITS[x])[::-1] for x in reversed(range(n))]), 2)
     believed = [(belief >> x * width & states) * ones for x in range(n)]  # block x, in every block
     union = [0] + [reduce(or_, [(row >> x & lows) * full & b for x, b in enumerate(believed)])
                    for row in sel[1:]]
-    return LaneTables(n, len(codes), sel, union, belief)
+    return LaneTables(n, lanes, sel, union, belief)
 
 
-@lru_cache(maxsize=4096)  # every belief number of up to three states
-def _belief_bits(n: int, digits: int) -> str:
-    """A code's belief digits as the binary digits of one n-bit field per state."""
-    full = (1 << n) - 1
-    return "".join([f"{digits // full ** (n - 1 - s) % full + 1:0{n}b}" for s in range(n)])
-
-
-def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[int]:
-    """Packed verdicts of the frames with these codes on n states.  One
-    property, one schema and one postulate evaluator share the lane tables
-    of :func:`_lane_tables`, so each property, schema and conditioned
+def _batch_verdicts(n: int, beliefs: bytes, selections: bytes, ks: tuple[int, ...]) -> list[int]:
+    """Packed verdicts of a batch of frames on n states, given as its bytes.
+    One property, one schema and one postulate evaluator share the lane
+    tables of :func:`_lane_tables`, so each property, schema and conditioned
     postulate is scanned once for all the frames, and each column comes
     back as a state mask over the lanes.  Property violations are grouped
     by their countermodel (see :func:`_replay_groups`), and each group is
     replayed once, every violation reading its own state off the shared mask."""
-    tables = _lane_tables(n, codes)
+    tables = _lane_tables(n, beliefs, selections)
     schemas = SchemaEvaluator(tables=tables)
     postulates = PostulateEvaluator(tables=tables)
     properties = PropertyEvaluator(tables=tables)
@@ -247,7 +269,7 @@ def _batch_verdicts(n: int, codes: Sequence[int], ks: tuple[int, ...]) -> list[i
     failures += [postulates.lane_failures(_AGM[k]) for k in ks]
     failures.append(schemas.lane_failures(AxiomId.A1))  # the other always-valid columns cannot fail
     every = (1 << 3 * len(ks) + len(ALWAYS_VALID_NAMES)) - 1
-    return [word ^ every << len(ks) for word in _lane_words(falsified + failures, n, len(codes))]
+    return [word ^ every << len(ks) for word in _lane_words(falsified + failures, n, tables.lanes)]
 
 
 def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, ...], int]:
@@ -371,6 +393,9 @@ class SweepConfig:
         if self.size > MAX_CODE_SIZE:
             raise ValueError(
                 f"size must be at most {MAX_CODE_SIZE}, the largest whose frame codes replay")
+        if self.mode == "exhaustive" and self.size >= 3:
+            raise ValueError("exhaustive mode cannot finish past two states "
+                             f"(frame_count({self.size}) frames); use --mode random")
         bad = [k for k in self.ks if k not in DEFAULT_KS]
         if bad or not self.ks or len(set(self.ks)) != len(self.ks):
             raise ValueError(
@@ -460,34 +485,32 @@ def merge_reports(parts: list[Report]) -> Report:
     return merged
 
 
-def _uniform_code(n: int, key: int) -> int:
-    """Code of the uniform frame of the profile ``d << width | row``: every
-    state has belief digit d and selection row ``row``."""
+def _uniform_frames(n: int, keys: Sequence[int]) -> tuple[bytes, bytes]:
+    """Belief and selection bytes of the uniform frames of the profiles
+    ``d << width | row``: every state has belief set d + 1 and selection
+    row ``row``, event 1 in its top n bits."""
     full = (1 << n) - 1
-    width = n * full
-    d, row = divmod(key, 1 << width)
-    return sum(d * full**s << n * width | row << s * width for s in range(n))
+    shifts = range(n * (full - 1), -1, -n)
+    beliefs = bytes([(key >> n * full) + 1 for key in keys for _ in range(n)])
+    return beliefs, b"".join([bytes([key >> shift & full for shift in shifts]) * n for key in keys])
 
 
-def _run_partition(config: dict, codes: Iterable[int]) -> Report:
-    """Report on the frames with these codes, routed by mode alone: an
-    exhaustive partition (a range) folds profile verdicts, a random one
-    (an iterator) checks each frame."""
+def _run_partition(config: dict, frames: Iterable) -> Report:
+    """Report on a partition's frames, routed by mode alone: an exhaustive
+    partition (a range of codes) folds profile verdicts, a random one (an
+    iterator of batches) checks each frame."""
     if config["mode"] == "exhaustive":
-        return _fold_profiles(config, codes)
-    return _check_frames(config, codes)
+        return _fold_profiles(config, frames)
+    return _check_frames(config, frames)
 
 
-def _check_frames(config: dict, codes: Iterable[int]) -> Report:
-    """Check the frames batch by batch (see :func:`_batch_verdicts`),
-    taking ``BATCH_FRAMES`` codes at a time, so an iterator of codes is
-    never held whole."""
+def _check_frames(config: dict, batches: Iterable[tuple[bytes, bytes]]) -> Report:
+    """Check the frames batch by batch as they come (see
+    :func:`_batch_verdicts`), so a partition is never held whole."""
     n, ks = config["size"], tuple(config["ks"])
     outcomes = _Outcomes(ks)
-    codes = iter(codes)
-    batches = iter(lambda: list(islice(codes, BATCH_FRAMES)), [])
     return _tally(config, outcomes, (
-        (batch, list(map(outcomes.__getitem__, _batch_verdicts(n, batch, ks))))
+        (partial(_spell_code, n, *batch), [outcomes[v] for v in _batch_verdicts(n, *batch, ks)])
         for batch in batches))
 
 
@@ -515,18 +538,19 @@ class _Outcomes(dict):
 
 
 def _tally(config: dict, outcomes: _Outcomes,
-           batches: Iterable[tuple[Sequence[int], list[int]]]) -> Report:
-    """Report on frames given batch by batch as ``(codes, outcome ids)`` in
-    frame order, counted by outcome; a flagged one's frames get digests."""
+           batches: Iterable[tuple[Callable[[int], int], list[int]]]) -> Report:
+    """Report on frames given batch by batch as ``(code_of, outcome ids)``
+    in frame order, counted by outcome; a flagged one's frames get digests,
+    ``code_of(j)`` the code of the batch's frame j."""
     n, flagged = config["size"], outcomes.flagged
     tally: Counter[int] = Counter()
     report = Report.empty(config)
-    for codes, ids in batches:
+    for code_of, ids in batches:
         tally.update(ids)
         if not flagged.keys().isdisjoint(ids):
-            for code, i in zip(codes, ids):
+            for j, i in enumerate(ids):
                 for found in flagged.get(i, ()):
-                    report.discrepancies.append({**found, "digest": f"{n}:{code}"})
+                    report.discrepancies.append({**found, "digest": f"{n}:{code_of(j)}"})
     for i, frames in tally.items():
         report.add_record(_unpack_verdicts(outcomes.packed[i], outcomes.ks, ""), frames)
     return report
@@ -538,7 +562,7 @@ def _fold_profiles(config: dict, codes: range) -> Report:
 
     Each verdict of :func:`triple_check` is a conjunction over states of a
     condition on the state's profile, whose verdicts are its uniform
-    frame's (:func:`_uniform_code`), and a replay is the lowest violating
+    frame's (:func:`_uniform_frames`), and a replay is the lowest violating
     state's.  A code ends in n selection rows of ``width`` bits, state
     n - 1's last, so on a block of 2^width codes a state that does not
     believe state n - 1 keeps one profile, and one that does has
@@ -571,14 +595,14 @@ def _fold_profiles(config: dict, codes: range) -> Report:
             unseen = list(set().union(*keys).difference(memo))
             for i in range(0, len(unseen), BATCH_FRAMES):
                 profiles = unseen[i : i + BATCH_FRAMES]
-                verdicts = _batch_verdicts(n, [_uniform_code(n, key) for key in profiles], ks)
+                verdicts = _batch_verdicts(n, *_uniform_frames(n, profiles), ks)
                 memo.update(zip(profiles, map(outcomes.__getitem__, verdicts)))
             columns = [list(map(memo.__getitem__, k)) for k in keys]
             for first, j in zip(firsts, range(0, len(at), n)):
                 folded = columns[at[j]]
                 for column in at[j + 1 : j + n]:
                     folded = list(map(outcomes.__getitem__, zip(folded, columns[column])))
-                yield range(max(lo, first), min(hi, first + size)), folded
+                yield range(max(lo, first), min(hi, first + size)).__getitem__, folded
 
     return _tally(config, outcomes, batches())
 
@@ -595,31 +619,45 @@ def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]
     return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _partition_codes(config: dict, lo: int, hi: int) -> Iterable[int]:
-    """Codes ``lo`` to ``hi - 1`` of the configured frame stream: a range
-    in exhaustive mode; in random mode an iterator over the seeded stream
-    drawn up to ``hi``, its first ``lo`` codes dropped as they are drawn."""
+def _partition_codes(config: dict, lo: int, hi: int) -> Iterable:
+    """Frames ``lo`` to ``hi - 1`` of the configured frame stream: a range
+    of codes in exhaustive mode; in random mode the batches of the seeded
+    stream that :func:`_sample_batches` draws."""
     if config["mode"] == "exhaustive":
         return range(lo, hi)
-    return islice(_sample_codes(config["size"], hi, config["seed"]), lo, None)
+    return _sample_batches(config["size"], config["seed"], lo, hi)
 
 
 class WorkerTraceback(Exception):
     """A worker's traceback as text, the cause of the exception it sent."""
 
 
-def _outcome(config: dict, lo: int, hi: int, sender=None) -> tuple:
+def _outcome(config: dict, lo: int, hi: int) -> tuple:
     """``(None, report, None)`` or ``(exception, None, traceback text)`` for
-    the partition ``codes[lo:hi]``, also sent to ``sender``: pickling an
-    exception drops its traceback."""
+    the partition ``codes[lo:hi]``: pickling an exception drops its traceback."""
     try:
-        outcome: tuple = (None, _run_partition(config, _partition_codes(config, lo, hi)), None)
+        return (None, _run_partition(config, _partition_codes(config, lo, hi)), None)
     except Exception as exc:
         import traceback  # here: only a failure pays for it
-        outcome = (exc, None, traceback.format_exc())
-    if sender is not None:
-        sender.send(outcome)
-    return outcome
+        return (exc, None, traceback.format_exc())
+
+
+def _fork(payload: tuple[dict, int, int]) -> tuple[int, int]:
+    """Start a worker on ``payload``: its pid and the read end of the pipe
+    it pickles its :func:`_outcome` into.  The worker leaves by ``os._exit``
+    on every path, with code 0 once its outcome is sent."""
+    import pickle
+    receiver, sender = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(sender)  # so that the receiver reads EOF once the worker is gone
+        return pid, receiver
+    try:
+        with open(sender, "wb") as pipe:
+            pickle.dump(_outcome(*payload), pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
@@ -628,43 +666,44 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     With ``workers > 1`` the stream is split into at most ``os.cpu_count()``
     partitions, each named by its range of the stream (see
     :func:`_make_payloads`): the parent checks the last while a forked worker
-    checks each other one and sends its report through a pipe.  Each process
-    spells its own partition's codes after the fork.  A failed partition, or a
-    worker exiting without a report, aborts the sweep with a SweepError naming
-    the lowest one and carrying the completed reports.  Refuses ``workers < 1``.
+    checks each other one and pickles its report into a pipe.  Each process
+    draws its own partition's frames after the fork.  Workers are bare
+    ``os.fork`` children, each read to EOF and reaped in turn, or killed on any
+    other way out; without ``os.fork`` the sweep runs in one process.  A failed
+    partition, or a worker exiting without a report, aborts the sweep with a
+    SweepError naming the lowest one and carrying the completed reports.
+    Refuses ``workers < 1``.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cfg.validate()
     started = time.perf_counter()
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     payloads = _make_payloads(cfg, workers)
-    children = []
+    children: dict[int, int] = {}  # unreaped worker pid -> read end of its pipe
     try:
         if len(payloads) > 1:
-            import multiprocessing  # here: only the parallel path pays for it
+            import pickle  # here: only the parallel path pays for it
+            import signal
             compile_scans()
-            for payload in payloads[:-1]:
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(target=_outcome, args=(*payload, sender))
-                child.start()
-                sender.close()  # so that the receiver reads EOF once the child is gone
-                children.append((child, receiver))
+            if cfg.mode == "random":
+                _frame_parse(cfg.size)  # compiled once, before forking, like the scans
+            children.update(map(_fork, payloads[:-1]))
         results = [_outcome(*payloads[-1])]
-        for i, (child, receiver) in enumerate(children):
-            try:
-                results.insert(i, receiver.recv())
-                if results[i][0] is not None:
-                    results[i][0].__cause__ = WorkerTraceback(results[i][2])
-            except EOFError:
-                child.join()
-                exited = RuntimeError(f"worker exited with code {child.exitcode}")
-                results.insert(i, (exited, None, None))
+        for i, pid in enumerate(list(children)):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            exited = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            results.insert(i, pickle.loads(sent) if not exited else (
+                RuntimeError(f"worker exited with code {exited}"), None, None))
+            if results[i][2] is not None:  # a worker's exception, with its traceback text
+                results[i][0].__cause__ = WorkerTraceback(results[i][2])
     finally:
-        for child, receiver in children:  # no worker outlives the sweep
-            child.terminate()
-            child.join()
-            receiver.close()
+        for pid, receiver in children.items():  # no worker outlives the sweep
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(receiver)
     partials = [report for exc, report, _ in results if exc is None]
     failures = [(i, exc) for i, (exc, _, _) in enumerate(results) if exc is not None]
     if failures:

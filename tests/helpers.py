@@ -19,6 +19,7 @@ time against their conditions.
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Mapping
 from functools import cache, partial
@@ -48,6 +49,7 @@ from kripkelewis import (
     is_wellformed,
     sample_frames,
 )
+import kripkelewis.correspondence as correspondence
 from kripkelewis.axioms import LETTERS
 from kripkelewis.model import MAX_MISSING_SELECTION_ENTRIES, bit_indices
 from kripkelewis.model import _truth as truth_unchecked
@@ -497,6 +499,66 @@ def oracle_sample_tuples(n: int, count: int, seed: int) -> list[tuple[tuple, tup
         )
         out.append((belief, selection))
     return out
+
+
+def oracle_sample_codes(n: int, count: int, seed: int) -> list[int]:
+    """The codes of the frames the seeded stream draws, as the sampler drew
+    them before it parsed blocks of words: digit by digit, each belief digit
+    by ``getrandbits(n)`` and each selection digit by ``getrandbits(n + 1)``,
+    redrawn while out of range, folded into frame code digits as drawn."""
+    getrandbits = random.Random(seed).getrandbits
+    full = (1 << n) - 1
+    base = full + 1
+    codes = []
+    for _ in range(count):
+        code = 0
+        for _ in range(n):
+            while (d := getrandbits(n)) >= full:
+                pass
+            code = code * full + d
+        for _ in range(n * full):
+            while (d := getrandbits(n + 1)) >= base:
+                pass
+            code = code << n | d
+        codes.append(code)
+    return codes
+
+
+def code_digits(n: int, codes) -> tuple[bytes, bytes]:
+    """A batch of frame codes as the belief and selection bytes the batch
+    route reads: per frame, each state's belief set, then each state's
+    selection row in event order, read off the code by divmod."""
+    full = (1 << n) - 1
+    beliefs, selections = [], []
+    for code in codes:
+        rows = []
+        for _ in range(n * full):
+            code, d = divmod(code, full + 1)
+            rows.append(d)
+        states = []
+        for _ in range(n):
+            code, d = divmod(code, full)
+            states.append(d + 1)
+        beliefs += reversed(states)
+        selections += reversed(rows)
+    return bytes(beliefs), bytes(selections)
+
+
+def code_batches(n: int, codes) -> list[tuple[bytes, bytes]]:
+    """``codes`` as the batches a random partition checks, ``BATCH_FRAMES``
+    (read at the call) codes each, through :func:`code_digits`."""
+    codes, size = list(codes), correspondence.BATCH_FRAMES
+    return [code_digits(n, codes[lo : lo + size]) for lo in range(0, len(codes), size)]
+
+
+def no_children() -> None:
+    """Asserts that this process has no child, running or unreaped: what a
+    sweep leaves once it returns or raises."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is left")
 
 
 # --- model semantics without the per-call well-formedness check -----------

@@ -198,6 +198,11 @@ def test_sweep_command_refuses_large_exhaustive(capsys):
     code, _, err = run(capsys, "sweep", "--size", "3")
     assert code == 2
     assert "allow_large" in err
+    code, out, err = run(capsys, "sweep", "--size", "3", "--allow-large")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exhaustive mode cannot finish past two states")
+    assert err.count("\n") == 1
+    assert "--mode random" in err
 
 
 def test_sweep_command_refuses_five_state_random_mode(capsys):
@@ -494,6 +499,8 @@ def test_large_sweep_sizes_are_refused_at_once():
     # past 7 states no sweep runs, in either mode: allow_large lifts no bound there
     sampled = ["--mode", "random", "--count", "1", "--seed", "1"]
     argvs += [[*mode, "--size", str(n), "--allow-large"] for mode in ([], sampled) for n in (8, 40)]
+    # exhaustive mode cannot finish past two states, with --allow-large too
+    argvs += [["--size", str(n), "--allow-large"] for n in (3, 4, 7)]
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     runs = [subprocess.Popen([sys.executable, "-m", "kripkelewis.cli", "sweep", *argv], env=env,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for argv in argvs]

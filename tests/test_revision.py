@@ -7,6 +7,7 @@ from kripkelewis import (
     Atom,
     Bel,
     Cond,
+    Frame,
     Implies,
     Model,
     Not,
@@ -261,7 +262,8 @@ def test_postulate_lanes_valid_next_to_failing():
 
 def test_postulate_evaluator_beyond_eight_states():
     # events on more than eight states are read eight states at a time
-    frame = next(sample_frames(9, 1, seed=142))
+    ((belief, selection),) = helpers.oracle_sample_tuples(9, 1, 142)
+    frame = Frame(tuple(f"s{i}" for i in range(9)), belief, selection)
     _assert_postulates_match_oracle([frame, frame])
 
 

@@ -2,7 +2,6 @@ import enum
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import random
 import signal
@@ -120,7 +119,7 @@ def test_sample_codes_equal_tuple_drawing_oracle():
         for seed in (1, 5, 11, 42, 43):
             drawn = helpers.oracle_sample_tuples(n, count, seed)
             frames = [Frame(tuple(f"s{i}" for i in range(n)), b, sel) for b, sel in drawn]
-            assert list(sweep_module._sample_codes(n, count, seed)) == [
+            assert helpers.oracle_sample_codes(n, count, seed) == [
                 frame_code(frame) for frame in frames
             ], (n, seed)
             assert list(sample_frames(n, count, seed)) == frames, (n, seed)
@@ -128,13 +127,48 @@ def test_sample_codes_equal_tuple_drawing_oracle():
 
 def test_sample_codes_equal_tuple_drawing_oracle_at_five_states():
     # n = 5 draws belief digits with getrandbits(5) and selection digits
-    # with getrandbits(6), the widest the sampler meets in a test
+    # with getrandbits(6)
     for seed in (0, 42):
         drawn = helpers.oracle_sample_tuples(5, 30, seed)
         frames = [Frame(tuple(f"s{i}" for i in range(5)), b, sel) for b, sel in drawn]
-        assert list(sweep_module._sample_codes(5, 30, seed)) == [
+        assert helpers.oracle_sample_codes(5, 30, seed) == [
             frame_code(frame) for frame in frames
         ], seed
+        assert list(sample_frames(5, 30, seed)) == frames, seed
+
+
+def _drawn(n: int, seed: int, lo: int, hi: int) -> tuple[bytes, bytes]:
+    """Frames lo to hi - 1 of the block draw, its batches joined."""
+    batches = list(sweep_module._sample_batches(n, seed, lo, hi))
+    assert all(0 < len(b) <= n * sweep_module.BATCH_FRAMES for b, _ in batches), (n, lo, hi)
+    return b"".join(b for b, _ in batches), b"".join(s for _, s in batches)
+
+
+def test_block_draw_equals_per_digit_draw():
+    # every width from getrandbits(1) to getrandbits(8), prefixes skipped by
+    # partitions, and partitions whose lo is one, about one batch, or past
+    # the first block of words (a block holds words for about 64 frames, so
+    # every count here takes more than one)
+    batch = sweep_module.BATCH_FRAMES
+    for n, count in ((1, 700), (2, 600), (3, 520), (4, 300), (5, 70), (6, 70), (7, 66)):
+        for seed in (0, 9, 42):
+            codes = helpers.oracle_sample_codes(n, count, seed)
+            cuts = {0, 1, count // 2, count - 1} | {lo for lo in (batch - 1, batch, batch + 1,
+                                                              batch + 7) if lo < count}
+            for lo in cuts:
+                expected = helpers.code_digits(n, codes[lo:])
+                assert _drawn(n, seed, lo, count) == expected, (n, seed, lo)
+            assert _drawn(n, seed, 0, 1) == helpers.code_digits(n, codes[:1]), (n, seed)
+
+
+def test_sample_frames_takes_one_to_seven_states():
+    for n in (0, 8, 9):
+        with pytest.raises(ValueError, match="state count must be 1 to 7"):
+            next(sample_frames(n, 1, seed=0))
+    with pytest.raises(ValueError, match="count must be positive"):
+        next(sample_frames(2, 0, seed=0))
+    (code,) = helpers.oracle_sample_codes(7, 1, 5)
+    assert next(sample_frames(7, 1, seed=5)) == frame_from_code(7, code)
 
 
 def analytic_p2_rate(n: int) -> Fraction:
@@ -287,8 +321,7 @@ def bounded():
 
 
 # Workers see a patch made in the parent only when they are forked from it.
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="workers are not forked")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are not forked")
 
 
 def _fail_on(monkeypatch, codes) -> None:
@@ -297,28 +330,32 @@ def _fail_on(monkeypatch, codes) -> None:
     every worker forked from it."""
     real = sweep_module._lane_tables
 
-    def failing(n, batch):
+    def failing(n, beliefs, selections):
+        lanes = range(len(beliefs) // n)
+        batch = {sweep_module._spell_code(n, beliefs, selections, i) for i in lanes}
         if not codes.isdisjoint(batch):
             raise RuntimeError("injected")
-        return real(n, batch)
+        return real(n, beliefs, selections)
 
     monkeypatch.setattr(sweep_module, "_lane_tables", failing)
 
 
 def test_sweep_workers_capped_at_cpu_count(monkeypatch, bounded):
-    pipes = []
-    real_pipe = multiprocessing.Pipe
+    forks = []
+    real_fork = os.fork
 
-    def counting_pipe(duplex=True):
-        pipes.append(duplex)  # one per worker started
-        return real_pipe(duplex)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)  # one per worker started
+        return pid
 
-    monkeypatch.setattr(multiprocessing, "Pipe", counting_pipe)
+    monkeypatch.setattr(sweep_module.os, "fork", counting_fork)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
     parallel = sweep(cfg, workers=64).to_json()
-    assert len(pipes) == 2  # two workers and the parent: three processes check
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2  # two workers and the parent: three processes check
+    helpers.no_children()
     serial = sweep(cfg, workers=1).to_json()
     parallel.pop("duration_ms")
     serial.pop("duration_ms")
@@ -326,13 +363,23 @@ def test_sweep_workers_capped_at_cpu_count(monkeypatch, bounded):
 
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)
     sweep(cfg, workers=8)
-    assert len(pipes) == 2  # an unknown core count means the parent alone
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2  # an unknown core count means the parent alone
+    helpers.no_children()
+
+    # without os.fork the sweep runs in one process
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(sweep_module.os, "fork")
+    without = sweep(cfg, workers=3).to_json()
+    without.pop("duration_ms")
+    assert without == serial
+    assert len(forks) == 2
 
 
 def test_cli_import_loads_no_process_machinery():
-    # only a sweep on several workers imports multiprocessing
-    code = "import sys, kripkelewis.cli; print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))"
+    # only a sweep on several workers imports pickle and signal, and none
+    # imports multiprocessing: its workers are bare forks
+    names = "{'multiprocessing', 'concurrent', 'pickle', 'signal'}"
+    code = f"import sys, kripkelewis.cli; print(sorted({names} & set(sys.modules)))"
     src = os.path.dirname(os.path.dirname(sweep_module.__file__))
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60, check=True)
@@ -351,12 +398,16 @@ def test_sweep_exhaustive_parallel_partition(monkeypatch, bounded):
         assert serial["totals"]["frames"] == frames
 
 
-def _spelled(cfg: SweepConfig, parts: int) -> list[int]:
-    """The codes of ``parts`` partitions of cfg's stream, each spelled on its own."""
+def _spelled(cfg: SweepConfig, parts: int) -> list:
+    """The frames of ``parts`` partitions of cfg's stream, each spelled on
+    its own: codes in exhaustive mode, else batches of belief and selection
+    bytes, joined."""
     payloads = sweep_module._make_payloads(cfg, parts)
-    codes = [code for payload in payloads for code in sweep_module._partition_codes(*payload)]
-    assert len(payloads) == min(parts, len(codes))
-    return codes
+    assert len(payloads) == min(parts, cfg.count or frame_count(cfg.size))
+    frames = [frame for payload in payloads for frame in sweep_module._partition_codes(*payload)]
+    if cfg.mode == "exhaustive":
+        return frames
+    return [b"".join(b for b, _ in frames), b"".join(s for _, s in frames)]
 
 
 def test_partitions_concatenate_to_the_stream():
@@ -366,7 +417,8 @@ def test_partitions_concatenate_to_the_stream():
         for n in (1, 2, 3, 4):
             for seed in (3, 42, 161):
                 cfg = SweepConfig(size=n, mode="random", count=count, seed=seed)
-                assert _spelled(cfg, parts) == list(sweep_module._sample_codes(n, count, seed)), (
+                codes = helpers.oracle_sample_codes(n, count, seed)
+                assert _spelled(cfg, parts) == list(helpers.code_digits(n, codes)), (
                     n, seed, parts)
         for n in (1, 2):
             assert _spelled(SweepConfig(size=n), parts) == list(range(frame_count(n))), (n, parts)
@@ -380,7 +432,7 @@ def test_five_workers_cut_blocks_and_report_the_pinned_digest(monkeypatch, bound
     assert len(bounds) == 4 and all(lo % 64 for lo in bounds), bounds
     serial, parallel = sweep(cfg, workers=1), sweep(cfg, workers=5)
     assert _report_digest(parallel) == _report_digest(serial) == REPORT_DIGESTS["exhaustive2"]
-    assert multiprocessing.active_children() == []
+    helpers.no_children()
 
 
 def test_three_workers_report_the_pinned_digest(monkeypatch, bounded):
@@ -389,7 +441,7 @@ def test_three_workers_report_the_pinned_digest(monkeypatch, bounded):
     assert [payload[1:] for payload in sweep_module._make_payloads(cfg, 3)] == [
         (0, 333), (333, 666), (666, 1000)]
     assert _report_digest(sweep(cfg, workers=3)) == REPORT_DIGESTS["random3_1000_seed42"]
-    assert multiprocessing.active_children() == []
+    helpers.no_children()
 
 
 def test_merge_reports_is_order_insensitive():
@@ -397,7 +449,7 @@ def test_merge_reports_is_order_insensitive():
     codes = [frame_code(f) for f in sample_frames(2, 90, seed=12)]
     parts = []
     for lo, hi in ((0, 30), (30, 60), (60, 90)):
-        parts.append(sweep_module._run_partition(cfg.echo(), codes[lo:hi]))
+        parts.append(sweep_module._run_partition(cfg.echo(), helpers.code_batches(2, codes[lo:hi])))
     forward = merge_reports(parts).to_json()
     backward = merge_reports(list(reversed(parts))).to_json()
     nested = merge_reports([merge_reports(parts[:2]), parts[2]]).to_json()
@@ -420,11 +472,11 @@ def test_sweep_aborts_with_partial_report(monkeypatch):
     calls = {"n": 0}
     real = sweep_module._lane_tables
 
-    def flaky(n, codes):
-        calls["n"] += len(codes)
+    def flaky(n, beliefs, selections):
+        calls["n"] += len(beliefs) // n
         if calls["n"] > 50:
             raise RuntimeError("injected")
-        return real(n, codes)
+        return real(n, beliefs, selections)
 
     monkeypatch.setattr(sweep_module, "_lane_tables", flaky)
     cfg = SweepConfig(size=2, mode="random", count=200, seed=13, ks=(2,))
@@ -453,11 +505,14 @@ def test_random_mode_refuses_five_states_without_override():
             with pytest.raises(ValueError, match="at most 7"):
                 cfg.validate()
     SweepConfig(size=7, mode="random", count=1, seed=0, allow_large=True).validate()
-    SweepConfig(size=7, allow_large=True).validate()
+    # exhaustive mode cannot finish past two states, allow_large or not
+    for size in (3, 4, 7):
+        with pytest.raises(ValueError, match="cannot finish past two states"):
+            SweepConfig(size=size, allow_large=True).validate()
 
 
 def test_sweep_error_names_serial_partition(monkeypatch):
-    def failing(n, codes):
+    def failing(n, beliefs, selections):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(sweep_module, "_lane_tables", failing)
@@ -476,14 +531,14 @@ def test_sweep_error_names_pool_partition(monkeypatch, bounded):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     # three partitions of 40 frames each; the first two go to workers
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
-    codes = list(sweep_module._sample_codes(2, 120, 16))
+    codes = helpers.oracle_sample_codes(2, 120, 16)
     assert codes.index(codes[50]) == 50 and codes[50] not in codes[80:]
     _fail_on(monkeypatch, {codes[50]})
     with pytest.raises(SweepError) as exc:
         sweep(cfg, workers=3)
     assert str(exc.value) == "sweep aborted: partition codes[40:80] (seed 16) failed: injected"
     assert exc.value.partial_report.totals["frames"] == 80  # the first and the last
-    assert multiprocessing.active_children() == []
+    helpers.no_children()
 
     # a worker and the parent both fail: the lower partition is named
     assert codes.index(codes[110]) == 110
@@ -492,7 +547,7 @@ def test_sweep_error_names_pool_partition(monkeypatch, bounded):
         sweep(cfg, workers=3)
     assert str(exc.value) == "sweep aborted: partition codes[40:80] (seed 16) failed: injected"
     assert exc.value.partial_report.totals["frames"] == 40
-    assert multiprocessing.active_children() == []
+    helpers.no_children()
 
 
 def test_sweep_error_names_parent_partition(monkeypatch, bounded):
@@ -502,7 +557,7 @@ def test_sweep_error_names_parent_partition(monkeypatch, bounded):
         sweep(SweepConfig(size=1, mode="exhaustive"), workers=2)
     assert str(exc.value) == "sweep aborted: partition codes[1:2] failed: injected"
     assert exc.value.partial_report.totals["frames"] == 1
-    assert multiprocessing.active_children() == []
+    helpers.no_children()
 
 
 @needs_fork
@@ -510,7 +565,7 @@ def test_worker_traceback_is_the_cause_of_its_failure(monkeypatch, bounded):
     # pickling drops a worker's traceback, so the worker sends it as text
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
-    codes = list(sweep_module._sample_codes(2, 120, 16))
+    codes = helpers.oracle_sample_codes(2, 120, 16)
     assert codes[10] not in codes[60:]  # so only the worker's partition fails
     _fail_on(monkeypatch, {codes[10]})
     with pytest.raises(SweepError) as exc:
@@ -521,27 +576,30 @@ def test_worker_traceback_is_the_cause_of_its_failure(monkeypatch, bounded):
     assert repr(failure) == "RuntimeError('injected')"
     remote = str(failure.__cause__)
     assert ", in failing\n" in remote and remote.endswith("RuntimeError: injected\n"), remote
-    assert multiprocessing.active_children() == []
+    helpers.no_children()
 
 
 @needs_fork
 def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bounded):
+    # a worker leaves by its own exit, or is killed by a signal, unreported
     parent, real = os.getpid(), sweep_module._run_partition
-
-    def dies_in_worker(config, codes):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real(config, codes)
-
-    monkeypatch.setattr(sweep_module, "_run_partition", dies_in_worker)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
-    with pytest.raises(SweepError) as exc:
-        sweep(cfg, workers=2)
-    assert str(exc.value) == (
-        "sweep aborted: partition codes[0:60] (seed 16) failed: worker exited with code 3")
-    assert exc.value.partial_report.totals["frames"] == 60  # the parent's partition
-    assert multiprocessing.active_children() == []
+    for code, leave in ((3, lambda: os._exit(3)),
+                        (-9, lambda: os.kill(os.getpid(), signal.SIGKILL))):
+
+        def dies_in_worker(config, codes, leave=leave):
+            if os.getpid() != parent:
+                leave()
+            return real(config, codes)
+
+        monkeypatch.setattr(sweep_module, "_run_partition", dies_in_worker)
+        with pytest.raises(SweepError) as exc:
+            sweep(cfg, workers=2)
+        assert str(exc.value) == ("sweep aborted: partition codes[0:60] (seed 16) failed: "
+                                  f"worker exited with code {code}")
+        assert exc.value.partial_report.totals["frames"] == 60  # the parent's partition
+        helpers.no_children()
 
 
 def test_keyboard_interrupt_in_parent_partition_propagates(monkeypatch, bounded):
@@ -557,12 +615,17 @@ def test_keyboard_interrupt_in_parent_partition_propagates(monkeypatch, bounded)
     cfg = SweepConfig(size=3, mode="random", count=3000, seed=16)
     with pytest.raises(KeyboardInterrupt):
         sweep(cfg, workers=3)
-    assert multiprocessing.active_children() == []
+    helpers.no_children()
+
+
+def _frame_route(config: dict, codes) -> Report:
+    """``_check_frames`` on these codes, in batches of ``BATCH_FRAMES``."""
+    return sweep_module._check_frames(config, helpers.code_batches(config["size"], codes))
 
 
 def _both_routes(config: dict, codes: range) -> tuple[dict, dict]:
     profiles = sweep_module._fold_profiles(config, codes).to_json()
-    frames = sweep_module._check_frames(config, codes).to_json()
+    frames = _frame_route(config, codes).to_json()
     return profiles, frames
 
 
@@ -590,7 +653,8 @@ def test_uniform_code_spells_the_profile_at_every_state():
         for key in keys:
             d, row = divmod(key, 1 << n * full)
             selected = (0, *[row >> n * (full - e) & full for e in range(1, full + 1)])
-            frame = frame_from_code(n, sweep_module._uniform_code(n, key))
+            beliefs, selections = sweep_module._uniform_frames(n, [key])
+            frame = frame_from_code(n, sweep_module._spell_code(n, beliefs, selections, 0))
             assert tuple(frame.belief) == (d + 1,) * n, (n, key)
             assert tuple(frame.union) == (selected,) * n, (n, key)
 
@@ -622,7 +686,7 @@ def _three_state_starts(count: int, seed: int) -> list[int]:
     ranges from them cross a block end.  The first block is one where every
     state believes {s0} and s0 selects nothing, so P2 holds throughout."""
     rng = random.Random(seed)
-    starts = list(sweep_module._sample_codes(3, count, seed))
+    starts = helpers.oracle_sample_codes(3, count, seed)
     starts += [frame_code(helpers.ranked_frame(rng, 3)) for _ in range(count)]
     ends = [rng.randrange(1, 1 << 21), rng.randrange(1, frame_count(3) >> 21)]
     return starts + [(end << 21) - 3 for end in ends]
@@ -639,23 +703,35 @@ def test_profile_route_equals_frame_route_three_state_codes(monkeypatch):
         calls["n"] = 0
         profiles = sweep_module._fold_profiles(config, codes).to_json()
         assert 0 < calls["n"] <= 3 * len(codes), start
-        assert profiles == sweep_module._check_frames(config, codes).to_json(), start
+        assert profiles == _frame_route(config, codes).to_json(), start
         attempted += profiles["replay"]["attempted"]
     assert attempted > 0
 
 
+class _BrokenK2(sweep_module.PostulateEvaluator):
+    # K2 also fails at every state whose union for the event {s0, s1} is empty
+    postulate = AgmPostulateId.K2
+
+    def __init__(self, *frames, tables=None):
+        super().__init__(*frames, tables=tables)
+        self.broken = self.states & ~self._fold(self.union[3])
+
+    def lane_failures(self, k):
+        failed = super().lane_failures(k)
+        return failed | self.broken if k is self.postulate else failed
+
+
+class _BrokenK5b(_BrokenK2):
+    # K5b also fails at every state that believes s0
+    postulate = AgmPostulateId.K5B
+
+    def __init__(self, *frames, tables=None):
+        super().__init__(*frames, tables=tables)
+        self.broken = self.belief & self.states
+
+
 def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
     real_recipe = sweep_module.countermodel_recipe
-
-    class BrokenK2(sweep_module.PostulateEvaluator):
-        # K2 also fails at every state whose union for the event {s0, s1} is empty
-        def __init__(self, *frames, tables=None):
-            super().__init__(*frames, tables=tables)
-            self.broken = self.states & ~self._fold(self.union[3])
-
-        def lane_failures(self, k):
-            failed = super().lane_failures(k)
-            return failed | self.broken if k is AgmPostulateId.K2 else failed
 
     def broken_a2_recipe(k):
         if k is not AxiomId.A2:
@@ -664,7 +740,7 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
         # event, which cannot falsify A2
         return lambda e, f: ("belief", 3), lambda e, f, u: (0,) if u == 3 else (e,)
 
-    monkeypatch.setattr(sweep_module, "PostulateEvaluator", BrokenK2)
+    monkeypatch.setattr(sweep_module, "PostulateEvaluator", _BrokenK2)
     monkeypatch.setattr(sweep_module, "countermodel_recipe", broken_a2_recipe)
     for n, partitions in ((2, [(4000, 4321, 9000)]), (3, [
             (start, start + 40, start + 120) for start in _three_state_starts(3, 22)])):
@@ -672,7 +748,7 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
         kinds, replay = set(), Counter()
         for bounds in partitions:
             routes = []
-            for route in (sweep_module._fold_profiles, sweep_module._check_frames):
+            for route in (sweep_module._fold_profiles, _frame_route):
                 parts = [route(config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
                 routes.append([p.to_json() for p in parts] + [merge_reports(parts).to_json()])
             assert routes[0] == routes[1], (n, bounds)
@@ -683,16 +759,35 @@ def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
         assert replay["falsified"] < replay["attempted"]
 
 
+def test_flagged_random_frames_carry_the_per_digit_draw_digest(monkeypatch, bounded):
+    # a random sweep spells a flagged frame's code from its drawn bytes: the
+    # digests are those of the per-digit draw's codes, on one or two workers
+    monkeypatch.setattr(sweep_module, "PostulateEvaluator", _BrokenK5b)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    for n, count, seed in ((2, 800, 31), (3, 600, 32)):
+        expected = []
+        for code in helpers.oracle_sample_codes(n, count, seed):
+            frame = frame_from_code(n, code)
+            if check_property(frame, PropertyId.P5) is None and any(b & 1 for b in frame.belief):
+                expected.append({"agm": False, "digest": f"{n}:{code}", "k": 5,
+                                 "kind": "property_vs_agm", "property": True})
+        assert len(expected) >= 5, (n, len(expected))
+        expected.sort(key=lambda d: d["digest"])
+        cfg = SweepConfig(size=n, mode="random", count=count, seed=seed, ks=(2, 5))
+        for workers in (1, 2):
+            assert sweep(cfg, workers=workers).discrepancies == expected, (n, workers)
+
+
 def _count_checked_frames(monkeypatch) -> dict:
     """Counts the frames (or profiles' uniform frames) that go through the
     per-frame step, and checks that no batch exceeds BATCH_FRAMES."""
     calls = {"n": 0}
     real = sweep_module._batch_verdicts
 
-    def spy(n, codes, ks):
-        assert 0 < len(codes) <= sweep_module.BATCH_FRAMES
-        calls["n"] += len(codes)
-        return real(n, codes, ks)
+    def spy(n, beliefs, selections, ks):
+        assert 0 < len(beliefs) // n <= sweep_module.BATCH_FRAMES
+        calls["n"] += len(beliefs) // n
+        return real(n, beliefs, selections, ks)
 
     monkeypatch.setattr(sweep_module, "_batch_verdicts", spy)
     return calls
@@ -788,7 +883,7 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
     for n, count, ks in ((1, 5, every_k), (2, 61, every_k), (3, 131, (8, 2, 5)), (4, 13, every_k),
                          (5, 5, every_k)):
         codes = []
-        for code in sweep_module._sample_codes(n, count, 138 + n):
+        for code in helpers.oracle_sample_codes(n, count, 138 + n):
             codes += [code, frame_code(helpers.ranked_frame(rng, n))]
         config = SweepConfig(size=n, mode="random", count=len(codes), seed=0, ks=ks,
                              allow_large=n > 4).echo()
@@ -796,7 +891,7 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
         assert expected["replay"]["attempted"] > 0 or n == 1
         for batch in (1, 7, sweep_module.BATCH_FRAMES):
             monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
-            assert sweep_module._check_frames(config, codes).to_json() == expected, (n, batch)
+            assert _frame_route(config, codes).to_json() == expected, (n, batch)
     # the profile route on exhaustive ranges around a ranked code, whose
     # ends cut blocks
     for n, ks in ((1, every_k), (2, every_k), (2, (8, 2, 5))):
@@ -818,7 +913,7 @@ def _assert_code_tables_match(n: int, codes, oracle: dict) -> None:
     read off them against ``helpers.oracle_tables`` of each frame, lane
     by lane (``oracle`` caches those by code)."""
     frames = tuple(frame_from_code(n, code) for code in codes)
-    tables = sweep_module._lane_tables(n, codes)
+    tables = sweep_module._lane_tables(n, *helpers.code_digits(n, codes))
     assert tables == frame_tables(frames, selection=True), (n, len(codes))
     evaluator, full = SchemaEvaluator(tables=tables), (1 << n) - 1
     for lane, (code, frame) in enumerate(zip(codes, frames)):
@@ -835,7 +930,7 @@ def _omit_edges(n: int, codes) -> set:
     """Which edges of the superset DP's ``omit`` these codes' tables
     reach: "none" where some state x is in no lane's event (the ANDs are
     skipped), "every" where it is in every lane's event (``omit`` is 0)."""
-    tables = sweep_module._lane_tables(n, codes)
+    tables = sweep_module._lane_tables(n, *helpers.code_digits(n, codes))
     states = (1 << tables.lanes * n) - 1
     blocks = [u >> x * tables.lanes * n & states for u in (tables.belief, *tables.union[1:])
               for x in range(n)]
@@ -863,7 +958,7 @@ def test_code_tables_equal_frame_tables_sampled_and_ranked():
     # run on every lane count
     rng = random.Random(149)
     for n in (1, 2, 3, 4, 5):
-        sampled = list(sweep_module._sample_codes(n, 250, 150 + n))
+        sampled = helpers.oracle_sample_codes(n, 250, 150 + n)
         ranked = [frame_code(helpers.ranked_frame(rng, n)) for _ in range(250)]
         mixed = [code for pair in zip(sampled, ranked) for code in pair][:250]
         edge = [_edge_code(frame_from_code(n, code)) for code in sampled]
@@ -873,6 +968,11 @@ def test_code_tables_equal_frame_tables_sampled_and_ranked():
                 _assert_code_tables_match(n, codes[:lanes], oracle)
         for lanes in (1, 7, 250):
             assert _omit_edges(n, edge[:lanes]) == ({"every"} if n == 1 else {"every", "none"}), n
+        # the bytes the block draw hands the table builder, against the
+        # decoded frames of the per-digit draw
+        drawn = next(sweep_module._sample_batches(n, 150 + n, 0, 250))
+        frames = tuple(frame_from_code(n, code) for code in sampled)
+        assert sweep_module._lane_tables(n, *drawn) == frame_tables(frames, selection=True), n
 
 
 def test_batch_recipes_equal_countermodel_assignment(monkeypatch):
@@ -890,13 +990,13 @@ def test_batch_recipes_equal_countermodel_assignment(monkeypatch):
     rng = random.Random(153)
     checked = 0
     for n, count in ((1, 30), (2, 400), (3, 300), (4, 60), (5, 8)):
-        codes = list(sweep_module._sample_codes(n, count, 154 + n))
+        codes = helpers.oracle_sample_codes(n, count, 154 + n)
         codes += [frame_code(helpers.ranked_frame(rng, n)) for _ in range(5)]
         rng.shuffle(codes)
         for lo in range(0, len(codes), 250):
             batch = codes[lo : lo + 250]
             calls.clear()
-            sweep_module._batch_verdicts(n, batch, sweep_module.DEFAULT_KS)
+            sweep_module._batch_verdicts(n, *helpers.code_digits(n, batch), sweep_module.DEFAULT_KS)
             assert len(calls) == len(sweep_module.DEFAULT_KS)
             for k, groups in calls:
                 for assignment, states in groups.items():
@@ -929,13 +1029,13 @@ def test_replay_groups_equal_lane_by_lane_groups():
     rng = random.Random(157)
     most = 0  # the most classes one hit split into
     for n in (1, 2, 3, 4, 5):
-        sampled = list(sweep_module._sample_codes(n, 250, 158 + n))
+        sampled = helpers.oracle_sample_codes(n, 250, 158 + n)
         ranked = [frame_code(helpers.ranked_frame(rng, n)) for _ in range(250)]
         mixed = [code for pair in zip(ranked, sampled) for code in pair][:250]
         for codes in (sampled, ranked, mixed):
             for lanes in (1, 7, 250):
                 batch = codes[:lanes]
-                tables = sweep_module._lane_tables(n, batch)
+                tables = sweep_module._lane_tables(n, *helpers.code_digits(n, batch))
                 properties = sweep_module.PropertyEvaluator(tables=tables)
                 for k in sweep_module.DEFAULT_KS:
                     _, hits = properties.lane_hits(PropertyId(f"P{k}"))
@@ -985,7 +1085,9 @@ def _assert_grouped_replays_match(frames, ks=sweep_module.DEFAULT_KS, batch=250)
     replays = 0
     for lo in range(0, len(frames), batch):
         part = frames[lo : lo + batch]
-        verdicts = sweep_module._batch_verdicts(part[0].n, [frame_code(f) for f in part], ks)
+        n = part[0].n
+        digits = helpers.code_digits(n, map(frame_code, part))
+        verdicts = sweep_module._batch_verdicts(n, *digits, ks)
         for frame, packed in zip(part, verdicts):
             ok, falsified = divmod(packed, 1 << len(ks))
             assert falsified == _per_violation_falsified(frame, ks), (frame_digest(frame), ks)
@@ -1020,7 +1122,7 @@ def test_grouped_replays_equal_per_violation_replays_ranked_among_sampled():
 def test_batch_replays_once_per_distinct_countermodel(monkeypatch):
     # the 1,000 seed-42 frames in batches of 250: 5,587 violations share
     # 526 distinct (axiom, assignment) countermodels within their batches
-    codes = list(sweep_module._sample_codes(3, 1000, 42))
+    codes = helpers.oracle_sample_codes(3, 1000, 42)
     replayed = []
     real = SchemaEvaluator.holds_mask
 
@@ -1030,7 +1132,8 @@ def test_batch_replays_once_per_distinct_countermodel(monkeypatch):
 
     monkeypatch.setattr(SchemaEvaluator, "holds_mask", spy)
     for lo in range(0, 1000, 250):
-        sweep_module._batch_verdicts(3, codes[lo : lo + 250], sweep_module.DEFAULT_KS)
+        sweep_module._batch_verdicts(3, *helpers.code_digits(3, codes[lo : lo + 250]),
+                                     sweep_module.DEFAULT_KS)
     assert len(replayed) == len(set(replayed)) == 526
 
 
@@ -1045,9 +1148,9 @@ def test_partition_hashes_no_enum_per_frame(monkeypatch):
         return real(self)
 
     config = SweepConfig(size=3, mode="random", count=1000, seed=42).echo()
-    codes = list(sweep_module._sample_codes(3, 1000, 42))
+    batches = helpers.code_batches(3, helpers.oracle_sample_codes(3, 1000, 42))
     monkeypatch.setattr(enum.Enum, "__hash__", counting)
-    sweep_module._run_partition(config, codes)
+    sweep_module._run_partition(config, batches)
     monkeypatch.undo()
     assert hashes[0] <= 100
 
