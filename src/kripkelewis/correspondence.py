@@ -12,9 +12,12 @@ Sweeps check frames in batches: a lane-batched ``PropertyEvaluator``,
 ``SchemaEvaluator`` and ``PostulateEvaluator`` scan each property, schema
 and conditioned postulate once per batch, and each distinct countermodel
 is replayed once for the state mask of its violations (see
-:func:`_replay_groups`).  The mode picks the route: an exhaustive
-partition checks only the uniform frames of its local profiles
-``(belief[s], union[s])`` and folds their verdicts block by block, with no
+:func:`_replay_groups`).  Verdicts stay in columns, one lane mask per
+check, and one counter turns them into the report's cells by popcount,
+building records only for flagged frames (see :func:`_count_columns`).
+The mode picks the route: an exhaustive partition checks only the uniform
+frames of its local profiles ``(belief[s], union[s])`` and folds their
+verdict columns a span of codes at a time through byte tables, with no
 Python per frame (see :func:`_fold_profiles`), and a random one checks its
 frames batch by batch as they are parsed off blocks of the seeded words
 (see :func:`_sample_batches`).  A partition is a range of the frame
@@ -27,8 +30,8 @@ from __future__ import annotations
 import os
 import random
 import re
+import sys
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, islice
@@ -205,8 +208,8 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
     """Run property, axiom and postulate checks on one frame and flag any
     disagreement the correspondence asserts cannot happen."""
     selections = bytes([d for row in frame.selection for d in row[1:]])
-    (verdicts,) = _batch_verdicts(frame.n, bytes(frame.belief), selections, ks)
-    record = _unpack_verdicts(verdicts, ks, frame_digest(frame))
+    columns = _batch_verdicts(frame.n, bytes(frame.belief), selections, ks)
+    record = _lane_record(columns, ks, -1, frame_digest(frame))
     record.discrepancies = _discrepancies(record)
     return record
 
@@ -217,11 +220,6 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
 BATCH_FRAMES = 250
 
 _BITS = [(b"0" * 2**x + b"1" * 2**x) * (128 >> x) for x in range(8)]  # bit x as b"0" or b"1"
-
-# A frame's verdicts packed into one int, with ``ks`` indexed by position
-# i and m = len(ks).  Bit i says the replay for a violated Pk falsified Ak.
-# The bits from m on are ``ok``: bit i of ok is Pk, bit m + i is Ak, bit
-# 2m + i is Kk at every state, then one bit per ALWAYS_VALID_NAMES entry.
 
 
 def _lane_tables(n: int, beliefs: bytes, selections: bytes) -> LaneTables:
@@ -244,19 +242,23 @@ def _lane_tables(n: int, beliefs: bytes, selections: bytes) -> LaneTables:
 
 
 def _batch_verdicts(n: int, beliefs: bytes, selections: bytes, ks: tuple[int, ...]) -> list[int]:
-    """Packed verdicts of a batch of frames on n states, given as its bytes.
-    One property, one schema and one postulate evaluator share the lane
-    tables of :func:`_lane_tables`, so each property, schema and conditioned
-    postulate is scanned once for all the frames, and each column comes
-    back as a state mask over the lanes.  Property violations are grouped
-    by their countermodel (see :func:`_replay_groups`), and each group is
-    replayed once, every violation reading its own state off the shared mask."""
+    """The verdict columns of a batch of frames on n states, given as its
+    bytes: masks with bit ``lane * n`` set where that lane's frame has the
+    mark.  With ``ks`` indexed by position i and m = len(ks), column i
+    marks a violated Pk whose replay falsified Ak, m + i a failed Pk,
+    2m + i a failed Ak, 3m + i a Kk failing at some state, 4m a failed A1
+    (the other always-valid columns cannot fail).  One property, one schema
+    and one postulate evaluator share the lane tables of :func:`_lane_tables`,
+    so each check is scanned once for all the frames.  Property violations
+    are grouped by their countermodel (see :func:`_replay_groups`), and
+    each group is replayed once, every violation reading its own state off
+    the shared mask."""
     tables = _lane_tables(n, beliefs, selections)
     schemas = SchemaEvaluator(tables=tables)
     postulates = PostulateEvaluator(tables=tables)
     properties = PropertyEvaluator(tables=tables)
     axioms = [_AXIOM[k] for k in ks]
-    failures = []  # the failing states of each ``ok`` bit, in bit order
+    failures = []  # the failing states of each failure column, in column order
     falsified = []  # per k: the violations whose replay falsified Ak
     for k, axiom in zip(ks, axioms):
         failed, hits = properties.lane_hits(_PROP[k])
@@ -268,8 +270,8 @@ def _batch_verdicts(n: int, beliefs: bytes, selections: bytes, ks: tuple[int, ..
     failures += [schemas.lane_failures(axiom) for axiom in axioms]
     failures += [postulates.lane_failures(_AGM[k]) for k in ks]
     failures.append(schemas.lane_failures(AxiomId.A1))  # the other always-valid columns cannot fail
-    every = (1 << 3 * len(ks) + len(ALWAYS_VALID_NAMES)) - 1
-    return [word ^ every << len(ks) for word in _lane_words(falsified + failures, n, tables.lanes)]
+    layout = lane_layout(n, tables.lanes)
+    return [layout.spread(mask) & layout.low for mask in falsified + failures]
 
 
 def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, ...], int]:
@@ -299,31 +301,19 @@ def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, 
     return groups
 
 
-def _lane_words(columns: list[int], n: int, lanes: int) -> list[int]:
-    """Per lane, the int whose bit j is set iff the state mask
-    ``columns[j]`` has a state of that lane.  Each column is spread to
-    every state of each lane it touches, its lane bits are read off its
-    binary digits, one every n, and each lane's word is spelled from them,
-    highest column first."""
-    layout = lane_layout(n, lanes)
-    width, spread = layout.width, layout.spread
-    digits = [f"{spread(mask):0{width}b}"[width - 1 :: -n] for mask in reversed(columns)]
-    return [int("".join(bits), 2) for bits in zip(*digits)]
-
-
-def _unpack_verdicts(verdicts: int, ks: tuple[int, ...], digest: str) -> FrameRecord:
-    """The record of a frame with these packed verdicts; its discrepancies
-    are left for :func:`_discrepancies`."""
+def _lane_record(columns: list[int], ks: tuple[int, ...], lane: int, digest: str) -> FrameRecord:
+    """The record of the frame that has the bits of the mask ``lane`` in
+    these verdict columns; its discrepancies are left for
+    :func:`_discrepancies`."""
     m = len(ks)
-    ok = verdicts >> m
-    property_pass = {k: bool(ok >> i & 1) for i, k in enumerate(ks)}
+    ok = [not column & lane for column in columns]  # the first m: not falsified
     return FrameRecord(
         digest,
-        property_pass,
-        {k: bool(ok >> (m + i) & 1) for i, k in enumerate(ks)},
-        {k: bool(ok >> (2 * m + i) & 1) for i, k in enumerate(ks)},
-        {name: bool(ok >> (3 * m + j) & 1) for j, name in enumerate(ALWAYS_VALID_NAMES)},
-        [(k, bool(verdicts >> i & 1)) for i, k in enumerate(ks) if not property_pass[k]],
+        dict(zip(ks, ok[m:])),
+        dict(zip(ks, ok[2 * m :])),
+        dict(zip(ks, ok[3 * m :])),
+        {name: ok[4 * m] or j > 0 for j, name in enumerate(ALWAYS_VALID_NAMES)},
+        [(k, not ok[i]) for i, k in enumerate(ks) if not ok[m + i]],
         [],
     )
 
@@ -375,6 +365,8 @@ class SweepConfig:
         if self.mode == "random":
             if self.count is None or self.count < 1:
                 raise ValueError("random mode requires count >= 1")
+            if self.count > sys.maxsize:
+                raise ValueError(f"random mode takes count at most {sys.maxsize} (sys.maxsize)")
             if self.seed is None:
                 raise ValueError("random mode requires a seed")
             if self.size > MAX_RANDOM_SIZE and not self.allow_large:
@@ -429,24 +421,24 @@ class Report:
             always_valid={name: 0 for name in ALWAYS_VALID_NAMES},
         )
 
-    def add_record(self, record: FrameRecord, frames: int = 1) -> None:
-        """Count ``frames`` frames with ``record``'s verdicts and keep its
+    def add_record(self, record: FrameRecord) -> None:
+        """Count one frame with ``record``'s verdicts and keep its
         discrepancies."""
-        self.totals["frames"] += frames
+        self.totals["frames"] += 1
         for k, prop in record.property_pass.items():
             axiom = record.axiom_valid[k]
             cell = ("p" if prop else "f") + ("p" if axiom else "f")
-            self.per_axiom[_PROP[k].value][cell] += frames
+            self.per_axiom[_PROP[k].value][cell] += 1
             agm = record.agm_all_states[k]
             cell = ("p" if prop else "f") + ("p" if agm else "f")
-            self.per_agm[_AGM_NAME[k]][cell] += frames
+            self.per_agm[_AGM_NAME[k]][cell] += 1
             if not prop:
-                self.totals["property_violations"] += frames
+                self.totals["property_violations"] += 1
         for name, ok in record.always_valid.items():
-            self.always_valid[name] += ok * frames
+            self.always_valid[name] += ok
         for _, falsified in record.replays:
-            self.replay["attempted"] += frames
-            self.replay["falsified"] += falsified * frames
+            self.replay["attempted"] += 1
+            self.replay["falsified"] += falsified
         self.discrepancies.extend(record.discrepancies)
 
     def to_json(self) -> dict:
@@ -508,103 +500,147 @@ def _check_frames(config: dict, batches: Iterable[tuple[bytes, bytes]]) -> Repor
     """Check the frames batch by batch as they come (see
     :func:`_batch_verdicts`), so a partition is never held whole."""
     n, ks = config["size"], tuple(config["ks"])
-    outcomes = _Outcomes(ks)
-    return _tally(config, outcomes, (
-        (partial(_spell_code, n, *batch), [outcomes[v] for v in _batch_verdicts(n, *batch, ks)])
-        for batch in batches))
-
-
-class _Outcomes(dict):
-    """Packed verdicts interned as small ints: ``outcomes[verdicts]`` is an
-    id, ``packed[id]`` the verdicts and ``flagged[id]`` their discrepancies,
-    if any.  ``outcomes[a, b]`` folds the verdicts of the states above a
-    state (id a) with that state's (id b)."""
-
-    def __init__(self, ks: tuple[int, ...]):
-        super().__init__()
-        self.ks, self.packed, self.flagged = ks, [], {}
-
-    def __missing__(self, key: int | tuple[int, int]) -> int:
-        if isinstance(key, tuple):
-            (a, b), low = map(self.packed.__getitem__, key), (1 << len(self.ks)) - 1
-            # the lower state's replay wins where it violates the property
-            self[key] = i = self[a & b & ~low | (a & b >> len(self.ks) | b) & low]
-            return i
-        self[key] = i = len(self.packed)
-        self.packed.append(key)
-        if found := _discrepancies(_unpack_verdicts(key, self.ks, "")):
-            self.flagged[i] = found
-        return i
-
-
-def _tally(config: dict, outcomes: _Outcomes,
-           batches: Iterable[tuple[Callable[[int], int], list[int]]]) -> Report:
-    """Report on frames given batch by batch as ``(code_of, outcome ids)``
-    in frame order, counted by outcome; a flagged one's frames get digests,
-    ``code_of(j)`` the code of the batch's frame j."""
-    n, flagged = config["size"], outcomes.flagged
-    tally: Counter[int] = Counter()
     report = Report.empty(config)
-    for code_of, ids in batches:
-        tally.update(ids)
-        if not flagged.keys().isdisjoint(ids):
-            for j, i in enumerate(ids):
-                for found in flagged.get(i, ()):
-                    report.discrepancies.append({**found, "digest": f"{n}:{code_of(j)}"})
-    for i, frames in tally.items():
-        report.add_record(_unpack_verdicts(outcomes.packed[i], outcomes.ks, ""), frames)
+    for batch in batches:
+        _count_columns(report, _batch_verdicts(n, *batch, ks), len(batch[0]) // n, n,
+                       partial(_spell_code, n, *batch))
     return report
+
+
+def _count_columns(report: Report, columns: list[int], lanes: int, stride: int,
+                   code_of: Callable[[int], int]) -> None:
+    """Add ``lanes`` frames to ``report`` from their verdict columns, frame
+    i at one bit from ``i * stride`` up to ``i * stride + stride``, the same
+    bit in the four columns of one k: every cell is a popcount, and only
+    the flagged frames, in order, get records, whose discrepancies carry the
+    digest of ``code_of(i)``."""
+    ks, n = report.config["ks"], report.config["size"]
+    m = len(ks)
+    a1 = columns[4 * m]
+    flagged = a1
+    for i, k in enumerate(ks):
+        falsified, failed, axiom, agm = columns[i : 4 * m : m]
+        violations = failed.bit_count()
+        for cells, other, gap in ((report.per_axiom[_PROP[k].value], axiom, False),
+                                  (report.per_agm[_AGM_NAME[k]], agm, k == 4)):
+            fails = both = violations  # where the columns agree, as they must but for K4
+            if differ := failed ^ other:
+                fails, both = other.bit_count(), (failed & other).bit_count()
+                flagged |= differ & other if gap else differ  # P4 failing, K4 holding: data
+            cells["pp"] += lanes - violations - fails + both
+            cells["pf"] += fails - both
+            cells["fp"] += violations - both
+            cells["ff"] += both
+        unfalsified = failed ^ falsified  # the replays falsify only where Pk fails
+        report.totals["property_violations"] += violations
+        report.replay["attempted"] += violations
+        report.replay["falsified"] += violations - unfalsified.bit_count()
+        flagged |= unfalsified
+    report.totals["frames"] += lanes
+    for j, name in enumerate(ALWAYS_VALID_NAMES):  # A1 first, the only one that can fail
+        report.always_valid[name] += lanes - (0 if j else a1.bit_count())
+    lane = (1 << stride) - 1
+    while flagged:
+        i = ((flagged & -flagged).bit_length() - 1) // stride
+        flagged &= ~(lane << i * stride)
+        record = _lane_record(columns, ks, lane << i * stride, f"{n}:{code_of(i)}")
+        report.discrepancies += _discrepancies(record)
+
+
+def _profile_columns(n: int, keys: list[int], ks: tuple[int, ...]) -> list[bytes]:
+    """The verdict columns of the uniform frames of these profile keys
+    (:func:`_uniform_frames`), eight to a byte: group g holds one byte per
+    key, column gm + j at bit j and, in group 1, A1 at bit 7.  At most
+    ``BATCH_FRAMES`` keys go to one call of :func:`_batch_verdicts`."""
+    m = len(ks)
+    places = [divmod(c, m) for c in range(4 * m)] + [(1, 7)]
+    groups = [b""] * 4
+    for i in range(0, len(keys), BATCH_FRAMES):
+        profiles = keys[i : i + BATCH_FRAMES]
+        batch = [0] * 4
+        for column, (g, j) in zip(_batch_verdicts(n, *_uniform_frames(n, profiles), ks), places):
+            digits = f"{column:0{n * len(profiles)}b}"[::-n].encode()  # lane i's bit is digit i
+            bits = bytes.maketrans(b"01", bytes([0, 1 << j]))  # digit 1 as bit j
+            batch[g] |= int.from_bytes(digits.translate(bits), "little")
+        groups = [old + new.to_bytes(len(profiles), "little") for old, new in zip(groups, batch)]
+    return groups
+
+
+# Codes an exhaustive partition folds at once, at most: a power of two.
+SPAN_CODES = 1 << 13
+
+
+@lru_cache(maxsize=None)
+def _span_rows(n: int, span: int, believed: int) -> bytes:
+    """Per code i of a span from a multiple of ``span``, one byte: the OR of
+    the bits of the believed states' selection rows that vary in the span,
+    each row spelled from its period.  A span of the fold lies in one run of
+    equal belief digits and, past two states, has at most 256 codes, so the
+    rest of each profile key is fixed in it."""
+    width = n * ((1 << n) - 1)
+    rows = 0
+    for x in range(n):
+        held = 1 << (n - 1 - x) * width
+        if believed >> x & 1 and held < span:
+            period = b"".join([bytes([v]) * held for v in range(min(1 << width, span // held))])
+            rows |= int.from_bytes(period * (span // len(period)), "little")
+    return rows.to_bytes(span, "little")
+
+
+@lru_cache(maxsize=4)
+def _byte_bits(count: int) -> list[int]:
+    """Bit j of each of ``count`` bytes, per j."""
+    return [int.from_bytes(bytes([1 << j]) * count, "little") for j in range(8)]
 
 
 def _fold_profiles(config: dict, codes: range) -> Report:
     """Fold the verdicts of the frames with these consecutive codes from
-    their states' profiles ``(belief[s], union[s])``.
-
-    Each verdict of :func:`triple_check` is a conjunction over states of a
-    condition on the state's profile, whose verdicts are its uniform
-    frame's (:func:`_uniform_frames`), and a replay is the lowest violating
-    state's.  A code ends in n selection rows of ``width`` bits, state
-    n - 1's last, so on a block of 2^width codes a state that does not
-    believe state n - 1 keeps one profile, and one that does has
-    ``key | row``, key holding its belief digit and its other believed
-    rows' OR.  Each state's outcome ids on a block are one map over the
-    memo, folded from state n - 1 down.
-    """
+    their states' profiles ``(belief[s], union[s])``: each verdict of
+    :func:`triple_check` is a conjunction over states of a condition on the
+    state's profile, that of its uniform frame, and a replay is the lowest
+    violating state's.  In a span of codes (:func:`_span_rows`) a state's
+    profile key is ``scalar | row``, ``row`` one byte a code; a first pass
+    checks the profiles each scalar meets into four translate tables
+    (:func:`_profile_columns`), then per span each state's rows are
+    translated to its verdict columns, the states are folded from n - 1
+    down by big-int OR, and :func:`_count_columns` counts the columns."""
     n, ks = config["size"], tuple(config["ks"])
-    outcomes = _Outcomes(ks)
     full = (1 << n) - 1
-    width = n * full
-    size, span = 1 << width, 1 << 16  # codes whose new profiles are checked at once
-    memo: dict[int, int] = {}  # profile key -> outcome id
-
-    def batches() -> Iterator[tuple[range, list[int]]]:
-        for start in range(codes.start - codes.start % span, codes.stop, span):
-            lo, hi = max(codes.start, start), min(codes.stop, start + span)
-            firsts = range(lo - lo % size, hi, size)  # of the blocks
-            index: dict = {}  # (key, row mask, rows) -> column
-            at = []  # per block, n - 1 down: columns (ints, as a tuple per block wakes the GC)
-            for first in firsts:
-                rows = range(max(lo - first, 0), min(hi - first, size))
-                above = [first >> (n - 1 - x) * width & size - 1 for x in range(n)]  # n - 1's is 0
-                for i in range(n):
-                    d = (first >> n * width) // full**i % full
-                    key = reduce(or_, [above[x] for x in range(n) if d + 1 >> x & 1], d << width)
-                    varies = size - 1 if d + 1 >> n - 1 else 0  # believes state n - 1
-                    at.append(index.setdefault((key, varies, rows), len(index)))
-            keys = [list(map(key.__or__, map(varies.__and__, rows))) for key, varies, rows in index]
-            unseen = list(set().union(*keys).difference(memo))
-            for i in range(0, len(unseen), BATCH_FRAMES):
-                profiles = unseen[i : i + BATCH_FRAMES]
-                verdicts = _batch_verdicts(n, *_uniform_frames(n, profiles), ks)
-                memo.update(zip(profiles, map(outcomes.__getitem__, verdicts)))
-            columns = [list(map(memo.__getitem__, k)) for k in keys]
-            for first, j in zip(firsts, range(0, len(at), n)):
-                folded = columns[at[j]]
-                for column in at[j + 1 : j + n]:
-                    folded = list(map(outcomes.__getitem__, zip(folded, columns[column])))
-                yield range(max(lo, first), min(hi, first + size)).__getitem__, folded
-
-    return _tally(config, outcomes, batches())
+    width, size = n * full, 1 << n * full
+    span = min(SPAN_CODES, size**n if size <= 256 else 256)
+    seen: dict[int, bytearray] = {}  # scalar -> the rows met with it
+    met, spans = [], []  # each (scalar, row) met, once; per span (first, lo, hi, states)
+    for start in range(codes.start - codes.start % span, codes.stop, span):
+        lo, hi = max(codes.start, start) - start, min(codes.stop, start + span) - start
+        fixed = [start >> (n - 1 - x) * width & size - 1 for x in range(n)]
+        states = []  # (scalar, believed set), n - 1 down
+        for s in reversed(range(n)):
+            believed = (start >> n * width) // full ** (n - 1 - s) % full + 1
+            scalar = reduce(or_, [fixed[x] for x in range(n) if believed >> x & 1],
+                            believed - 1 << width)
+            rows = seen.setdefault(scalar, bytearray())
+            unseen = sorted(set(_span_rows(n, span, believed)[lo:hi].translate(None, rows)))
+            rows += bytes(unseen)
+            met += [(scalar, row) for row in unseen]
+            states.append((scalar, believed))
+        spans.append((start + lo, lo, hi, states))
+    tables = {scalar: [bytearray(256) for _ in range(4)] for scalar in seen}
+    for g, group in enumerate(_profile_columns(n, [scalar | row for scalar, row in met], ks)):
+        for (scalar, row), byte in zip(met, group):
+            tables[scalar][g][row] = byte
+    report = Report.empty(config)
+    for first, lo, hi, states in spans:
+        folded = [0] * 4
+        for scalar, believed in states:
+            rows = _span_rows(n, span, believed)[lo:hi]
+            replays, failed, axioms, agms = [int.from_bytes(rows.translate(table), "little")
+                                             for table in tables[scalar]]
+            folded = [replays | (folded[0] | failed) ^ failed, failed | folded[1],
+                      axioms | folded[2], agms | folded[3]]
+        bits = _byte_bits(hi - lo)
+        columns = [group & bits[j] for group in folded for j in range(len(ks))]
+        _count_columns(report, columns + [folded[1] & bits[7]], hi - lo, 8, first.__add__)
+    return report
 
 
 def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]]:

@@ -516,6 +516,19 @@ def test_large_sweep_sizes_are_refused_at_once():
             proc.wait()
 
 
+def test_oversized_random_count_is_refused_before_any_fork(capsys, monkeypatch):
+    # a count past sys.maxsize is refused by its bound, not reported as a
+    # failed partition after workers have started
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 0)
+    for workers in ("1", "3"):
+        status, out, err = run(capsys, "sweep", "--size", "2", "--mode", "random", "--count",
+                               "99999999999999999999", "--seed", "1", "--workers", workers)
+        assert status == 2 and out == "", (workers, err)
+        assert err == f"error: random mode takes count at most {sys.maxsize} (sys.maxsize)\n"
+    assert forks == []
+
+
 def test_code_takes_up_to_seven_states(capsys):
     # the largest state count whose codes stay under int()'s digit limit
     for n in (5, 6, 7):

@@ -18,6 +18,7 @@ from kripkelewis import (
     PAIRED_PROPERTY,
     AxiomId,
     Frame,
+    FrameRecord,
     PropertyId,
     Report,
     SchemaEvaluator,
@@ -834,6 +835,20 @@ def test_random_partition_streams_its_codes():
     assert peak < 200_000, peak
 
 
+def test_exhaustive_fold_memory_stays_flat():
+    # the fold holds one span's columns at a time, not the partition's
+    config = SweepConfig(size=2).echo()
+    sweep_module._fold_profiles(config, range(frame_count(2)))  # first fill the caches
+    tracemalloc.start()
+    try:
+        report = sweep_module._fold_profiles(config, range(frame_count(2)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.totals["frames"] == frame_count(2)
+    assert peak < 300_000, peak
+
+
 # sha256 of the sorted-key JSON report without duration_ms: the byte-stable
 # report contract.  The first two were recorded before sweeps were
 # lane-batched, the four- and five-state ones before batches built their
@@ -893,16 +908,23 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
             monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
             assert _frame_route(config, codes).to_json() == expected, (n, batch)
     # the profile route on exhaustive ranges around a ranked code, whose
-    # ends cut blocks
-    for n, ks in ((1, every_k), (2, every_k), (2, (8, 2, 5))):
-        ranked = frame_code(helpers.ranked_frame(rng, n))
-        codes = range(max(ranked - 100, 0), min(ranked + 157, frame_count(n)))
+    # ends cut blocks, and across the ends of spans of 4,096 codes (where
+    # the belief digits change at two states), with the span also small
+    ranges = [(n, ks, max(ranked - 100, 0), min(ranked + 157, frame_count(n)))
+              for n, ks in ((1, every_k), (2, every_k), (2, (8, 2, 5)))
+              for ranked in [frame_code(helpers.ranked_frame(rng, n))]]
+    ranges += [(2, every_k, 4096 - 70, 4096 + 131), (2, (4, 7), 8 * 4096 - 3, 8 * 4096 + 260)]
+    for n, ks, lo, hi in ranges:
+        codes = range(lo, hi)
         config = SweepConfig(size=n, ks=ks).echo()
         expected = _per_frame_report(config, codes)
         assert expected["replay"]["attempted"] > 0 or n == 1
-        for batch in (1, 7, sweep_module.BATCH_FRAMES):
+        for batch, span in ((1, 2), (7, 64), (sweep_module.BATCH_FRAMES, 16),
+                            (sweep_module.BATCH_FRAMES, sweep_module.SPAN_CODES)):
             monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
-            assert sweep_module._fold_profiles(config, codes).to_json() == expected, (n, batch)
+            monkeypatch.setattr(sweep_module, "SPAN_CODES", span)
+            assert sweep_module._fold_profiles(config, codes).to_json() == expected, (
+                n, lo, batch, span)
 
 
 # --- lane tables spelled from frame codes, and the masks read off them -------
@@ -1087,11 +1109,12 @@ def _assert_grouped_replays_match(frames, ks=sweep_module.DEFAULT_KS, batch=250)
         part = frames[lo : lo + batch]
         n = part[0].n
         digits = helpers.code_digits(n, map(frame_code, part))
-        verdicts = sweep_module._batch_verdicts(n, *digits, ks)
-        for frame, packed in zip(part, verdicts):
-            ok, falsified = divmod(packed, 1 << len(ks))
+        columns = sweep_module._batch_verdicts(n, *digits, ks)
+        m = len(ks)
+        for lane, frame in enumerate(part):
+            falsified = sum((column >> lane * n & 1) << i for i, column in enumerate(columns[:m]))
             assert falsified == _per_violation_falsified(frame, ks), (frame_digest(frame), ks)
-            replays += sum(not ok >> i & 1 for i in range(len(ks)))
+            replays += sum(column >> lane * n & 1 for column in columns[m : 2 * m])
     return replays
 
 
@@ -1155,16 +1178,64 @@ def test_partition_hashes_no_enum_per_frame(monkeypatch):
     assert hashes[0] <= 100
 
 
-def test_lane_words_equal_a_per_lane_bit_loop():
-    # the ok and falsified words of _batch_verdicts, assembled from column
-    # masks, against reading each column's lanes one at a time
+def _per_lane_report(config: dict, columns: list[int], stride: int, offsets: list[int],
+                     codes: list[int]) -> dict:
+    """The report on these verdict columns read one lane and one column at
+    a time (column c of lane i at bit ``i * stride + offsets[c]``), one
+    ``add_record`` per lane."""
+    n, ks = config["size"], config["ks"]
+    m = len(ks)
+    report = Report.empty(config)
+    for lane, code in enumerate(codes):
+        mark = [bool(column >> lane * stride + at & 1) for column, at in zip(columns, offsets)]
+        record = FrameRecord(
+            f"{n}:{code}",
+            {k: not mark[m + i] for i, k in enumerate(ks)},
+            {k: not mark[2 * m + i] for i, k in enumerate(ks)},
+            {k: not mark[3 * m + i] for i, k in enumerate(ks)},
+            {name: j > 0 or not mark[4 * m]
+             for j, name in enumerate(sweep_module.ALWAYS_VALID_NAMES)},
+            [(k, mark[i]) for i, k in enumerate(ks) if mark[m + i]],
+            [],
+        )
+        record.discrepancies = sweep_module._discrepancies(record)
+        report.add_record(record)
+    return report.to_json()
+
+
+def test_column_count_equals_a_per_lane_loop():
+    # the one counter of both routes, against reading each lane's marks one
+    # at a time: random columns (most lanes flagged, one column all zero),
+    # columns that agree but for a few lanes, and all-zero ones; the fold's
+    # layout (stride 8, the columns of position i of ks at bit i, A1 at bit
+    # 7) next to the batch's
     rng = random.Random(146)
-    for n, lanes in ((1, 7), (2, 250), (3, 250), (3, 1), (5, 40)):
-        full = (1 << n) - 1
-        columns = [rng.getrandbits(n * lanes) & rng.getrandbits(n * lanes) for _ in range(21)]
-        columns[3] = 0
-        expected = [
-            sum(1 << j for j, mask in enumerate(columns) if mask >> lane * n & full)
-            for lane in range(lanes)
-        ]
-        assert sweep_module._lane_words(columns, n, lanes) == expected, (n, lanes)
+    flagged = 0
+    for n in (1, 2, 3, 4, 5):
+        for lanes in (1, 7, 250):
+            codes = [rng.randrange(frame_count(n)) for _ in range(lanes)]
+            for ks in (sweep_module.DEFAULT_KS, (8, 4), (4,)):
+                config = SweepConfig(size=n, ks=ks, allow_large=True).echo()
+                m = len(ks)
+                for stride, offsets in ((n, [0] * (4 * m + 1)), (8, [*range(m)] * 4 + [7])):
+                    def marked(rate: float) -> int:
+                        """A column that marks each lane with probability ``rate``."""
+                        return sum(1 << i * stride for i in range(lanes) if rng.random() < rate)
+
+                    failed = [marked(0.5) for _ in range(m)]
+                    cases = {  # (Pk failed, replay falsified, then Ak, Kk and A1 columns)
+                        "random": (failed, [f & marked(0.8) for f in failed],
+                                   [0] + [marked(0.5) for _ in range(2 * m)]),
+                        "agreeing": (failed, [f & ~marked(0.03) for f in failed],
+                                     [f ^ marked(0.03) for f in failed * 2] + [marked(0.03)]),
+                        "zero": ([0] * m, [0] * m, [0] * (2 * m + 1)),
+                    }
+                    for kind, (fails, falsified, others) in cases.items():
+                        columns = [*falsified, *fails, *others]
+                        placed = [column << at for column, at in zip(columns, offsets)]
+                        report = Report.empty(config)
+                        sweep_module._count_columns(report, placed, lanes, stride, codes.__getitem__)
+                        expected = _per_lane_report(config, placed, stride, offsets, codes)
+                        assert report.to_json() == expected, (n, lanes, ks, stride, kind)
+                        flagged += len(expected["discrepancies"])
+    assert flagged > 1000
