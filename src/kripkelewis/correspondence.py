@@ -96,33 +96,23 @@ def frame_count(n: int) -> int:
 
 
 def frame_code(frame: Frame) -> int:
-    """Canonical integer encoding; enumeration order is ascending code."""
-    full = frame.full
-    code = 0
-    for s in range(frame.n):
-        code = code * full + (frame.belief[s] - 1)
-    base = full + 1
-    for s in range(frame.n):
-        row = frame.selection[s]
-        for e in range(1, full + 1):
-            code = code * base + row[e]
-    return code
+    """Canonical integer encoding; enumeration order is ascending code.
+    Refuses a frame on more than 8 states, whose digits no byte holds."""
+    return _spell_code(frame.n, *_frame_bytes(frame), 0)
 
 
 def frame_from_code(n: int, code: int) -> Frame:
     full = (1 << n) - 1
     # the selection digits are base 2^n, so each is an n-bit field
-    digits = [code >> n * i & full for i in reversed(range(n * full))]
+    selections = [code >> n * i & full for i in reversed(range(n * full))]
     code >>= n * n * full
-    belief = []
-    for _ in range(n):
+    beliefs = [0] * n
+    for s in reversed(range(n)):
         code, d = divmod(code, full)
-        belief.append(d + 1)
-    belief.reverse()
+        beliefs[s] = d + 1
     if code:
         raise ValueError("code out of range for this state count")
-    selection = [[0, *digits[i : i + full]] for i in range(0, n * full, full)]
-    return Frame(_state_names(n), belief, selection)
+    return _spell_frame(n, beliefs, selections, 0)
 
 
 def frame_digest(frame: Frame) -> str:
@@ -138,7 +128,7 @@ def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:
         raise ValueError("count must be positive")
     for beliefs, selections in _sample_batches(n, seed, 0, count):
         for i in range(len(beliefs) // n):
-            yield frame_from_code(n, _spell_code(n, beliefs, selections, i))
+            yield _spell_frame(n, beliefs, selections, i)
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +181,19 @@ def _spell_code(n: int, beliefs: bytes, selections: bytes, i: int) -> int:
     return reduce(lambda code, d: code << n | d, selections[i * step : i * step + step], code)
 
 
+def _spell_frame(n: int, beliefs: Sequence[int], selections: Sequence[int], i: int) -> Frame:
+    """Frame i of a batch's belief and selection bytes (or digit lists)."""
+    full = (1 << n) - 1
+    at = i * n * full
+    return Frame(_state_names(n), beliefs[i * n : i * n + n],
+                 [(0, *selections[j : j + full]) for j in range(at, at + n * full, full)])
+
+
+def _frame_bytes(frame: Frame) -> tuple[bytes, bytes]:
+    """A frame's belief and selection bytes, as a batch of one spells them."""
+    return bytes(frame.belief), bytes([d for row in frame.selection for d in row[1:]])
+
+
 @dataclass
 class FrameRecord:
     """Outcome of the three checks (and the always-valid set) on one frame."""
@@ -207,8 +210,7 @@ class FrameRecord:
 def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
     """Run property, axiom and postulate checks on one frame and flag any
     disagreement the correspondence asserts cannot happen."""
-    selections = bytes([d for row in frame.selection for d in row[1:]])
-    columns = _batch_verdicts(frame.n, bytes(frame.belief), selections, ks)
+    columns = _batch_verdicts(frame.n, *_frame_bytes(frame), ks)
     record = _lane_record(columns, ks, -1, frame_digest(frame))
     record.discrepancies = _discrepancies(record)
     return record
@@ -369,6 +371,8 @@ class SweepConfig:
                 raise ValueError(f"random mode takes count at most {sys.maxsize} (sys.maxsize)")
             if self.seed is None:
                 raise ValueError("random mode requires a seed")
+            if self.seed < 0:  # random.Random seeds by |seed|: -7 draws the frames of 7
+                raise ValueError(f"random mode requires a seed >= 0, got {self.seed}")
             if self.size > MAX_RANDOM_SIZE and not self.allow_large:
                 raise ValueError(
                     f"random mode for size >= {MAX_RANDOM_SIZE + 1} requires allow_large "
@@ -377,11 +381,6 @@ class SweepConfig:
                 )
         elif self.count is not None or self.seed is not None:
             raise ValueError("exhaustive mode takes no count or seed")
-        elif self.size >= 3 and not self.allow_large:
-            raise ValueError(
-                "exhaustive mode for size >= 3 requires allow_large "
-                f"(frame_count({self.size}) frames)"
-            )
         if self.size > MAX_CODE_SIZE:
             raise ValueError(
                 f"size must be at most {MAX_CODE_SIZE}, the largest whose frame codes replay")
@@ -457,24 +456,20 @@ def merge_reports(parts: list[Report]) -> Report:
         raise ValueError("cannot merge reports with different configs")
     merged = Report.empty(parts[0].config)
     for p in parts:
-        for key, v in p.totals.items():
-            merged.totals[key] += v
-        for name, cells in p.per_axiom.items():
-            for cell, v in cells.items():
-                merged.per_axiom[name][cell] += v
-        for name, cells in p.per_agm.items():
-            for cell, v in cells.items():
-                merged.per_agm[name][cell] += v
-        for name, v in p.always_valid.items():
-            merged.always_valid[name] += v
-        merged.replay["attempted"] += p.replay["attempted"]
-        merged.replay["falsified"] += p.replay["falsified"]
-        merged.discrepancies.extend(p.discrepancies)
-        merged.duration_ms += p.duration_ms
+        _add_into(vars(merged), {key: v for key, v in vars(p).items() if key != "config"})
     merged.discrepancies.sort(
         key=lambda d: (d["digest"], d["kind"], d.get("k", 0), d.get("which", ""))
     )
     return merged
+
+
+def _add_into(total: dict, part: dict) -> None:
+    """Add each count (or list) of ``part`` into ``total``, through nested dicts."""
+    for key, v in part.items():
+        if isinstance(v, dict):
+            _add_into(total[key], v)
+        else:
+            total[key] += v
 
 
 def _uniform_frames(n: int, keys: Sequence[int]) -> tuple[bytes, bytes]:
@@ -487,13 +482,14 @@ def _uniform_frames(n: int, keys: Sequence[int]) -> tuple[bytes, bytes]:
     return beliefs, b"".join([bytes([key >> shift & full for shift in shifts]) * n for key in keys])
 
 
-def _run_partition(config: dict, frames: Iterable) -> Report:
-    """Report on a partition's frames, routed by mode alone: an exhaustive
-    partition (a range of codes) folds profile verdicts, a random one (an
-    iterator of batches) checks each frame."""
+def _run_partition(config: dict, lo: int, hi: int) -> Report:
+    """Report on frames ``lo`` to ``hi - 1`` of the configured frame
+    stream, the sweep's one branch on the mode: an exhaustive partition
+    folds the profile verdicts of its codes, a random one checks each frame
+    of the batches :func:`_sample_batches` draws from the seeded stream."""
     if config["mode"] == "exhaustive":
-        return _fold_profiles(config, frames)
-    return _check_frames(config, frames)
+        return _fold_profiles(config, range(lo, hi))
+    return _check_frames(config, _sample_batches(config["size"], config["seed"], lo, hi))
 
 
 def _check_frames(config: dict, batches: Iterable[tuple[bytes, bytes]]) -> Report:
@@ -645,23 +641,14 @@ def _fold_profiles(config: dict, codes: range) -> Report:
 
 def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]]:
     """Split the configured frame stream into at most ``workers``
-    contiguous, nonempty partitions ``(config, lo, hi)``: its codes
-    ``lo`` to ``hi - 1``, spelled by :func:`_partition_codes`."""
+    contiguous, nonempty partitions ``(config, lo, hi)``: its frames
+    ``lo`` to ``hi - 1`` (see :func:`_run_partition`)."""
     total = frame_count(cfg.size) if cfg.mode == "exhaustive" else cfg.count
     assert total is not None
     chunks = max(1, min(workers, total))
     bounds = [total * i // chunks for i in range(chunks + 1)]
     config = cfg.echo()
     return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _partition_codes(config: dict, lo: int, hi: int) -> Iterable:
-    """Frames ``lo`` to ``hi - 1`` of the configured frame stream: a range
-    of codes in exhaustive mode; in random mode the batches of the seeded
-    stream that :func:`_sample_batches` draws."""
-    if config["mode"] == "exhaustive":
-        return range(lo, hi)
-    return _sample_batches(config["size"], config["seed"], lo, hi)
 
 
 class WorkerTraceback(Exception):
@@ -672,7 +659,7 @@ def _outcome(config: dict, lo: int, hi: int) -> tuple:
     """``(None, report, None)`` or ``(exception, None, traceback text)`` for
     the partition ``codes[lo:hi]``: pickling an exception drops its traceback."""
     try:
-        return (None, _run_partition(config, _partition_codes(config, lo, hi)), None)
+        return (None, _run_partition(config, lo, hi), None)
     except Exception as exc:
         import traceback  # here: only a failure pays for it
         return (exc, None, traceback.format_exc())
@@ -722,8 +709,7 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
             import pickle  # here: only the parallel path pays for it
             import signal
             compile_scans()
-            if cfg.mode == "random":
-                _frame_parse(cfg.size)  # compiled once, before forking, like the scans
+            _frame_parse(cfg.size)  # compiled once, before forking, like the scans
             children.update(map(_fork, payloads[:-1]))
         results = [_outcome(*payloads[-1])]
         for i, pid in enumerate(list(children)):
@@ -746,7 +732,7 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
         failed_at, failure = failures[0]
         partial = merge_reports(partials) if partials else Report.empty(cfg.echo())
         _, lo, hi = payloads[failed_at]
-        seed = f" (seed {cfg.seed})" if cfg.mode == "random" else ""
+        seed = f" (seed {cfg.seed})" if cfg.seed is not None else ""
         raise SweepError(
             f"sweep aborted: partition codes[{lo}:{hi}]{seed} failed: {failure}", partial
         ) from failure

@@ -101,14 +101,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# Binding levels for the climb: key -> (level, right_associative, constructor).
+# The binary operators, loosest first: token kind -> (printed text, binding
+# level, associativity, constructor).  The climb reads it by token kind, the
+# printer by constructor.
 _BINOPS = {
-    "iff": (1, True, Iff),
-    "imp": (2, True, Implies),
-    "cond": (3, False, None),
-    "or": (4, False, Or),
-    "and": (5, False, And),
+    "iff": ("<->", 1, "right", Iff),
+    "imp": ("->", 2, "right", Implies),
+    "cond": (">", 3, "none", Cond),
+    "or": ("|", 4, "left", Or),
+    "and": ("&", 5, "left", And),
 }
+_BINARY_INFO = {ctor: (text, level, assoc) for text, level, assoc, ctor in _BINOPS.values()}
 _UNARY_LEVEL = 6
 
 # Deepest nesting the parser accepts, counting every operator and pair of
@@ -156,12 +159,12 @@ class _Parser:
         while True:
             kind, text, offset = self.peek()
             info = _BINOPS.get(kind)
-            if info is None or info[0] < min_level:
+            if info is None or info[1] < min_level:
                 return node, start, depth
-            level, right, ctor = info
+            _, level, assoc, ctor = info
             self.advance()
             self._descend(offset, text)
-            rhs, rhs_start, rhs_depth = self.parse_level(level if right else level + 1)
+            rhs, rhs_start, rhs_depth = self.parse_level(level + (assoc != "right"))
             self.nesting -= 1
             depth = max(depth, rhs_depth) + 1
             self._check_nesting(depth, offset, text)
@@ -235,15 +238,6 @@ def parse(text: str) -> Formula:
     return _Parser(_tokenize(text)).parse()
 
 
-_BINARY_INFO = {
-    Iff: ("<->", 1, "right"),
-    Implies: ("->", 2, "right"),
-    Cond: (">", 3, "none"),
-    Or: ("|", 4, "left"),
-    And: ("&", 5, "left"),
-}
-
-
 def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; ``parse(format_formula(f))`` equals ``f``."""
     return _fmt(f, 0)
@@ -272,10 +266,5 @@ def _render(f: Formula) -> tuple[str, int]:
         left, right = f.antecedent, f.consequent
     else:
         left, right = f.left, f.right
-    if assoc == "left":
-        lmin, rmin = level, level + 1
-    elif assoc == "right":
-        lmin, rmin = level + 1, level
-    else:
-        lmin, rmin = level + 1, level + 1
+    lmin, rmin = level + (assoc != "left"), level + (assoc != "right")
     return f"{_fmt(left, lmin)} {op} {_fmt(right, rmin)}", level

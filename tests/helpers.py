@@ -913,6 +913,19 @@ def oracle_union(frame: Frame) -> tuple[tuple[int, ...], ...]:
     return tuple(union)
 
 
+def oracle_frame_code(frame: Frame) -> int:
+    """A frame's code, folded one digit at a time: each belief set less
+    one, base 2^n - 1, then each selection entry, base 2^n."""
+    full = frame.full
+    code = 0
+    for s in range(frame.n):
+        code = code * full + (frame.belief[s] - 1)
+    for s in range(frame.n):
+        for e in range(1, full + 1):
+            code = code * (full + 1) + frame.selection[s][e]
+    return code
+
+
 def oracle_frame_from_code(n: int, code: int) -> Frame:
     """Decode a frame code one ``divmod`` digit at a time."""
     full = (1 << n) - 1

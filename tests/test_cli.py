@@ -197,7 +197,7 @@ def test_sweep_command_refuses_seed_and_count_in_exhaustive_mode(capsys, argv):
 def test_sweep_command_refuses_large_exhaustive(capsys):
     code, _, err = run(capsys, "sweep", "--size", "3")
     assert code == 2
-    assert "allow_large" in err
+    assert "--mode random" in err
     code, out, err = run(capsys, "sweep", "--size", "3", "--allow-large")
     assert (code, out) == (2, "")
     assert err.startswith("error: exhaustive mode cannot finish past two states")
@@ -526,6 +526,20 @@ def test_oversized_random_count_is_refused_before_any_fork(capsys, monkeypatch):
                                "99999999999999999999", "--seed", "1", "--workers", workers)
         assert status == 2 and out == "", (workers, err)
         assert err == f"error: random mode takes count at most {sys.maxsize} (sys.maxsize)\n"
+    assert forks == []
+
+
+def test_negative_seed_is_refused_before_any_fork(capsys, monkeypatch):
+    # random.Random seeds by |seed|, so -7 would report the frames of 7
+    # under another config.seed
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 0)
+    for seed in ("-1", "-7"):
+        for workers in ("1", "3"):
+            status, out, err = run(capsys, "sweep", "--size", "3", "--mode", "random", "--count",
+                                   "200", "--seed", seed, "--workers", workers)
+            assert status == 2 and out == "", (seed, workers, err)
+            assert err == f"error: random mode requires a seed >= 0, got {seed}\n"
     assert forks == []
 
 

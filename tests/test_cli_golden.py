@@ -380,7 +380,7 @@ GOLDEN = {
     "agm-check --json --frame @many-issues": (2, "e3b0c44298fc1c14", "ef84bb6169a8b2f2"),
     "countermodel --axiom A2 --frame @duplicate-entry":
         (2, "e3b0c44298fc1c14", "b27c698058109bb5"),
-    "sweep --size 3": (2, "e3b0c44298fc1c14", "f47110674afa8148"),
+    "sweep --size 3": (2, "e3b0c44298fc1c14", "141174be2777ef1f"),
     "sweep --size 2 --mode random --count 5": (2, "e3b0c44298fc1c14", "916c8a987a99eda3"),
     "sweep --size 2 --ks 2,2": (2, "e3b0c44298fc1c14", "1f87f0734c2df50e"),
     "sweep --size 2 --ks 2,x": (2, "e3b0c44298fc1c14", "522f7074724d341c"),

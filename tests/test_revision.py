@@ -261,7 +261,8 @@ def test_postulate_lanes_valid_next_to_failing():
 
 
 def test_postulate_evaluator_beyond_eight_states():
-    # events on more than eight states are read eight states at a time
+    # events on nine states, past one byte each, are read whole: one lookup
+    # of the event's heads per row entry (see revision._blocks)
     ((belief, selection),) = helpers.oracle_sample_tuples(9, 1, 142)
     frame = Frame(tuple(f"s{i}" for i in range(9)), belief, selection)
     _assert_postulates_match_oracle([frame, frame])

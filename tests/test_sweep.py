@@ -80,6 +80,13 @@ def test_code_round_trip():
         assert frame_code(frame) == code
     with pytest.raises(ValueError):
         frame_from_code(2, frame_count(2))
+    # no byte holds a nine-state frame's digits (and past seven states no
+    # code replays through --code anyway)
+    ((belief, selection),) = helpers.oracle_sample_tuples(9, 1, 165)
+    frame = Frame(tuple(f"s{i}" for i in range(9)), belief, selection)
+    for spell in (frame_code, frame_digest):
+        with pytest.raises(ValueError):
+            spell(frame)
 
 
 def test_frame_from_code_equals_divmod_oracle():
@@ -170,6 +177,33 @@ def test_sample_frames_takes_one_to_seven_states():
         next(sample_frames(2, 0, seed=0))
     (code,) = helpers.oracle_sample_codes(7, 1, 5)
     assert next(sample_frames(7, 1, seed=5)) == frame_from_code(7, code)
+    # frames built from the drawn bytes, against decoding the per-digit draw
+    for n in range(1, 8):
+        codes = helpers.oracle_sample_codes(n, 50, 160 + n)
+        assert list(sample_frames(n, 50, 160 + n)) == [frame_from_code(n, c) for c in codes], n
+
+
+def test_frame_bytes_round_trip_equals_divmod_oracle():
+    # the one Frame <-> bytes spelling, both ways, against each code's divmod
+    # digits and divmod decoding: every two-state code, and sampled and
+    # ranked codes on 3 to 7 states, frame i of batches of up to 250
+    rng = random.Random(163)
+    cases = [(2, list(range(frame_count(2))))]
+    for n in range(3, 8):
+        ranked = [helpers.oracle_frame_code(helpers.ranked_frame(rng, n)) for _ in range(20)]
+        cases.append((n, helpers.oracle_sample_codes(n, 20, 164 + n) + ranked))
+    for n, codes in cases:
+        for lo in range(0, len(codes), 250):
+            batch = codes[lo : lo + 250]
+            beliefs, selections = helpers.code_digits(n, batch)
+            frames = [helpers.oracle_frame_from_code(n, code) for code in batch]
+            lanes = range(len(batch))
+            assert [sweep_module._spell_frame(n, beliefs, selections, i) for i in lanes] == frames
+            spelled = [sweep_module._frame_bytes(frame) for frame in frames]
+            assert (b"".join(b for b, _ in spelled), b"".join(s for _, s in spelled)) == (
+                beliefs, selections), (n, lo)
+            assert [frame_code(frame) for frame in frames] == batch, (n, lo)
+            assert [frame_from_code(n, code) for code in batch] == frames, (n, lo)
 
 
 def analytic_p2_rate(n: int) -> Fraction:
@@ -261,7 +295,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(size=2, mode="random", seed=1).validate()  # no count
     with pytest.raises(ValueError):
-        SweepConfig(size=3, mode="exhaustive").validate()  # needs allow_large
+        SweepConfig(size=3, mode="exhaustive").validate()  # past two states
     with pytest.raises(ValueError):
         SweepConfig(size=2, ks=(2, 6)).validate()
     SweepConfig(size=2).validate()
@@ -399,19 +433,21 @@ def test_sweep_exhaustive_parallel_partition(monkeypatch, bounded):
         assert serial["totals"]["frames"] == frames
 
 
-def _spelled(cfg: SweepConfig, parts: int) -> list:
+def _spelled(monkeypatch, cfg: SweepConfig, parts: int) -> list:
     """The frames of ``parts`` partitions of cfg's stream, each spelled on
-    its own: codes in exhaustive mode, else batches of belief and selection
-    bytes, joined."""
+    its own and handed to its route by ``_run_partition``: codes in
+    exhaustive mode, else batches of belief and selection bytes, joined."""
+    for route in ("_fold_profiles", "_check_frames"):
+        monkeypatch.setattr(sweep_module, route, lambda config, frames: list(frames))
     payloads = sweep_module._make_payloads(cfg, parts)
     assert len(payloads) == min(parts, cfg.count or frame_count(cfg.size))
-    frames = [frame for payload in payloads for frame in sweep_module._partition_codes(*payload)]
+    frames = [frame for payload in payloads for frame in sweep_module._run_partition(*payload)]
     if cfg.mode == "exhaustive":
         return frames
     return [b"".join(b for b, _ in frames), b"".join(s for _, s in frames)]
 
 
-def test_partitions_concatenate_to_the_stream():
+def test_partitions_concatenate_to_the_stream(monkeypatch):
     # each partition spells its own codes; a middle one skips a prefix
     for parts in (2, 3, 4, 5):
         count = 6 * parts + 1  # not a multiple of the partition count
@@ -419,10 +455,11 @@ def test_partitions_concatenate_to_the_stream():
             for seed in (3, 42, 161):
                 cfg = SweepConfig(size=n, mode="random", count=count, seed=seed)
                 codes = helpers.oracle_sample_codes(n, count, seed)
-                assert _spelled(cfg, parts) == list(helpers.code_digits(n, codes)), (
+                assert _spelled(monkeypatch, cfg, parts) == list(helpers.code_digits(n, codes)), (
                     n, seed, parts)
         for n in (1, 2):
-            assert _spelled(SweepConfig(size=n), parts) == list(range(frame_count(n))), (n, parts)
+            assert _spelled(monkeypatch, SweepConfig(size=n), parts) == list(
+                range(frame_count(n))), (n, parts)
 
 
 def test_five_workers_cut_blocks_and_report_the_pinned_digest(monkeypatch, bounded):
@@ -447,10 +484,8 @@ def test_three_workers_report_the_pinned_digest(monkeypatch, bounded):
 
 def test_merge_reports_is_order_insensitive():
     cfg = SweepConfig(size=2, mode="random", count=90, seed=12)
-    codes = [frame_code(f) for f in sample_frames(2, 90, seed=12)]
-    parts = []
-    for lo, hi in ((0, 30), (30, 60), (60, 90)):
-        parts.append(sweep_module._run_partition(cfg.echo(), helpers.code_batches(2, codes[lo:hi])))
+    parts = [sweep_module._run_partition(cfg.echo(), lo, hi)
+             for lo, hi in ((0, 30), (30, 60), (60, 90))]
     forward = merge_reports(parts).to_json()
     backward = merge_reports(list(reversed(parts))).to_json()
     nested = merge_reports([merge_reports(parts[:2]), parts[2]]).to_json()
@@ -488,7 +523,7 @@ def test_sweep_aborts_with_partial_report(monkeypatch):
     calls["n"] = 0
     # with several partitions the completed ones survive in the partial report
     config, lo, hi = sweep_module._make_payloads(cfg, 4)[0]
-    partial = sweep_module._run_partition(config, sweep_module._partition_codes(config, lo, hi))
+    partial = sweep_module._run_partition(config, lo, hi)
     assert partial.totals["frames"] == 50
 
 
@@ -589,10 +624,10 @@ def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bound
     for code, leave in ((3, lambda: os._exit(3)),
                         (-9, lambda: os.kill(os.getpid(), signal.SIGKILL))):
 
-        def dies_in_worker(config, codes, leave=leave):
+        def dies_in_worker(config, lo, hi, leave=leave):
             if os.getpid() != parent:
                 leave()
-            return real(config, codes)
+            return real(config, lo, hi)
 
         monkeypatch.setattr(sweep_module, "_run_partition", dies_in_worker)
         with pytest.raises(SweepError) as exc:
@@ -606,10 +641,10 @@ def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bound
 def test_keyboard_interrupt_in_parent_partition_propagates(monkeypatch, bounded):
     parent, real = os.getpid(), sweep_module._run_partition
 
-    def interrupted_in_parent(config, codes):
+    def interrupted_in_parent(config, lo, hi):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real(config, codes)
+        return real(config, lo, hi)
 
     monkeypatch.setattr(sweep_module, "_run_partition", interrupted_in_parent)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
@@ -815,9 +850,9 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
     # the mode alone picks the route: a one-code exhaustive partition folds
     for route in ("_fold_profiles", "_check_frames"):
         monkeypatch.setattr(sweep_module, route, lambda config, codes, route=route: route)
-    assert sweep_module._run_partition(SweepConfig(size=1).echo(), range(1, 2)) == "_fold_profiles"
+    assert sweep_module._run_partition(SweepConfig(size=1).echo(), 1, 2) == "_fold_profiles"
     config = SweepConfig(size=2, mode="random", count=1, seed=0).echo()
-    assert sweep_module._run_partition(config, iter([5])) == "_check_frames"
+    assert sweep_module._run_partition(config, 0, 1) == "_check_frames"
 
 
 def test_random_partition_streams_its_codes():
@@ -1171,9 +1206,8 @@ def test_partition_hashes_no_enum_per_frame(monkeypatch):
         return real(self)
 
     config = SweepConfig(size=3, mode="random", count=1000, seed=42).echo()
-    batches = helpers.code_batches(3, helpers.oracle_sample_codes(3, 1000, 42))
     monkeypatch.setattr(enum.Enum, "__hash__", counting)
-    sweep_module._run_partition(config, batches)
+    sweep_module._run_partition(config, 0, 1000)
     monkeypatch.undo()
     assert hashes[0] <= 100
 
