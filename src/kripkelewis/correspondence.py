@@ -126,6 +126,8 @@ def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:
         raise ValueError(f"state count must be 1 to {MAX_CODE_SIZE}, got {n}")
     if count < 1:
         raise ValueError("count must be positive")
+    if seed < 0:  # random.Random seeds by |seed|: -7 draws the frames of 7
+        raise ValueError(f"sample_frames requires a seed >= 0, got {seed}")
     for beliefs, selections in _sample_batches(n, seed, 0, count):
         for i in range(len(beliefs) // n):
             yield _spell_frame(n, beliefs, selections, i)
@@ -207,9 +209,15 @@ class FrameRecord:
     discrepancies: list[dict]
 
 
+def _check_ks(ks: tuple[int, ...]) -> None:
+    if not ks or any(k not in DEFAULT_KS for k in ks) or len(set(ks)) != len(ks):
+        raise ValueError(f"ks must be a nonempty subset of {DEFAULT_KS} without repeats, got {ks}")
+
+
 def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
     """Run property, axiom and postulate checks on one frame and flag any
     disagreement the correspondence asserts cannot happen."""
+    _check_ks(ks)
     columns = _batch_verdicts(frame.n, *_frame_bytes(frame), ks)
     record = _lane_record(columns, ks, -1, frame_digest(frame))
     record.discrepancies = _discrepancies(record)
@@ -387,10 +395,7 @@ class SweepConfig:
         if self.mode == "exhaustive" and self.size >= 3:
             raise ValueError("exhaustive mode cannot finish past two states "
                              f"(frame_count({self.size}) frames); use --mode random")
-        bad = [k for k in self.ks if k not in DEFAULT_KS]
-        if bad or not self.ks or len(set(self.ks)) != len(self.ks):
-            raise ValueError(
-                f"ks must be a nonempty subset of {DEFAULT_KS} without repeats, got {self.ks}")
+        _check_ks(self.ks)
 
     def echo(self) -> dict:
         return {**asdict(self), "ks": list(self.ks)}

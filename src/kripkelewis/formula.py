@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 
 class Formula:
@@ -105,24 +104,41 @@ class SyntacticClass(Enum):
     ILLFORMED = "Illformed"
 
 
-# Layers admissible under B (Boolean combinations of Boolean and conditional formulas).
-PHI1_CLASSES = frozenset(
-    {SyntacticClass.PHI0, SyntacticClass.PHI_COND, SyntacticClass.PHI1}
-)
-WELLFORMED_CLASSES = frozenset(
-    c for c in SyntacticClass if c is not SyntacticClass.ILLFORMED
-)
+# Layers admissible under B (Boolean combinations of Boolean and conditional formulas);
+# tuples, whose membership test hashes no enum member (Enum.__hash__ is Python code).
+PHI1_CLASSES = (SyntacticClass.PHI0, SyntacticClass.PHI_COND, SyntacticClass.PHI1)
+WELLFORMED_CLASSES = tuple(c for c in SyntacticClass if c is not SyntacticClass.ILLFORMED)
 
 
-def children(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, (Not, Bel, Box)):
-        yield f.body
-    elif isinstance(f, (Or, And, Implies, Iff)):
-        yield f.left
-        yield f.right
-    elif isinstance(f, Cond):
-        yield f.antecedent
-        yield f.consequent
+# The layering, declared once: each modal operator -> (the layer it forms,
+# the layers its operands may take, and per operand the clause that a
+# misplaced operand breaks).  classify and the parser both read it.
+_BOOLEAN = (SyntacticClass.PHI0,)
+_OPERAND_LAYERS = {
+    Cond: (SyntacticClass.PHI_COND, _BOOLEAN, ("antecedent of '>' must be a Boolean formula",
+                                               "consequent of '>' must be a Boolean formula")),
+    Bel: (SyntacticClass.PHI_B, PHI1_CLASSES,
+          ("'B' must apply to a Boolean combination of Boolean and conditional formulas",)),
+    Box: (SyntacticClass.PHI_BOX, _BOOLEAN, ("'[]' must apply to a Boolean formula",)),
+}
+
+
+def children(f: Formula) -> list[Formula]:
+    """Operands of ``f`` in field order; an atom has none."""
+    operands = []
+    if not isinstance(f, Atom):
+        for name in f.__match_args__:  # a loop: a comprehension costs a frame on 3.11
+            operands.append(getattr(f, name))
+    return operands
+
+
+def misplaced_operand(f: Formula) -> tuple[int, str] | None:
+    """Position and broken clause of ``f``'s first operand outside its layer, or None."""
+    _, admitted, clauses = _OPERAND_LAYERS[type(f)]
+    for i, g in enumerate(children(f)):
+        if classify(g) not in admitted:
+            return i, clauses[i]
+    return None
 
 
 def classify(f: Formula) -> SyntacticClass:
@@ -145,22 +161,10 @@ def classify(f: Formula) -> SyntacticClass:
         if all(k in WELLFORMED_CLASSES for k in kinds):
             return SyntacticClass.PHI
         return SyntacticClass.ILLFORMED
-    if isinstance(f, Cond):
-        if (
-            classify(f.antecedent) is SyntacticClass.PHI0
-            and classify(f.consequent) is SyntacticClass.PHI0
-        ):
-            return SyntacticClass.PHI_COND
-        return SyntacticClass.ILLFORMED
-    if isinstance(f, Bel):
-        if classify(f.body) in PHI1_CLASSES:
-            return SyntacticClass.PHI_B
-        return SyntacticClass.ILLFORMED
-    if isinstance(f, Box):
-        if classify(f.body) is SyntacticClass.PHI0:
-            return SyntacticClass.PHI_BOX
-        return SyntacticClass.ILLFORMED
-    raise TypeError(f"not a formula node: {f!r}")
+    layers = _OPERAND_LAYERS.get(type(f))
+    if layers is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    return layers[0] if misplaced_operand(f) is None else SyntacticClass.ILLFORMED
 
 
 def is_wellformed(f: Formula) -> bool:

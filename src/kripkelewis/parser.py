@@ -37,9 +37,8 @@ from .formula import (
     Implies,
     Not,
     Or,
-    SyntacticClass,
-    PHI1_CLASSES,
-    classify,
+    children,
+    misplaced_operand,
 )
 
 
@@ -112,6 +111,7 @@ _BINOPS = {
     "and": ("&", 5, "left", And),
 }
 _BINARY_INFO = {ctor: (text, level, assoc) for text, level, assoc, ctor in _BINOPS.values()}
+_PREFIX_TEXT = {Not: "~", Box: "[]", Bel: "B"}
 _UNARY_LEVEL = 6
 
 # Deepest nesting the parser accepts, counting every operator and pair of
@@ -169,14 +169,11 @@ class _Parser:
             depth = max(depth, rhs_depth) + 1
             self._check_nesting(depth, offset, text)
             if kind == "cond":
-                node = self._make_cond(node, start, rhs, rhs_start)
-                nxt = self.peek()
-                if nxt[0] == "cond":
-                    raise ParseError(
-                        nxt[2],
-                        "no further '>' ('>' is non-associative; parenthesize)",
-                        repr(nxt[1]),
-                    )
+                node = _make(Cond, (node, rhs), (start, rhs_start))
+                nxt, text, offset = self.peek()
+                if nxt == "cond":
+                    raise ParseError(offset, "no further '>' ('>' is non-associative; "
+                                     "parenthesize)", repr(text))
             else:
                 node = ctor(node, rhs)
 
@@ -197,39 +194,20 @@ class _Parser:
             body, body_start, depth = self.parse_unary()
             if kind == "not":
                 node = Not(body)
-            elif kind == "bel":
-                node = self._make_bel(body, body_start)
             else:
-                node = self._make_box(body, body_start)
+                node = _make(Bel if kind == "bel" else Box, (body,), (body_start,))
         self.nesting -= 1
         return node, offset, depth + 1
 
-    def _make_cond(self, lhs: Formula, lhs_start: int, rhs: Formula, rhs_start: int) -> Formula:
-        if classify(lhs) is not SyntacticClass.PHI0:
-            raise StratificationError(
-                lhs_start, "antecedent of '>' must be a Boolean formula", format_formula(lhs)
-            )
-        if classify(rhs) is not SyntacticClass.PHI0:
-            raise StratificationError(
-                rhs_start, "consequent of '>' must be a Boolean formula", format_formula(rhs)
-            )
-        return Cond(lhs, rhs)
 
-    def _make_bel(self, body: Formula, body_start: int) -> Formula:
-        if classify(body) not in PHI1_CLASSES:
-            raise StratificationError(
-                body_start,
-                "'B' must apply to a Boolean combination of Boolean and conditional formulas",
-                format_formula(body),
-            )
-        return Bel(body)
-
-    def _make_box(self, body: Formula, body_start: int) -> Formula:
-        if classify(body) is not SyntacticClass.PHI0:
-            raise StratificationError(
-                body_start, "'[]' must apply to a Boolean formula", format_formula(body)
-            )
-        return Box(body)
+def _make(ctor: type[Formula], operands: tuple[Formula, ...], starts: tuple[int, ...]) -> Formula:
+    """Build ``ctor(*operands)``, refusing at its start the first operand outside its layer."""
+    node = ctor(*operands)
+    misplaced = misplaced_operand(node)
+    if misplaced is not None:
+        i, clause = misplaced
+        raise StratificationError(starts[i], clause, format_formula(operands[i]))
+    return node
 
 
 def parse(text: str) -> Formula:
@@ -245,26 +223,18 @@ def format_formula(f: Formula) -> str:
 
 def _fmt(f: Formula, min_level: int) -> str:
     text, level = _render(f)
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+    return "(" + text + ")" if level < min_level else text
 
 
 def _render(f: Formula) -> tuple[str, int]:
     if isinstance(f, Atom):
         return f.name, 7
-    if isinstance(f, Not):
-        return "~" + _fmt(f.body, _UNARY_LEVEL), _UNARY_LEVEL
-    if isinstance(f, Box):
-        return "[]" + _fmt(f.body, _UNARY_LEVEL), _UNARY_LEVEL
-    if isinstance(f, Bel):
+    prefix = _PREFIX_TEXT.get(type(f))
+    if prefix is not None:  # "B" is spaced from an unparenthesized operand
         inner = _fmt(f.body, _UNARY_LEVEL)
-        sep = "" if inner.startswith("(") else " "
-        return "B" + sep + inner, _UNARY_LEVEL
+        sep = " " if prefix == "B" and not inner.startswith("(") else ""
+        return prefix + sep + inner, _UNARY_LEVEL
     op, level, assoc = _BINARY_INFO[type(f)]
-    if isinstance(f, Cond):
-        left, right = f.antecedent, f.consequent
-    else:
-        left, right = f.left, f.right
+    left, right = children(f)
     lmin, rmin = level + (assoc != "left"), level + (assoc != "right")
     return f"{_fmt(left, lmin)} {op} {_fmt(right, rmin)}", level

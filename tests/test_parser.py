@@ -125,3 +125,41 @@ def test_accepted_strings_classify_wellformed():
         f = helpers.gen_wellformed(rng, depth=rng.randrange(1, 5))
         g = parse(format_formula(f))
         assert classify(g) is not SyntacticClass.ILLFORMED
+
+
+B_CLAUSE = "'B' must apply to a Boolean combination of Boolean and conditional formulas"
+BOX_CLAUSE = "'[]' must apply to a Boolean formula"
+
+
+@pytest.mark.parametrize(
+    "text, offset, clause, subterm",
+    [
+        ("(p > q) > r", 0, "antecedent of '>' must be a Boolean formula", "p > q"),
+        ("p > B q", 4, "consequent of '>' must be a Boolean formula", "B q"),
+        ("B []p", 2, B_CLAUSE, "[]p"),
+        ("B(B p -> p)", 1, B_CLAUSE, "B p -> p"),
+        ("[](p > q)", 2, BOX_CLAUSE, "p > q"),
+        ("p & [](q > r)", 6, BOX_CLAUSE, "q > r"),
+    ],
+)
+def test_refusal_names_offset_clause_and_subterm(text, offset, clause, subterm):
+    with pytest.raises(StratificationError) as exc:
+        parse(text)
+    assert (exc.value.offset, exc.value.clause, exc.value.subterm) == (offset, clause, subterm)
+    assert str(exc.value) == f"at offset {offset}: {clause}: {subterm}"
+
+
+def test_parser_refuses_exactly_the_illformed_trees():
+    # printed trees of any layering: the parser's refusals are classify's ILLFORMED
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        t = helpers.gen_any_tree(rng, depth=rng.randrange(1, 5))
+        wellformed = helpers.oracle_classify(t) is not SyntacticClass.ILLFORMED
+        if wellformed:
+            assert parse(format_formula(t)) == t
+        else:
+            with pytest.raises(StratificationError):
+                parse(format_formula(t))
+        outcomes[wellformed] += 1
+    assert outcomes == {True: 2225, False: 775}

@@ -175,6 +175,10 @@ def test_sample_frames_takes_one_to_seven_states():
             next(sample_frames(n, 1, seed=0))
     with pytest.raises(ValueError, match="count must be positive"):
         next(sample_frames(2, 0, seed=0))
+    # random.Random seeds by |seed|, so -7 would draw exactly the frames of 7
+    for seed in (-1, -7):
+        with pytest.raises(ValueError, match=f"requires a seed >= 0, got {seed}"):
+            next(sample_frames(2, 5, seed))
     (code,) = helpers.oracle_sample_codes(7, 1, 5)
     assert next(sample_frames(7, 1, seed=5)) == frame_from_code(7, code)
     # frames built from the drawn bytes, against decoding the per-digit draw
@@ -267,6 +271,16 @@ def test_triple_check_restricted_to_one_pair():
     assert record.property_pass[5] is False
     assert record.replays == [(5, True)]
     assert record.discrepancies == []
+
+
+def test_triple_check_refuses_ks_outside_the_six():
+    # the rule SweepConfig.validate applies: unknown k, repeats, nothing
+    frame = helpers.empty_selection_frame()
+    for ks in ((1,), (9,), (2, 2), ()):
+        with pytest.raises(ValueError) as exc:
+            triple_check(frame, ks)
+        assert str(exc.value) == (
+            f"ks must be a nonempty subset of (2, 3, 4, 5, 7, 8) without repeats, got {ks}")
 
 
 def test_triple_check_replays_equal_pointwise_truth():
