@@ -32,14 +32,13 @@ import random
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, islice
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, compile_scans, countermodel_recipe
-from .model import Frame
+from .model import Frame, _Record
 
 # Unused here; perfbench's tracer patches these names on this module.
 from .axioms import countermodel_from_witness, rule_valid_on_frame  # noqa: F401
@@ -122,6 +121,8 @@ def frame_digest(frame: Frame) -> str:
 def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:
     """Uniform independent draws of belief sets and selection entries on 1
     to ``MAX_CODE_SIZE`` states, deterministic for a fixed seed."""
+    for name, value in (("n", n), ("count", count), ("seed", seed)):
+        _require_int(name, value)
     if not 1 <= n <= MAX_CODE_SIZE:
         raise ValueError(f"state count must be 1 to {MAX_CODE_SIZE}, got {n}")
     if count < 1:
@@ -196,20 +197,26 @@ def _frame_bytes(frame: Frame) -> tuple[bytes, bytes]:
     return bytes(frame.belief), bytes([d for row in frame.selection for d in row[1:]])
 
 
-@dataclass
-class FrameRecord:
+class FrameRecord(_Record):
     """Outcome of the three checks (and the always-valid set) on one frame."""
 
-    digest: str
-    property_pass: dict[int, bool]
-    axiom_valid: dict[int, bool]
-    agm_all_states: dict[int, bool]
-    always_valid: dict[str, bool]
-    replays: list[tuple[int, bool]]
-    discrepancies: list[dict]
+    def __init__(self, digest: str, property_pass: dict[int, bool], axiom_valid: dict[int, bool],
+                 agm_all_states: dict[int, bool], always_valid: dict[str, bool],
+                 replays: list[tuple[int, bool]], discrepancies: list[dict]):
+        self.digest, self.property_pass, self.axiom_valid = digest, property_pass, axiom_valid
+        self.agm_all_states, self.always_valid = agm_all_states, always_valid
+        self.replays, self.discrepancies = replays, discrepancies
+
+
+def _require_int(name: str, value: object) -> None:
+    """Refuse a ``value`` for the integer ``name`` that is not an int, or is a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_ks(ks: tuple[int, ...]) -> None:
+    for k in ks:
+        _require_int("ks", k)
     if not ks or any(k not in DEFAULT_KS for k in ks) or len(set(ks)) != len(ks):
         raise ValueError(f"ks must be a nonempty subset of {DEFAULT_KS} without repeats, got {ks}")
 
@@ -356,8 +363,7 @@ def _discrepancies(record: FrameRecord) -> list[dict]:
     return found
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """What to sweep: state count, frame source, and which k to check."""
 
     size: int
@@ -368,6 +374,9 @@ class SweepConfig:
     allow_large: bool = False
 
     def validate(self) -> None:
+        for name, value in (("size", self.size), ("count", self.count), ("seed", self.seed)):
+            if value is not None or name == "size":  # a missing count or seed: see below
+                _require_int(name, value)
         if self.size < 1:
             raise ValueError("size must be at least 1")
         if self.mode not in MODES:
@@ -398,21 +407,24 @@ class SweepConfig:
         _check_ks(self.ks)
 
     def echo(self) -> dict:
-        return {**asdict(self), "ks": list(self.ks)}
+        return {**self._asdict(), "ks": list(self.ks)}
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """Aggregated sweep outcome; merging partial reports sums the counts."""
 
-    config: dict
-    totals: dict = field(default_factory=lambda: {"frames": 0, "property_violations": 0})
-    per_axiom: dict = field(default_factory=dict)
-    per_agm: dict = field(default_factory=dict)
-    always_valid: dict = field(default_factory=dict)
-    replay: dict = field(default_factory=lambda: {"attempted": 0, "falsified": 0})
-    discrepancies: list = field(default_factory=list)
-    duration_ms: int = 0
+    def __init__(self, config: dict, totals: dict | None = None, per_axiom: dict | None = None,
+                 per_agm: dict | None = None, always_valid: dict | None = None,
+                 replay: dict | None = None, discrepancies: list | None = None,
+                 duration_ms: int = 0):
+        self.config = config
+        self.totals = {"frames": 0, "property_violations": 0} if totals is None else totals
+        self.per_axiom = {} if per_axiom is None else per_axiom
+        self.per_agm = {} if per_agm is None else per_agm
+        self.always_valid = {} if always_valid is None else always_valid
+        self.replay = {"attempted": 0, "falsified": 0} if replay is None else replay
+        self.discrepancies = [] if discrepancies is None else discrepancies
+        self.duration_ms = duration_ms
 
     @classmethod
     def empty(cls, config: dict) -> "Report":
@@ -446,7 +458,8 @@ class Report:
         self.discrepancies.extend(record.discrepancies)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        import copy  # here: only a report's reader pays for it
+        return copy.deepcopy(vars(self))
 
 
 def merge_reports(parts: list[Report]) -> Report:
@@ -700,8 +713,9 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     other way out; without ``os.fork`` the sweep runs in one process.  A failed
     partition, or a worker exiting without a report, aborts the sweep with a
     SweepError naming the lowest one and carrying the completed reports.
-    Refuses ``workers < 1``.
+    Refuses ``workers < 1`` and a ``workers`` that is not an int.
     """
+    _require_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cfg.validate()

@@ -9,14 +9,59 @@ semantic operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
 class Formula:
-    """Base of all AST nodes: immutable, hashable, compared by value."""
+    """Base of all AST nodes: immutable, hashable, compared by value.  A node
+    class declares only its ``__slots__``; this base gives it, with no code
+    generated, the matching ``__match_args__``, a positional ``__init__``, and
+    equality (to its own type) and a hash over the slots."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        slots = cls.__match_args__ = cls.__slots__
+        setters = [vars(cls)[name].__set__ for name in slots]
+        if len(slots) == 1:
+            (set_0,), (name_0,) = setters, slots
+
+            def __init__(self, operand):
+                set_0(self, operand)
+
+            def __eq__(self, other):
+                if type(other) is not cls:
+                    return NotImplemented
+                return getattr(self, name_0) == getattr(other, name_0)
+
+            def __hash__(self):
+                return hash(getattr(self, name_0))  # the operand's: cheaper than a 1-tuple's
+        else:
+            (set_0, set_1), (name_0, name_1) = setters, slots
+
+            def __init__(self, left, right):
+                set_0(self, left)
+                set_1(self, right)
+
+            def __eq__(self, other):
+                if type(other) is not cls:
+                    return NotImplemented
+                return (getattr(self, name_0) == getattr(other, name_0)
+                        and getattr(self, name_1) == getattr(other, name_1))
+
+            def __hash__(self):
+                return hash((getattr(self, name_0), getattr(self, name_1)))
+        __init__.__qualname__ = f"{cls.__name__}.__init__"
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
     def __repr__(self) -> str:
         # a list, not a generator, so each nesting level adds one Python frame
@@ -33,60 +78,46 @@ class Formula:
         return Or(self, other)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Cond(Formula):
     """Conditional ``antecedent > consequent``; both operands must be Boolean."""
 
-    antecedent: Formula
-    consequent: Formula
+    __slots__ = ("antecedent", "consequent")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Bel(Formula):
     """Belief operator; the body must be a Boolean combination of Boolean and conditional formulas."""
 
-    body: Formula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Box(Formula):
     """Global necessity; the body must be Boolean."""
 
-    body: Formula
+    __slots__ = ("body",)
 
 
 BOOLEAN_NODES = (Not, Or, And, Implies, Iff)

@@ -14,24 +14,12 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, product, starmap
 from operator import and_, or_
+from typing import NamedTuple
 
-from .formula import (
-    Atom,
-    And,
-    Bel,
-    Box,
-    Cond,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    is_wellformed,
-)
+from .formula import Atom, And, Bel, Box, Cond, Formula, Iff, Implies, Not, Or, is_wellformed
 
 _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -40,8 +28,7 @@ _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 MAX_MISSING_SELECTION_ENTRIES = 1024
 
 
-@dataclass(frozen=True, slots=True)
-class FrameIssue:
+class FrameIssue(NamedTuple):
     """One validation failure found while building a frame."""
 
     kind: str  # non_serial | missing_selection_entry | unknown_state | empty_event | duplicate_selection_entry | invalid_atom | bad_structure
@@ -178,8 +165,18 @@ class Model:
         return f"Model({self.frame!r}, {self.valuation!r})"
 
 
-@dataclass
-class Witness:
+class _Record:
+    """A mutable record, its fields the attributes ``__init__`` sets in order:
+    equal only to a record of its type with equal fields, and unhashable."""
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class Witness(_Record):
     """Concrete refutation record for a failed check.
 
     ``states`` and ``events`` map role names from the violated condition
@@ -187,9 +184,11 @@ class Witness:
     masks; replaying the check on this data reproduces the failure.
     """
 
-    kind: str
-    states: dict[str, int] = field(default_factory=dict)
-    events: dict[str, int] = field(default_factory=dict)
+    def __init__(self, kind: str, states: dict[str, int] | None = None,
+                 events: dict[str, int] | None = None):
+        self.kind = kind
+        self.states = {} if states is None else states
+        self.events = {} if events is None else events
 
     def to_json(self, frame: Frame) -> dict:
         return {

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+
+import pytest
 
 from kripkelewis import (
     And,
@@ -6,6 +10,7 @@ from kripkelewis import (
     Bel,
     Box,
     Cond,
+    Iff,
     Implies,
     Not,
     Or,
@@ -60,3 +65,44 @@ def test_operator_sugar_builds_nodes():
     assert ~P == Not(P)
     assert (P & Q) == And(P, Q)
     assert (P | Q) == Or(P, Q)
+
+
+def test_nodes_have_value_semantics():
+    # equal by value and type, with equal hashes
+    assert And(P, Q) == And(P, Q) and hash(And(P, Q)) == hash(And(P, Q))
+    assert And(P, Q) != Or(P, Q) and Bel(P) != Box(P) and P != "p"
+    assert Cond(P, Not(Q)) == Cond(Atom("p"), Not(Atom("q")))
+    assert len({Implies(P, Q), Implies(P, Q), Iff(P, Q)}) == 2
+    # immutable
+    for node, field in ((P, "name"), (Not(P), "body"), (Cond(P, Q), "antecedent")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Q)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    # positional arity
+    for build in (lambda: Atom(), lambda: Not(P, Q), lambda: And(P), lambda: Cond(P, Q, R)):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_nodes_match_by_position_and_keep_their_repr():
+    match Cond(P, Not(Q)):
+        case Cond(a, Not(b)):
+            assert (a, b) == (P, Q)
+        case _:
+            raise AssertionError("Cond(a, b) did not bind")
+    match Bel(Box(R)):
+        case Bel(Box(Atom(name))):
+            assert name == "r"
+        case _:
+            raise AssertionError("Bel(Box(Atom(name))) did not bind")
+    assert Atom.__match_args__ == ("name",) and Cond.__match_args__ == ("antecedent", "consequent")
+    assert repr(Implies(Bel(Cond(P, Q)), Box(Iff(R, Not(And(P, Or(Q, R))))))) == (
+        "Implies(Bel(Cond(Atom('p'), Atom('q'))), "
+        "Box(Iff(Atom('r'), Not(And(Atom('p'), Or(Atom('q'), Atom('r')))))))")
+
+
+def test_nodes_pickle_and_copy_by_value():
+    f = Implies(Bel(Cond(P, Q)), Box(Not(R)))
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert copy.deepcopy(f) == f and copy.copy(f) == f

@@ -10,6 +10,7 @@ from kripkelewis import (
     Box,
     Cond,
     Frame,
+    FrameIssue,
     Model,
     Not,
     Or,
@@ -22,6 +23,7 @@ from kripkelewis import (
     truth,
     truth_set,
     validate_frame,
+    Witness,
 )
 
 from kripkelewis.model import MAX_MISSING_SELECTION_ENTRIES
@@ -305,3 +307,25 @@ def test_json_writers_equal_per_entry_oracle():
         assert model_to_json(model) == expected
         del expected["valuation"]
         assert frame_to_json(frame) == expected
+
+
+def test_frame_issue_is_an_immutable_value():
+    issue = FrameIssue("non_serial", "belief set of s0 is empty")
+    assert issue == FrameIssue(kind="non_serial", detail="belief set of s0 is empty")
+    assert issue != FrameIssue("non_serial", "belief set of s1 is empty")
+    assert hash(issue) == hash(FrameIssue("non_serial", "belief set of s0 is empty"))
+    assert str(issue) == "non_serial: belief set of s0 is empty"
+    assert (issue.kind, issue.detail) == ("non_serial", "belief set of s0 is empty")
+    with pytest.raises(AttributeError):
+        issue.kind = "bad_structure"
+
+
+def test_witness_defaults_equality_and_repr():
+    first, second = Witness("P5"), Witness("P5")
+    assert first.states == {} and first.events == {}
+    assert first.states is not second.states and first.events is not second.events
+    w = Witness("P2", {"s": 0, "s_prime": 1}, {"E": 3})
+    assert w == Witness(kind="P2", states={"s": 0, "s_prime": 1}, events={"E": 3})
+    assert w != Witness("P3", {"s": 0, "s_prime": 1}, {"E": 3})
+    assert w != ("P2", {"s": 0, "s_prime": 1}, {"E": 3})
+    assert repr(w) == "Witness(kind='P2', states={'s': 0, 's_prime': 1}, events={'E': 3})"

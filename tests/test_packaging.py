@@ -4,7 +4,9 @@ every name they import, and ``__all__`` lists each public name once."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
 import sys
 
 import kripkelewis
@@ -84,3 +86,20 @@ def test_all_lists_each_public_name_once():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(names), public ^ set(names)
+
+
+def test_no_module_imports_dataclasses():
+    # the record classes are plain classes and NamedTuples: a dataclass
+    # generates and compiles its methods in every process that imports it
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in _absolute_imports(path), path.name
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, kripkelewis.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    # -S: no site hooks, which on some installs import inspect themselves
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

@@ -316,6 +316,65 @@ def test_sweep_config_validation():
     SweepConfig(size=3, mode="random", count=5, seed=0).validate()
 
 
+@pytest.mark.parametrize("field, value, call", [
+    ("size", 2.5, lambda: sweep(SweepConfig(2.5))),
+    ("count", 5.5, lambda: sweep(SweepConfig(3, "random", 5.5, 1))),
+    ("seed", 1.5, lambda: sweep(SweepConfig(2, "random", 5, 1.5))),
+    ("size", True, lambda: sweep(SweepConfig(True))),
+    ("ks", 2.0, lambda: sweep(SweepConfig(2, ks=(2.0,)))),
+    ("ks", 2.0, lambda: triple_check(frame_from_code(2, 0), ks=(2.0,))),
+    ("n", 2.0, lambda: next(sample_frames(2.0, 5, 1))),
+    ("count", 5.5, lambda: next(sample_frames(2, 5.5, 1))),
+    ("workers", 2.5, lambda: sweep(SweepConfig(2), workers=2.5)),  # range(3.5) past 2 CPUs
+])
+def test_library_sweeps_refuse_numbers_that_are_not_ints(field, value, call):
+    # a float or a bool is refused by name, before it reaches a shift, a
+    # slice or the seeding of the stream (random.Random(1.5) seeds by hash)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        call()
+
+
+def test_sweep_config_is_an_immutable_value():
+    cfg = SweepConfig(2)
+    assert (cfg.size, cfg.mode, cfg.count, cfg.seed, cfg.ks, cfg.allow_large) == (
+        2, "exhaustive", None, None, (2, 3, 4, 5, 7, 8), False)
+    same = SweepConfig(size=3, mode="random", count=5, seed=1, ks=(2, 4), allow_large=True)
+    assert same == SweepConfig(3, "random", 5, 1, (2, 4), True)
+    assert hash(same) == hash(SweepConfig(3, "random", 5, 1, (2, 4), True))
+    assert len({cfg, SweepConfig(size=2), same}) == 2
+    with pytest.raises(AttributeError):
+        cfg.size = 3
+    echo = same.echo()
+    assert list(echo) == ["size", "mode", "count", "seed", "ks", "allow_large"]
+    assert echo == {"size": 3, "mode": "random", "count": 5, "seed": 1, "ks": [2, 4],
+                    "allow_large": True}
+
+
+def test_report_pickles_and_to_json_is_a_deep_copy():
+    import pickle
+
+    report = sweep(SweepConfig(2, "random", 200, 3, ks=(4,)))
+    report.discrepancies.append({"digest": "2:0", "kind": "countermodel_replay", "k": 4})
+    again = pickle.loads(pickle.dumps(report))
+    assert again == report and again.to_json() == report.to_json()
+    data = report.to_json()
+    assert list(data) == ["config", "totals", "per_axiom", "per_agm", "always_valid", "replay",
+                          "discrepancies", "duration_ms"]
+    before = json.dumps(data, sort_keys=True)
+    data["config"]["ks"].append(9)
+    data["totals"]["frames"] = -1
+    data["per_axiom"]["P4"]["pp"] = -1
+    data["discrepancies"][0]["k"] = -1
+    data["discrepancies"].clear()
+    assert json.dumps(report.to_json(), sort_keys=True) == before
+    empty = Report({"ks": []})
+    assert (empty.totals, empty.replay) == ({"frames": 0, "property_violations": 0},
+                                            {"attempted": 0, "falsified": 0})
+    assert empty.per_axiom == empty.per_agm == empty.always_valid == {}
+    assert empty.discrepancies == [] and empty.duration_ms == 0
+    assert empty.totals is not Report({"ks": []}).totals
+
+
 @pytest.mark.parametrize("extra", [{"seed": 3}, {"count": -3}, {"count": 5, "seed": 0}])
 def test_exhaustive_mode_refuses_seed_and_count(extra):
     # Exhaustive mode enumerates every frame, so a seed or count would be
