@@ -272,7 +272,7 @@ def _sweep_lines(report):
     yield f"discrepancies: {len(report.discrepancies)}"
     yield f"replay: {report.replay['falsified']}/{report.replay['attempted']} falsified"
     yield "always_valid: " + " ".join(f"{k}={v}" for k, v in report.always_valid.items())
-    for name, cells in report.per_axiom.items():
+    for name, cells in (*report.per_axiom.items(), *report.per_agm.items()):
         yield f"{name}: " + " ".join(f"{cell}={v}" for cell, v in cells.items())
     for entry in report.discrepancies:
         yield f"discrepancy: {json.dumps(entry, sort_keys=True)}"

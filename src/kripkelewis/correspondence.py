@@ -15,12 +15,13 @@ is replayed once for the state mask of its violations (see
 :func:`_replay_groups`).  Verdicts stay in columns, one lane mask per
 check, and one counter turns them into the report's cells by popcount,
 building records only for flagged frames (see :func:`_count_columns`).
-The mode picks the route: an exhaustive partition checks only the uniform
-frames of its local profiles ``(belief[s], union[s])`` and folds their
-verdict columns a span of codes at a time through byte tables, with no
-Python per frame (see :func:`_fold_profiles`), and a random one checks its
-frames batch by batch as they are parsed off blocks of the seeded words
-(see :func:`_sample_batches`).  A partition is a range of the frame
+The mode picks the route: an exhaustive partition, on one or two states,
+checks the uniform frame of every local profile ``(belief[s], union[s])``
+once and folds their verdict columns through byte tables over the codes
+of one belief assignment at a time, with no Python per frame (see
+:func:`_fold_profiles`), and a random one checks its frames batch by batch
+as they are parsed off blocks of the seeded words (see
+:func:`_sample_batches`).  A partition is a range of the frame
 stream, which each process draws for itself: on several workers the parent
 checks the last partition and forked workers the others (see :func:`sweep`).
 """
@@ -101,6 +102,12 @@ def frame_code(frame: Frame) -> int:
 
 
 def frame_from_code(n: int, code: int) -> Frame:
+    """The frame :func:`frame_code` spells as ``code`` on n states.
+    Refuses an n below 1, and an n or code that is not an int or is a bool."""
+    for name, value in (("n", n), ("code", code)):
+        _require_int(name, value)
+    if n < 1:
+        raise ValueError(f"state count must be at least 1, got {n}")
     full = (1 << n) - 1
     # the selection digits are base 2^n, so each is an n-bit field
     selections = [code >> n * i & full for i in reversed(range(n * full))]
@@ -127,6 +134,8 @@ def sample_frames(n: int, count: int, seed: int) -> Iterator[Frame]:
         raise ValueError(f"state count must be 1 to {MAX_CODE_SIZE}, got {n}")
     if count < 1:
         raise ValueError("count must be positive")
+    if count > sys.maxsize:  # past islice's bound
+        raise ValueError(f"count must be at most {sys.maxsize} (sys.maxsize)")
     if seed < 0:  # random.Random seeds by |seed|: -7 draws the frames of 7
         raise ValueError(f"sample_frames requires a seed >= 0, got {seed}")
     for beliefs, selections in _sample_batches(n, seed, 0, count):
@@ -561,7 +570,7 @@ def _count_columns(report: Report, columns: list[int], lanes: int, stride: int,
         report.discrepancies += _discrepancies(record)
 
 
-def _profile_columns(n: int, keys: list[int], ks: tuple[int, ...]) -> list[bytes]:
+def _profile_columns(n: int, keys: Sequence[int], ks: tuple[int, ...]) -> list[bytes]:
     """The verdict columns of the uniform frames of these profile keys
     (:func:`_uniform_frames`), eight to a byte: group g holds one byte per
     key, column gm + j at bit j and, in group 1, A1 at bit 7.  At most
@@ -580,23 +589,19 @@ def _profile_columns(n: int, keys: list[int], ks: tuple[int, ...]) -> list[bytes
     return groups
 
 
-# Codes an exhaustive partition folds at once, at most: a power of two.
-SPAN_CODES = 1 << 13
-
-
 @lru_cache(maxsize=None)
-def _span_rows(n: int, span: int, believed: int) -> bytes:
-    """Per code i of a span from a multiple of ``span``, one byte: the OR of
-    the bits of the believed states' selection rows that vary in the span,
-    each row spelled from its period.  A span of the fold lies in one run of
-    equal belief digits and, past two states, has at most 256 codes, so the
-    rest of each profile key is fixed in it."""
+def _span_rows(n: int, believed: int) -> bytes:
+    """Per code of a span, the codes of one belief assignment, one byte:
+    the OR of the believed states' selection rows, each spelled from its
+    period, state x's row of ``width`` bits held for ``1 << (n - 1 - x) *
+    width`` codes."""
     width = n * ((1 << n) - 1)
+    span = 1 << n * width
     rows = 0
     for x in range(n):
-        held = 1 << (n - 1 - x) * width
-        if believed >> x & 1 and held < span:
-            period = b"".join([bytes([v]) * held for v in range(min(1 << width, span // held))])
+        if believed >> x & 1:
+            held = 1 << (n - 1 - x) * width
+            period = b"".join([bytes([v]) * held for v in range(1 << width)])
             rows |= int.from_bytes(period * (span // len(period)), "little")
     return rows.to_bytes(span, "little")
 
@@ -608,52 +613,38 @@ def _byte_bits(count: int) -> list[int]:
 
 
 def _fold_profiles(config: dict, codes: range) -> Report:
-    """Fold the verdicts of the frames with these consecutive codes from
-    their states' profiles ``(belief[s], union[s])``: each verdict of
-    :func:`triple_check` is a conjunction over states of a condition on the
-    state's profile, that of its uniform frame, and a replay is the lowest
-    violating state's.  In a span of codes (:func:`_span_rows`) a state's
-    profile key is ``scalar | row``, ``row`` one byte a code; a first pass
-    checks the profiles each scalar meets into four translate tables
-    (:func:`_profile_columns`), then per span each state's rows are
-    translated to its verdict columns, the states are folded from n - 1
-    down by big-int OR, and :func:`_count_columns` counts the columns."""
+    """Fold the verdicts of the frames with these consecutive codes on one
+    or two states from their states' profiles ``(belief[s], union[s])``:
+    each verdict of :func:`triple_check` is a conjunction over states of a
+    condition on the state's profile, that of its uniform frame, and a
+    replay is the lowest violating state's.  Every profile is checked once
+    (:func:`_profile_columns`), its key ``d << width | row`` indexing four
+    256-byte translate tables per belief digit d.  A span is the codes of
+    one belief assignment, in which a state's row is one byte a code
+    (:func:`_span_rows`): per span each state's rows are translated to its
+    verdict columns, the states are folded from n - 1 down by big-int OR,
+    and :func:`_count_columns` counts the columns."""
     n, ks = config["size"], tuple(config["ks"])
     full = (1 << n) - 1
-    width, size = n * full, 1 << n * full
-    span = min(SPAN_CODES, size**n if size <= 256 else 256)
-    seen: dict[int, bytearray] = {}  # scalar -> the rows met with it
-    met, spans = [], []  # each (scalar, row) met, once; per span (first, lo, hi, states)
+    width = n * full
+    size, span = 1 << width, 1 << n * width
+    groups = _profile_columns(n, range(full << width), ks)
+    tables = [[group[d * size : d * size + size].ljust(256, b"\0") for group in groups]
+              for d in range(full)]
+    report = Report.empty(config)
     for start in range(codes.start - codes.start % span, codes.stop, span):
         lo, hi = max(codes.start, start) - start, min(codes.stop, start + span) - start
-        fixed = [start >> (n - 1 - x) * width & size - 1 for x in range(n)]
-        states = []  # (scalar, believed set), n - 1 down
+        folded = [0] * 4
         for s in reversed(range(n)):
             believed = (start >> n * width) // full ** (n - 1 - s) % full + 1
-            scalar = reduce(or_, [fixed[x] for x in range(n) if believed >> x & 1],
-                            believed - 1 << width)
-            rows = seen.setdefault(scalar, bytearray())
-            unseen = sorted(set(_span_rows(n, span, believed)[lo:hi].translate(None, rows)))
-            rows += bytes(unseen)
-            met += [(scalar, row) for row in unseen]
-            states.append((scalar, believed))
-        spans.append((start + lo, lo, hi, states))
-    tables = {scalar: [bytearray(256) for _ in range(4)] for scalar in seen}
-    for g, group in enumerate(_profile_columns(n, [scalar | row for scalar, row in met], ks)):
-        for (scalar, row), byte in zip(met, group):
-            tables[scalar][g][row] = byte
-    report = Report.empty(config)
-    for first, lo, hi, states in spans:
-        folded = [0] * 4
-        for scalar, believed in states:
-            rows = _span_rows(n, span, believed)[lo:hi]
+            rows = _span_rows(n, believed)[lo:hi]
             replays, failed, axioms, agms = [int.from_bytes(rows.translate(table), "little")
-                                             for table in tables[scalar]]
+                                             for table in tables[believed - 1]]
             folded = [replays | (folded[0] | failed) ^ failed, failed | folded[1],
                       axioms | folded[2], agms | folded[3]]
         bits = _byte_bits(hi - lo)
         columns = [group & bits[j] for group in folded for j in range(len(ks))]
-        _count_columns(report, columns + [folded[1] & bits[7]], hi - lo, 8, first.__add__)
+        _count_columns(report, columns + [folded[1] & bits[7]], hi - lo, 8, (start + lo).__add__)
     return report
 
 

@@ -9,8 +9,9 @@ forms, the lane-packed property evaluator by its per-frame loops,
 sampled frames as drawn tuples instead of frame codes, the
 evaluator's tables by per-entry subset tests and its schema and rule
 scans as one mask formula each under ``product``, the postulates by
-loops over one state's union table, and the frame loader, union table,
-code decoder and JSON writer by the per-entry loops they replaced.
+loops over one state's union table, the frame loader, union table,
+code decoder and JSON writer by the per-entry loops they replaced, and
+the exhaustive fold by one record per frame.
 Expected values frozen into the golden tests were computed with these.
 Two routes live here because only tests call them: every small frame,
 decoded once per session, and the property witnesses replayed one at a
@@ -549,6 +550,51 @@ def code_batches(n: int, codes) -> list[tuple[bytes, bytes]]:
     (read at the call) codes each, through :func:`code_digits`."""
     codes, size = list(codes), correspondence.BATCH_FRAMES
     return [code_digits(n, codes[lo : lo + size]) for lo in range(0, len(codes), size)]
+
+
+def oracle_profile_fold(config: dict, codes) -> correspondence.Report:
+    """``_fold_profiles`` frame by frame, at any state count: each state's
+    profile key ``belief[s] - 1 << width | row``, ``row`` spelling
+    ``union[s]`` event 1 first, and ``_profile_columns`` on the distinct
+    keys; per frame each check fails where it fails at some state, and
+    each replay is that of the lowest violating state.  The verdicts go
+    into a ``FrameRecord``, its discrepancies through ``_discrepancies``,
+    counted by ``Report.add_record``."""
+    n, ks = config["size"], tuple(config["ks"])
+    m, full = len(ks), (1 << n) - 1
+
+    def profile_key(frame: Frame, s: int) -> int:
+        row = 0
+        for e in range(1, full + 1):
+            row = row << n | frame.union[s][e]
+        return frame.belief[s] - 1 << n * full | row
+
+    frames = [(code, frame_from_code(n, code)) for code in codes]
+    keys = sorted({profile_key(frame, s) for _, frame in frames for s in range(n)})
+    groups = correspondence._profile_columns(n, keys, ks)
+    # per key: the replay, Pk, Ak and Kk columns of each k, then A1: 1 where it fails
+    verdicts = {key: [groups[c // m][i] >> c % m & 1 for c in range(4 * m)] + [groups[1][i] >> 7]
+                for i, key in enumerate(keys)}
+    report = correspondence.Report.empty(config)
+    for code, frame in frames:
+        states = [verdicts[profile_key(frame, s)] for s in range(n)]
+        holds = [not any(v[c] for v in states) for c in range(4 * m + 1)]
+        replays = []
+        for i, k in enumerate(ks):
+            violating = [v for v in states if v[m + i]]
+            if violating:
+                replays.append((k, bool(violating[0][i])))
+        record = correspondence.FrameRecord(
+            f"{n}:{code}",
+            {k: holds[m + i] for i, k in enumerate(ks)},
+            {k: holds[2 * m + i] for i, k in enumerate(ks)},
+            {k: holds[3 * m + i] for i, k in enumerate(ks)},
+            {name: holds[4 * m] or j > 0
+             for j, name in enumerate(correspondence.ALWAYS_VALID_NAMES)},
+            replays, [])
+        record.discrepancies = correspondence._discrepancies(record)
+        report.add_record(record)
+    return report
 
 
 def no_children() -> None:

@@ -387,12 +387,12 @@ GOLDEN = {
 }
 
 SWEEP_GOLDEN = {
-    "sweep --size 1": (0, "9c76ebbdcc275cb7", "e3b0c44298fc1c14"),
+    "sweep --size 1": (0, "474f226f77e3ca7e", "e3b0c44298fc1c14"),
     "sweep --json --size 1": (0, "c5aaeeb7e161a1fc", "e3b0c44298fc1c14"),
-    "sweep --size 2 --ks 4,2": (0, "8b902e226dc8211f", "e3b0c44298fc1c14"),
+    "sweep --size 2 --ks 4,2": (0, "4fb0a309d0d85d9a", "e3b0c44298fc1c14"),
     "sweep --json --size 2 --ks 4,2": (0, "c6494c4e3da4d4dd", "e3b0c44298fc1c14"),
     "sweep --size 2 --mode random --count 300 --seed 9 --ks 4":
-        (0, "27d62ceb2324d9ca", "e3b0c44298fc1c14"),
+        (0, "18f9d01516b0ae81", "e3b0c44298fc1c14"),
     "sweep --json --size 2 --mode random --count 300 --seed 9 --ks 4":
         (0, "a95e270869667fb7", "e3b0c44298fc1c14"),
 }

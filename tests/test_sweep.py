@@ -105,6 +105,20 @@ def test_frame_from_code_equals_divmod_oracle():
             assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("n, code, message", [
+    (0, 0, "state count must be at least 1, got 0"),
+    (-1, 0, "state count must be at least 1, got -1"),
+    (2, 2.0, "code must be an integer, got 2.0"),
+    (2, True, "code must be an integer, got True"),
+])
+def test_frame_from_code_refuses_bad_state_counts_and_codes(n, code, message):
+    # refused by name, not by an error from range() or a shift, and a bool
+    # is not read as the code 0 or 1
+    with pytest.raises(ValueError) as got:
+        frame_from_code(n, code)
+    assert str(got.value) == message
+
+
 def test_enumeration_is_deterministic():
     first = [frame_digest(f) for _, f in zip(range(100), helpers.enumerate_frames(2))]
     # the frames come from a per-session cache, so fix the order itself:
@@ -175,6 +189,10 @@ def test_sample_frames_takes_one_to_seven_states():
             next(sample_frames(n, 1, seed=0))
     with pytest.raises(ValueError, match="count must be positive"):
         next(sample_frames(2, 0, seed=0))
+    # past sys.maxsize islice would refuse the count at the first draw
+    with pytest.raises(ValueError) as got:
+        next(sample_frames(2, sys.maxsize + 1, seed=0))
+    assert str(got.value) == f"count must be at most {sys.maxsize} (sys.maxsize)"
     # random.Random seeds by |seed|, so -7 would draw exactly the frames of 7
     for seed in (-1, -7):
         with pytest.raises(ValueError, match=f"requires a seed >= 0, got {seed}"):
@@ -536,7 +554,7 @@ def test_partitions_concatenate_to_the_stream(monkeypatch):
 
 
 def test_five_workers_cut_blocks_and_report_the_pinned_digest(monkeypatch, bounded):
-    # partition bounds fall inside the 64-code blocks the profile route folds
+    # partition bounds fall inside the 4,096-code spans the profile route folds
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 5)
     cfg = SweepConfig(size=2)
     bounds = [lo for _, lo, _ in sweep_module._make_payloads(cfg, 5)][1:]
@@ -661,7 +679,14 @@ def test_sweep_error_names_pool_partition(monkeypatch, bounded):
 
 def test_sweep_error_names_parent_partition(monkeypatch, bounded):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
-    _fail_on(monkeypatch, {1})  # the parent checks the last partition, codes[1:2]
+    real = sweep_module._fold_profiles
+
+    def failing(config, codes):  # the parent checks the last partition, codes[1:2]
+        if codes.start == 1:
+            raise RuntimeError("injected")
+        return real(config, codes)
+
+    monkeypatch.setattr(sweep_module, "_fold_profiles", failing)
     with pytest.raises(SweepError) as exc:
         sweep(SweepConfig(size=1, mode="exhaustive"), workers=2)
     assert str(exc.value) == "sweep aborted: partition codes[1:2] failed: injected"
@@ -776,7 +801,7 @@ def test_profile_route_equals_frame_route_all_two_state_frames():
 
 
 def test_profile_route_equals_frame_route_random_partitions():
-    # exhaustive partitions whose ends cut the 64-code blocks of two
+    # exhaustive partitions whose ends cut the 4,096-code spans of two
     # states, fixed and drawn at random, with subsets of ks
     rng = random.Random(152)
     drawn = [sorted(rng.sample(range(frame_count(2) + 1), 2)) for _ in range(3)]
@@ -801,20 +826,34 @@ def _three_state_starts(count: int, seed: int) -> list[int]:
     return starts + [(end << 21) - 3 for end in ends]
 
 
+_REAL_RECIPE = sweep_module.countermodel_recipe
+
+
+def _broken_a2_recipe(k):
+    if k is not AxiomId.A2:
+        return _REAL_RECIPE(k)
+    # reads belief[s] & {s0, s1}; where that is {s0, s1}, p is the empty
+    # event, which cannot falsify A2
+    return lambda e, f: ("belief", 3), lambda e, f, u: (0,) if u == 3 else (e,)
+
+
 def test_profile_route_equals_frame_route_three_state_codes(monkeypatch):
-    # the profile route on short three-state ranges checks only the
-    # profiles it meets, at most BATCH_FRAMES at a time
-    calls = _count_checked_frames(monkeypatch)
+    # the profile lemma at three states, where no sweep folds: the oracle
+    # fold of short ranges equals the frame route, with the true recipes
+    # and with the broken A2 recipe.  On these ranges a state where that
+    # recipe cannot falsify is never a frame's lowest violating state, but
+    # it is a higher one, so every replay falsifies only if each frame
+    # replays its lowest violating state's countermodel
     config = SweepConfig(size=3, allow_large=True).echo()
-    attempted = 0
-    for start in _three_state_starts(3, 17):
-        codes = range(start, start + 90)
-        calls["n"] = 0
-        profiles = sweep_module._fold_profiles(config, codes).to_json()
-        assert 0 < calls["n"] <= 3 * len(codes), start
-        assert profiles == _frame_route(config, codes).to_json(), start
-        attempted += profiles["replay"]["attempted"]
-    assert attempted > 0
+    for recipe in (_REAL_RECIPE, _broken_a2_recipe):
+        monkeypatch.setattr(sweep_module, "countermodel_recipe", recipe)
+        replay = Counter()
+        for start in _three_state_starts(3, 17):
+            codes = range(start, start + 90)
+            profiles = helpers.oracle_profile_fold(config, codes).to_json()
+            assert profiles == _frame_route(config, codes).to_json(), (recipe, start)
+            replay.update(profiles["replay"])
+        assert replay["falsified"] == replay["attempted"] > 0, recipe
 
 
 class _BrokenK2(sweep_module.PostulateEvaluator):
@@ -840,24 +879,17 @@ class _BrokenK5b(_BrokenK2):
 
 
 def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
-    real_recipe = sweep_module.countermodel_recipe
-
-    def broken_a2_recipe(k):
-        if k is not AxiomId.A2:
-            return real_recipe(k)
-        # reads belief[s] & {s0, s1}; where that is {s0, s1}, p is the empty
-        # event, which cannot falsify A2
-        return lambda e, f: ("belief", 3), lambda e, f, u: (0,) if u == 3 else (e,)
-
+    # at two states the fold itself, at three the oracle fold
     monkeypatch.setattr(sweep_module, "PostulateEvaluator", _BrokenK2)
-    monkeypatch.setattr(sweep_module, "countermodel_recipe", broken_a2_recipe)
-    for n, partitions in ((2, [(4000, 4321, 9000)]), (3, [
-            (start, start + 40, start + 120) for start in _three_state_starts(3, 22)])):
+    monkeypatch.setattr(sweep_module, "countermodel_recipe", _broken_a2_recipe)
+    for n, fold, partitions in ((2, sweep_module._fold_profiles, [(4000, 4321, 9000)]), (
+            3, helpers.oracle_profile_fold,
+            [(start, start + 40, start + 120) for start in _three_state_starts(3, 22)])):
         config = SweepConfig(size=n, allow_large=n > 2).echo()
         kinds, replay = set(), Counter()
         for bounds in partitions:
             routes = []
-            for route in (sweep_module._fold_profiles, _frame_route):
+            for route in (fold, _frame_route):
                 parts = [route(config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
                 routes.append([p.to_json() for p in parts] + [merge_reports(parts).to_json()])
             assert routes[0] == routes[1], (n, bounds)
@@ -906,7 +938,7 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
     calls = _count_checked_frames(monkeypatch)
     first = sweep(SweepConfig(size=2, mode="exhaustive")).to_json()
     once = calls["n"]
-    assert 0 < once <= 192
+    assert once == 192  # every two-state profile, once
     calls["n"] = 0
     second = sweep(SweepConfig(size=2, mode="exhaustive")).to_json()
     assert calls["n"] == once  # the memo lives for one partition only
@@ -919,6 +951,11 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
         calls["n"] = 0
         sweep(SweepConfig(size=n, mode="random", count=1000, seed=42))
         assert calls["n"] == 1000, n
+
+    # a one-code partition checks both one-state profiles
+    calls["n"] = 0
+    sweep_module._fold_profiles(SweepConfig(size=1).echo(), range(1, 2))
+    assert calls["n"] == 2
 
     # the mode alone picks the route: a one-code exhaustive partition folds
     for route in ("_fold_profiles", "_check_frames"):
@@ -1015,9 +1052,9 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
         for batch in (1, 7, sweep_module.BATCH_FRAMES):
             monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
             assert _frame_route(config, codes).to_json() == expected, (n, batch)
-    # the profile route on exhaustive ranges around a ranked code, whose
-    # ends cut blocks, and across the ends of spans of 4,096 codes (where
-    # the belief digits change at two states), with the span also small
+    # the profile route on exhaustive ranges around a ranked code, and
+    # across the ends of spans of 4,096 codes (where the belief digits
+    # change at two states)
     ranges = [(n, ks, max(ranked - 100, 0), min(ranked + 157, frame_count(n)))
               for n, ks in ((1, every_k), (2, every_k), (2, (8, 2, 5)))
               for ranked in [frame_code(helpers.ranked_frame(rng, n))]]
@@ -1027,12 +1064,10 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
         config = SweepConfig(size=n, ks=ks).echo()
         expected = _per_frame_report(config, codes)
         assert expected["replay"]["attempted"] > 0 or n == 1
-        for batch, span in ((1, 2), (7, 64), (sweep_module.BATCH_FRAMES, 16),
-                            (sweep_module.BATCH_FRAMES, sweep_module.SPAN_CODES)):
+        for batch in (1, 7, sweep_module.BATCH_FRAMES):
             monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
-            monkeypatch.setattr(sweep_module, "SPAN_CODES", span)
             assert sweep_module._fold_profiles(config, codes).to_json() == expected, (
-                n, lo, batch, span)
+                n, lo, batch)
 
 
 # --- lane tables spelled from frame codes, and the masks read off them -------
