@@ -5,8 +5,9 @@ of every model based on the frame.  Schema letters stand for Boolean
 formulas, and every event is the truth set of a fresh atom under some
 valuation, so quantifying letters over all events (empty and full
 included) is exactly validity over all models.  The evaluator works
-directly on events; the tests cross it against the generic model
-semantics on instances built from fresh atoms p, q, r.
+directly on events, on one frame or on a sweep batch's lane tables; the
+tests cross it against the generic model semantics on instances built
+from fresh atoms p, q, r.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ _INSTANCES = {
 
 def axiom_instance(k: AxiomId) -> Formula:
     """The schema instantiated with atoms p, q, r standing for its letters."""
-    _schema_index(k)  # refuses a rule
+    _schema_index(k)  # refuses what is not a schema
     return _INSTANCES[k]
 
 
@@ -76,31 +77,26 @@ class MismatchedWitnessError(ValueError):
 
 
 class SchemaEvaluator:
-    """Event-level evaluator for the axiom schemas on one or more frames
-    on the same n states.
-
-    Frame i occupies lane i: bit ``i*n + s`` of every state mask stands for
-    state s of frame i, so each compiled scan (``_scan``) runs once for all
-    the frames.  ``lane_failures`` keeps each lane's first hit through
-    :func:`first_hits`, the driver of all three lane evaluators;
-    ``check_axiom`` and ``holds_mask`` read a scan's first hit directly.
-    Precomputes, for every pair of events (a, b), the mask of states where
-    the believed conditional with antecedent event a and consequent event
-    b holds: everything if a is empty, else the states whose union of
-    believed selections for a lies inside b.  Likewise the mask of states
-    whose belief set lies inside each event.
-
-    Both are read off lane tables (see ``LaneTables``), one table per
-    event through ``_within_masks``: a sweep batch passes its ``tables``,
-    and frames passed directly get theirs from :func:`frame_tables`.
+    """Event-level evaluator for the axiom schemas on one frame, or on the
+    frames of one sweep batch, frame i in lane i (see ``LaneLayout``), so
+    each compiled scan (``_scan``) runs once for all the lanes.
+    ``lane_failures`` keeps each lane's first hit through :func:`first_hits`,
+    the driver of all three lane evaluators; ``check_axiom`` and
+    ``holds_mask`` read a scan's first hit directly.  Precomputes, for
+    every pair of events (a, b), the mask of states where the believed
+    conditional with antecedent event a and consequent event b holds:
+    everything if a is empty, else the states whose union of believed
+    selections for a lies inside b.  Likewise the mask of states whose
+    belief set lies inside each event.  Both are read off lane tables (see
+    ``LaneTables``), one table per event through ``_within_masks``.
     ``full`` is the event universe 2^n - 1 (also lane 0's states);
     ``states`` is every state of every lane.
     """
 
     __slots__ = ("n", "full", "states", "spread", "bel", "bel_cond")
 
-    def __init__(self, *frames: Frame, tables: LaneTables | None = None):
-        n, lanes, _, union, belief = tables or frame_tables(frames)
+    def __init__(self, frame: Frame | None = None, tables: LaneTables | None = None):
+        n, lanes, _, union, belief = tables or frame_tables(frame)
         self.n = n
         self.full = (1 << n) - 1
         layout = lane_layout(n, lanes)
@@ -129,9 +125,9 @@ class SchemaEvaluator:
         return first_hits(hits, self.states, self.states, self.spread)[0]
 
     def check_axiom(self, k: AxiomId) -> Witness | None:
-        """None if ``k`` is valid on the (first) frame, else the
-        lexicographically least falsifying assignment with its lowest
-        falsified state: the first hit with a state of the first frame."""
+        """None if ``k`` is valid on the frame (on a batch's tables, lane
+        0's), else the lexicographically least falsifying assignment with
+        its lowest falsified state: the first hit with a state there."""
         scan, letters = _scan(_schema_index(k))
         for bad, assignment in scan(self, *[range(self.full + 1)] * letters):
             bad &= self.full
@@ -248,10 +244,13 @@ def _scan(i: int):
 
 def _schema_index(k: AxiomId) -> int:
     """Position of the schema ``k`` in ``_SCAN_IDS``.  A rule has no scan
-    and is refused here: see :func:`rule_valid_on_frame`."""
-    if k in RULE_IDS:
-        raise ValueError(f"{k.value} is a rule of inference, not a schema")
-    return _SCAN_IDS.index(k)
+    and is refused here (see :func:`rule_valid_on_frame`), as is any other k."""
+    try:
+        return _SCAN_IDS.index(k)
+    except ValueError:
+        if k in RULE_IDS:
+            raise ValueError(f"{k.value} is a rule of inference, not a schema") from None
+        raise ValueError(f"unknown axiom {k!r}") from None
 
 
 def compile_scans() -> None:
@@ -285,8 +284,10 @@ def rule_valid_on_frame(frame: Frame, k: AxiomId) -> None:
     """None, for either rule of inference on any frame: the clause for >
     reads only the antecedent's event and is vacuous on the empty one, so
     B(p > q) with p empty (RuleK5a) and B(p > r) <-> B(q > r) with p and
-    q the same event (RuleK6) hold everywhere.  Refuses a schema."""
+    q the same event (RuleK6) hold everywhere.  Refuses a schema, and
+    anything that is not an ``AxiomId``."""
     if k not in RULE_IDS:
+        _schema_index(k)  # refuses what is not an axiom
         raise ValueError(f"{k.value} is a schema; use schema_valid_on_frame")
 
 
@@ -337,10 +338,7 @@ def countermodel_assignment(frame: Frame, k: AxiomId, w: Witness) -> tuple[tuple
     believed selections for E & F, the strongest candidate, whatever G the
     witness carries.
     """
-    try:
-        i = _PAIRED_AXIOMS.index(k)
-    except ValueError:
-        i = -1
+    i = _PAIRED_AXIOMS.index(k) if k in _PAIRED_AXIOMS else -1
     if i < 0 or w.kind != _PAIRED_KINDS[i]:
         name = k.value if isinstance(k, AxiomId) else repr(k)
         paired = PAIRED_PROPERTY[k].value if k in PAIRED_PROPERTY else "n/a"

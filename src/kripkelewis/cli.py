@@ -187,7 +187,7 @@ def cmd_frame_check(args) -> int:
     if args.props is not None:
         props = [_id_arg(PropertyId, "property", piece.strip()) for piece in args.props.split(",")]
     evaluator = PropertyEvaluator(frame)
-    results = {p.value: _outcome("pass", evaluator.witnesses(p)[0], frame) for p in props}
+    results = {p.value: _outcome("pass", evaluator.witness(p), frame) for p in props}
     _emit(args, lambda: {"results": results},
           lambda: (_verdict(name, "pass", res) for name, res in results.items()))
     return 0 if all(res["pass"] for res in results.values()) else 1

@@ -680,7 +680,12 @@ def _fork(payload: tuple[dict, int, int]) -> tuple[int, int]:
     on every path, with code 0 once its outcome is sent."""
     import pickle
     receiver, sender = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(receiver)
+        os.close(sender)
+        raise
     if pid:
         os.close(sender)  # so that the receiver reads EOF once the worker is gone
         return pid, receiver
@@ -703,8 +708,9 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     ``os.fork`` children, each read to EOF and reaped in turn, or killed on any
     other way out; without ``os.fork`` the sweep runs in one process.  A failed
     partition, or a worker exiting without a report, aborts the sweep with a
-    SweepError naming the lowest one and carrying the completed reports.
-    Refuses ``workers < 1`` and a ``workers`` that is not an int.
+    SweepError naming the lowest one and carrying the completed reports; a
+    worker that cannot be forked, with one naming its partition and an
+    empty report.  Refuses ``workers < 1`` and a ``workers`` that is not an int.
     """
     _require_int("workers", workers)
     if workers < 1:
@@ -713,6 +719,7 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     started = time.perf_counter()
     workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     payloads = _make_payloads(cfg, workers)
+    seed = f" (seed {cfg.seed})" if cfg.seed is not None else ""
     children: dict[int, int] = {}  # unreaped worker pid -> read end of its pipe
     try:
         if len(payloads) > 1:
@@ -720,7 +727,12 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
             import signal
             compile_scans()
             _frame_parse(cfg.size)  # compiled once, before forking, like the scans
-            children.update(map(_fork, payloads[:-1]))
+            try:
+                children.update(map(_fork, payloads[:-1]))
+            except OSError as exc:  # the first worker that could not start
+                _, lo, hi = payloads[len(children)]
+                raise SweepError(f"sweep aborted: partition codes[{lo}:{hi}]{seed} could not "
+                                 f"start: {exc}", Report.empty(cfg.echo())) from exc
         results = [_outcome(*payloads[-1])]
         for i, pid in enumerate(list(children)):
             with open(children[pid], "rb", closefd=False) as pipe:
@@ -742,7 +754,6 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
         failed_at, failure = failures[0]
         partial = merge_reports(partials) if partials else Report.empty(cfg.echo())
         _, lo, hi = payloads[failed_at]
-        seed = f" (seed {cfg.seed})" if cfg.seed is not None else ""
         raise SweepError(
             f"sweep aborted: partition codes[{lo}:{hi}]{seed} failed: {failure}", partial
         ) from failure

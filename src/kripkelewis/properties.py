@@ -1,15 +1,13 @@
 """Decision procedures for the frame properties behind the revision postulates.
 
-``PropertyEvaluator`` checks the properties on one or more frames at once,
-frame i in lane i, and returns None on a pass or a Witness carrying the
-failing instantiation.  Each property is one scan over events in (size,
-value) order, or over the overlapping pairs of ``canonical_pairs`` for P7
-and P8, with every state of every lane tested at once.  The driver the
-three lane evaluators share, ``revision.first_hits``, keeps each state's
-first hit, its minimal (E, ...) instantiation with the least believed
-state the condition names, and a frame's witness is its lowest failing
-state's.  So the witness is the minimal one in (s, E, ...) order, the
-order in which a per-frame loop over states, then events, would meet it.
+``PropertyEvaluator`` checks the properties on one frame, or on the
+frames of one sweep batch, frame i in lane i.  Each property is one scan
+over events in (size, value) order, or over the overlapping pairs of
+``canonical_pairs`` for P7 and P8, testing every state of every lane at
+once.  ``revision.first_hits``, the driver of the three lane evaluators,
+keeps each state's first hit, its minimal (E, ...) instantiation with
+the least believed state the condition names.  A frame's witness is its
+lowest failing state's, so the minimal one in (s, E, ...) order.
 
 P2, P4 and P8 share one quantifier, every believed state's selection for
 an event inside a bound (E; belief and E; union[E] and F), and one method
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Frame, Witness, bit_indices, canonical_events, canonical_pairs
+from .model import Frame, Witness, canonical_events, canonical_pairs
 from .revision import LaneTables, first_hits, frame_tables, lane_layout
 
 
@@ -43,28 +41,25 @@ class PropertyId(Enum):
 
 def check_property(frame: Frame, k: PropertyId) -> Witness | None:
     """None if the frame satisfies property ``k``, else a minimal witness."""
-    return PropertyEvaluator(frame).witnesses(k)[0]
+    return PropertyEvaluator(frame).witness(k)
 
 
 class PropertyEvaluator:
-    """Checker of the frame properties on one or more frames on the same n
-    states.
-
-    Frame i occupies lane i, as in ``PostulateEvaluator``: bit ``i*n + s``
-    of a state mask stands for state s of frame i.  The tables hold a block
-    of ``width`` bits per state x: block x of ``sel[e]`` holds the states
-    whose selection for event e contains x, block x of ``belief`` those
-    whose belief set contains x, and block x of ``union[e]`` those whose
-    union of believed selections for e contains x.  ``union`` is read only
-    by P3, P7 and P8, whose conditions name it.  A sweep batch passes its
-    ``tables`` (shared with its ``PostulateEvaluator``) and no frames, so it
-    has no :meth:`witnesses`.  ``believes[x]`` is block x of ``belief``
-    as a state mask; the rest is the geometry of :func:`lane_layout`.
+    """Checker of the frame properties on one frame, or on the frames of
+    one sweep batch, frame i in lane i (see ``revision.LaneLayout``).
+    Block x of ``sel[e]`` holds the states whose selection for event e
+    contains x, block x of ``belief`` those whose belief set contains x,
+    and block x of ``union[e]`` those whose union of believed selections
+    for e contains x, read only by P3, P7 and P8.  A batch passes its
+    ``tables``, shared with its ``PostulateEvaluator``, and names no
+    frame, so it has no :meth:`witness`.  ``believes[x]`` is block x of
+    ``belief`` as a state mask; the rest is the geometry of
+    :func:`lane_layout`.
     """
 
-    def __init__(self, *frames: Frame, tables: LaneTables | None = None):
-        n, lanes, self.sel, self.union, self.belief = tables or frame_tables(frames, True)
-        self.frames = frames
+    def __init__(self, frame: Frame | None = None, tables: LaneTables | None = None):
+        n, lanes, self.sel, self.union, self.belief = tables or frame_tables(frame, True)
+        self.frame = frame
         self.n = n
         layout = lane_layout(n, lanes)
         self.width, self.states, self.low, self.ones, self.lows = layout[:5]
@@ -176,16 +171,14 @@ class PropertyEvaluator:
                 lowest |= pick << s
         return failed, [(bad & lowest, e, f, sp) for bad, (e, f, sp) in hits if bad & lowest]
 
-    def witnesses(self, k: PropertyId) -> list[Witness | None]:
-        """Per frame: None if it satisfies ``k``, else its minimal witness."""
-        found: list[Witness | None] = [None] * len(self.frames)
-        _, hits = self.lane_hits(k)
-        witness = _WITNESSES[_IDS.index(k)]
-        for mask, e, f, sp in hits:
-            for bit in bit_indices(mask):
-                lane, s = divmod(bit, self.n)
-                found[lane] = witness(self.frames[lane], s, e, f, sp)
-        return found
+    def witness(self, k: PropertyId) -> Witness | None:
+        """None if the frame satisfies ``k``, else its minimal witness: its
+        one hit's state is its lowest failing state."""
+        if self.frame is None:
+            raise ValueError("a batch's tables name no frame to witness")
+        for mask, e, f, sp in self.lane_hits(k)[1]:
+            return _WITNESSES[_IDS.index(k)](self.frame, mask.bit_length() - 1, e, f, sp)
+        return None
 
 
 # The scans in PropertyId order, looked up by position: ``tuple.index``

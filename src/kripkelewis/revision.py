@@ -9,7 +9,8 @@ for inconsistent inputs).  Expansion keeps the formulas whose truth set
 contains the believed states inside the input's truth set.
 
 The postulates quantify the input over all nonempty events, since every
-event is some formula's truth set under some valuation.
+event is some formula's truth set under some valuation, and
+``PostulateEvaluator`` checks them on one frame or on one sweep batch.
 """
 
 from __future__ import annotations
@@ -75,31 +76,29 @@ def agm_event_check(frame: Frame, s: int, k: AgmPostulateId) -> Witness | None:
     Inputs range over nonempty events E (and F for K7/K8; those two are
     vacuous when E and F do not overlap, since selection is undefined on
     the empty event).  Returns None when the postulate holds, else the
-    first failing E (or (E, F)) in canonical order.
+    first failing E (or (E, F)) in canonical order.  Refuses a state
+    outside ``0 .. n-1`` as :func:`~kripkelewis.model.truth` does.
     """
+    if not 0 <= s < frame.n:
+        raise IndexError(f"state index {s} out of range")
     return PostulateEvaluator(frame).witnesses(k, 1 << s)[s]
 
 
 class PostulateEvaluator:
     """Event-level checker of the revision postulates at every state of
-    one or more frames on the same n states.
-
-    Frame i occupies lane i, as in ``SchemaEvaluator``: bit ``i*n + s`` of
-    a state mask stands for state s of frame i.  The tables hold n such
-    masks in one int, a block of ``width`` bits per state x: block x of
-    ``union[e]`` holds the states whose union of believed selections for
-    event e contains x, block x of ``belief`` those whose belief set
-    contains x, and ``inside[e]`` is every block x with x in e (see
-    :func:`lane_layout`).  They are read off ``frame.union`` and
-    ``frame.belief`` alone (or a sweep batch's ``tables``), and the
-    postulates read their blocks directly, not the schema evaluator's
-    superset masks.
+    one frame, or of the frames of one sweep batch, frame i in lane i (see
+    :class:`LaneLayout`).  Block x of ``union[e]`` holds the states whose
+    union of believed selections for event e contains x, block x of
+    ``belief`` those whose belief set contains x, and ``inside[e]`` is
+    every block x with x in e.  A frame's tables are read off
+    ``frame.union`` and ``frame.belief`` alone, and the postulates read
+    their blocks directly, not the schema evaluator's superset masks.
     """
 
     __slots__ = ("n", "states", "inside", "_fold", "belief", "union")
 
-    def __init__(self, *frames: Frame, tables: LaneTables | None = None):
-        n, lanes, _, self.union, self.belief = tables or frame_tables(frames)
+    def __init__(self, frame: Frame | None = None, tables: LaneTables | None = None):
+        n, lanes, _, self.union, self.belief = tables or frame_tables(frame)
         self.n = n
         layout = lane_layout(n, lanes)
         self.states, self.inside, self._fold = layout.states, layout.inside, layout.fold
@@ -153,16 +152,20 @@ class PostulateEvaluator:
         """:func:`first_hits` of the scan of ``k`` on the states in ``live``."""
         if k in UNCONDITIONAL:
             return 0, []
-        return first_hits(_SCANS[CONDITIONED.index(k)](self), live, live)
+        try:
+            scan = _SCANS[CONDITIONED.index(k)]
+        except ValueError:
+            raise ValueError(f"unknown postulate {k!r}") from None
+        return first_hits(scan(self), live, live)
 
     def lane_failures(self, k: AgmPostulateId) -> int:
         """State mask, over every lane, of the states where ``k`` fails."""
         return self._hits(k, self.states)[0]
 
     def witnesses(self, k: AgmPostulateId, live: int | None = None) -> list[Witness | None]:
-        """Per state of the first frame: None where ``k`` holds or the state
-        is not in ``live`` (default: every state), else its first failing
-        input in canonical order."""
+        """Per state of the frame (on a batch's tables, lane 0's): None
+        where ``k`` holds or the state is not in ``live`` (default: every
+        state), else its first failing input in canonical order."""
         found: list[Witness | None] = [None] * self.n
         full = (1 << self.n) - 1
         for bad, events in self._hits(k, full if live is None else live & full)[1]:
@@ -182,33 +185,27 @@ LaneTables = NamedTuple(
     "LaneTables", [("n", int), ("lanes", int), ("sel", list), ("union", list), ("belief", int)])
 
 
-def frame_tables(frames: tuple[Frame, ...], selection: bool = False) -> LaneTables:
-    """The lane tables of one or more frames on the same n states, frame i
-    in lane i, with ``sel`` only if ``selection``: what each evaluator
-    reads when it is given frames rather than a sweep batch's tables."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    n = frames[0].n
-    for frame in frames:
-        if frame.n != n:
-            raise ValueError("frames in one evaluator must have the same number of states")
-    heads = lane_layout(n, len(frames)).heads
-    sel = _blocks([row for frame in frames for row in frame.selection], heads) if selection else []
-    union = _blocks([row for frame in frames for row in frame.union], heads)
-    (belief,) = _blocks([(b,) for frame in frames for b in frame.belief], heads)
-    return LaneTables(n, len(frames), sel, union, belief)
+def frame_tables(frame: Frame | None, selection: bool = False) -> LaneTables:
+    """The one-lane tables of ``frame``, with ``sel`` only if ``selection``:
+    what an evaluator given no sweep batch's tables (those of
+    ``correspondence._lane_tables``) reads, so it refuses a missing frame."""
+    if frame is None:
+        raise ValueError("an evaluator takes a frame or a batch's tables")
+    heads = lane_layout(frame.n, 1).heads
+    sel = _blocks(frame.selection, heads) if selection else []
+    (belief,) = _blocks([(b,) for b in frame.belief], heads)
+    return LaneTables(frame.n, 1, sel, _blocks(frame.union, heads), belief)
 
 
 def _blocks(rows, heads: tuple[int, ...]) -> list[int]:
-    """Per column e of the equally long ``rows`` of events, one row per
-    state of each lane: block x has bit i set iff state x is in
-    ``rows[i][e]``.  The library passes single frames; a sweep batch
-    spells its tables from frame codes."""
+    """Per column e of the equally long ``rows`` of events, row s for
+    state s: block x has bit s set iff state x is in ``rows[s][e]``.  An
+    event is read whole, one lookup of its ``heads``, at any n."""
     columns = []
     for column in zip(*rows):
         blocks = 0
-        for i, u in enumerate(column):
-            blocks |= heads[u] << i
+        for s, u in enumerate(column):
+            blocks |= heads[u] << s
         columns.append(blocks)
     return columns
 

@@ -10,12 +10,14 @@ sampled frames as drawn tuples instead of frame codes, the
 evaluator's tables by per-entry subset tests and its schema and rule
 scans as one mask formula each under ``product``, the postulates by
 loops over one state's union table, the frame loader, union table,
-code decoder and JSON writer by the per-entry loops they replaced, and
-the exhaustive fold by one record per frame.
+code decoder and JSON writer by the per-entry loops they replaced, the
+exhaustive fold by one record per frame, and a batch's lane tables by
+each frame's one-lane tables placed lane by lane.
 Expected values frozen into the golden tests were computed with these.
-Two routes live here because only tests call them: every small frame,
-decoded once per session, and the property witnesses replayed one at a
-time against their conditions.
+Three routes live here because only tests call them: every small frame,
+decoded once per session, the property witnesses replayed one at a time
+against their conditions, and frames batched into the lane tables a
+sweep batch reads (``batch_tables``).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from kripkelewis import (
 import kripkelewis.correspondence as correspondence
 from kripkelewis.axioms import LETTERS
 from kripkelewis.model import MAX_MISSING_SELECTION_ENTRIES, bit_indices
+from kripkelewis.revision import LaneTables, frame_tables
 from kripkelewis.model import _truth as truth_unchecked
 from kripkelewis.model import _truth_set as truth_set_unchecked
 
@@ -550,6 +553,31 @@ def code_batches(n: int, codes) -> list[tuple[bytes, bytes]]:
     (read at the call) codes each, through :func:`code_digits`."""
     codes, size = list(codes), correspondence.BATCH_FRAMES
     return [code_digits(n, codes[lo : lo + size]) for lo in range(0, len(codes), size)]
+
+
+def batch_tables(frames) -> LaneTables:
+    """The lane tables of ``frames`` (on one state count, at most eight),
+    frame i in lane i, as a sweep batch builds them: the frames'
+    ``_frame_bytes`` joined and read by ``_lane_tables``."""
+    beliefs, selections = map(b"".join, zip(*map(correspondence._frame_bytes, frames)))
+    return correspondence._lane_tables(frames[0].n, beliefs, selections)
+
+
+def oracle_lane_tables(frames) -> LaneTables:
+    """The lane tables of ``frames``, frame i in lane i, placed lane by
+    lane: block x (n bits) of each entry of frame i's one-lane
+    ``frame_tables`` moved to bit ``x * width + i * n``."""
+    n, lanes = frames[0].n, len(frames)
+    full, width = (1 << n) - 1, n * lanes
+    ones = [frame_tables(frame, selection=True) for frame in frames]
+
+    def place(entries) -> int:  # one entry per lane
+        return sum((entry >> x * n & full) << x * width + i * n
+                   for i, entry in enumerate(entries) for x in range(n))
+
+    return LaneTables(n, lanes, [place(column) for column in zip(*(t.sel for t in ones))],
+                      [place(column) for column in zip(*(t.union for t in ones))],
+                      place([t.belief for t in ones]))
 
 
 def oracle_profile_fold(config: dict, codes) -> correspondence.Report:

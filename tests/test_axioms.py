@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -17,6 +18,8 @@ from kripkelewis import (
     Not,
     Or,
     PAIRED_PROPERTY,
+    PostulateEvaluator,
+    PropertyEvaluator,
     PropertyId,
     SchemaEvaluator,
     Witness,
@@ -100,6 +103,14 @@ def test_id_kind_separation(m0):
         rule_valid_on_frame(m0, AxiomId.A2)
     with pytest.raises(ValueError):
         axiom_instance(AxiomId.RULE_K5A)
+    # what is not an AxiomId is refused by name, by every route
+    evaluator = SchemaEvaluator(m0)
+    for k in ("A2", "RuleK6", PropertyId.P2, None):
+        for refused in (partial(schema_valid_on_frame, m0), evaluator.check_axiom,
+                        evaluator.lane_failures, partial(evaluator.holds_mask, assignment=(1,)),
+                        partial(rule_valid_on_frame, m0), axiom_instance):
+            with pytest.raises(ValueError, match=f"unknown axiom {k!r}"):
+                refused(k)
 
 
 def _assert_schema_matches_models(frame, axiom, assignments):
@@ -263,7 +274,7 @@ def test_compiled_scans_of_other_fragment_formulas_equal_truth_set():
         scan, letters = _compile_scan(formula)
         assert letters == len(atoms(formula))
         for batch in batches:
-            evaluator = SchemaEvaluator(*batch)
+            evaluator = SchemaEvaluator(tables=helpers.batch_tables(batch))
             n, full = evaluator.n, evaluator.full
             expected = []
             for assignment in product(range(full + 1), repeat=letters):
@@ -337,11 +348,11 @@ def _lane_valid(evaluator, k, count: int) -> list[bool]:
 def _assert_lanes_match(frames, batch: int, one_frame_check, ids) -> None:
     """Runs ``one_frame_check`` (which returns the oracle's verdict per id)
     on each frame, then checks every id's per-lane validity on evaluators
-    holding ``batch`` frames at a time against those verdicts."""
+    of the lane tables of ``batch`` frames at a time against those verdicts."""
     for lo in range(0, len(frames), batch):
         part = frames[lo : lo + batch]
         expected = [one_frame_check(frame) for frame in part]
-        evaluator = SchemaEvaluator(*part)
+        evaluator = SchemaEvaluator(tables=helpers.batch_tables(part))
         for k in ids:
             assert _lane_valid(evaluator, k, len(part)) == [e[k] for e in expected], (
                 frame_digest(part[0]), len(part), k)
@@ -443,32 +454,29 @@ def test_lane_verdicts_equal_oracle_valid_lanes_next_to_failing_lanes():
         assert not all(_assert_scans_match_oracle(frames[1]).values()) or n == 1
         for batch in (1, 3, len(frames)):
             _assert_lanes_match(frames, batch, _assert_scans_match_oracle, SCHEMAS)
-        evaluator = SchemaEvaluator(*frames)
+        evaluator = SchemaEvaluator(tables=helpers.batch_tables(frames))
         for k in SCHEMAS:
             assert _lane_valid(evaluator, k, len(frames))[::2] == [True] * count, (n, k)
-        # one-frame witnesses come from the first frame's lane
+        # a batch's check_axiom reads lane 0: the first frame's witness
         for k in SCHEMAS:
             assert evaluator.check_axiom(k) == SchemaEvaluator(frames[0]).check_axiom(k)
-        shifted = SchemaEvaluator(*frames[1:])
+        shifted = SchemaEvaluator(tables=helpers.batch_tables(frames[1:]))
         for k in SCHEMAS:
             assert shifted.check_axiom(k) == SchemaEvaluator(frames[1]).check_axiom(k)
 
 
-def test_evaluator_refuses_no_frames_and_mixed_state_counts():
-    with pytest.raises(ValueError):
-        SchemaEvaluator()
-    for sizes in ((2, 3), (3, 2), (1, 2, 1)):
-        frames = [next(iter(sample_frames(n, 1, seed=136))) for n in sizes]
-        with pytest.raises(ValueError, match="same number of states"):
-            SchemaEvaluator(*frames)
+def test_evaluators_refuse_no_frame():
+    for evaluator in (SchemaEvaluator, PropertyEvaluator, PostulateEvaluator):
+        with pytest.raises(ValueError, match="an evaluator takes a frame or a batch's tables"):
+            evaluator()
 
 
 def test_holds_mask_equals_oracle_every_assignment_sampled_three_state():
-    # on one evaluator per frame, and read per lane off one evaluator
-    # holding every frame
+    # on one evaluator per frame, and read per lane off one evaluator of
+    # the lane tables of every frame
     frames = list(sample_frames(3, 20, seed=133))
     frames += [helpers.ranked_frame(random.Random(134), 3)]
-    batched = SchemaEvaluator(*frames)
+    batched = SchemaEvaluator(tables=helpers.batch_tables(frames))
     for lane, frame in enumerate(frames):
         evaluator = SchemaEvaluator(frame)
         tables = helpers.oracle_tables(frame)
@@ -495,24 +503,28 @@ def test_holds_mask_refuses_rules_and_wrong_letter_counts():
 
 
 def _assert_scans_yield_oracle_hits(frames) -> int:
-    """Every scan over full letter ranges, on one evaluator holding
-    ``frames``, yields exactly the oracle's hits in ``product`` order, and
-    lane i of ``lane_failures`` is the states where frame i's first hit
-    fails.  Returns the number of hits."""
-    evaluator = SchemaEvaluator(*frames)
-    n, full = evaluator.n, evaluator.full
+    """Every scan over full letter ranges, on one evaluator of the lane
+    tables of ``frames`` (and, for one frame, on its own evaluator too),
+    yields exactly the oracle's hits in ``product`` order, and lane i of
+    ``lane_failures`` is the states where frame i's first hit fails.
+    Returns the number of hits."""
+    evaluators = [SchemaEvaluator(tables=helpers.batch_tables(frames))]
+    if len(frames) == 1:
+        evaluators.append(SchemaEvaluator(frames[0]))
+    n, full = frames[0].n, frames[0].full
     tables = [helpers.oracle_tables(frame) for frame in frames]
     count = 0
     for k, (scan, letters) in zip(_SCAN_IDS, map(_scan, range(len(_SCAN_IDS)))):
         expected = helpers.oracle_scan_hits(frames, tables, k)
-        hits = list(scan(evaluator, *[range(full + 1)] * letters))
-        assert hits == expected, (frame_digest(frames[0]), len(frames), k)
         first = 0
         for shift in range(0, n * len(frames), n):
             lane = (bad >> shift & full for bad, _ in expected)
             first |= next((bad for bad in lane if bad), 0) << shift
-        assert evaluator.lane_failures(k) == first, (frame_digest(frames[0]), len(frames), k)
-        count += len(hits)
+        for evaluator in evaluators:
+            hits = list(scan(evaluator, *[range(full + 1)] * letters))
+            assert hits == expected, (frame_digest(frames[0]), len(frames), k)
+            assert evaluator.lane_failures(k) == first, (frame_digest(frames[0]), len(frames), k)
+        count += len(expected)
     return count
 
 

@@ -161,23 +161,35 @@ def test_check_property_rejects_what_is_not_a_property_id(fx2):
 
 # --- the lane-packed evaluator against the per-frame loops it replaced -----
 
+def _lane_hits(hits, lane: int, n: int) -> list:
+    """The hits of ``lane_hits`` that name a state of ``lane``, cut to
+    that lane and shifted to states 0 .. n-1."""
+    full = (1 << n) - 1
+    return [(mask >> lane * n & full, *data) for mask, *data in hits if mask >> lane * n & full]
+
+
 def _assert_evaluator_matches_loops(frames) -> int:
-    """On one evaluator holding ``frames``: each property's witnesses equal
-    the per-frame loops' (kind, states and events, P8's s_hat included),
-    and lane i of the failing states is nonempty iff frame i fails.
-    Returns the number of witnesses."""
-    evaluator = PropertyEvaluator(*frames)
+    """Each frame's witnesses, from its one-lane evaluator, equal the
+    per-frame loops' (kind, states and events, P8's s_hat included); on
+    one evaluator of the lane tables of ``frames``, lane i of the failing
+    states is nonempty iff frame i fails, and lane i's hits are those its
+    frame's witness is read off.  Returns the number of witnesses."""
+    batched = PropertyEvaluator(tables=helpers.batch_tables(frames))
+    ones = [PropertyEvaluator(frame) for frame in frames]
     n, full = frames[0].n, frames[0].full
     count = 0
     for prop in ALL_PROPS:
         expected = [helpers.ORACLE_PROPERTY_CHECKS[prop](frame) for frame in frames]
-        assert evaluator.witnesses(prop) == expected, (frame_digest(frames[0]), prop)
-        failed, hits = evaluator.lane_hits(prop)
+        assert [one.witness(prop) for one in ones] == expected, (frame_digest(frames[0]), prop)
+        failed, hits = batched.lane_hits(prop)
         fails = [bool(failed >> lane * n & full) for lane in range(len(frames))]
         assert fails == [w is not None for w in expected], (frame_digest(frames[0]), prop)
         # each failing lane's lowest failing state, in one hit's mask
         bits = sorted(bit for mask, *_ in hits for bit in bit_indices(mask))
         assert bits == [i * n + w.states["s"] for i, w in enumerate(expected) if w]
+        for lane, one in enumerate(ones):
+            assert _lane_hits(hits, lane, n) == one.lane_hits(prop)[1], (
+                frame_digest(frames[lane]), prop)
         count += sum(w is not None for w in expected)
     return count
 
@@ -216,11 +228,18 @@ def test_lane_witness_is_its_lowest_failing_states():
     holds = Frame(("s0", "s1"), (0b11, 0b11), ((0, 0b01, 0b10, 0b01), (0, 0b01, 0b10, 0b10)))
     witness = Witness("P5", {"s": 0}, {"E": 0b11})
     assert helpers.oracle_check_p5(frame) == witness
-    evaluator = PropertyEvaluator(holds, frame, frame)
+    lanes = (holds, frame, frame)
+    evaluator = PropertyEvaluator(tables=helpers.batch_tables(lanes))
     failed, hits = evaluator.lane_hits(PropertyId.P5)
     assert failed == 0b111100  # both states of lanes 1 and 2
     assert hits == [(0b010100, 0b11, 0, 0)]  # each lane's s0, in one mask
-    assert evaluator.witnesses(PropertyId.P5) == [None, witness, witness]
+    # each lane's hit is its frame's own, the one its witness is read off
+    for lane, (one, w) in enumerate(zip(lanes, (None, witness, witness))):
+        own = PropertyEvaluator(one)
+        assert _lane_hits(hits, lane, 2) == own.lane_hits(PropertyId.P5)[1]
+        assert own.witness(PropertyId.P5) == w
+    with pytest.raises(ValueError, match="a batch's tables name no frame to witness"):
+        evaluator.witness(PropertyId.P5)
     assert check_property(frame, PropertyId.P5) == witness
 
 

@@ -186,29 +186,44 @@ def test_p4_implies_k4_everywhere():
 
 # --- the lane-packed postulate evaluator against the per-state oracle -----
 
+def _oracle_witnesses(frame) -> dict:
+    """Per postulate, ``helpers.oracle_agm_event_check`` at each state."""
+    return {k: [helpers.oracle_agm_event_check(frame, s, k) for s in range(frame.n)]
+            for k in AgmPostulateId}
+
+
+def _assert_lanes_fail_as_oracle(evaluator, frames, expected, where) -> None:
+    """Per postulate, the states of each lane of ``lane_failures`` are
+    those where the frame of that lane has an ``expected`` witness."""
+    n = frames[0].n
+    for k in AgmPostulateId:
+        failures = evaluator.lane_failures(k)
+        for lane, frame in enumerate(frames):
+            failed = [bool(failures >> (lane * n + s) & 1) for s in range(n)]
+            assert failed == [w is not None for w in expected[lane][k]], (
+                frame_digest(frame), k, where)
+
+
+def _assert_one_lane_matches_oracle(frame, expected: dict) -> None:
+    """A frame's own evaluator: its per-state failures and witnesses."""
+    one = PostulateEvaluator(frame)
+    _assert_lanes_fail_as_oracle(one, [frame], [expected], "one lane")
+    for k, witnesses in expected.items():
+        assert one.witnesses(k) == witnesses, (frame_digest(frame), k)
+
+
 def _assert_postulates_match_oracle(frames, batch: int = 250) -> None:
     """Per-state verdicts of every postulate, read off ``lane_failures`` on
-    evaluators holding ``batch`` frames, and each frame's witnesses from a
-    one-frame evaluator, against ``helpers.oracle_agm_event_check``."""
+    evaluators of the lane tables of ``batch`` frames at a time and on each
+    frame's own evaluator, and each frame's witnesses from the latter,
+    against ``helpers.oracle_agm_event_check``."""
     for lo in range(0, len(frames), batch):
         part = frames[lo : lo + batch]
-        evaluator = PostulateEvaluator(*part)
-        expected = [
-            {k: [helpers.oracle_agm_event_check(frame, s, k) for s in range(frame.n)]
-             for k in AgmPostulateId}
-            for frame in part
-        ]
-        for k in AgmPostulateId:
-            failures = evaluator.lane_failures(k)
-            n = part[0].n
-            for lane, frame in enumerate(part):
-                failed = [bool(failures >> (lane * n + s) & 1) for s in range(n)]
-                assert failed == [w is not None for w in expected[lane][k]], (
-                    frame_digest(frame), k, lo)
+        expected = [_oracle_witnesses(frame) for frame in part]
+        batched = PostulateEvaluator(tables=helpers.batch_tables(part))
+        _assert_lanes_fail_as_oracle(batched, part, expected, lo)
         for frame, per_k in zip(part, expected):
-            one = PostulateEvaluator(frame)
-            for k, witnesses in per_k.items():
-                assert one.witnesses(k) == witnesses, (frame_digest(frame), k)
+            _assert_one_lane_matches_oracle(frame, per_k)
 
 
 def test_postulate_evaluator_equals_oracle_all_two_state_frames():
@@ -252,20 +267,21 @@ def test_postulate_lanes_valid_next_to_failing():
         ) or n == 1
         _assert_postulates_match_oracle(frames)
         _assert_postulates_match_oracle(frames, batch=3)
-        evaluator = PostulateEvaluator(*frames)
+        evaluator = PostulateEvaluator(tables=helpers.batch_tables(frames))
         for k in AgmPostulateId:
-            # witnesses come from the first frame's lane
-            shifted = PostulateEvaluator(*frames[1:])
+            # a batch's witnesses come from lane 0, the first frame's
+            shifted = PostulateEvaluator(tables=helpers.batch_tables(frames[1:]))
             assert shifted.witnesses(k) == PostulateEvaluator(frames[1]).witnesses(k), (n, k)
             assert evaluator.witnesses(k) == [None] * n, (n, k)
 
 
 def test_postulate_evaluator_beyond_eight_states():
     # events on nine states, past one byte each, are read whole: one lookup
-    # of the event's heads per row entry (see revision._blocks)
+    # of the event's heads per row entry (see revision._blocks); a frame's
+    # own lane, as no batch's bytes hold nine states
     ((belief, selection),) = helpers.oracle_sample_tuples(9, 1, 142)
     frame = Frame(tuple(f"s{i}" for i in range(9)), belief, selection)
-    _assert_postulates_match_oracle([frame, frame])
+    _assert_one_lane_matches_oracle(frame, _oracle_witnesses(frame))
 
 
 def test_witnesses_restricted_to_live_states():
@@ -279,10 +295,17 @@ def test_witnesses_restricted_to_live_states():
                 ], (frame_digest(frame), k, live)
 
 
-def test_postulate_evaluator_refuses_no_frames_and_mixed_state_counts():
-    with pytest.raises(ValueError):
+def test_postulate_checks_refuse_no_frame_unknown_postulates_and_states():
+    with pytest.raises(ValueError, match="an evaluator takes a frame or a batch's tables"):
         PostulateEvaluator()
-    frames = [next(sample_frames(n, 1, seed=144)) for n in (2, 3)]
-    with pytest.raises(ValueError, match="same number of states"):
-        PostulateEvaluator(*frames)
+    frame = next(sample_frames(2, 1, seed=144))
+    evaluator = PostulateEvaluator(frame)
+    for k in ("K2", "K1", PropertyId.P2, None):
+        for refused in (evaluator.witnesses, evaluator.lane_failures,
+                        lambda k: agm_event_check(frame, 0, k)):
+            with pytest.raises(ValueError, match=f"unknown postulate {k!r}"):
+                refused(k)
+    for s in (-1, 2, 5):
+        with pytest.raises(IndexError, match=f"state index {s} out of range"):
+            agm_event_check(frame, s, AgmPostulateId.K2)
 

@@ -1,4 +1,5 @@
 import enum
+import errno
 import hashlib
 import json
 import math
@@ -37,10 +38,11 @@ from kripkelewis import (
     triple_check,
     truth,
 )
+import kripkelewis.cli as cli
 import kripkelewis.correspondence as sweep_module
 from kripkelewis.axioms import countermodel_assignment
 from kripkelewis.model import bit_indices
-from kripkelewis.revision import AgmPostulateId, frame_tables
+from kripkelewis.revision import AgmPostulateId
 
 import helpers
 
@@ -736,6 +738,47 @@ def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bound
         helpers.no_children()
 
 
+@needs_fork
+def test_worker_that_cannot_be_forked_is_a_sweep_error(monkeypatch, bounded, capsys):
+    # os.fork refused, as at a process limit: the pipe is closed, every
+    # worker already forked is killed and reaped, and the CLI exits 2
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    real_fork = os.fork
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep_module.os, "fork", refused)
+    cfg = SweepConfig(size=3, mode="random", count=100, seed=1)
+    fds = len(os.listdir("/dev/fd"))
+    with pytest.raises(SweepError) as exc:
+        sweep(cfg, workers=2)
+    message = ("sweep aborted: partition codes[0:50] (seed 1) could not start: "
+               f"[Errno {errno.EAGAIN}] Resource temporarily unavailable")
+    assert str(exc.value) == message
+    assert exc.value.partial_report.totals["frames"] == 0
+    assert len(os.listdir("/dev/fd")) == fds
+    argv = ["sweep", "--size", "3", "--mode", "random", "--count", "100", "--seed", "1",
+            "--workers", "2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    helpers.no_children()
+
+    forks = []
+
+    def second_refused():
+        forks.append(len(forks))
+        return refused() if len(forks) == 2 else real_fork()
+
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweep_module.os, "fork", second_refused)
+    with pytest.raises(SweepError, match=r"^sweep aborted: partition codes\[33:66\] \(seed 1\) "
+                       "could not start"):
+        sweep(cfg, workers=3)
+    assert forks == [0, 1]
+    assert len(os.listdir("/dev/fd")) == fds
+    helpers.no_children()
+
+
 def test_keyboard_interrupt_in_parent_partition_propagates(monkeypatch, bounded):
     parent, real = os.getpid(), sweep_module._run_partition
 
@@ -1073,13 +1116,13 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
 # --- lane tables spelled from frame codes, and the masks read off them -------
 
 def _assert_code_tables_match(n: int, codes, oracle: dict) -> None:
-    """``_lane_tables`` of these codes against ``frame_tables`` of the
-    decoded frames, and the schema evaluator's ``bel`` and ``bel_cond``
+    """``_lane_tables`` of these codes against ``helpers.oracle_lane_tables``
+    of the decoded frames, and the schema evaluator's ``bel`` and ``bel_cond``
     read off them against ``helpers.oracle_tables`` of each frame, lane
     by lane (``oracle`` caches those by code)."""
     frames = tuple(frame_from_code(n, code) for code in codes)
     tables = sweep_module._lane_tables(n, *helpers.code_digits(n, codes))
-    assert tables == frame_tables(frames, selection=True), (n, len(codes))
+    assert tables == helpers.oracle_lane_tables(frames), (n, len(codes))
     evaluator, full = SchemaEvaluator(tables=tables), (1 << n) - 1
     for lane, (code, frame) in enumerate(zip(codes, frames)):
         if code not in oracle:
@@ -1137,7 +1180,7 @@ def test_code_tables_equal_frame_tables_sampled_and_ranked():
         # decoded frames of the per-digit draw
         drawn = next(sweep_module._sample_batches(n, 150 + n, 0, 250))
         frames = tuple(frame_from_code(n, code) for code in sampled)
-        assert sweep_module._lane_tables(n, *drawn) == frame_tables(frames, selection=True), n
+        assert sweep_module._lane_tables(n, *drawn) == helpers.oracle_lane_tables(frames), n
 
 
 def test_batch_recipes_equal_countermodel_assignment(monkeypatch):
