@@ -271,7 +271,8 @@ def _within_masks(blocks: int, n: int, layout: LaneLayout) -> list[int]:
     masks = [states]
     for x in range(n):
         omit = states ^ blocks >> x * width & states
-        masks = (masks if omit == states else [m & omit for m in masks]) + masks
+        masks = (masks if omit == states else [m & omit for m in masks] if omit
+                 else [0] * len(masks)) + masks
     return masks
 
 

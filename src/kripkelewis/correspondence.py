@@ -34,8 +34,8 @@ import re
 import sys
 import time
 from functools import lru_cache, partial, reduce
-from itertools import chain, islice
-from operator import or_
+from itertools import chain, groupby, islice
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .axioms import AxiomId, PAIRED_PROPERTY, SchemaEvaluator, compile_scans, countermodel_recipe
@@ -159,14 +159,14 @@ def _frame_parse(n: int) -> tuple:
 
 
 def _sample_batches(n: int, seed: int, lo: int, hi: int) -> Iterator[tuple[bytes, bytes]]:
-    """Frames ``lo`` to ``hi - 1`` of the seeded stream on n states, in
-    batches of ``BATCH_FRAMES`` as :func:`_lane_tables` reads them: each
-    belief set and selection entry drawn as ``randrange`` draws it,
-    ``getrandbits(n)`` or ``getrandbits(n + 1)`` redrawn while out of range.
-    On CPython ``getrandbits(32 m)`` is the next m such words, the first
-    lowest, so words are drawn in blocks and parsed by :func:`_frame_parse`,
-    a block's unmatched tail carried on; the first ``lo`` frames are matched
-    but never decoded."""
+    """Frames ``lo`` to ``hi - 1`` of the seeded stream on n states as
+    :func:`_lane_tables` reads them, in batches of ``BATCH_FRAMES`` (one if
+    no more): each belief set and selection entry drawn as ``randrange``
+    draws it, ``getrandbits(n)`` or ``getrandbits(n + 1)`` redrawn while out
+    of range.  On CPython ``getrandbits(32 m)`` is the next m such words,
+    the first lowest, so words are drawn in blocks and parsed by
+    :func:`_frame_parse`, a block's unmatched tail carried on; the first
+    ``lo`` frames are matched but never decoded."""
     getrandbits = random.Random(seed).getrandbits
     pattern, beliefs, selections = _frame_parse(n)
     words = (n << n + 1) * min(hi, 64)  # about 64 frames: two words a draw at most, on average
@@ -240,10 +240,10 @@ def triple_check(frame: Frame, ks: tuple[int, ...] = DEFAULT_KS) -> FrameRecord:
     return record
 
 
-# Frames one lane-batched SchemaEvaluator checks together in a sweep.  The
-# time per frame was flat from 250 to 1,000 frames at three and four
-# states; a larger batch only holds more frames at once.
-BATCH_FRAMES = 250
+# Frames checked together in a sweep; per frame `_batch_verdicts` took
+# 4.5/3.0/2.1/1.9 us at 250/500/1,000/2,000 frames on three states and
+# 13.3/10.3/8.4/7.5 us on four (best of 15, CPython 3.11, two-core Xeon).
+BATCH_FRAMES = 2000
 
 _BITS = [(b"0" * 2**x + b"1" * 2**x) * (128 >> x) for x in range(8)]  # bit x as b"0" or b"1"
 
@@ -257,11 +257,11 @@ def _lane_tables(n: int, beliefs: bytes, selections: bytes) -> LaneTables:
     above (i, s); ``belief`` is spelled likewise, and ``union[e]`` ORs in
     each believed state's ``sel[e]``."""
     full, lanes = (1 << n) - 1, len(beliefs) // n
-    width, states, _, ones, lows = lane_layout(n, lanes)[:5]
+    width, states, _, lows, heads = lane_layout(n, lanes)[:5]
     bits = [selections.translate(_BITS[x])[::-1] for x in reversed(range(n))]
     sel = [0] + [int(b"".join([b[full - e :: full] for b in bits]), 2) for e in range(1, full + 1)]
     belief = int(b"".join([beliefs.translate(_BITS[x])[::-1] for x in reversed(range(n))]), 2)
-    believed = [(belief >> x * width & states) * ones for x in range(n)]  # block x, in every block
+    believed = [(belief >> x * width & states) * heads[full] for x in range(n)]  # block x, in each
     union = [0] + [reduce(or_, [(row >> x & lows) * full & b for x, b in enumerate(believed)])
                    for row in sel[1:]]
     return LaneTables(n, lanes, sel, union, belief)
@@ -302,21 +302,21 @@ def _batch_verdicts(n: int, beliefs: bytes, selections: bytes, ks: tuple[int, ..
 
 def _replay_groups(tables: LaneTables, axiom: AxiomId, hits) -> dict[tuple[int, ...], int]:
     """Countermodel assignment to the paired ``axiom`` -> the violating
-    states that replay it, from the property's ``lane_hits``.  A hit's
-    states share E and F, so they differ only in the event u their recipe
-    reads (see ``countermodel_recipe``): the hit's mask is split by the
+    states that replay it, from the property's ``lane_hits``.  The hits of
+    one (E, F), whatever their s', differ only in the event u their recipe
+    reads (see ``countermodel_recipe``): their ORed mask is split by the
     blocks of the table that holds u, one block x at a time, into the
     states whose u has x and those whose u lacks it."""
     read, build = countermodel_recipe(axiom)
-    n = tables.n
-    layout = lane_layout(n, tables.lanes)
+    layout = lane_layout(tables.n, tables.lanes)
     width, inside = layout.width, layout.inside
     groups: dict[tuple[int, ...], int] = {}
-    for mask, e, f, _ in hits:
+    for (e, f), same in groupby(hits, itemgetter(1, 2)):  # a scan yields them together
+        mask = reduce(or_, [hit[0] for hit in same])
         table, event = read(e, f)
         blocks = tables.union[event] if table == "union" else tables.belief & inside[event]
         classes = [(0, mask)]  # (u so far, its states)
-        for x in range(n):
+        for x in range(tables.n):
             block = blocks >> x * width & mask
             if block:
                 classes = [(v, part) for u, states_u in classes for v, part in (

@@ -62,8 +62,8 @@ class PropertyEvaluator:
         self.frame = frame
         self.n = n
         layout = lane_layout(n, lanes)
-        self.width, self.states, self.low, self.ones, self.lows = layout[:5]
-        self.inside, self._fold = layout.inside, layout.fold
+        self.width, self.states, self.low = layout[:3]
+        self.lows, self.inside, self._fold = layout.lows, layout.inside, layout.fold
         self.believes = [self.belief >> x * self.width & self.states for x in range(n)]
 
     def _leaving(self, e: int, allowed: int, rows: int):
@@ -71,15 +71,15 @@ class PropertyEvaluator:
         believe s' and whose lane's s' selects, for e, some x outside
         block x of ``allowed``: the failures of "every believed state's
         selection for e lies inside the bound", with the s' that fails."""
-        sel, lows, ones, fold = self.sel[e], self.lows, self.ones, self._fold
+        sel, lows, fold, outside = self.sel[e], self.lows, self._fold, ~allowed
         spread = (1 << self.n) - 1
-        outside = ~allowed
         for sp, believes in enumerate(self.believes):
             believers = believes & rows
-            # block x: the states s whose lane's s' selects x where s's bound lacks x
-            out = (sel >> sp & lows) * spread & outside
-            if out & believers * ones:
-                yield believers & fold(out), sp
+            # block x: the states s whose lane's s' selects x where s's bound
+            # lacks x; folded by shifts, each linear in the batch's width
+            bad = believers and believers & fold((sel >> sp & lows) * spread & outside)
+            if bad:
+                yield bad, sp
 
     # One scan per property: each walks the events E (or the pairs E, F) in
     # canonical order and yields the states that fail on them with
@@ -138,13 +138,13 @@ class PropertyEvaluator:
 
     def _scan_p8(self):
         # every believed state's selection for E & F inside union[E] & F,
-        # where union[E] meets F; the believed states are scanned only
-        # where union[E & F], the union of their selections, is not inside
-        union, inside, fold, ones = self.union, self.inside, self._fold, self.ones
+        # where union[E] meets F; scanned only where the fold of union[E & F],
+        # their selections' union, outside the bound meets those states
+        union, inside, fold = self.union, self.inside, self._fold
         for e, f in canonical_pairs(self.n):
             met = union[e] & inside[f]
-            meets = fold(met)
-            if meets and union[e & f] & ~met & meets * ones:
+            out = union[e & f] & ~met
+            if out and fold(out) & (meets := fold(met)):
                 for bad, st in self._leaving(e & f, met, meets):
                     yield bad, (e, f, st)
 

@@ -219,7 +219,6 @@ class LaneLayout(NamedTuple):
     width: int  # bits of one state mask, n * lanes
     states: int  # every state of every lane
     low: int  # state 0 of each lane
-    ones: int  # bit 0 of every block
     lows: int  # state 0 of each lane in every block
     heads: tuple[int, ...]  # per event e: bit 0 of block x for each state x in e
     inside: tuple[int, ...]  # per event e: every bit of block x for each state x in e
@@ -249,7 +248,7 @@ def lane_layout(n: int, lanes: int) -> LaneLayout:
             touched |= mask >> shift
         return (touched & low) * full
 
-    return LaneLayout(width, states, low, heads[full], low * heads[full], heads,
+    return LaneLayout(width, states, low, low * heads[full], heads,
                       tuple(bits * states for bits in heads), fold, spread)
 
 

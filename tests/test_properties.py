@@ -11,6 +11,7 @@ from kripkelewis import (
     frame_digest,
     sample_frames,
 )
+from kripkelewis.correspondence import BATCH_FRAMES
 from kripkelewis.model import bit_indices
 
 import helpers
@@ -207,6 +208,13 @@ def test_evaluator_matches_loops_seed_42_three_state_frames():
         assert _assert_evaluator_matches_loops(frames[lo : lo + 250])
     for frame in frames[:100]:
         _assert_evaluator_matches_loops([frame])
+    # one batch as wide as a sweep's, the sampled frames next to ranked
+    # ones, on which every property holds
+    rng = random.Random(142)
+    mixed = [frame for drawn in frames for frame in (drawn, helpers.ranked_frame(rng, 3))]
+    mixed = mixed[:BATCH_FRAMES]
+    assert len(mixed) == BATCH_FRAMES
+    assert _assert_evaluator_matches_loops(mixed)
 
 
 def test_evaluator_matches_loops_uniform_and_ranked_four_and_five_states():

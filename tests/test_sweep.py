@@ -1010,17 +1010,24 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
 
 def test_random_partition_streams_its_codes():
     # a random partition is checked as its codes are drawn, BATCH_FRAMES at
-    # a time: holding the 20,000 codes would peak at about 800 KB
-    # first fill the caches a 250-frame batch reads
-    sweep(SweepConfig(size=2, mode="random", count=sweep_module.BATCH_FRAMES, seed=7))
-    tracemalloc.start()
-    try:
-        report = sweep(SweepConfig(size=2, mode="random", count=20_000, seed=7))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.totals["frames"] == 20_000
-    assert peak < 200_000, peak
+    # a time, so a sweep of 20 batches peaks at little more than a sweep of
+    # one (about 1.4 times at two states), while a sweep that held its
+    # partition as one batch would peak about 24 times as high
+    batch = sweep_module.BATCH_FRAMES
+
+    def peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            report = sweep(SweepConfig(size=2, mode="random", count=count, seed=7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.totals["frames"] == count
+        return peak
+
+    sweep(SweepConfig(size=2, mode="random", count=batch, seed=7))  # first fill the caches
+    one = peak(batch)
+    assert peak(20 * batch) < 2 * one, one
 
 
 def test_exhaustive_fold_memory_stays_flat():
@@ -1079,12 +1086,14 @@ def _per_frame_report(config: dict, codes) -> dict:
 
 def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
     # ranked frames (every schema valid, so their lanes stay live to the end
-    # of each scan) interleaved with sampled ones; partition lengths are not
-    # multiples of the batch sizes
+    # of each scan) interleaved with sampled ones, in one three-state
+    # partition wider than a batch too; partition lengths are not multiples
+    # of the batch sizes
     rng = random.Random(137)
     every_k = sweep_module.DEFAULT_KS
+    wide = (3, sweep_module.BATCH_FRAMES // 2 + 6, every_k)
     for n, count, ks in ((1, 5, every_k), (2, 61, every_k), (3, 131, (8, 2, 5)), (4, 13, every_k),
-                         (5, 5, every_k)):
+                         (5, 5, every_k), wide):
         codes = []
         for code in helpers.oracle_sample_codes(n, count, 138 + n):
             codes += [code, frame_code(helpers.ranked_frame(rng, n))]
