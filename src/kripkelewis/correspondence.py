@@ -23,7 +23,8 @@ of one belief assignment at a time, with no Python per frame (see
 as they are parsed off blocks of the seeded words (see
 :func:`_sample_batches`).  A partition is a range of the frame
 stream, which each process draws for itself: on several workers the parent
-checks the last partition and forked workers the others (see :func:`sweep`).
+checks the last partition and forked workers the others, and a random sweep
+forks only once its work pays for a second process (see :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -648,12 +649,27 @@ def _fold_profiles(config: dict, codes: range) -> Report:
     return report
 
 
+# Work, in frames times 4**n (a frame's checks cost about 4x more per
+# state), that a random sweep needs per partition, so a second process
+# starts at 8,192 frames on two states, 2,048 on three, 512 on four and 128
+# on five.  Two processes overtook one between 6,144 and 8,192 frames on
+# two states, 1,500 and 2,048 on three, 512 and 768 on four and 192 and 256
+# on five (medians of 100 alternating sweeps, CPython 3.11, two-core Xeon;
+# README **Performance notes** has the times).
+FORK_WORK = 1 << 16
+
+
 def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]]:
     """Split the configured frame stream into at most ``workers``
     contiguous, nonempty partitions ``(config, lo, hi)``: its frames
-    ``lo`` to ``hi - 1`` (see :func:`_run_partition`)."""
+    ``lo`` to ``hi - 1`` (see :func:`_run_partition`).  A random stream of
+    ``count`` frames on n states is cut into at most ``count * 4**n //
+    FORK_WORK`` partitions, and so checked in one process below that
+    break-even; an exhaustive one into at most one per frame."""
     total = frame_count(cfg.size) if cfg.mode == "exhaustive" else cfg.count
     assert total is not None
+    if cfg.mode == "random":
+        workers = min(workers, total * 4**cfg.size // FORK_WORK)
     chunks = max(1, min(workers, total))
     bounds = [total * i // chunks for i in range(chunks + 1)]
     config = cfg.echo()
@@ -701,7 +717,8 @@ def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     """Check every frame of the configured frame stream (see :func:`_run_partition`).
 
     With ``workers > 1`` the stream is split into at most ``os.cpu_count()``
-    partitions, each named by its range of the stream (see
+    partitions, each named by its range of the stream, and a random stream
+    into one below the break-even ``FORK_WORK`` sets (see
     :func:`_make_payloads`): the parent checks the last while a forked worker
     checks each other one and pickles its report into a pipe.  Each process
     draws its own partition's frames after the fork.  Workers are bare

@@ -452,6 +452,14 @@ def bounded():
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are not forked")
 
 
+@pytest.fixture
+def fork_always(monkeypatch):
+    """Cut random sweeps into as many partitions as there are workers and
+    frames, however small their work, so that small sweeps take the fork
+    path (see ``FORK_WORK``)."""
+    monkeypatch.setattr(sweep_module, "FORK_WORK", 1)
+
+
 def _fail_on(monkeypatch, codes) -> None:
     """Make building a batch's lane tables raise RuntimeError("injected")
     when the batch holds one of these frame codes, in this process and in
@@ -468,7 +476,7 @@ def _fail_on(monkeypatch, codes) -> None:
     monkeypatch.setattr(sweep_module, "_lane_tables", failing)
 
 
-def test_sweep_workers_capped_at_cpu_count(monkeypatch, bounded):
+def test_sweep_workers_capped_at_cpu_count(monkeypatch, bounded, fork_always):
     forks = []
     real_fork = os.fork
 
@@ -540,7 +548,7 @@ def _spelled(monkeypatch, cfg: SweepConfig, parts: int) -> list:
     return [b"".join(b for b, _ in frames), b"".join(s for _, s in frames)]
 
 
-def test_partitions_concatenate_to_the_stream(monkeypatch):
+def test_partitions_concatenate_to_the_stream(monkeypatch, fork_always):
     # each partition spells its own codes; a middle one skips a prefix
     for parts in (2, 3, 4, 5):
         count = 6 * parts + 1  # not a multiple of the partition count
@@ -566,12 +574,76 @@ def test_five_workers_cut_blocks_and_report_the_pinned_digest(monkeypatch, bound
     helpers.no_children()
 
 
-def test_three_workers_report_the_pinned_digest(monkeypatch, bounded):
+def test_three_workers_report_the_pinned_digest(monkeypatch, bounded, fork_always):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     cfg = SweepConfig(size=3, mode="random", count=1000, seed=42)
     assert [payload[1:] for payload in sweep_module._make_payloads(cfg, 3)] == [
         (0, 333), (333, 666), (666, 1000)]
     assert _report_digest(sweep(cfg, workers=3)) == REPORT_DIGESTS["random3_1000_seed42"]
+    helpers.no_children()
+
+
+# Random sweeps just below and at the break-even count * 4**n = 2**17, and
+# at 1.5 times it, on n states: the partitions _make_payloads cuts for 1, 2
+# and 3 workers.
+FORK_RULE = {
+    (1, 32_767): (1, 1, 1), (1, 32_768): (1, 2, 2), (1, 49_152): (1, 2, 3),
+    (2, 8_191): (1, 1, 1), (2, 8_192): (1, 2, 2), (2, 12_288): (1, 2, 3),
+    (3, 2_047): (1, 1, 1), (3, 2_048): (1, 2, 2), (3, 3_072): (1, 2, 3),
+    (4, 511): (1, 1, 1), (4, 512): (1, 2, 2), (4, 768): (1, 2, 3),
+    (5, 127): (1, 1, 1), (5, 128): (1, 2, 2), (5, 192): (1, 2, 3),
+}
+
+
+def _fork_rule_config(n: int, count: int) -> SweepConfig:
+    return SweepConfig(size=n, mode="random", count=count, seed=count % 97, allow_large=n == 5)
+
+
+def test_random_partitions_follow_the_fork_rule():
+    for (n, count), parts in FORK_RULE.items():
+        cfg = _fork_rule_config(n, count)
+        cut = [sweep_module._make_payloads(cfg, workers) for workers in (1, 2, 3)]
+        assert tuple(map(len, cut)) == parts, (n, count)
+        for payloads in cut:  # contiguous and covering the stream
+            assert [lo for _, lo, _ in payloads] + [count] == [0] + [hi for *_, hi in payloads]
+    # exhaustive streams are cut one partition per worker, however small
+    assert len(sweep_module._make_payloads(SweepConfig(size=1), 3)) == 2
+    assert len(sweep_module._make_payloads(SweepConfig(size=2), 3)) == 3
+
+
+@needs_fork
+def test_random_sweep_forks_only_past_the_break_even(monkeypatch, bounded):
+    # below the break-even os.fork is never called; at it, one worker starts
+    forks, real_fork = [], os.fork
+
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    for (n, count), parts in FORK_RULE.items():
+        cfg = _fork_rule_config(n, count)
+        serial = sweep(cfg, workers=1).to_json()
+        forks.clear()
+        monkeypatch.setattr(sweep_module.os, "fork", refused if parts[1] == 1 else counting_fork)
+        parallel = sweep(cfg, workers=2).to_json()
+        assert len(forks) == parts[1] - 1, (n, count)
+        serial.pop("duration_ms")
+        parallel.pop("duration_ms")
+        assert parallel == serial, (n, count)
+        helpers.no_children()
+
+
+def test_random3_digest_on_one_two_and_three_workers(monkeypatch, bounded):
+    # 1,000 three-state frames are below the break-even: one partition, no fork
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
+    cfg = SweepConfig(size=3, mode="random", count=1000, seed=42)
+    for workers in (1, 2, 3):
+        assert len(sweep_module._make_payloads(cfg, workers)) == 1
+        assert _report_digest(sweep(cfg, workers=workers)) == REPORT_DIGESTS["random3_1000_seed42"]
     helpers.no_children()
 
 
@@ -595,7 +667,7 @@ def test_merge_reports_rejects_mismatched_configs():
         merge_reports([a, b])
 
 
-def test_sweep_aborts_with_partial_report(monkeypatch):
+def test_sweep_aborts_with_partial_report(monkeypatch, fork_always):
     # both routes build the lane tables of every batch they check with
     # _lane_tables; this one fails once it has seen more than 50 codes
     calls = {"n": 0}
@@ -656,7 +728,7 @@ def test_sweep_error_names_serial_partition(monkeypatch):
 
 
 @needs_fork
-def test_sweep_error_names_pool_partition(monkeypatch, bounded):
+def test_sweep_error_names_pool_partition(monkeypatch, bounded, fork_always):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
     # three partitions of 40 frames each; the first two go to workers
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
@@ -697,7 +769,7 @@ def test_sweep_error_names_parent_partition(monkeypatch, bounded):
 
 
 @needs_fork
-def test_worker_traceback_is_the_cause_of_its_failure(monkeypatch, bounded):
+def test_worker_traceback_is_the_cause_of_its_failure(monkeypatch, bounded, fork_always):
     # pickling drops a worker's traceback, so the worker sends it as text
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
     cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
@@ -716,7 +788,7 @@ def test_worker_traceback_is_the_cause_of_its_failure(monkeypatch, bounded):
 
 
 @needs_fork
-def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bounded):
+def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bounded, fork_always):
     # a worker leaves by its own exit, or is killed by a signal, unreported
     parent, real = os.getpid(), sweep_module._run_partition
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
@@ -739,7 +811,7 @@ def test_sweep_worker_exiting_without_report_is_a_sweep_error(monkeypatch, bound
 
 
 @needs_fork
-def test_worker_that_cannot_be_forked_is_a_sweep_error(monkeypatch, bounded, capsys):
+def test_worker_that_cannot_be_forked_is_a_sweep_error(monkeypatch, bounded, fork_always, capsys):
     # os.fork refused, as at a process limit: the pipe is closed, every
     # worker already forked is killed and reaped, and the CLI exits 2
     def refused():
