@@ -330,9 +330,9 @@ _COMMANDS = (
         ("--count", {"type": int}),
         ("--seed", {"type": int}),
         ("--ks", {"help": _subset_help(DEFAULT_KS)}),
-        ("--workers", {"type": int, "default": 1,
-                       "help": "processes, at most the CPU count; a random sweep forks only "
-                               "once count * 4**size reaches 2**17"}),
+        ("--workers", {"type": int, "default": 1, "help": "processes, at most the CPU count; "
+                       "an exhaustive sweep runs in one process, a random one forks only "
+                       "once count * 4**size reaches 2**17"}),
         ("--out", {"help": "write the JSON report to this path"}),
         ("--allow-large", {"action": "store_true"}),
     )),

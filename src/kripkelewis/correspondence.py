@@ -15,16 +15,15 @@ is replayed once for the state mask of its violations (see
 :func:`_replay_groups`).  Verdicts stay in columns, one lane mask per
 check, and one counter turns them into the report's cells by popcount,
 building records only for flagged frames (see :func:`_count_columns`).
-The mode picks the route: an exhaustive partition, on one or two states,
-checks the uniform frame of every local profile ``(belief[s], union[s])``
-once and folds their verdict columns through byte tables over the codes
-of one belief assignment at a time, with no Python per frame (see
-:func:`_fold_profiles`), and a random one checks its frames batch by batch
-as they are parsed off blocks of the seeded words (see
-:func:`_sample_batches`).  A partition is a range of the frame
-stream, which each process draws for itself: on several workers the parent
-checks the last partition and forked workers the others, and a random sweep
-forks only once its work pays for a second process (see :func:`sweep`).
+The mode picks the route: an exhaustive sweep, on one or two states, is
+one fold in one process, which checks the uniform frame of every local
+profile ``(belief[s], union[s])`` once and folds their verdict columns
+through byte tables over the codes of one belief assignment at a time,
+with no Python per frame (see :func:`_fold_profiles`).  A random sweep
+checks its frames batch by batch as they are parsed off blocks of the
+seeded words (see :func:`_sample_batches`), in ranges of the stream that
+each process draws for itself: forked workers check all but the last,
+once the work pays for a second process (see :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -99,16 +98,20 @@ def frame_count(n: int) -> int:
 def frame_code(frame: Frame) -> int:
     """Canonical integer encoding; enumeration order is ascending code.
     Refuses a frame on more than 8 states, whose digits no byte holds."""
+    if frame.n > 8:
+        raise ValueError(f"state count must be at most 8, got {frame.n}")
     return _spell_code(frame.n, *_frame_bytes(frame), 0)
 
 
 def frame_from_code(n: int, code: int) -> Frame:
     """The frame :func:`frame_code` spells as ``code`` on n states.
-    Refuses an n below 1, and an n or code that is not an int or is a bool."""
+    Refuses an n outside 1 to 8, and an n or code not an int or a bool."""
     for name, value in (("n", n), ("code", code)):
         _require_int(name, value)
     if n < 1:
         raise ValueError(f"state count must be at least 1, got {n}")
+    if n > 8:  # before the digits are spelled: 8 * 255 of them at most
+        raise ValueError(f"state count must be at most 8, got {n}")
     full = (1 << n) - 1
     # the selection digits are base 2^n, so each is an n-bit field
     selections = [code >> n * i & full for i in reversed(range(n * full))]
@@ -512,11 +515,11 @@ def _uniform_frames(n: int, keys: Sequence[int]) -> tuple[bytes, bytes]:
 
 def _run_partition(config: dict, lo: int, hi: int) -> Report:
     """Report on frames ``lo`` to ``hi - 1`` of the configured frame
-    stream, the sweep's one branch on the mode: an exhaustive partition
-    folds the profile verdicts of its codes, a random one checks each frame
-    of the batches :func:`_sample_batches` draws from the seeded stream."""
+    stream, the sweep's one branch on the mode: an exhaustive sweep folds
+    the profile verdicts of every code, a random partition checks each
+    frame of the batches :func:`_sample_batches` draws from the seeded stream."""
     if config["mode"] == "exhaustive":
-        return _fold_profiles(config, range(lo, hi))
+        return _fold_profiles(config)
     return _check_frames(config, _sample_batches(config["size"], config["seed"], lo, hi))
 
 
@@ -613,12 +616,12 @@ def _byte_bits(count: int) -> list[int]:
     return [int.from_bytes(bytes([1 << j]) * count, "little") for j in range(8)]
 
 
-def _fold_profiles(config: dict, codes: range) -> Report:
-    """Fold the verdicts of the frames with these consecutive codes on one
-    or two states from their states' profiles ``(belief[s], union[s])``:
-    each verdict of :func:`triple_check` is a conjunction over states of a
-    condition on the state's profile, that of its uniform frame, and a
-    replay is the lowest violating state's.  Every profile is checked once
+def _fold_profiles(config: dict) -> Report:
+    """Fold the verdicts of every frame on one or two states from their
+    states' profiles ``(belief[s], union[s])``: each verdict of
+    :func:`triple_check` is a conjunction over states of a condition on the
+    state's profile, that of its uniform frame, and a replay is the lowest
+    violating state's.  Every profile is checked once
     (:func:`_profile_columns`), its key ``d << width | row`` indexing four
     256-byte translate tables per belief digit d.  A span is the codes of
     one belief assignment, in which a state's row is one byte a code
@@ -632,20 +635,19 @@ def _fold_profiles(config: dict, codes: range) -> Report:
     groups = _profile_columns(n, range(full << width), ks)
     tables = [[group[d * size : d * size + size].ljust(256, b"\0") for group in groups]
               for d in range(full)]
+    bits = _byte_bits(span)
     report = Report.empty(config)
-    for start in range(codes.start - codes.start % span, codes.stop, span):
-        lo, hi = max(codes.start, start) - start, min(codes.stop, start + span) - start
+    for start in range(0, frame_count(n), span):
         folded = [0] * 4
         for s in reversed(range(n)):
             believed = (start >> n * width) // full ** (n - 1 - s) % full + 1
-            rows = _span_rows(n, believed)[lo:hi]
+            rows = _span_rows(n, believed)
             replays, failed, axioms, agms = [int.from_bytes(rows.translate(table), "little")
                                              for table in tables[believed - 1]]
             folded = [replays | (folded[0] | failed) ^ failed, failed | folded[1],
                       axioms | folded[2], agms | folded[3]]
-        bits = _byte_bits(hi - lo)
         columns = [group & bits[j] for group in folded for j in range(len(ks))]
-        _count_columns(report, columns + [folded[1] & bits[7]], hi - lo, 8, (start + lo).__add__)
+        _count_columns(report, columns + [folded[1] & bits[7]], span, 8, start.__add__)
     return report
 
 
@@ -660,19 +662,16 @@ FORK_WORK = 1 << 16
 
 
 def _make_payloads(cfg: SweepConfig, workers: int) -> list[tuple[dict, int, int]]:
-    """Split the configured frame stream into at most ``workers``
-    contiguous, nonempty partitions ``(config, lo, hi)``: its frames
-    ``lo`` to ``hi - 1`` (see :func:`_run_partition`).  A random stream of
-    ``count`` frames on n states is cut into at most ``count * 4**n //
-    FORK_WORK`` partitions, and so checked in one process below that
-    break-even; an exhaustive one into at most one per frame."""
-    total = frame_count(cfg.size) if cfg.mode == "exhaustive" else cfg.count
-    assert total is not None
-    if cfg.mode == "random":
-        workers = min(workers, total * 4**cfg.size // FORK_WORK)
-    chunks = max(1, min(workers, total))
-    bounds = [total * i // chunks for i in range(chunks + 1)]
+    """Split the configured frame stream into contiguous, nonempty
+    partitions ``(config, lo, hi)``, its frames ``lo`` to ``hi - 1`` (see
+    :func:`_run_partition`): an exhaustive stream into one, and a random
+    stream of ``count`` frames on n states into at most ``workers`` and
+    ``count * 4**n // FORK_WORK``, so into one below that break-even."""
     config = cfg.echo()
+    if cfg.mode == "exhaustive":
+        return [(config, 0, frame_count(cfg.size))]
+    chunks = max(1, min(workers, cfg.count * 4**cfg.size // FORK_WORK))
+    bounds = [cfg.count * i // chunks for i in range(chunks + 1)]
     return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -716,18 +715,18 @@ def _fork(payload: tuple[dict, int, int]) -> tuple[int, int]:
 def sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     """Check every frame of the configured frame stream (see :func:`_run_partition`).
 
-    With ``workers > 1`` the stream is split into at most ``os.cpu_count()``
-    partitions, each named by its range of the stream, and a random stream
-    into one below the break-even ``FORK_WORK`` sets (see
-    :func:`_make_payloads`): the parent checks the last while a forked worker
-    checks each other one and pickles its report into a pipe.  Each process
-    draws its own partition's frames after the fork.  Workers are bare
-    ``os.fork`` children, each read to EOF and reaped in turn, or killed on any
-    other way out; without ``os.fork`` the sweep runs in one process.  A failed
-    partition, or a worker exiting without a report, aborts the sweep with a
-    SweepError naming the lowest one and carrying the completed reports; a
-    worker that cannot be forked, with one naming its partition and an
-    empty report.  Refuses ``workers < 1`` and a ``workers`` that is not an int.
+    An exhaustive stream is one partition.  With ``workers > 1`` a random
+    one is split into at most ``os.cpu_count()`` partitions, each named by
+    its range of the stream, and into one below the break-even ``FORK_WORK``
+    sets (see :func:`_make_payloads`): the parent checks the last while a
+    forked worker checks each other one and pickles its report into a pipe.
+    Each process draws its own partition's frames after the fork.  Workers
+    are bare ``os.fork`` children, each read to EOF and reaped in turn, or
+    killed on any other way out; without ``os.fork`` one process checks
+    all.  A failed partition, or a worker exiting without a report, aborts
+    the sweep with a SweepError naming the lowest one and carrying the
+    completed reports; a worker that cannot be forked, with one naming its
+    partition and an empty report.  Refuses a ``workers`` below 1 or not an int.
     """
     _require_int("workers", workers)
     if workers < 1:

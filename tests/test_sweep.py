@@ -85,10 +85,15 @@ def test_code_round_trip():
     # no byte holds a nine-state frame's digits (and past seven states no
     # code replays through --code anyway)
     ((belief, selection),) = helpers.oracle_sample_tuples(9, 1, 165)
-    frame = Frame(tuple(f"s{i}" for i in range(9)), belief, selection)
-    for spell in (frame_code, frame_digest):
-        with pytest.raises(ValueError):
-            spell(frame)
+    states = tuple(f"s{i}" for i in range(9))
+    sampled = Frame(states, belief, selection)
+    # the frame of code 0, every digit 0 or 1, so each would fit a byte:
+    # refused all the same
+    low = Frame(states, [1] * 9, [(0,) * 512] * 9)
+    for frame in (sampled, low):
+        for spell in (frame_code, frame_digest):
+            with pytest.raises(ValueError, match="^state count must be at most 8, got 9$"):
+                spell(frame)
 
 
 def test_frame_from_code_equals_divmod_oracle():
@@ -110,6 +115,8 @@ def test_frame_from_code_equals_divmod_oracle():
 @pytest.mark.parametrize("n, code, message", [
     (0, 0, "state count must be at least 1, got 0"),
     (-1, 0, "state count must be at least 1, got -1"),
+    (9, 0, "state count must be at most 8, got 9"),
+    (40, 0, "state count must be at most 8, got 40"),
     (2, 2.0, "code must be an integer, got 2.0"),
     (2, True, "code must be an integer, got True"),
 ])
@@ -535,16 +542,13 @@ def test_sweep_exhaustive_parallel_partition(monkeypatch, bounded):
 
 
 def _spelled(monkeypatch, cfg: SweepConfig, parts: int) -> list:
-    """The frames of ``parts`` partitions of cfg's stream, each spelled on
-    its own and handed to its route by ``_run_partition``: codes in
-    exhaustive mode, else batches of belief and selection bytes, joined."""
-    for route in ("_fold_profiles", "_check_frames"):
-        monkeypatch.setattr(sweep_module, route, lambda config, frames: list(frames))
+    """The frames of ``parts`` partitions of cfg's random stream, each
+    spelled on its own and handed to its route by ``_run_partition``:
+    batches of belief and selection bytes, joined."""
+    monkeypatch.setattr(sweep_module, "_check_frames", lambda config, frames: list(frames))
     payloads = sweep_module._make_payloads(cfg, parts)
-    assert len(payloads) == min(parts, cfg.count or frame_count(cfg.size))
+    assert len(payloads) == min(parts, cfg.count)
     frames = [frame for payload in payloads for frame in sweep_module._run_partition(*payload)]
-    if cfg.mode == "exhaustive":
-        return frames
     return [b"".join(b for b, _ in frames), b"".join(s for _, s in frames)]
 
 
@@ -558,19 +562,22 @@ def test_partitions_concatenate_to_the_stream(monkeypatch, fork_always):
                 codes = helpers.oracle_sample_codes(n, count, seed)
                 assert _spelled(monkeypatch, cfg, parts) == list(helpers.code_digits(n, codes)), (
                     n, seed, parts)
-        for n in (1, 2):
-            assert _spelled(monkeypatch, SweepConfig(size=n), parts) == list(
-                range(frame_count(n))), (n, parts)
+        for n in (1, 2):  # an exhaustive stream is one partition, the whole of it
+            cfg = SweepConfig(size=n)
+            assert sweep_module._make_payloads(cfg, parts) == [(cfg.echo(), 0, frame_count(n))]
 
 
-def test_five_workers_cut_blocks_and_report_the_pinned_digest(monkeypatch, bounded):
-    # partition bounds fall inside the 4,096-code spans the profile route folds
+def test_exhaustive_sweep_is_one_partition_on_any_worker_count(monkeypatch, bounded):
+    # one fold in the parent, whatever --workers asks: os.fork is never called
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 5)
+    monkeypatch.setattr(sweep_module.os, "fork", refused)
     cfg = SweepConfig(size=2)
-    bounds = [lo for _, lo, _ in sweep_module._make_payloads(cfg, 5)][1:]
-    assert len(bounds) == 4 and all(lo % 64 for lo in bounds), bounds
-    serial, parallel = sweep(cfg, workers=1), sweep(cfg, workers=5)
-    assert _report_digest(parallel) == _report_digest(serial) == REPORT_DIGESTS["exhaustive2"]
+    for workers in range(1, 6):
+        assert sweep_module._make_payloads(cfg, workers) == [(cfg.echo(), 0, frame_count(2))]
+        assert _report_digest(sweep(cfg, workers=workers)) == REPORT_DIGESTS["exhaustive2"]
     helpers.no_children()
 
 
@@ -606,9 +613,9 @@ def test_random_partitions_follow_the_fork_rule():
         assert tuple(map(len, cut)) == parts, (n, count)
         for payloads in cut:  # contiguous and covering the stream
             assert [lo for _, lo, _ in payloads] + [count] == [0] + [hi for *_, hi in payloads]
-    # exhaustive streams are cut one partition per worker, however small
-    assert len(sweep_module._make_payloads(SweepConfig(size=1), 3)) == 2
-    assert len(sweep_module._make_payloads(SweepConfig(size=2), 3)) == 3
+    # an exhaustive stream is one partition, on any number of workers
+    assert len(sweep_module._make_payloads(SweepConfig(size=1), 3)) == 1
+    assert len(sweep_module._make_payloads(SweepConfig(size=2), 3)) == 1
 
 
 @needs_fork
@@ -751,20 +758,18 @@ def test_sweep_error_names_pool_partition(monkeypatch, bounded, fork_always):
     helpers.no_children()
 
 
-def test_sweep_error_names_parent_partition(monkeypatch, bounded):
+@needs_fork
+def test_sweep_error_names_parent_partition(monkeypatch, bounded, fork_always):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
-    real = sweep_module._fold_profiles
-
-    def failing(config, codes):  # the parent checks the last partition, codes[1:2]
-        if codes.start == 1:
-            raise RuntimeError("injected")
-        return real(config, codes)
-
-    monkeypatch.setattr(sweep_module, "_fold_profiles", failing)
+    # three partitions of 40 frames each; the parent checks the last
+    cfg = SweepConfig(size=2, mode="random", count=120, seed=16, ks=(2, 8))
+    codes = helpers.oracle_sample_codes(2, 120, 16)
+    assert codes.index(codes[100]) == 100
+    _fail_on(monkeypatch, {codes[100]})
     with pytest.raises(SweepError) as exc:
-        sweep(SweepConfig(size=1, mode="exhaustive"), workers=2)
-    assert str(exc.value) == "sweep aborted: partition codes[1:2] failed: injected"
-    assert exc.value.partial_report.totals["frames"] == 1
+        sweep(cfg, workers=3)
+    assert str(exc.value) == "sweep aborted: partition codes[80:120] (seed 16) failed: injected"
+    assert exc.value.partial_report.totals["frames"] == 80  # the two workers'
     helpers.no_children()
 
 
@@ -872,12 +877,6 @@ def _frame_route(config: dict, codes) -> Report:
     return sweep_module._check_frames(config, helpers.code_batches(config["size"], codes))
 
 
-def _both_routes(config: dict, codes: range) -> tuple[dict, dict]:
-    profiles = sweep_module._fold_profiles(config, codes).to_json()
-    frames = _frame_route(config, codes).to_json()
-    return profiles, frames
-
-
 def _profile_count(n: int) -> int:
     """Number of distinct local profiles ``(belief[s], union[s])`` on n
     states: every nonempty belief set with every union-of-selections row."""
@@ -908,25 +907,42 @@ def test_uniform_code_spells_the_profile_at_every_state():
             assert tuple(frame.union) == (selected,) * n, (n, key)
 
 
-def test_profile_route_equals_frame_route_all_two_state_frames():
-    config = SweepConfig(size=2).echo()
-    profiles, frames = _both_routes(config, range(frame_count(2)))
-    assert profiles == frames
-    assert profiles["replay"]["attempted"] > 0
+def test_profile_route_equals_frame_route_all_two_state_frames(monkeypatch):
+    # the fold of every one- and two-state frame equals the frame route, with
+    # subsets of ks, whether its profiles are checked one, seven or
+    # BATCH_FRAMES to a batch
+    for n in (1, 2):
+        for ks in ((2, 3, 4, 5, 7, 8), (8, 2, 5), (4,)):
+            config = SweepConfig(size=n, ks=ks).echo()
+            frames = _frame_route(config, range(frame_count(n))).to_json()
+            assert frames["totals"]["frames"] == frame_count(n)
+            assert frames["replay"]["attempted"] > 0 or n == 1
+            for batch in (1, 7, 2000):
+                monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
+                assert sweep_module._fold_profiles(config).to_json() == frames, (n, ks, batch)
 
 
 def test_profile_route_equals_frame_route_random_partitions():
-    # exhaustive partitions whose ends cut the 4,096-code spans of two
-    # states, fixed and drawn at random, with subsets of ks
+    # code ranges whose ends cut the 4,096-code spans of two states, fixed
+    # and drawn at random, with subsets of ks: the oracle fold of each
+    # equals the frame route, and the frame route's reports on a random
+    # partition of the whole stream merge to the fold of it
     rng = random.Random(152)
     drawn = [sorted(rng.sample(range(frame_count(2) + 1), 2)) for _ in range(3)]
-    for n, lo, hi in ((1, 0, 2), (1, 1, 2), (2, 777, 5000), (2, 12289, 25000), (2, 63, 65),
-                      *[(2, lo, hi) for lo, hi in drawn]):
-        for ks in ((2, 3, 4, 5, 7, 8), (8, 2, 5), (4,)):
+    for ks in ((2, 3, 4, 5, 7, 8), (8, 2, 5), (4,)):
+        for n, lo, hi in ((1, 0, 2), (1, 1, 2), (2, 777, 5000), (2, 12289, 25000), (2, 63, 65),
+                          *[(2, lo, hi) for lo, hi in drawn]):
             config = SweepConfig(size=n, ks=ks).echo()
-            profiles, frames = _both_routes(config, range(lo, hi))
-            assert profiles == frames, (n, lo, hi, ks)
+            profiles = helpers.oracle_profile_fold(config, range(lo, hi)).to_json()
+            assert profiles == _frame_route(config, range(lo, hi)).to_json(), (n, lo, hi, ks)
             assert profiles["totals"]["frames"] == hi - lo
+        for n in (1, 2):
+            config = SweepConfig(size=n, ks=ks).echo()
+            cuts = rng.sample(range(1, frame_count(n)), min(3, frame_count(n) - 1))
+            bounds = [0, *sorted(cuts), frame_count(n)]
+            parts = [_frame_route(config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+            assert merge_reports(parts).to_json() == sweep_module._fold_profiles(
+                config).to_json(), (n, bounds, ks)
 
 
 def _three_state_starts(count: int, seed: int) -> list[int]:
@@ -994,22 +1010,28 @@ class _BrokenK5b(_BrokenK2):
 
 
 def test_profile_route_discrepancies_and_replays_match_frame_route(monkeypatch):
-    # at two states the fold itself, at three the oracle fold
+    # at two states the fold itself over the whole stream, at three the
+    # oracle fold on partitions and their merge
     monkeypatch.setattr(sweep_module, "PostulateEvaluator", _BrokenK2)
     monkeypatch.setattr(sweep_module, "countermodel_recipe", _broken_a2_recipe)
-    for n, fold, partitions in ((2, sweep_module._fold_profiles, [(4000, 4321, 9000)]), (
-            3, helpers.oracle_profile_fold,
-            [(start, start + 40, start + 120) for start in _three_state_starts(3, 22)])):
-        config = SweepConfig(size=n, allow_large=n > 2).echo()
-        kinds, replay = set(), Counter()
-        for bounds in partitions:
-            routes = []
-            for route in (fold, _frame_route):
-                parts = [route(config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-                routes.append([p.to_json() for p in parts] + [merge_reports(parts).to_json()])
-            assert routes[0] == routes[1], (n, bounds)
-            kinds |= {d["kind"] for d in routes[0][-1]["discrepancies"]}
-            replay.update(routes[0][-1]["replay"])
+    config = SweepConfig(size=2).echo()
+    whole = sweep_module._fold_profiles(config).to_json()
+    assert whole == _frame_route(config, range(frame_count(2))).to_json()
+    reports = [whole]
+    config = SweepConfig(size=3, allow_large=True).echo()
+    for start in _three_state_starts(3, 22):
+        bounds = (start, start + 40, start + 120)
+        routes = []
+        for route in (helpers.oracle_profile_fold, _frame_route):
+            parts = [route(config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+            routes.append([p.to_json() for p in parts] + [merge_reports(parts).to_json()])
+        assert routes[0] == routes[1], bounds
+        reports.append(routes[0][-1])
+    for n, group in ((2, reports[:1]), (3, reports[1:])):
+        kinds = {d["kind"] for report in group for d in report["discrepancies"]}
+        replay = Counter()
+        for report in group:
+            replay.update(report["replay"])
         # broken K2 shows where P2 holds: at n = 3, in the first block end
         assert kinds == {"property_vs_agm", "countermodel_replay"}, (n, kinds)
         assert replay["falsified"] < replay["attempted"]
@@ -1067,15 +1089,15 @@ def test_route_choice_and_memo_lifetime(monkeypatch):
         sweep(SweepConfig(size=n, mode="random", count=1000, seed=42))
         assert calls["n"] == 1000, n
 
-    # a one-code partition checks both one-state profiles
+    # the one-state fold checks both one-state profiles
     calls["n"] = 0
-    sweep_module._fold_profiles(SweepConfig(size=1).echo(), range(1, 2))
+    sweep_module._fold_profiles(SweepConfig(size=1).echo())
     assert calls["n"] == 2
 
-    # the mode alone picks the route: a one-code exhaustive partition folds
-    for route in ("_fold_profiles", "_check_frames"):
-        monkeypatch.setattr(sweep_module, route, lambda config, codes, route=route: route)
-    assert sweep_module._run_partition(SweepConfig(size=1).echo(), 1, 2) == "_fold_profiles"
+    # the mode alone picks the route
+    monkeypatch.setattr(sweep_module, "_fold_profiles", lambda config: "_fold_profiles")
+    monkeypatch.setattr(sweep_module, "_check_frames", lambda config, batches: "_check_frames")
+    assert sweep_module._run_partition(SweepConfig(size=1).echo(), 0, 2) == "_fold_profiles"
     config = SweepConfig(size=2, mode="random", count=1, seed=0).echo()
     assert sweep_module._run_partition(config, 0, 1) == "_check_frames"
 
@@ -1103,12 +1125,12 @@ def test_random_partition_streams_its_codes():
 
 
 def test_exhaustive_fold_memory_stays_flat():
-    # the fold holds one span's columns at a time, not the partition's
+    # the fold holds one span's columns at a time, not the stream's
     config = SweepConfig(size=2).echo()
-    sweep_module._fold_profiles(config, range(frame_count(2)))  # first fill the caches
+    sweep_module._fold_profiles(config)  # first fill the caches
     tracemalloc.start()
     try:
-        report = sweep_module._fold_profiles(config, range(frame_count(2)))
+        report = sweep_module._fold_profiles(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1176,22 +1198,6 @@ def test_batched_frame_route_equals_per_frame_triple_check(monkeypatch):
         for batch in (1, 7, sweep_module.BATCH_FRAMES):
             monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
             assert _frame_route(config, codes).to_json() == expected, (n, batch)
-    # the profile route on exhaustive ranges around a ranked code, and
-    # across the ends of spans of 4,096 codes (where the belief digits
-    # change at two states)
-    ranges = [(n, ks, max(ranked - 100, 0), min(ranked + 157, frame_count(n)))
-              for n, ks in ((1, every_k), (2, every_k), (2, (8, 2, 5)))
-              for ranked in [frame_code(helpers.ranked_frame(rng, n))]]
-    ranges += [(2, every_k, 4096 - 70, 4096 + 131), (2, (4, 7), 8 * 4096 - 3, 8 * 4096 + 260)]
-    for n, ks, lo, hi in ranges:
-        codes = range(lo, hi)
-        config = SweepConfig(size=n, ks=ks).echo()
-        expected = _per_frame_report(config, codes)
-        assert expected["replay"]["attempted"] > 0 or n == 1
-        for batch in (1, 7, sweep_module.BATCH_FRAMES):
-            monkeypatch.setattr(sweep_module, "BATCH_FRAMES", batch)
-            assert sweep_module._fold_profiles(config, codes).to_json() == expected, (
-                n, lo, batch)
 
 
 # --- lane tables spelled from frame codes, and the masks read off them -------
